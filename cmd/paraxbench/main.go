@@ -51,7 +51,7 @@ func main() {
 		bench = flag.String("bench", "",
 			"comma list of benchmarks to restrict the suite to (default: all)")
 		broad = flag.String("broad", "",
-			"broad-phase algorithm for every captured world: sap|incsap|grid (default: each benchmark's own)")
+			"broad-phase algorithm for every captured world: "+strings.Join(broadphase.Names, "|")+" (default: each benchmark's own)")
 		list       = flag.Bool("list", false, "list experiments and exit")
 		serveAddr  = flag.String("serve", "", "serve live telemetry on `addr`: /metrics /health /trace /series.json")
 		traceFile  = flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to `file`")

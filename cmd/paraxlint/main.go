@@ -1,8 +1,10 @@
 // Command paraxlint runs the repository's static-invariant analyzers
-// (noalloc, determinism, floatcmp, chunkown per package, plus the
-// module-spanning parsafe call-graph analysis — see internal/lint)
-// over a set of package patterns and exits non-zero if any finding
-// survives its //paraxlint:allow escape hatches.
+// (determinism, floatcmp, chunkown per package, plus the module-spanning
+// parsafe call-graph analysis, which holds everything reachable from a
+// //paraxlint:noalloc root to "no allocation" and everything reachable
+// from a //paraxlint:parroot worker to the concurrency rules as well —
+// see internal/lint) over a set of package patterns and exits non-zero
+// if any finding survives its //paraxlint:allow escape hatches.
 //
 // Findings are printed sorted by (file, line, column, analyzer), so the
 // output is byte-stable across runs and diffable as a CI artifact; -o
@@ -11,7 +13,7 @@
 // Usage:
 //
 //	go run ./cmd/paraxlint ./...
-//	go run ./cmd/paraxlint -only noalloc ./internal/phys/...
+//	go run ./cmd/paraxlint -only parsafe ./internal/phys/...
 //	go run ./cmd/paraxlint -o findings.txt ./...
 package main
 

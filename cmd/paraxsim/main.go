@@ -60,6 +60,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strconv"
 	"strings"
 	"text/tabwriter"
@@ -82,7 +83,7 @@ func main() {
 		threads = flag.Int("threads", 1, "worker threads for parallel phases")
 		list    = flag.Bool("list", false, "list benchmarks and exit")
 		eval    = flag.Bool("eval", false, "also evaluate the ParallAX reference system on this benchmark")
-		broad   = flag.String("broad", "", "broad-phase algorithm: sap|incsap|grid (default: the world's own; with -load, replaces the restored broad phase and discards its saved sweep state)")
+		broad   = flag.String("broad", "", "broad-phase algorithm: "+strings.Join(broadphase.Names, "|")+" (default: the world's own; with -load, replaces the restored broad phase and discards its saved sweep state)")
 
 		stepBench = flag.String("stepbench", "", "comma list of thread counts (e.g. 1,2,4,8): run the steady-state step benchmark and exit")
 		stepJSON  = flag.String("stepjson", "", "with -stepbench: write the machine-readable report to `file`")
@@ -399,19 +400,19 @@ type benchReport struct {
 	Runs        []benchRun `json:"runs"`
 }
 
-// stepBenchPhases are the per-step phase spans reported by -stepbench;
-// broadphase and island-creation still contain the step's serial
-// sections (pair emission and the union-find merge), so their combined
-// share of the step span is reported as serial_fraction. The *-chunk
-// entries are the worker-side task spans summed across lanes (CPU
-// time, so at N threads they can exceed the enclosing phase's wall
-// time): refresh-chunk and edge-chunk are the parallelizable portions
-// of broadphase and island-creation, so at 1 thread
-// (phase − chunk) is the residual serial budget of each.
-var stepBenchPhases = []string{
-	"broadphase", "narrowphase", "island-creation", "island-processing", "integrate", "cloth",
-	"refresh-chunk", "narrow-chunk", "edge-chunk", "integrate-chunk", "sync-chunk",
-}
+// stepBenchPhases are the spans reported by -stepbench, from the
+// engine's own span table: the step phases, then the chunked phases'
+// work-item spans summed across lanes. stepBenchSerial are the phases
+// that still contain the step's serial sections (pair emission and the
+// union-find merge); their combined share of the step span is reported
+// as serial_fraction. refresh-chunk and edge-chunk are the
+// parallelizable portions of those two phases and are recorded at every
+// thread count, so at 1 thread (phase − chunk) is the residual serial
+// budget of each.
+var stepBenchPhases, stepBenchSerial = func() ([]string, []string) {
+	phases, serial, chunks := world.SpanNames()
+	return append(phases, chunks...), serial
+}()
 
 // stepBenchSettle matches BenchmarkStep's settle loop: the scene
 // reaches a steady contact topology before measurement starts.
@@ -562,7 +563,7 @@ func stepBenchOne(threads, steps int, broadName string) benchRun {
 			NsPerStep: ns / float64(steps),
 			Fraction:  frac,
 		})
-		if name == "broadphase" || name == "island-creation" {
+		if slices.Contains(stepBenchSerial, name) {
 			serialNs += ns
 		}
 	}

@@ -5,15 +5,20 @@
 // The suite mirrors the golang.org/x/tools/go/analysis API (Analyzer,
 // Pass, Diagnostic) on the standard library alone — go/ast, go/types and
 // export data served by `go list -export` — because this module is
-// dependency-free by policy. Three analyzers ship today:
+// dependency-free by policy. The analyzers:
 //
-//   - noalloc: functions annotated `//paraxlint:noalloc` must contain no
-//     allocating constructs (see noalloc.go).
+//   - parsafe: one module-wide call graph walked from the hot-path
+//     roots — nothing reachable from a `//paraxlint:noalloc` function
+//     allocates, and everything reachable from a `//paraxlint:parroot`
+//     worker is also safe to run concurrently (see parsafe.go; the
+//     allocating construct set is in noalloc.go).
 //   - determinism: flags order-dependent map iteration, global math/rand
 //     state and wall-clock reads in the engine, model and harness
 //     packages (see determinism.go).
 //   - floatcmp: flags exact ==/!= between floating-point expressions
 //     (see floatcmp.go).
+//   - chunkown: chunk workers index-write only what they own (see
+//     chunkown.go).
 //
 // Findings are suppressed, one source line at a time, with
 // `//paraxlint:allow(<category>)` escape hatches; an allow comment that
@@ -277,7 +282,7 @@ func SortDiagnostics(ds []Diagnostic) {
 }
 
 // All is the paraxlint suite in the order the multichecker runs it.
-var All = []*Analyzer{NoAlloc, Determinism, FloatCmp, ChunkOwn}
+var All = []*Analyzer{Determinism, FloatCmp, ChunkOwn}
 
 // AllModule is the module-spanning suite, run after the per-package
 // analyzers.

@@ -9,7 +9,8 @@ import (
 // ChunkOwn checks the disjoint-write discipline of chunk workers
 // syntactically. A chunk worker is any function whose parameter list
 // contains the consecutive trio `chunk, lo, hi int` — the signature
-// parallelChunks dispatches (see DESIGN.md "Phase parallelism").
+// World.runItem calls for the chunked phases (see DESIGN.md "Phase
+// parallelism").
 // Workers run concurrently over disjoint [lo,hi) element ranges, so
 // every index-write to a slice they can see must be provably owned:
 //

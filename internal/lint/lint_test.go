@@ -10,10 +10,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/lint/linttest"
 )
 
-func TestNoAlloc(t *testing.T) {
-	linttest.Run(t, lint.NoAlloc, filepath.Join("testdata", "noalloc"))
-}
-
 func TestDeterminism(t *testing.T) {
 	linttest.Run(t, lint.Determinism, filepath.Join("testdata", "determinism"))
 }
@@ -26,12 +22,13 @@ func TestChunkOwn(t *testing.T) {
 	linttest.Run(t, lint.ChunkOwn, filepath.Join("testdata", "chunkown"))
 }
 
-// TestParSafe drives the module-spanning analyzer over a two-package
+// TestParSafe drives the module-spanning analyzer over a three-package
 // fixture. The dep subpackage chain (no directive on any frame) is the
 // load-bearing case: the alloc finding three frames below the root
-// exists because of transitive propagation alone, which is exactly the
-// property that used to depend on hand-placed //paraxlint:noalloc
-// directives — deleting a directive can no longer hide an allocation.
+// exists because of transitive propagation alone — deleting a directive
+// cannot hide an allocation. The serial subpackage holds the
+// allocating-construct cases under //paraxlint:noalloc roots, and pins
+// that such a root is held to the allocation rule only.
 func TestParSafe(t *testing.T) {
 	linttest.RunModule(t, lint.ParSafe, filepath.Join("testdata", "parsafe"))
 }
@@ -40,7 +37,7 @@ func TestParSafe(t *testing.T) {
 // suppresses findings on exactly one line, and an unused allow is itself
 // a finding (see testdata/allow).
 func TestAllowSemantics(t *testing.T) {
-	linttest.Run(t, lint.NoAlloc, filepath.Join("testdata", "allow"))
+	linttest.RunModule(t, lint.ParSafe, filepath.Join("testdata", "allow"))
 }
 
 // loadRepo loads the whole module with in-module dependencies from
@@ -92,12 +89,14 @@ func TestTreeClean(t *testing.T) {
 	}
 }
 
-// TestParsafeReachable pins the shape of the real call graph: the
-// parroot set must transitively reach the engine's deep hot-path
+// TestParsafeReachable pins the shape of the real call graph. From the
+// worker root (pool.loop) it must reach the engine's deep hot-path
 // callees — the solver iteration, narrow-phase dispatch, body
-// integration and the tracer's span recording. A loader or
-// devirtualization regression that silently disconnects the graph
-// (leaving nothing checked) fails here rather than passing vacuously.
+// integration and the tracer's span recording; from the serial root
+// (World.Step) the broad phase, the island builder and the post-step
+// telemetry. A loader or devirtualization regression that silently
+// disconnects the graph (leaving nothing checked) fails here rather
+// than passing vacuously.
 func TestParsafeReachable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("type-checks the whole module")
@@ -125,6 +124,67 @@ func TestParsafeReachable(t *testing.T) {
 			t.Errorf("parsafe reachable set is missing %s", want)
 		}
 	}
+	// Every function that carried its own //paraxlint:noalloc directive
+	// before the per-function checker was folded into parsafe, less the
+	// broad-phase Pairs/run wrappers and the two dispatch helpers that no
+	// longer exist (World.run and World.runChunks stand in for the
+	// latter). Dropping the directives must not have dropped the
+	// coverage.
+	for _, want := range []string{
+		"(*" + mod + "obs.Health).Update",
+		"(*" + mod + "obs.Health).trip",
+		"(*" + mod + "obs.Registry).Add",
+		"(*" + mod + "obs.Registry).SetGauge",
+		"(*" + mod + "obs.Registry).ObserveInt",
+		"(*" + mod + "obs.Series).Set",
+		"(*" + mod + "obs.Series).Advance",
+		"(*" + mod + "obs.Lane).Complete",
+		"(*" + mod + "phys/body.Body).AddForce",
+		"(*" + mod + "phys/body.Body).AddTorque",
+		"(*" + mod + "phys/body.Body).AddForceAt",
+		"(*" + mod + "phys/body.Body).ApplyImpulse",
+		"(*" + mod + "phys/body.Body).Wake",
+		mod + "phys/broadphase.shouldPair",
+		"(*" + mod + "phys/broadphase.SweepAndPrune).PairsPrerefreshed",
+		"(*" + mod + "phys/broadphase.SweepAndPrune).insertionSort",
+		mod + "phys/broadphase.bestAxis",
+		mod + "phys/broadphase.appendPair",
+		mod + "phys/broadphase.cellKey",
+		"(*" + mod + "phys/broadphase.SpatialHash).PairsPrerefreshed",
+		mod + "phys/broadphase.sortPairs",
+		"(*" + mod + "phys/broadphase.IncrementalSAP).PairsPrerefreshed",
+		"(*" + mod + "phys/broadphase.IncrementalSAP).sortIncremental",
+		"(*" + mod + "phys/broadphase.IncrementalSAP).rebuild",
+		mod + "phys/broadphase.epAfter",
+		mod + "phys/broadphase.pairKeyOf",
+		"(*" + mod + "phys/cloth.Cloth).ApplyBlast",
+		"(*" + mod + "phys/island.Builder).find",
+		"(*" + mod + "phys/island.Builder).union",
+		"(*" + mod + "phys/island.Builder).on",
+		"(*" + mod + "phys/island.Builder).Build",
+		"(*" + mod + "phys/joint.Breakable).ApplyLoad",
+		"(*" + mod + "phys/world.World).recordStepMetrics",
+		"(*" + mod + "phys/world.World).recordTelemetry",
+		"(*" + mod + "phys/world.pool).post",
+		"(*" + mod + "phys/world.pool).wait",
+		"(*" + mod + "phys/world.World).run",
+		"(*" + mod + "phys/world.World).runChunks",
+		"(*" + mod + "phys/world.StepProfile).reset",
+		"(*" + mod + "phys/world.StepProfile).AppendIslandDOFs",
+		"(*" + mod + "phys/world.frameScratch).beginStep",
+		"(*" + mod + "phys/world.frameScratch).beginIslands",
+		mod + "phys/world.growFloat",
+		mod + "phys/world.growInt32",
+		mod + "phys/world.growUint64",
+		mod + "phys/world.growStats",
+		"(*" + mod + "phys/world.World).Step",
+		"(*" + mod + "phys/world.World).bodyMoving",
+		"(*" + mod + "phys/world.World).bodyPose",
+	} {
+		if !reach[want] {
+			t.Errorf("reachable set lost %s, which carried //paraxlint:noalloc before the fold", want)
+		}
+	}
 }
 
 // TestDirectiveDrift walks every //paraxlint: comment in the module and
@@ -147,9 +207,9 @@ func TestDirectiveDrift(t *testing.T) {
 			ownedCats[c] = true
 		}
 	}
-	// noalloc is read by NoAlloc and ParSafe, parroot/coldpath by
-	// ParSafe, tolerance by FloatCmp. A new directive must be added here
-	// in the same change that adds its consumer.
+	// noalloc, parroot and coldpath are read by ParSafe, tolerance by
+	// FloatCmp. A new directive must be added here in the same change
+	// that adds its consumer.
 	knownDirectives := map[string]bool{
 		"noalloc": true, "parroot": true, "coldpath": true, "tolerance": true,
 	}

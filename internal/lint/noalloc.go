@@ -6,9 +6,11 @@ import (
 	"go/types"
 )
 
-// NoAlloc enforces the scratch-arena contract from DESIGN.md: a function
-// annotated `//paraxlint:noalloc` (World.Step and its steady-state
-// callees) must contain no construct that can heap-allocate.
+// noallocWalker finds the constructs that can heap-allocate in one
+// function body and records them as that function's deferred "alloc"
+// findings. It is the construct set behind the scratch-arena contract
+// from DESIGN.md; parsafe decides, by reachability from its roots, which
+// functions' findings are reported (see parsafe.go).
 //
 // Flagged constructs:
 //   - make and new
@@ -30,38 +32,10 @@ import (
 // One-time warm-up allocations (lazy caches, capacity growth, rare
 // debug/detail paths) are waived line by line with
 // `//paraxlint:allow(alloc)`.
-var NoAlloc = &Analyzer{
-	Name:       "noalloc",
-	Doc:        "functions annotated //paraxlint:noalloc must not contain allocating constructs",
-	Categories: []string{"alloc"},
-	Run:        runNoAlloc,
-}
-
-func runNoAlloc(pass *Pass) error {
-	for _, f := range pass.Files {
-		for _, decl := range f.Decls {
-			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || fd.Body == nil || !hasDirective(fd.Doc, "noalloc") {
-				continue
-			}
-			w := &noallocWalker{pass: pass}
-			if obj, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok {
-				w.sig = obj.Type().(*types.Signature)
-			}
-			w.walk(fd.Body)
-		}
-	}
-	return nil
-}
-
 type noallocWalker struct {
 	pass *Pass
+	fn   *psFunc          // receives the findings
 	sig  *types.Signature // enclosing function, for return-boxing checks
-	// sink, when set, receives findings instead of pass.Reportf with
-	// category "alloc". parsafe installs one so the same allocation
-	// detection reports under its own category for parroot-reachable
-	// functions that carry no //paraxlint:noalloc directive.
-	sink func(pos token.Pos, format string, args ...interface{})
 
 	calledSels map[*ast.SelectorExpr]bool // selector is the Fun of a call
 	okAppends  map[*ast.CallExpr]bool     // append assigned back to arg 0
@@ -120,11 +94,7 @@ func (w *noallocWalker) walk(body *ast.BlockStmt) {
 }
 
 func (w *noallocWalker) report(pos token.Pos, format string, args ...interface{}) {
-	if w.sink != nil {
-		w.sink(pos, format, args...)
-		return
-	}
-	w.pass.Reportf(pos, "alloc", format, args...)
+	w.fn.allocf(pos, format, args...)
 }
 
 func (w *noallocWalker) typeOf(e ast.Expr) types.Type {

@@ -8,35 +8,43 @@ import (
 	"sort"
 )
 
-// ParSafe proves the parallel-phase contract from DESIGN.md on every
-// build: everything statically reachable from a
-// `//paraxlint:parroot`-annotated worker entry point must be safe to
-// run concurrently with every other worker. Reachable code must not:
+// ParSafe proves the two hot-path contracts from DESIGN.md on every
+// build, transitively over one static call graph of the whole module.
+// The graph is walked from two kinds of root:
 //
-//   - allocate (the same construct set as noalloc, but propagated
-//     transitively — no directive needed on callees, so a newly added
-//     allocating function three frames below Step is a finding);
+//   - A `//paraxlint:noalloc` function is a serial root (World.Step):
+//     everything reachable from it must not allocate. The construct set
+//     is noallocWalker's; no directive is needed on callees, so a newly
+//     added allocating function three frames below Step is a finding.
+//   - A `//paraxlint:parroot` function is a worker entry point
+//     (pool.loop): everything reachable from it runs concurrently with
+//     every other worker and must satisfy the allocation rule plus the
+//     concurrency rules below.
+//
+// Code reachable from a parroot must not:
+//
 //   - write package-level variables (workers share them);
 //   - touch channels, select, or package sync outside sync/atomic
 //     (the pool's own WaitGroup handoff is waived, not allowlisted);
 //   - start goroutines;
 //   - call through interface methods that class-hierarchy analysis
-//     cannot resolve to analyzed bodies, or through func values
-//     (unless waived — the pool's task trampoline is the one such
-//     hole, and each waiver names the parroots it dispatches to);
+//     cannot resolve to analyzed bodies, or through func values;
 //   - call outside the analyzed set, except pure-compute packages on
 //     a short allowlist (math, math/bits, slices, sync/atomic).
 //
+// Allocation findings carry the waiver category "alloc" whichever kind
+// of root reached them; the concurrency findings carry "parsafe".
+//
 // The graph is cut at `//paraxlint:coldpath` functions: event and
 // warm-up paths (detonations, pool construction, lane registration)
-// that run rarely and allocate by design. A coldpath directive on a
-// function no parroot-reachable caller mentions is itself a finding,
-// as is a legacy //paraxlint:noalloc directive on a function parsafe
-// already covers — so both directive sets stay honest.
+// that run rarely and allocate by design. Directive hygiene is itself
+// checked: a coldpath directive no reachable caller mentions is a
+// finding, and so is a root directive on a function another root
+// already reaches — so the directive set stays minimal.
 var ParSafe = &ModuleAnalyzer{
 	Name:       "parsafe",
-	Doc:        "code reachable from //paraxlint:parroot workers must be allocation-free, shared-state-free and statically resolvable",
-	Categories: []string{"parsafe"},
+	Doc:        "code reachable from //paraxlint:noalloc roots must be allocation-free; from //paraxlint:parroot workers also shared-state-free and statically resolvable",
+	Categories: []string{"alloc", "parsafe"},
 	Run:        runParSafe,
 }
 
@@ -60,7 +68,7 @@ func runParSafe(mp *ModulePass) error {
 // ParsafeReachable loads nothing itself: it runs parsafe's graph
 // construction and reachability pass over already-loaded packages and
 // returns the sorted, fully-qualified names of every function proved
-// reachable from the parroot set. Tests pin the presence of deep
+// reachable from a root of either kind. Tests pin the presence of deep
 // callees (solver, narrow phase, joint rows) so a refactor that
 // silently disconnects the graph — leaving nothing checked — fails.
 func ParsafeReachable(pkgs []*Package) []string {
@@ -69,7 +77,7 @@ func ParsafeReachable(pkgs []*Package) []string {
 	g.propagate()
 	var names []string
 	for _, f := range g.funcs {
-		if f.reachable && f.obj != nil {
+		if (f.par || f.ser) && f.obj != nil {
 			names = append(names, f.obj.FullName())
 		}
 	}
@@ -100,8 +108,9 @@ func newModulePass(a *ModuleAnalyzer, pkgs []*Package) *ModulePass {
 // psViol is one deferred violation: recorded while summarizing a
 // function, reported only if the function turns out to be reachable.
 type psViol struct {
-	pos token.Pos
-	msg string
+	pos      token.Pos
+	category string // "alloc" or "parsafe"
+	msg      string
 }
 
 // psFunc is one function body in the analyzed set.
@@ -111,19 +120,28 @@ type psFunc struct {
 	decl *ast.FuncDecl
 	obj  *types.Func
 
-	parroot  bool
+	parroot  bool // worker entry point: full rule set
+	noalloc  bool // serial root: allocation rule only
 	coldpath bool
-	noalloc  bool // legacy directive; redundant if reachable
 
 	callees []*psFunc
 	viols   []psViol
 
-	reachable bool
-	coldUsed  bool // a reachable caller targets this coldpath function
+	par, ser bool // reachable from a parroot / from a noalloc root
+	coldUsed bool // a reachable caller targets this coldpath function
+	// parVia and allocVia are the first reachable caller (other than the
+	// function itself) found calling this root while walking from the
+	// parroots, or from roots of either kind: its directive is redundant.
+	parVia, allocVia *psFunc
 }
 
+// violf records a concurrency-rule violation, allocf an allocation.
 func (f *psFunc) violf(pos token.Pos, format string, args ...interface{}) {
-	f.viols = append(f.viols, psViol{pos: pos, msg: fmt.Sprintf(format, args...)})
+	f.viols = append(f.viols, psViol{pos: pos, category: "parsafe", msg: fmt.Sprintf(format, args...)})
+}
+
+func (f *psFunc) allocf(pos token.Pos, format string, args ...interface{}) {
+	f.viols = append(f.viols, psViol{pos: pos, category: "alloc", msg: fmt.Sprintf(format, args...)})
 }
 
 // parsafeGraph is the module-wide call graph.
@@ -186,9 +204,7 @@ func buildParsafe(mp *ModulePass) *parsafeGraph {
 func (g *parsafeGraph) summarize(f *psFunc) {
 	info := f.pass.TypesInfo
 
-	// Allocation detection: the noalloc walker with its findings
-	// redirected into this function's deferred-violation list.
-	w := &noallocWalker{pass: f.pass, sink: f.violf}
+	w := &noallocWalker{pass: f.pass, fn: f}
 	if f.obj != nil {
 		w.sig, _ = f.obj.Type().(*types.Signature)
 	}
@@ -385,14 +401,27 @@ func (g *parsafeGraph) addInterfaceCallees(f *psFunc, call *ast.CallExpr, recv t
 	}
 }
 
-// propagate runs BFS reachability from the parroot set, cutting the
-// graph at coldpath functions (and remembering which coldpath
-// directives were actually load-bearing).
+// propagate marks what each kind of root reaches, cutting the graph at
+// coldpath functions (and remembering which coldpath directives were
+// actually load-bearing).
 func (g *parsafeGraph) propagate() {
+	g.reach(true)
+	g.reach(false)
+}
+
+// reach runs BFS from the parroots (par) or the noalloc roots (!par).
+func (g *parsafeGraph) reach(par bool) {
+	isRoot := func(f *psFunc) bool { return par && f.parroot || !par && f.noalloc }
+	mark := func(f *psFunc) *bool {
+		if par {
+			return &f.par
+		}
+		return &f.ser
+	}
 	var queue []*psFunc
 	for _, f := range g.funcs {
-		if f.parroot {
-			f.reachable = true
+		if isRoot(f) {
+			*mark(f) = true
 			queue = append(queue, f)
 		}
 	}
@@ -404,35 +433,51 @@ func (g *parsafeGraph) propagate() {
 				t.coldUsed = true
 				continue
 			}
-			if !t.reachable {
-				t.reachable = true
+			if t != f {
+				if par && t.parroot && t.parVia == nil {
+					t.parVia = f
+				}
+				if t.noalloc && t.allocVia == nil {
+					t.allocVia = f
+				}
+			}
+			if !*mark(t) {
+				*mark(t) = true
 				queue = append(queue, t)
 			}
 		}
 	}
 }
 
-// report emits the deferred violations of reachable functions, plus the
-// directive-hygiene findings, through each owning package's pass (so
-// allow(parsafe) waivers and unused-waiver detection apply).
+// report emits the deferred violations of reachable functions — all of
+// them under a parroot, the allocation findings alone under a serial
+// root — plus the directive-hygiene findings, through each owning
+// package's pass (so allow waivers and unused-waiver detection apply).
 func (g *parsafeGraph) report() {
 	for _, f := range g.funcs {
 		name := f.decl.Name.Name
-		if f.parroot && f.coldpath {
-			f.pass.Reportf(f.decl.Name.Pos(), "parsafe",
-				"%s is annotated both parroot and coldpath; pick one", name)
+		at := f.decl.Name.Pos()
+		if (f.parroot || f.noalloc) && f.coldpath {
+			f.pass.Reportf(at, "parsafe", "%s is annotated both as a root and coldpath; pick one", name)
 		}
-		if f.reachable {
+		switch {
+		case f.par || f.ser:
 			for _, v := range f.viols {
-				f.pass.Reportf(v.pos, "parsafe", "%s", v.msg)
+				if f.par || v.category == "alloc" {
+					f.pass.Reportf(v.pos, v.category, "%s", v.msg)
+				}
 			}
-			if f.noalloc {
-				f.pass.Reportf(f.decl.Name.Pos(), "parsafe",
-					"redundant //paraxlint:noalloc on %s: parroot-reachable functions are checked transitively by parsafe", name)
-			}
-		} else if f.coldpath && !f.coldUsed {
-			f.pass.Reportf(f.decl.Name.Pos(), "parsafe",
-				"stale //paraxlint:coldpath on %s: no parroot-reachable caller", name)
+		case f.coldpath && !f.coldUsed:
+			f.pass.Reportf(at, "parsafe", "stale //paraxlint:coldpath on %s: no root-reachable caller", name)
+		}
+		switch {
+		case f.noalloc && f.parroot:
+			f.pass.Reportf(at, "parsafe", "redundant //paraxlint:noalloc on %s: a parroot is checked for allocation already", name)
+		case f.noalloc && f.allocVia != nil:
+			f.pass.Reportf(at, "parsafe", "redundant //paraxlint:noalloc on %s: already reached from another root through %s", name, f.allocVia.decl.Name.Name)
+		}
+		if f.parroot && f.parVia != nil {
+			f.pass.Reportf(at, "parsafe", "redundant //paraxlint:parroot on %s: already reached from another parroot through %s", name, f.parVia.decl.Name.Name)
 		}
 	}
 }

@@ -99,6 +99,7 @@ func worker(s *sink, sh shape, p phantom, fn func() int) {
 	_ = func() int { return s.n }   // want "function literal captures variables and allocates a closure"
 
 	s.blast = detonate() // clean: detonate is coldpath, cut from the graph
+	subworker(s)
 
 	//paraxlint:allow(parsafe) fixture: sanctioned dynamic dispatch, mirroring the pool's task trampoline
 	s.n += fn()
@@ -110,14 +111,28 @@ func lockIt(l locker) {
 	l.Lock() // want "interface call Lock devirtualizes to .*sync.Mutex..Lock: body outside the analyzed set"
 }
 
-// helper is reachable via the go statement in worker; its legacy
-// noalloc directive is redundant now that parsafe covers it
-// transitively.
+// helper is reachable via the go statement in worker, which already
+// checks it for allocation: its own serial-root directive is redundant.
 //
 //paraxlint:noalloc
-func helper() { // want "redundant //paraxlint:noalloc on helper"
+func helper() { // want "redundant //paraxlint:noalloc on helper: already reached from another root through worker"
 	_ = hits // reads of shared state are fine; only writes race
 }
+
+// subworker is an entry point worker already calls directly, so the
+// static graph reaches it without a directive of its own.
+//
+//paraxlint:parroot fixture: dispatched by worker
+func subworker(s *sink) { // want "redundant //paraxlint:parroot on subworker: already reached from another parroot through worker"
+	s.n++
+}
+
+// both carries the two root kinds at once: the parroot rule set
+// includes the allocation rule.
+//
+//paraxlint:parroot fixture
+//paraxlint:noalloc
+func both() {} // want "redundant //paraxlint:noalloc on both: a parroot is checked for allocation already"
 
 // detonate allocates by design: the coldpath directive cuts it from the
 // graph, and the call in worker marks the directive load-bearing.
@@ -128,13 +143,13 @@ func detonate() []int { return make([]int, 64) }
 // unusedCold's directive has no parroot-reachable caller: stale.
 //
 //paraxlint:coldpath fixture: nothing reaches this
-func unusedCold() {} // want "stale //paraxlint:coldpath on unusedCold"
+func unusedCold() {} // want "stale //paraxlint:coldpath on unusedCold: no root-reachable caller"
 
 // confused carries both directives at once.
 //
 //paraxlint:parroot fixture conflict
 //paraxlint:coldpath fixture conflict
-func confused() {} // want "confused is annotated both parroot and coldpath; pick one"
+func confused() {} // want "confused is annotated both as a root and coldpath; pick one"
 
 // spotless is clean: its waiver suppresses nothing and is itself a
 // finding.

@@ -1,8 +1,8 @@
-// methods.go is the second file of the noalloc fixture package: the
+// methods.go is the second file of the serial fixture package: the
 // directive and the `// want` expectations must both work on method
 // declarations, and the harness must type-check all files of a
 // multi-file testdata package together.
-package noalloc
+package serial
 
 type ring struct {
 	buf []int

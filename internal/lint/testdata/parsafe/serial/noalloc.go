@@ -1,9 +1,13 @@
-// Package noalloc exercises the noalloc analyzer. Only functions
-// annotated //paraxlint:noalloc are checked; every flagged line carries
+// Package serial exercises parsafe's serial root kind: a function
+// annotated //paraxlint:noalloc, and everything it reaches, is checked
+// for allocating constructs and nothing else. Every flagged line carries
 // a `// want` expectation matched by the linttest harness.
-package noalloc
+package serial
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // S is a carrier for append-in-place and boxing cases.
 type S struct {
@@ -15,7 +19,7 @@ type S struct {
 func (s *S) Grow() {}
 
 func unannotated() []int {
-	return make([]int, 8) // unchecked: no noalloc directive
+	return make([]int, 8) // unchecked: no root reaches it
 }
 
 //paraxlint:noalloc
@@ -131,3 +135,45 @@ func (r *seriesRing) commit() {
 	escaped := append([]float64(nil), r.cur[:]...) // want "append may allocate"
 	_ = escaped
 }
+
+// step is a serial root in the shape of World.Step: it owns the handoff
+// to its workers, so the channel send, the WaitGroup and the call
+// through a func value — all findings under a parroot — are legal here.
+// What it must not do is allocate, however deep: the make sits two
+// frames down, in a function that carries no directive.
+//
+//paraxlint:noalloc
+func step(work chan int, wg *sync.WaitGroup, cb func(), r *ring) {
+	wg.Add(1)
+	work <- 1
+	cb()
+	wg.Wait()
+	r.refill(8)
+}
+
+func (r *ring) refill(n int) { r.regrow(n) }
+
+func (r *ring) regrow(n int) {
+	r.buf = make([]int, n) // want "call to make allocates"
+}
+
+// merge is reached from step2 below, so its own root directive adds
+// nothing.
+//
+//paraxlint:noalloc
+func merge(r *ring) int { // want "redundant //paraxlint:noalloc on merge: already reached from another root through step2"
+	return len(r.buf)
+}
+
+//paraxlint:noalloc
+func step2(r *ring) int { return merge(r) }
+
+// coldSerial is cut from the serial graph exactly as from the parallel
+// one: its allocation is not reported, and step3's call keeps the
+// directive from being stale.
+//
+//paraxlint:coldpath fixture event path
+func coldSerial() []int { return make([]int, 4) }
+
+//paraxlint:noalloc
+func step3() int { return len(coldSerial()) }

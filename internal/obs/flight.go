@@ -118,8 +118,6 @@ func NewHealth() *Health {
 
 // Update folds one step's sample into the detector and reports whether
 // it is (now or already) tripped. step is the world's step ordinal.
-//
-//paraxlint:noalloc
 func (h *Health) Update(step int64, s Sample) bool {
 	if h == nil {
 		return false
@@ -173,8 +171,6 @@ func (h *Health) Update(step int64, s Sample) bool {
 }
 
 // trip latches the detector. Callers hold h.mu.
-//
-//paraxlint:noalloc
 func (h *Health) trip(c Cause, step int64, observed, baseline float64) {
 	h.tripped = true
 	h.cause = c

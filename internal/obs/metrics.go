@@ -138,8 +138,6 @@ func (r *Registry) Histogram(name string, bounds []int64) HistID {
 }
 
 // Add increments a counter. Safe for concurrent use.
-//
-//paraxlint:noalloc
 func (r *Registry) Add(id CounterID, delta int64) {
 	if r == nil {
 		return
@@ -159,8 +157,6 @@ func (r *Registry) SetGauge(id GaugeID, v float64) {
 
 // ObserveInt records one histogram sample. Bucket search is a linear
 // scan over the fixed bounds — no map, no allocation.
-//
-//paraxlint:noalloc
 func (r *Registry) ObserveInt(id HistID, v int64) {
 	if r == nil {
 		return

@@ -89,8 +89,6 @@ func (s *Series) channel(name string, timing bool) ChannelID {
 // committed — and the staging slots cleared — by the next Advance, so
 // a channel not Set during a step records zero. Single-writer hot
 // path: fixed-array store, no locking, no allocation.
-//
-//paraxlint:noalloc
 func (s *Series) Set(id ChannelID, v float64) {
 	if s == nil {
 		return
@@ -101,8 +99,6 @@ func (s *Series) Set(id ChannelID, v float64) {
 // Advance commits the staged row as one completed step and clears the
 // staging slots. Called once per World.Step from the serial post-step
 // path; takes the mutex only to exclude concurrent readers.
-//
-//paraxlint:noalloc
 func (s *Series) Advance() {
 	if s == nil {
 		return

@@ -11,8 +11,9 @@
 //     metric sample (Registry.Add / Registry.ObserveInt) never touches
 //     the heap: storage is preallocated at registration time and
 //     records are fixed-size writes into a ring buffer or
-//     slice-indexed counters. The record methods carry
-//     //paraxlint:noalloc and are enforced by the repo's own analyzer.
+//     slice-indexed counters. The repo's own analyzer enforces this:
+//     the record methods are reached from the engine's paraxlint roots
+//     (or, like Lane.Complete, are //paraxlint:noalloc roots themselves).
 //   - Every record method is nil-receiver safe, so instrumented code
 //     needs no "is tracing on?" branches: a disabled tracer is a nil
 //     pointer and the call is a single predicted-taken test.

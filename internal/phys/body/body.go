@@ -77,8 +77,6 @@ func (b *Body) InvInertiaWorld() m3.Mat {
 }
 
 // AddForce accumulates a world-frame force through the center of mass.
-//
-//paraxlint:noalloc
 func (b *Body) AddForce(f m3.Vec) { b.Force = b.Force.Add(f) }
 
 // AddTorque accumulates a world-frame torque.
@@ -96,8 +94,6 @@ func (b *Body) AddForceAt(f, p m3.Vec) {
 
 // ApplyImpulse changes velocity instantaneously by a world impulse j
 // applied at world point p.
-//
-//paraxlint:noalloc
 func (b *Body) ApplyImpulse(j, p m3.Vec) {
 	b.LinVel = b.LinVel.Add(j.Scale(b.InvMass))
 	b.AngVel = b.AngVel.Add(b.InvInertiaWorld().MulVec(p.Sub(b.Pos).Cross(j)))
@@ -167,8 +163,6 @@ func (b *Body) UpdateSleep(dt float64) bool {
 }
 
 // Wake clears the sleep state.
-//
-//paraxlint:noalloc
 func (b *Body) Wake() {
 	b.Asleep = false
 	b.idleTime = 0

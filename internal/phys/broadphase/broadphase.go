@@ -12,6 +12,7 @@ package broadphase
 import (
 	"fmt"
 	"slices"
+	"strings"
 
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
@@ -47,23 +48,18 @@ type Stats struct {
 // Interface is a broad-phase algorithm. Implementations keep persistent
 // state between calls to exploit temporal coherence.
 type Interface interface {
-	// Pairs updates the spatial structure for the current geom
-	// placements and appends all candidate pairs to dst, returning it.
-	Pairs(geoms []*geom.Geom, dst []Pair) []Pair
-	// Stats returns counters for the most recent Pairs call.
+	// PairsPrerefreshed updates the spatial structure for the current
+	// geom placements and appends all candidate pairs to dst, returning
+	// it. The caller has already refreshed every enabled geom's bounding
+	// box (World.Step's chunk-parallel refresh pass) and accounts for that
+	// work itself: Stats.Geoms and Stats.AABBUpdates are left zero.
+	PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
+	// Stats returns counters for the most recent PairsPrerefreshed call.
 	Stats() Stats
 }
 
-// Prerefreshed is implemented by broad phases that can skip their
-// internal AABB refresh when the caller has already updated every
-// enabled geom's bounding box (e.g. World.Step's chunk-parallel refresh
-// pass). Stats.Geoms and Stats.AABBUpdates are left zero on this path;
-// the caller accounts for the refresh work itself.
-type Prerefreshed interface {
-	Interface
-	// PairsPrerefreshed is Pairs without the per-geom UpdateAABB calls.
-	PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
-}
+// Names lists the command-line names NewByName accepts.
+var Names = []string{"sap", "incsap", "grid", "hash", "brute"}
 
 // NewByName constructs a broad phase by its command-line name.
 func NewByName(name string) (Interface, error) {
@@ -77,18 +73,16 @@ func NewByName(name string) (Interface, error) {
 	case "brute":
 		return NewBruteForce(), nil
 	}
-	return nil, fmt.Errorf("unknown broad phase %q (want sap, incsap, grid or brute)", name)
+	return nil, fmt.Errorf("unknown broad phase %q (want %s)", name, strings.Join(Names, "|"))
 }
 
 // shouldPair applies the engine-level pair filter plus the AABB test.
-//
-//paraxlint:noalloc
 func shouldPair(a, b *geom.Geom) bool {
 	return geom.ShouldCollide(a, b) && a.Box.Overlaps(b.Box)
 }
 
-// SweepAndPrune is a sort-and-sweep broad phase. Each pass it refreshes
-// the world AABBs, picks the axis with the greatest spread, sorts the
+// SweepAndPrune is a sort-and-sweep broad phase. Each pass it picks the
+// axis with the greatest spread of the (pre-refreshed) AABBs, sorts the
 // interval endpoints along it (insertion sort over the mostly-sorted
 // previous order, exploiting temporal coherence), and sweeps to emit
 // overlapping pairs. Unbounded shapes (planes) are handled out-of-band
@@ -110,22 +104,8 @@ func NewSweepAndPrune() *SweepAndPrune { return &SweepAndPrune{} }
 // Stats implements Interface.
 func (s *SweepAndPrune) Stats() Stats { return s.stats }
 
-// Pairs implements Interface.
-//
-//paraxlint:noalloc
-func (s *SweepAndPrune) Pairs(geoms []*geom.Geom, dst []Pair) []Pair {
-	return s.run(geoms, dst, true)
-}
-
-// PairsPrerefreshed implements Prerefreshed.
-//
-//paraxlint:noalloc
+// PairsPrerefreshed implements Interface.
 func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
-	return s.run(geoms, dst, false)
-}
-
-//paraxlint:noalloc
-func (s *SweepAndPrune) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair {
 	s.stats = Stats{}
 	s.gen++
 	if len(s.mark) < len(geoms) {
@@ -138,7 +118,7 @@ func (s *SweepAndPrune) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair
 		s.gen = 1
 	}
 	unbounded := s.unbounded[:0] // planes etc.
-	// Refresh AABBs and the index list.
+	// Refresh the index list.
 	live := s.order[:0]
 	for _, id := range s.order {
 		if int(id) < len(geoms) && geoms[id].Enabled() && geoms[id].Shape.Kind() != geom.KindPlane {
@@ -149,11 +129,6 @@ func (s *SweepAndPrune) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair
 	for _, g := range geoms {
 		if !g.Enabled() {
 			continue
-		}
-		if refresh {
-			s.stats.Geoms++
-			g.UpdateAABB()
-			s.stats.AABBUpdates++
 		}
 		if g.Shape.Kind() == geom.KindPlane {
 			unbounded = append(unbounded, int32(g.ID))
@@ -213,8 +188,6 @@ func (s *SweepAndPrune) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair
 // coherence makes the serial phase cheap, and the counter must not
 // inflate the Fig 2b/3a instruction and memory streams when no work
 // happened).
-//
-//paraxlint:noalloc
 func (s *SweepAndPrune) insertionSort(geoms []*geom.Geom) {
 	axis := s.axis
 	for i := 1; i < len(s.order); i++ {
@@ -230,7 +203,6 @@ func (s *SweepAndPrune) insertionSort(geoms []*geom.Geom) {
 	}
 }
 
-//paraxlint:noalloc
 func bestAxis(geoms []*geom.Geom, order []int32) int {
 	if len(order) == 0 {
 		return 0
@@ -256,7 +228,6 @@ func bestAxis(geoms []*geom.Geom, order []int32) int {
 	return axis
 }
 
-//paraxlint:noalloc
 func appendPair(dst []Pair, a, b int32) []Pair {
 	if a > b {
 		a, b = b, a
@@ -295,29 +266,14 @@ func NewSpatialHash() *SpatialHash {
 // Stats implements Interface.
 func (h *SpatialHash) Stats() Stats { return h.stats }
 
-//paraxlint:noalloc
 func cellKey(x, y, z int32) uint64 {
 	// Morton-ish mix of the three signed cell coordinates.
 	const p1, p2, p3 = 73856093, 19349663, 83492791
 	return uint64(uint32(x)*p1) ^ uint64(uint32(y)*p2)<<1 ^ uint64(uint32(z)*p3)<<2
 }
 
-// Pairs implements Interface.
-//
-//paraxlint:noalloc
-func (h *SpatialHash) Pairs(geoms []*geom.Geom, dst []Pair) []Pair {
-	return h.run(geoms, dst, true)
-}
-
-// PairsPrerefreshed implements Prerefreshed.
-//
-//paraxlint:noalloc
+// PairsPrerefreshed implements Interface.
 func (h *SpatialHash) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
-	return h.run(geoms, dst, false)
-}
-
-//paraxlint:noalloc
-func (h *SpatialHash) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair {
 	h.stats = Stats{}
 	h.entries = h.entries[:0]
 	clear(h.seen)
@@ -329,11 +285,6 @@ func (h *SpatialHash) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair {
 	for _, g := range geoms {
 		if !g.Enabled() {
 			continue
-		}
-		if refresh {
-			h.stats.Geoms++
-			g.UpdateAABB()
-			h.stats.AABBUpdates++
 		}
 		if g.Shape.Kind() == geom.KindPlane {
 			unbounded = append(unbounded, int32(g.ID))
@@ -448,8 +399,6 @@ func fastFloor(x float64) int {
 
 // sortPairs orders pairs deterministically; determinism keeps
 // simulation results reproducible across runs and thread counts.
-//
-//paraxlint:noalloc
 func sortPairs(p []Pair) {
 	slices.SortFunc(p, cmpPair)
 }
@@ -475,27 +424,13 @@ func NewBruteForce() *BruteForce { return &BruteForce{} }
 // Stats implements Interface.
 func (bf *BruteForce) Stats() Stats { return bf.stats }
 
-// Pairs implements Interface.
-func (bf *BruteForce) Pairs(geoms []*geom.Geom, dst []Pair) []Pair {
-	return bf.run(geoms, dst, true)
-}
-
-// PairsPrerefreshed implements Prerefreshed.
+// PairsPrerefreshed implements Interface.
 func (bf *BruteForce) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
-	return bf.run(geoms, dst, false)
-}
-
-func (bf *BruteForce) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair {
 	bf.stats = Stats{}
 	live := bf.live[:0]
 	for _, g := range geoms {
 		if !g.Enabled() {
 			continue
-		}
-		if refresh {
-			bf.stats.Geoms++
-			g.UpdateAABB()
-			bf.stats.AABBUpdates++
 		}
 		live = append(live, g)
 	}

@@ -31,6 +31,17 @@ func randomScene(r *rand.Rand, n int, side float64) []*geom.Geom {
 	return gs
 }
 
+// refreshPairs is one broad-phase pass as World.Step runs it: refresh
+// every enabled geom's AABB, then call the implementation's pair method.
+func refreshPairs(bp Interface, gs []*geom.Geom, dst []Pair) []Pair {
+	for _, g := range gs {
+		if g.Enabled() {
+			g.UpdateAABB()
+		}
+	}
+	return bp.PairsPrerefreshed(gs, dst)
+}
+
 func pairsEqual(a, b []Pair) bool {
 	if len(a) != len(b) {
 		return false
@@ -48,8 +59,8 @@ func TestSAPMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		gs := randomScene(r, 60, 8)
 		sap := NewSweepAndPrune()
-		got := sap.Pairs(gs, nil)
-		want := NewBruteForce().Pairs(gs, nil)
+		got := refreshPairs(sap, gs, nil)
+		want := refreshPairs(NewBruteForce(), gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("trial %d: SAP %d pairs, brute force %d pairs", trial, len(got), len(want))
 		}
@@ -61,8 +72,8 @@ func TestSpatialHashMatchesBruteForce(t *testing.T) {
 	for trial := 0; trial < 20; trial++ {
 		gs := randomScene(r, 60, 8)
 		sh := NewSpatialHash()
-		got := sh.Pairs(gs, nil)
-		want := NewBruteForce().Pairs(gs, nil)
+		got := refreshPairs(sh, gs, nil)
+		want := refreshPairs(NewBruteForce(), gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("trial %d: hash %d pairs, brute force %d pairs", trial, len(got), len(want))
 		}
@@ -75,13 +86,13 @@ func TestSAPTemporalCoherence(t *testing.T) {
 	r := rand.New(rand.NewSource(13))
 	gs := randomScene(r, 100, 10)
 	sap := NewSweepAndPrune()
-	sap.Pairs(gs, nil)
+	refreshPairs(sap, gs, nil)
 	firstSort := sap.Stats().SortOps
 	for _, g := range gs[1:] {
 		g.Pos = g.Pos.Add(m3.V(r.Float64()*0.01, r.Float64()*0.01, 0))
 	}
-	got := sap.Pairs(gs, nil)
-	want := NewBruteForce().Pairs(gs, nil)
+	got := refreshPairs(sap, gs, nil)
+	want := refreshPairs(NewBruteForce(), gs, nil)
 	if !pairsEqual(got, want) {
 		t.Fatal("SAP wrong after incremental update")
 	}
@@ -97,7 +108,7 @@ func TestDisabledGeomsSkipped(t *testing.T) {
 	c := &geom.Geom{ID: 2, Shape: geom.Sphere{R: 1}, Rot: m3.Ident, Body: 2, Flags: geom.FlagDisabled}
 	gs := []*geom.Geom{a, b, c}
 	for _, bp := range []Interface{NewSweepAndPrune(), NewSpatialHash(), NewBruteForce()} {
-		pairs := bp.Pairs(gs, nil)
+		pairs := refreshPairs(bp, gs, nil)
 		if len(pairs) != 1 || pairs[0] != (Pair{A: 0, B: 1}) {
 			t.Errorf("%T: pairs = %v, want [{0 1}]", bp, pairs)
 		}
@@ -109,7 +120,7 @@ func TestGroupFiltering(t *testing.T) {
 	b := &geom.Geom{ID: 1, Shape: geom.Sphere{R: 1}, Rot: m3.Ident, Body: 1, Group: 5}
 	gs := []*geom.Geom{a, b}
 	for _, bp := range []Interface{NewSweepAndPrune(), NewSpatialHash()} {
-		if pairs := bp.Pairs(gs, nil); len(pairs) != 0 {
+		if pairs := refreshPairs(bp, gs, nil); len(pairs) != 0 {
 			t.Errorf("%T: same-group pair not filtered: %v", bp, pairs)
 		}
 	}
@@ -122,7 +133,7 @@ func TestPlanePairsWithAllDynamics(t *testing.T) {
 		{ID: 2, Shape: geom.Sphere{R: 1}, Pos: m3.V(50, 3, -20), Rot: m3.Ident, Body: 1},
 	}
 	sap := NewSweepAndPrune()
-	pairs := sap.Pairs(gs, nil)
+	pairs := refreshPairs(sap, gs, nil)
 	if len(pairs) != 2 {
 		t.Fatalf("plane should pair with both spheres, got %v", pairs)
 	}
@@ -132,19 +143,22 @@ func TestStatsPopulated(t *testing.T) {
 	r := rand.New(rand.NewSource(14))
 	gs := randomScene(r, 30, 5)
 	sap := NewSweepAndPrune()
-	sap.Pairs(gs, nil)
+	pairs := refreshPairs(sap, gs, nil)
 	st := sap.Stats()
-	if st.Geoms != 31 || st.AABBUpdates != 31 {
-		t.Errorf("geoms/updates = %d/%d, want 31/31", st.Geoms, st.AABBUpdates)
+	if st.Geoms != 0 || st.AABBUpdates != 0 {
+		t.Errorf("geoms/updates = %d/%d, want 0/0: the refresh is the caller's to count", st.Geoms, st.AABBUpdates)
 	}
 	if st.OverlapTests == 0 {
 		t.Error("no overlap tests recorded")
+	}
+	if st.PairsOut != len(pairs) {
+		t.Errorf("PairsOut = %d, want %d", st.PairsOut, len(pairs))
 	}
 }
 
 func TestEmptyWorld(t *testing.T) {
 	for _, bp := range []Interface{NewSweepAndPrune(), NewSpatialHash(), NewBruteForce()} {
-		if pairs := bp.Pairs(nil, nil); len(pairs) != 0 {
+		if pairs := refreshPairs(bp, nil, nil); len(pairs) != 0 {
 			t.Errorf("%T: empty world produced pairs", bp)
 		}
 	}
@@ -157,7 +171,7 @@ func BenchmarkSAP500(b *testing.B) {
 	var buf []Pair
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = sap.Pairs(gs, buf[:0])
+		buf = refreshPairs(sap, gs, buf[:0])
 	}
 }
 
@@ -168,7 +182,7 @@ func BenchmarkSpatialHash500(b *testing.B) {
 	var buf []Pair
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = sh.Pairs(gs, buf[:0])
+		buf = refreshPairs(sh, gs, buf[:0])
 	}
 }
 
@@ -180,8 +194,8 @@ func TestSAPSortOpsZeroWhenSorted(t *testing.T) {
 	r := rand.New(rand.NewSource(17))
 	gs := randomScene(r, 50, 8)
 	sap := NewSweepAndPrune()
-	sap.Pairs(gs, nil)
-	sap.Pairs(gs, nil) // nothing moved
+	refreshPairs(sap, gs, nil)
+	refreshPairs(sap, gs, nil) // nothing moved
 	if ops := sap.Stats().SortOps; ops != 0 {
 		t.Errorf("static scene re-pass did %d sort ops, want 0", ops)
 	}
@@ -200,12 +214,12 @@ func TestBroadphaseSteadyStateAllocs(t *testing.T) {
 		{"sap", NewSweepAndPrune()},
 		{"hash", NewSpatialHash()},
 	} {
-		dst := tc.bp.Pairs(gs, nil)
+		dst := refreshPairs(tc.bp, gs, nil)
 		for i := 0; i < 5; i++ { // warm capacities
-			dst = tc.bp.Pairs(gs, dst[:0])
+			dst = refreshPairs(tc.bp, gs, dst[:0])
 		}
 		allocs := testing.AllocsPerRun(20, func() {
-			dst = tc.bp.Pairs(gs, dst[:0])
+			dst = refreshPairs(tc.bp, gs, dst[:0])
 		})
 		if allocs > 0 {
 			t.Errorf("%s: steady-state pass allocates %v/op, want 0", tc.name, allocs)

@@ -74,22 +74,8 @@ func NewIncrementalSAP() *IncrementalSAP {
 // Stats implements Interface.
 func (s *IncrementalSAP) Stats() Stats { return s.stats }
 
-// Pairs implements Interface.
-//
-//paraxlint:noalloc
-func (s *IncrementalSAP) Pairs(geoms []*geom.Geom, dst []Pair) []Pair {
-	return s.run(geoms, dst, true)
-}
-
-// PairsPrerefreshed implements Prerefreshed.
-//
-//paraxlint:noalloc
+// PairsPrerefreshed implements Interface.
 func (s *IncrementalSAP) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
-	return s.run(geoms, dst, false)
-}
-
-//paraxlint:noalloc
-func (s *IncrementalSAP) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pair {
 	s.stats = Stats{}
 	s.gen++
 	if len(s.mark) < len(geoms) {
@@ -113,11 +99,6 @@ func (s *IncrementalSAP) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pai
 	for _, g := range geoms {
 		if !g.Enabled() {
 			continue
-		}
-		if refresh {
-			s.stats.Geoms++
-			g.UpdateAABB()
-			s.stats.AABBUpdates++
 		}
 		if g.Shape.Kind() == geom.KindPlane {
 			unbounded = append(unbounded, int32(g.ID))
@@ -228,8 +209,6 @@ func (s *IncrementalSAP) run(geoms []*geom.Geom, dst []Pair, refresh bool) []Pai
 // within the swap budget. On a false return the array is still a valid
 // permutation (the in-flight element is always placed before aborting)
 // but the set is stale; the caller must fall back to rebuild.
-//
-//paraxlint:noalloc
 func (s *IncrementalSAP) sortIncremental() bool {
 	eps := s.eps
 	// The budget that declares coherence collapsed: a settled scene does
@@ -265,8 +244,6 @@ func (s *IncrementalSAP) sortIncremental() bool {
 // rebuild fully re-sorts the endpoints and rebuilds the pair set with a
 // single sweep over the sorted array — the O(n log n + overlaps)
 // fallback for incoherent frames, and the initialization path.
-//
-//paraxlint:noalloc
 func (s *IncrementalSAP) rebuild() {
 	slices.SortFunc(s.eps, cmpEndpoint)
 	clear(s.set)
@@ -299,8 +276,6 @@ func (s *IncrementalSAP) rebuild() {
 // total order (value, then side with min before max, then id). Only
 // strict < comparisons are used, so equal values fall through to the
 // tie-break fields.
-//
-//paraxlint:noalloc
 func epAfter(p, v *endpoint) bool {
 	if v.val < p.val {
 		return true
@@ -329,8 +304,6 @@ func cmpEndpoint(a, b endpoint) int {
 }
 
 // pairKeyOf packs an unordered geom-id pair into the canonical A<B key.
-//
-//paraxlint:noalloc
 func pairKeyOf(a, b int32) uint64 {
 	if a > b {
 		a, b = b, a

@@ -2,6 +2,7 @@ package broadphase
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/geom"
@@ -22,9 +23,9 @@ func oracles() (inc *IncrementalSAP, refs []Interface) {
 // byte-identical to the full sweep (and therefore to every oracle).
 func checkAgainst(t *testing.T, frame int, gs []*geom.Geom, inc *IncrementalSAP, refs []Interface) {
 	t.Helper()
-	got := inc.Pairs(gs, nil)
+	got := refreshPairs(inc, gs, nil)
 	for _, ref := range refs {
-		want := ref.Pairs(gs, nil)
+		want := refreshPairs(ref, gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("frame %d: incsap diverged from %T (%d vs %d pairs)",
 				frame, ref, len(got), len(want))
@@ -110,30 +111,30 @@ func TestIncSAPCheaperWhenCoherent(t *testing.T) {
 	r := rand.New(rand.NewSource(34))
 	gs := randomScene(r, 100, 10)
 	inc := NewIncrementalSAP()
-	inc.Pairs(gs, nil)
+	refreshPairs(inc, gs, nil)
 	if inc.Stats().Rebuilds != 1 {
 		t.Fatalf("first pass rebuilds = %d, want 1", inc.Stats().Rebuilds)
 	}
-	inc.Pairs(gs, nil) // nothing moved
+	refreshPairs(inc, gs, nil) // nothing moved
 	if st := inc.Stats(); st.SortOps != 0 || st.Rebuilds != 0 {
 		t.Errorf("static re-pass: sortOps=%d rebuilds=%d, want 0/0", st.SortOps, st.Rebuilds)
 	}
 	for _, g := range gs[1:] {
 		g.Pos = g.Pos.Add(m3.V(r.Float64()*0.01, r.Float64()*0.01, 0))
 	}
-	got := inc.Pairs(gs, nil)
+	got := refreshPairs(inc, gs, nil)
 	if st := inc.Stats(); st.Rebuilds != 0 || st.SortOps > 2*len(gs) {
 		t.Errorf("coherent drift: sortOps=%d rebuilds=%d, want few swaps and no rebuild",
 			st.SortOps, st.Rebuilds)
 	}
-	if want := NewBruteForce().Pairs(gs, nil); !pairsEqual(got, want) {
+	if want := refreshPairs(NewBruteForce(), gs, nil); !pairsEqual(got, want) {
 		t.Fatal("incremental pass diverged after drift")
 	}
 }
 
-// TestIncSAPPrerefreshedMatches checks the two entry points emit the
-// same pairs when boxes are already fresh, and that the prerefreshed
-// path leaves the refresh counters to the caller.
+// TestIncSAPPrerefreshedMatches checks the pair method against the
+// reference when boxes are already fresh, and that it leaves the
+// refresh counters to the caller.
 func TestIncSAPPrerefreshedMatches(t *testing.T) {
 	r := rand.New(rand.NewSource(35))
 	gs := randomScene(r, 40, 7)
@@ -145,7 +146,7 @@ func TestIncSAPPrerefreshedMatches(t *testing.T) {
 	if st := inc.Stats(); st.Geoms != 0 || st.AABBUpdates != 0 {
 		t.Errorf("prerefreshed pass counted geoms=%d updates=%d, want 0/0", st.Geoms, st.AABBUpdates)
 	}
-	if want := NewBruteForce().Pairs(gs, nil); !pairsEqual(got, want) {
+	if want := refreshPairs(NewBruteForce(), gs, nil); !pairsEqual(got, want) {
 		t.Fatal("prerefreshed pairs diverged from reference")
 	}
 }
@@ -162,7 +163,7 @@ func TestIncSAPStateRoundTrip(t *testing.T) {
 		for _, g := range gs[1:] {
 			g.Pos = g.Pos.Add(m3.V((r.Float64()-0.5)*0.2, (r.Float64()-0.5)*0.2, 0))
 		}
-		inc.Pairs(gs, nil)
+		refreshPairs(inc, gs, nil)
 	}
 	st := inc.SaveState()
 	restored := NewIncrementalSAP()
@@ -171,8 +172,8 @@ func TestIncSAPStateRoundTrip(t *testing.T) {
 		for _, g := range gs[1:] {
 			g.Pos = g.Pos.Add(m3.V((r.Float64()-0.5)*0.2, 0, (r.Float64()-0.5)*0.2))
 		}
-		a := inc.Pairs(gs, nil)
-		b := restored.Pairs(gs, nil)
+		a := refreshPairs(inc, gs, nil)
+		b := refreshPairs(restored, gs, nil)
 		if !pairsEqual(a, b) {
 			t.Fatalf("frame %d: restored structure diverged (%d vs %d pairs)", frame, len(a), len(b))
 		}
@@ -189,40 +190,51 @@ func TestIncSAPSteadyStateAllocs(t *testing.T) {
 	r := rand.New(rand.NewSource(37))
 	gs := randomScene(r, 80, 9)
 	inc := NewIncrementalSAP()
-	dst := inc.Pairs(gs, nil)
+	dst := refreshPairs(inc, gs, nil)
 	for i := 0; i < 5; i++ { // warm capacities
 		for _, g := range gs[1:] {
 			g.Pos = g.Pos.Add(m3.V(r.Float64()*0.01, 0, 0))
 		}
-		dst = inc.Pairs(gs, dst[:0])
+		dst = refreshPairs(inc, gs, dst[:0])
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		dst = inc.Pairs(gs, dst[:0])
+		dst = refreshPairs(inc, gs, dst[:0])
 	})
 	if allocs > 0 {
 		t.Errorf("incsap steady-state pass allocates %v/op, want 0", allocs)
 	}
 }
 
-// TestNewByName pins the flag-name registry.
+// TestNewByName pins the flag-name registry: Names and the constructor
+// accept exactly the same set, and the error for anything else lists it.
 func TestNewByName(t *testing.T) {
-	for name, want := range map[string]string{
+	want := map[string]string{
 		"sap":    "*broadphase.SweepAndPrune",
 		"incsap": "*broadphase.IncrementalSAP",
 		"grid":   "*broadphase.SpatialHash",
 		"hash":   "*broadphase.SpatialHash",
 		"brute":  "*broadphase.BruteForce",
-	} {
+	}
+	if len(Names) != len(want) {
+		t.Errorf("Names = %v, want the %d names NewByName accepts", Names, len(want))
+	}
+	for _, name := range Names {
 		bp, err := NewByName(name)
 		if err != nil {
 			t.Fatalf("NewByName(%q): %v", name, err)
 		}
-		if got := typeName(bp); got != want {
-			t.Errorf("NewByName(%q) = %s, want %s", name, got, want)
+		if got := typeName(bp); got != want[name] {
+			t.Errorf("NewByName(%q) = %s, want %s", name, got, want[name])
 		}
 	}
-	if _, err := NewByName("quadtree"); err == nil {
-		t.Error("NewByName accepted an unknown name")
+	_, err := NewByName("quadtree")
+	if err == nil {
+		t.Fatal("NewByName accepted an unknown name")
+	}
+	for _, name := range Names {
+		if !strings.Contains(err.Error(), name) {
+			t.Errorf("error %q does not offer %q", err, name)
+		}
 	}
 }
 
@@ -247,6 +259,6 @@ func BenchmarkIncSAP500(b *testing.B) {
 	var buf []Pair
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		buf = inc.Pairs(gs, buf[:0])
+		buf = refreshPairs(inc, gs, buf[:0])
 	}
 }

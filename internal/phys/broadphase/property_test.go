@@ -24,8 +24,8 @@ func TestSAPTracksMotionOverManyFrames(t *testing.T) {
 				(r.Float64()-0.5)*0.3,
 			))
 		}
-		got := sap.Pairs(gs, nil)
-		want := bf.Pairs(gs, nil)
+		got := refreshPairs(sap, gs, nil)
+		want := refreshPairs(bf, gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("frame %d: SAP diverged (%d vs %d pairs)", frame, len(got), len(want))
 		}
@@ -45,8 +45,8 @@ func TestSAPHandlesEnableDisableChurn(t *testing.T) {
 				g.Flags ^= geom.FlagDisabled
 			}
 		}
-		got := sap.Pairs(gs, nil)
-		want := bf.Pairs(gs, nil)
+		got := refreshPairs(sap, gs, nil)
+		want := refreshPairs(bf, gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("frame %d: SAP wrong under enable/disable churn", frame)
 		}
@@ -69,8 +69,8 @@ func TestSAPHandlesGrowth(t *testing.T) {
 			Rot:   m3.Ident,
 			Body:  id,
 		})
-		got := sap.Pairs(gs, nil)
-		want := bf.Pairs(gs, nil)
+		got := refreshPairs(sap, gs, nil)
+		want := refreshPairs(bf, gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("frame %d: SAP wrong after geom insertion", frame)
 		}
@@ -119,9 +119,9 @@ func TestBroadphaseAgreementUnderMixedChurn(t *testing.T) {
 				))
 			}
 		}
-		want := bf.Pairs(gs, nil)
+		want := refreshPairs(bf, gs, nil)
 		for i, impl := range impls {
-			got := impl.Pairs(gs, nil)
+			got := refreshPairs(impl, gs, nil)
 			if !pairsEqual(got, want) {
 				t.Fatalf("frame %d: %s diverged (%d vs %d pairs)", frame, names[i], len(got), len(want))
 			}
@@ -134,11 +134,11 @@ func TestBroadphaseAgreementUnderMixedChurn(t *testing.T) {
 func TestHashCellSizeOverride(t *testing.T) {
 	r := rand.New(rand.NewSource(24))
 	gs := randomScene(r, 60, 8)
-	want := NewBruteForce().Pairs(gs, nil)
+	want := refreshPairs(NewBruteForce(), gs, nil)
 	for _, cell := range []float64{0.5, 1.5, 4.0} {
 		sh := NewSpatialHash()
 		sh.CellSize = cell
-		got := sh.Pairs(gs, nil)
+		got := refreshPairs(sh, gs, nil)
 		if !pairsEqual(got, want) {
 			t.Fatalf("cell=%v: hash wrong (%d vs %d pairs)", cell, len(got), len(want))
 		}
@@ -163,8 +163,8 @@ func TestMixedShapesBroadphase(t *testing.T) {
 		add(geom.Sphere{R: 0.05}, m3.V(float64(i%6), 0.02, float64(i/6)), false)
 	}
 	add(geom.Box{Half: m3.V(10, 0.5, 10)}, m3.V(0, -1, 0), false)
-	got := NewSweepAndPrune().Pairs(gs, nil)
-	want := NewBruteForce().Pairs(gs, nil)
+	got := refreshPairs(NewSweepAndPrune(), gs, nil)
+	want := refreshPairs(NewBruteForce(), gs, nil)
 	if !pairsEqual(got, want) {
 		t.Fatalf("mixed-extent scene: %d vs %d pairs", len(got), len(want))
 	}

@@ -162,8 +162,6 @@ func (c *Cloth) Integrate(dt float64, accel m3.Vec) {
 // velocity implicitly as Pos-Prev, so the kick is applied by moving
 // Prev backwards along the kick direction. It returns the number of
 // particles hit.
-//
-//paraxlint:noalloc
 func (c *Cloth) ApplyBlast(center m3.Vec, radius, impulse, dt float64) int {
 	hit := 0
 	for i := range c.Particles {

@@ -108,8 +108,6 @@ type Builder struct {
 }
 
 // find returns the set representative of x with path compression.
-//
-//paraxlint:noalloc
 func (b *Builder) find(x int32) int32 {
 	root := x
 	for b.parent[root] != root {
@@ -123,8 +121,6 @@ func (b *Builder) find(x int32) int32 {
 }
 
 // union merges the sets containing a and b.
-//
-//paraxlint:noalloc
 func (b *Builder) union(x, y int32) {
 	rx, ry := b.find(x), b.find(y)
 	if rx == ry {
@@ -156,15 +152,11 @@ func (b *Builder) addIsland() *Island {
 }
 
 // on reports whether i is a valid, active body index for this Build.
-//
-//paraxlint:noalloc
 func (b *Builder) on(i int32) bool { return i >= 0 && b.act[i] }
 
 // Build implements the same grouping as the package-level Build over
 // reused storage. The result is deterministic: islands appear in order
 // of their lowest body index, members in ascending order.
-//
-//paraxlint:noalloc
 func (b *Builder) Build(numBodies int, edges []Edge, active func(int32) bool) ([]Island, int) {
 	if cap(b.parent) < numBodies {
 		// Capacity growth to the largest body count seen, then reused.

@@ -43,8 +43,6 @@ func (b *Breakable) NumRows() int {
 
 // ApplyLoad records the constraint force magnitude from one step and
 // returns true if the joint just broke.
-//
-//paraxlint:noalloc
 func (b *Breakable) ApplyLoad(force float64) bool {
 	if b.Broken {
 		return false

@@ -68,7 +68,7 @@ func (scr *Scratch) triQuery(tm *geom.TriMesh, query m3.AABB) []int32 {
 	scr.tris = tm.TrianglesIn(query, scr.tris[:0])
 	n := len(tm.Tris)
 	if cap(scr.seen) < n {
-		//paraxlint:allow(parsafe) grows once per mesh size, amortized to zero in steady state
+		//paraxlint:allow(alloc) grows once per mesh size, amortized to zero in steady state
 		scr.seen = make([]uint32, n)
 	}
 	seen := scr.seen[:n]

@@ -60,12 +60,12 @@ type Workspace struct {
 func (ws *Workspace) grow(n int) {
 	if cap(ws.lambda) < n {
 		// Capacity growth to the largest island seen, then reused forever.
-		ws.pLinA = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.pAngA = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.pLinB = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.pAngB = make([]m3.Vec, n)   //paraxlint:allow(parsafe)
-		ws.invDen = make([]float64, n) //paraxlint:allow(parsafe)
-		ws.lambda = make([]float64, n) //paraxlint:allow(parsafe)
+		ws.pLinA = make([]m3.Vec, n)   //paraxlint:allow(alloc)
+		ws.pAngA = make([]m3.Vec, n)   //paraxlint:allow(alloc)
+		ws.pLinB = make([]m3.Vec, n)   //paraxlint:allow(alloc)
+		ws.pAngB = make([]m3.Vec, n)   //paraxlint:allow(alloc)
+		ws.invDen = make([]float64, n) //paraxlint:allow(alloc)
+		ws.lambda = make([]float64, n) //paraxlint:allow(alloc)
 		return
 	}
 	ws.pLinA = ws.pLinA[:n]
@@ -103,7 +103,7 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 		return nil
 	}
 	if ws == nil {
-		ws = &Workspace{} //paraxlint:allow(parsafe) convenience fallback; the engine always passes a workspace
+		ws = &Workspace{} //paraxlint:allow(alloc) convenience fallback; the engine always passes a workspace
 	}
 	ws.grow(n)
 	pLinA, pAngA := ws.pLinA, ws.pAngA

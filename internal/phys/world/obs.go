@@ -6,29 +6,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/obs"
 )
 
-// stepSpans holds the pre-registered span IDs for the Step hot path:
-// the five phases (paper Fig 1) on the main-thread lane, plus the
-// per-worker task spans (narrow-phase chunks, island solves, cloth
-// objects).
-type stepSpans struct {
-	step       obs.SpanID
-	broad      obs.SpanID
-	narrow     obs.SpanID
-	islandGen  obs.SpanID
-	islandProc obs.SpanID
-	integrate  obs.SpanID
-	cloth      obs.SpanID
-
-	narrowChunk  obs.SpanID
-	refreshChunk obs.SpanID
-	edgeChunk    obs.SpanID
-	integChunk   obs.SpanID
-	syncChunk    obs.SpanID
-	island       obs.SpanID
-	solve        obs.SpanID
-	clothObj     obs.SpanID
-}
-
 // stepMetrics holds the pre-registered metric IDs harvested from the
 // StepProfile at the end of every step. All are commutative integer
 // aggregates of values that are themselves deterministic per step
@@ -74,22 +51,8 @@ func (w *World) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 	w.obsLabel = label
 	w.obsLanes = w.obsLanes[:0]
 	if tr != nil {
-		w.spans = stepSpans{
-			step:         tr.Span("step"),
-			broad:        tr.Span("broadphase"),
-			narrow:       tr.Span("narrowphase"),
-			islandGen:    tr.Span("island-creation"),
-			islandProc:   tr.Span("island-processing"),
-			integrate:    tr.Span("integrate"),
-			cloth:        tr.Span("cloth"),
-			narrowChunk:  tr.Span("narrow-chunk"),
-			refreshChunk: tr.Span("refresh-chunk"),
-			edgeChunk:    tr.Span("edge-chunk"),
-			integChunk:   tr.Span("integrate-chunk"),
-			syncChunk:    tr.Span("sync-chunk"),
-			island:       tr.Span("island"),
-			solve:        tr.Span("solve"),
-			clothObj:     tr.Span("cloth-object"),
+		for i := range spanTable {
+			w.spans[i] = tr.Span(spanTable[i].name)
 		}
 		w.growObsLanes()
 	}
@@ -115,8 +78,9 @@ func (w *World) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 	}
 }
 
-// growObsLanes creates the missing per-worker lanes. Cold path: runs at
-// SetObs time and again only if Threads is raised.
+// growObsLanes creates the missing per-worker lanes.
+//
+//paraxlint:coldpath runs at SetObs time and again only if Threads is raised; registers lanes
 func (w *World) growObsLanes() {
 	want := w.Threads
 	if want < 1 {
@@ -145,8 +109,6 @@ func (w *World) laneFor(worker int) *obs.Lane {
 
 // recordStepMetrics harvests the finished step's profile into the
 // metrics registry.
-//
-//paraxlint:noalloc
 func (w *World) recordStepMetrics(prof *StepProfile) {
 	m := w.metrics
 	if m == nil {
@@ -172,15 +134,11 @@ func (w *World) recordStepMetrics(prof *StepProfile) {
 	}
 }
 
-// numPhaseSpans is how many phase spans recordTelemetry differences
-// into per-step durations: the five paper phases plus integrate.
-const numPhaseSpans = 6
-
 // stepSeries holds the pre-registered series channel IDs recorded once
 // per step by recordTelemetry. The first group are deterministic
 // simulation quantities (byte-identical across thread counts, exposed
 // at /metrics); phaseNs are wall-clock timing channels (diagnostics
-// only).
+// only), one per spanTable row that names a series, indexed by span.
 type stepSeries struct {
 	kineticEnergy  obs.ChannelID
 	maxPenetration obs.ChannelID
@@ -191,16 +149,7 @@ type stepSeries struct {
 	broadSortOps   obs.ChannelID
 	broadRebuilds  obs.ChannelID
 
-	phaseNs [numPhaseSpans]obs.ChannelID
-}
-
-// phaseSpanIDs returns the span IDs recordTelemetry differences, in
-// the fixed order stepSeries.phaseNs uses.
-func (w *World) phaseSpanIDs() [numPhaseSpans]obs.SpanID {
-	return [numPhaseSpans]obs.SpanID{
-		w.spans.broad, w.spans.narrow, w.spans.islandGen,
-		w.spans.islandProc, w.spans.integrate, w.spans.cloth,
-	}
+	phaseNs [numSpans]obs.ChannelID
 }
 
 // SetSeries attaches (or, with nil, detaches) the per-step telemetry
@@ -226,16 +175,11 @@ func (w *World) SetSeries(s *obs.Series) {
 		broadSortOps:   s.Channel("broad_sort_ops"),
 		broadRebuilds:  s.Channel("broad_rebuilds"),
 	}
-	phaseNames := [numPhaseSpans]string{
-		"phase/broad_ns", "phase/narrow_ns", "phase/island_creation_ns",
-		"phase/island_processing_ns", "phase/integrate_ns", "phase/cloth_ns",
-	}
-	for i, n := range phaseNames {
-		w.ser.phaseNs[i] = s.TimingChannel(n)
-	}
-	spans := w.phaseSpanIDs()
-	for i := range spans {
-		_, w.prevPhaseNs[i] = w.trace.SpanTotal(spans[i])
+	for i := range spanTable {
+		if name := spanTable[i].series; name != "" {
+			w.ser.phaseNs[i] = s.TimingChannel(name)
+			_, w.prevPhaseNs[i] = w.trace.SpanTotal(w.spans[i])
+		}
 	}
 }
 
@@ -249,8 +193,6 @@ func (w *World) SetHealth(h *obs.Health) { w.health = h }
 // scan (kinetic energy + finiteness) iterates in body index order and
 // the solver stats were merged in island index order, so every
 // deterministic channel is byte-identical across thread counts.
-//
-//paraxlint:noalloc
 func (w *World) recordTelemetry(prof *StepProfile) {
 	if w.series == nil && w.health == nil {
 		return
@@ -284,9 +226,11 @@ func (w *World) recordTelemetry(prof *StepProfile) {
 		s.Set(w.ser.islandDOFMax, float64(maxDOF))
 		s.Set(w.ser.broadSortOps, float64(prof.Broad.SortOps))
 		s.Set(w.ser.broadRebuilds, float64(prof.Broad.Rebuilds))
-		spans := w.phaseSpanIDs()
-		for i := range spans {
-			_, ns := w.trace.SpanTotal(spans[i])
+		for i := range spanTable {
+			if spanTable[i].series == "" {
+				continue
+			}
+			_, ns := w.trace.SpanTotal(w.spans[i])
 			s.Set(w.ser.phaseNs[i], float64(ns-w.prevPhaseNs[i]))
 			w.prevPhaseNs[i] = ns
 		}

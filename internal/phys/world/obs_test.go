@@ -11,48 +11,71 @@ import (
 
 // TestStepTraceCoversPhases steps a traced world and checks the export
 // is valid Chrome trace JSON whose spans cover all five phases plus the
-// per-worker task spans.
+// per-worker task spans — at one thread too, where every item runs
+// inline on the calling goroutine and must still record its span.
 func TestStepTraceCoversPhases(t *testing.T) {
-	tr := obs.NewTracer()
-	reg := obs.NewRegistry()
-	w := detWorld(2)
-	w.SetObs(tr, reg, "det")
-	for i := 0; i < 5; i++ {
-		w.Step()
-	}
-	var buf bytes.Buffer
-	if err := tr.WriteTrace(&buf); err != nil {
-		t.Fatalf("WriteTrace: %v", err)
-	}
-	var doc struct {
-		TraceEvents []struct {
-			Ph   string `json:"ph"`
-			Name string `json:"name"`
-		} `json:"traceEvents"`
-	}
-	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
-		t.Fatalf("trace is not valid JSON: %v", err)
-	}
-	seen := map[string]bool{}
-	for _, e := range doc.TraceEvents {
-		if e.Ph == "B" || e.Ph == "X" {
-			seen[e.Name] = true
+	for _, threads := range []int{1, 2} {
+		tr := obs.NewTracer()
+		reg := obs.NewRegistry()
+		w := detWorld(threads)
+		w.SetObs(tr, reg, "det")
+		for i := 0; i < 5; i++ {
+			w.Step()
+		}
+		var buf bytes.Buffer
+		if err := tr.WriteTrace(&buf); err != nil {
+			t.Fatalf("threads=%d: WriteTrace: %v", threads, err)
+		}
+		var doc struct {
+			TraceEvents []struct {
+				Ph   string `json:"ph"`
+				Name string `json:"name"`
+			} `json:"traceEvents"`
+		}
+		if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+			t.Fatalf("threads=%d: trace is not valid JSON: %v", threads, err)
+		}
+		seen := map[string]bool{}
+		for _, e := range doc.TraceEvents {
+			if e.Ph == "B" || e.Ph == "X" {
+				seen[e.Name] = true
+			}
+		}
+		for _, want := range []string{
+			"step", "broadphase", "narrowphase", "island-creation",
+			"island-processing", "integrate", "cloth", "island", "solve",
+			"cloth-object", "narrow-chunk", "refresh-chunk", "edge-chunk",
+			"integrate-chunk", "sync-chunk",
+		} {
+			if !seen[want] {
+				t.Errorf("threads=%d: trace missing span %q (have %v)", threads, want, seen)
+			}
+		}
+		// The tracer's cumulative totals must agree with the stepping we
+		// did: exactly one matched "step" span per Step call.
+		if n, ns := tr.SpanTotal(tr.Span("step")); n != 5 || ns <= 0 {
+			t.Errorf("threads=%d: SpanTotal(step) = (%d, %d), want 5 matched spans with positive time", threads, n, ns)
 		}
 	}
-	for _, want := range []string{
-		"step", "broadphase", "narrowphase", "island-creation",
-		"island-processing", "integrate", "cloth", "island", "solve",
-		"cloth-object", "narrow-chunk", "refresh-chunk", "edge-chunk",
-		"integrate-chunk", "sync-chunk",
-	} {
-		if !seen[want] {
-			t.Errorf("trace missing span %q (have %v)", want, seen)
+}
+
+// TestEveryPhaseDispatches pins the phase enum against its two
+// consumers: every value has a phaseSpan entry naming an item span, and
+// runItem's switch (whose default panics) has a case for it.
+func TestEveryPhaseDispatches(t *testing.T) {
+	for i, d := range spanTable {
+		if d.name == "" {
+			t.Errorf("span %d has no spanTable entry", i)
 		}
 	}
-	// The tracer's cumulative totals must agree with the stepping we did:
-	// exactly one matched "step" span per Step call.
-	if n, ns := tr.SpanTotal(tr.Span("step")); n != 5 || ns <= 0 {
-		t.Errorf("SpanTotal(step) = (%d, %d), want 5 matched spans with positive time", n, ns)
+	w := detWorld(1)
+	w.Step() // leaves island 0 and cloth 0 in the scratch for the item calls
+	w.scratch.chunkN = 0
+	for ph := phase(0); ph < numPhases; ph++ {
+		if sp := phaseSpan[ph]; sp == spanStep || spanTable[sp].series != "" {
+			t.Errorf("phase %d: phaseSpan names %q, not an item span", ph, spanTable[sp].name)
+		}
+		w.runItem(0, ph, 0) // chunk 0 of zero elements for the chunked phases
 	}
 }
 

@@ -1,18 +1,15 @@
 package world
 
-import (
-	"sync"
+import "sync"
 
-	"github.com/parallax-arch/parallax/internal/obs"
-)
-
-// task is one unit of pool work: fn(worker, arg), where worker is the
-// id of the executing thread (0 = the main/calling thread, 1..n = pool
-// workers) — used to select per-thread scratch — and arg names the work
-// item (an island index, a cloth index, a narrow-phase chunk).
+// task is one unit of pool work: item of phase ph of world w's current
+// step (an island index, a cloth index, a chunk index). The world rides
+// in the task rather than in the pool so an idle pool holds no reference
+// to it.
 type task struct {
-	fn  func(worker, arg int)
-	arg int32
+	w    *World
+	ph   phase
+	item int32
 }
 
 // pool is the engine's persistent worker pool: the paper's work-queue
@@ -24,7 +21,10 @@ type pool struct {
 	wg    sync.WaitGroup
 }
 
-// newPool starts n persistent workers with ids 1..n.
+// newPool starts n persistent workers with ids 1..n (0 is the main
+// thread); the id selects per-thread scratch and the trace lane.
+//
+//paraxlint:coldpath runs when Threads changes; starts the worker goroutines
 func newPool(n int) *pool {
 	p := &pool{n: n, tasks: make(chan task, 4*n)}
 	for i := 0; i < n; i++ {
@@ -34,35 +34,31 @@ func newPool(n int) *pool {
 }
 
 // loop is one persistent worker: it drains the task channel until the
-// pool is closed. Everything a task function can reach from here runs
-// concurrently with the other workers — loop is a parsafe root.
+// pool is closed. Everything runItem can reach from here runs
+// concurrently with the other workers — loop is the engine's one
+// parsafe root.
 //
-//paraxlint:parroot persistent pool worker; all task functions run under it
+//paraxlint:parroot persistent pool worker; every work item runs under it
 func (p *pool) loop(worker int) {
 	//paraxlint:allow(parsafe) the pool's own task-channel receive: the one sanctioned handoff
 	for t := range p.tasks {
-		//paraxlint:allow(parsafe) task dispatch: the callee set is exactly the parroot worker functions
-		t.fn(worker, int(t.arg))
+		t.w.runItem(worker, t.ph, int(t.item))
 		//paraxlint:allow(parsafe) the pool's own WaitGroup handoff, paired with post's Add
 		p.wg.Done()
 	}
 }
 
-// post enqueues fn(worker, arg) for every arg. It is the single place
-// in the engine that pairs wg.Add with the worker-side wg.Done; every
-// parallel phase funnels through it via World.dispatch.
-//
-//paraxlint:noalloc
-func (p *pool) post(fn func(worker, arg int), args []int32) {
-	p.wg.Add(len(args))
-	for _, a := range args {
-		p.tasks <- task{fn, a}
+// post enqueues one task per item. It is the single place in the engine
+// that pairs wg.Add with the worker-side wg.Done; every parallel phase
+// funnels through it via World.run.
+func (p *pool) post(w *World, ph phase, items []int32) {
+	p.wg.Add(len(items))
+	for _, it := range items {
+		p.tasks <- task{w, ph, it}
 	}
 }
 
 // wait blocks until all posted tasks have completed.
-//
-//paraxlint:noalloc
 func (p *pool) wait() { p.wg.Wait() }
 
 // close stops the workers.
@@ -85,86 +81,4 @@ func (w *World) ensurePool() *pool {
 		w.pool = newPool(want)
 	}
 	return w.pool
-}
-
-// dispatch is the one code path for all three parallel phases: it runs
-// fn(worker, arg) for every queued arg on the pool workers and
-// fn(0, arg) for every main arg on the calling goroutine, returning when
-// everything has completed. With Threads <= 1 all work runs inline.
-//
-//paraxlint:noalloc
-func (w *World) dispatch(fn func(worker, arg int), queued, main []int32) {
-	p := w.ensurePool()
-	if p == nil {
-		for _, a := range queued {
-			fn(0, int(a))
-		}
-		for _, a := range main {
-			fn(0, int(a))
-		}
-		return
-	}
-	p.post(fn, queued)
-	for _, a := range main {
-		fn(0, int(a))
-	}
-	p.wait()
-}
-
-// parallelChunks partitions n items into w.Threads equal chunks and runs
-// fn(chunk, lo, hi) for each, chunk 0 on the calling goroutine and the
-// rest on the pool (the paper partitions object-pairs into equal sets
-// per worker thread). Chunk indices — not worker ids — are passed to fn
-// so per-chunk result buffers merge deterministically whatever worker
-// ran them. span labels each chunk execution on its worker's lane.
-//
-//paraxlint:noalloc
-func (w *World) parallelChunks(n int, fn func(chunk, lo, hi int), span obs.SpanID) {
-	t := w.Threads
-	if t <= 1 || n == 0 {
-		fn(0, 0, n)
-		return
-	}
-	if t > n {
-		t = n
-	}
-	sc := &w.scratch
-	sc.chunkFn = fn
-	sc.chunkSize = (n + t - 1) / t
-	sc.chunkN = n
-	sc.chunkSpan = span
-	q := sc.chunkIdx[:0]
-	for i := 1; i < t; i++ {
-		q = append(q, int32(i))
-	}
-	sc.chunkIdx = q
-	if len(sc.chunkMain) == 0 {
-		sc.chunkMain = append(sc.chunkMain, 0)
-	}
-	w.dispatch(w.runChunkFn, q, sc.chunkMain)
-	sc.chunkFn = nil
-}
-
-// runChunk adapts one chunk index to the chunk function set by
-// parallelChunks. It runs on pool workers via dispatch, so it is a
-// parsafe root in its own right (the static graph cannot follow the
-// method value stored in runChunkFn).
-//
-//paraxlint:parroot chunk adapter, dispatched by parallelChunks
-func (w *World) runChunk(worker, chunk int) {
-	lane := w.laneFor(worker)
-	sc := &w.scratch
-	span := sc.chunkSpan
-	lane.Begin(span)
-	lo := chunk * sc.chunkSize
-	hi := lo + sc.chunkSize
-	if lo > sc.chunkN {
-		lo = sc.chunkN
-	}
-	if hi > sc.chunkN {
-		hi = sc.chunkN
-	}
-	//paraxlint:allow(parsafe) chunkFn is set by parallelChunks to one of the parroot chunk workers
-	sc.chunkFn(chunk, lo, hi)
-	lane.End(span)
 }

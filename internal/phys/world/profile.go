@@ -94,8 +94,6 @@ type StepProfile struct {
 
 // reset clears the profile for the next step, keeping the capacity of
 // the scratch-backed slices.
-//
-//paraxlint:noalloc
 func (p *StepProfile) reset() {
 	islands := p.Islands[:0]
 	clothVerts := p.ClothVerts[:0]

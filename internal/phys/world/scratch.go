@@ -1,7 +1,6 @@
 package world
 
 import (
-	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/island"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
@@ -81,15 +80,12 @@ type frameScratch struct {
 	clothStats []cloth.Stats
 	clothIdx   []int32
 
-	// parallelChunks state (set for the duration of one dispatch).
-	chunkFn   func(chunk, lo, hi int)
+	// The partition runChunks set for the chunked phase in flight: chunkN
+	// elements in chunks of chunkSize. chunkIdx is the identity list
+	// 0..threads-1 its chunk items are sliced from.
 	chunkSize int
 	chunkN    int
 	chunkIdx  []int32
-	chunkMain []int32
-	// chunkSpan is the span recorded around each chunk execution, set by
-	// parallelChunks per dispatch (refresh, narrow, edge, integrate...).
-	chunkSpan obs.SpanID
 
 	// Chunk-parallel phase merge buffers, indexed by chunk (count <=
 	// threads); merged serially in chunk order so results are
@@ -103,8 +99,6 @@ type frameScratch struct {
 // capacity. edgeHint pre-sizes the island edge list from the previous
 // step's count so the first steps after a snapshot Restore don't regrow
 // it incrementally.
-//
-//paraxlint:noalloc
 func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 	if threads < 1 {
 		threads = 1
@@ -156,6 +150,9 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 	}
 	sc.integ = sc.integ[:threads]
 	clear(sc.integ)
+	for len(sc.chunkIdx) < threads {
+		sc.chunkIdx = append(sc.chunkIdx, int32(len(sc.chunkIdx)))
+	}
 
 	if cap(sc.rows) < threads {
 		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
@@ -167,9 +164,22 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 	sc.ws = sc.ws[:threads]
 }
 
+// chunkRange returns chunk's element range [lo, hi) under the partition
+// runChunks set. The chunk index is passed through so the result spreads
+// straight into a chunk worker's (chunk, lo, hi) parameters.
+func (sc *frameScratch) chunkRange(chunk int) (int, int, int) {
+	lo := chunk * sc.chunkSize
+	hi := lo + sc.chunkSize
+	if lo > sc.chunkN {
+		lo = sc.chunkN
+	}
+	if hi > sc.chunkN {
+		hi = sc.chunkN
+	}
+	return chunk, lo, hi
+}
+
 // beginIslands sizes the per-island and per-contact working sets.
-//
-//paraxlint:noalloc
 func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
 	sc.solverStats = growStats(sc.solverStats, numIslands)
 	for i := range sc.solverStats {
@@ -193,7 +203,6 @@ func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
 	sc.main = sc.main[:0]
 }
 
-//paraxlint:noalloc
 func growFloat(s []float64, n int) []float64 {
 	if cap(s) < n {
 		return make([]float64, n) //paraxlint:allow(alloc) capacity growth, amortized
@@ -201,7 +210,6 @@ func growFloat(s []float64, n int) []float64 {
 	return s[:n]
 }
 
-//paraxlint:noalloc
 func growInt32(s []int32, n int) []int32 {
 	if cap(s) < n {
 		return make([]int32, n) //paraxlint:allow(alloc) capacity growth, amortized
@@ -209,7 +217,6 @@ func growInt32(s []int32, n int) []int32 {
 	return s[:n]
 }
 
-//paraxlint:noalloc
 func growUint64(s []uint64, n int) []uint64 {
 	if cap(s) < n {
 		return make([]uint64, n) //paraxlint:allow(alloc) capacity growth, amortized
@@ -217,7 +224,6 @@ func growUint64(s []uint64, n int) []uint64 {
 	return s[:n]
 }
 
-//paraxlint:noalloc
 func growStats(s []solver.Stats, n int) []solver.Stats {
 	if cap(s) < n {
 		return make([]solver.Stats, n) //paraxlint:allow(alloc) capacity growth, amortized

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/body"
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
@@ -19,28 +20,48 @@ const StepsPerFrame = 3
 // recording the step profile. The steady-state hot path is
 // allocation-free: all per-step working storage lives in the World's
 // scratch arena and is reused across steps (see DESIGN.md
-// "Scratch-arena memory model").
+// "Scratch-arena memory model"). Step is the serial root of the
+// allocation check: everything it reaches is covered transitively.
 //
 //paraxlint:noalloc
 func (w *World) Step() {
 	w.Profile.reset()
-	prof := &w.Profile
-	sc := &w.scratch
-	sc.beginStep(w.Threads, len(w.Joints), w.prevEdges)
+	w.scratch.beginStep(w.Threads, len(w.Joints), w.prevEdges)
 	if w.trace != nil && len(w.obsLanes) < w.Threads {
-		w.growObsLanes() // cold path: Threads was raised after SetObs
+		w.growObsLanes() // Threads was raised after SetObs
 	}
 	l0 := w.laneFor(0)
-	l0.Begin(w.spans.step)
+	l0.Begin(w.spans[spanStep])
 
-	// (a) Apply external forces (gravity).
+	w.applyGravity()
+	w.broadPhase(l0)
+	w.narrowPhase(l0)
+	w.createIslands(l0)
+	w.processIslands(l0)
+	w.breakJoints()
+	w.integrate(l0)
+	w.stepCloths(l0)
+	w.expireBlasts()
+
+	// Advance time. The pair and edge counts seed next step's buffer
+	// pre-sizing.
+	w.Time += w.Dt
+	w.prevPairs = len(w.pairBuf)
+	w.prevEdges = len(w.scratch.edges)
+	w.recordStepMetrics(&w.Profile)
+	w.recordTelemetry(&w.Profile)
+	l0.End(w.spans[spanStep])
+}
+
+// applyGravity adds the external force to every active body, and
+// refreshes the cloth bounding-volume proxies and resets their contact
+// lists ahead of the broad phase.
+func (w *World) applyGravity() {
 	for _, b := range w.Bodies {
 		if b.Enabled && b.InvMass > 0 && !b.Asleep {
 			b.AddForce(w.Gravity.Scale(b.Mass))
 		}
 	}
-
-	// Refresh cloth bounding-volume proxies and reset contact lists.
 	for ci, gi := range w.clothProxy {
 		c := w.Cloths[ci]
 		g := w.Geoms[gi]
@@ -48,40 +69,41 @@ func (w *World) Step() {
 		g.Pos = c.Box.Center()
 		w.clothContacts[ci] = w.clothContacts[ci][:0]
 	}
+}
 
-	// (b) Broad-phase: candidate pairs. The AABB refresh runs
-	// chunk-parallel when the implementation supports an external
-	// refresh (all built-ins do); the pair pass itself stays serial —
-	// with the incremental sweep it is O(swaps), no longer the
-	// re-sweep that made this phase the Amdahl bottleneck. Per-chunk
-	// refresh counters merge in chunk order, so the profile (and its
-	// replay digest) is byte-identical to the serial pass.
-	l0.Begin(w.spans.broad)
+// broadPhase produces the candidate pair list. The AABB refresh runs
+// chunk-parallel ahead of the pair pass, which itself stays serial —
+// with the incremental sweep it is O(swaps), no longer the re-sweep that
+// made this phase the Amdahl bottleneck. Per-chunk refresh counters
+// merge in chunk order, so the profile (and its replay digest) is
+// byte-identical to a serial refresh.
+func (w *World) broadPhase(l0 *obs.Lane) {
+	l0.Begin(w.spans[spanBroad])
+	prof := &w.Profile
 	if cap(w.pairBuf) < w.prevPairs {
 		w.pairBuf = make([]broadphase.Pair, 0, w.prevPairs) //paraxlint:allow(alloc) pre-sized from the previous step's count
 	}
-	if pre, ok := w.Broad.(broadphase.Prerefreshed); ok {
-		w.parallelChunks(len(w.Geoms), w.refreshFn, w.spans.refreshChunk)
-		w.pairBuf = pre.PairsPrerefreshed(w.Geoms, w.pairBuf[:0])
-		prof.Broad = w.Broad.Stats()
-		for _, r := range sc.refresh {
-			prof.Broad.Geoms += r[0]
-			prof.Broad.AABBUpdates += r[1]
-		}
-	} else {
-		w.pairBuf = w.Broad.Pairs(w.Geoms, w.pairBuf[:0])
-		prof.Broad = w.Broad.Stats()
+	w.runChunks(phaseRefresh, len(w.Geoms))
+	w.pairBuf = w.Broad.PairsPrerefreshed(w.Geoms, w.pairBuf[:0])
+	prof.Broad = w.Broad.Stats()
+	for _, r := range w.scratch.refresh {
+		prof.Broad.Geoms += r[0]
+		prof.Broad.AABBUpdates += r[1]
 	}
 	prof.Pairs = len(w.pairBuf)
-	l0.End(w.spans.broad)
+	l0.End(w.spans[spanBroad])
+}
 
-	// (c) Narrow-phase: contacts plus the special-contact events
-	// (explosions, blast hits, cloth contact lists). Massively parallel:
-	// pairs are partitioned into equal sets per worker thread, each with
-	// its own contact buffer (the engine modification described in the
-	// paper that removes ODE's single-joint-group serialization).
-	l0.Begin(w.spans.narrow)
-	w.parallelChunks(len(w.pairBuf), w.narrowFn, w.spans.narrowChunk)
+// narrowPhase generates contacts plus the special-contact events
+// (explosions, blast hits, cloth contact lists). Massively parallel:
+// pairs are partitioned into equal sets per worker thread, each with its
+// own contact buffer (the engine modification described in the paper
+// that removes ODE's single-joint-group serialization).
+func (w *World) narrowPhase(l0 *obs.Lane) {
+	l0.Begin(w.spans[spanNarrow])
+	prof := &w.Profile
+	sc := &w.scratch
+	w.runChunks(phaseNarrow, len(w.pairBuf))
 
 	// Merge per-chunk results in chunk order (deterministic).
 	contacts := sc.contacts
@@ -150,16 +172,22 @@ func (w *World) Step() {
 			}
 		}
 	}
-	l0.End(w.spans.narrow)
+	l0.End(w.spans[spanNarrow])
+}
 
-	// (d) Island creation. Edge collection runs chunk-parallel over the
-	// combined joint+contact domain into per-chunk buffers; chunks are
-	// contiguous ranges of the serial iteration order, so concatenating
-	// them in chunk order reproduces the serial edge list exactly. The
-	// union-find merge itself stays serial (the paper's irreducible
-	// serial core), but it is now the only serial part of the phase.
-	l0.Begin(w.spans.islandGen)
-	w.parallelChunks(len(w.Joints)+len(contacts), w.edgeFn, w.spans.edgeChunk)
+// createIslands groups the step's joints and contacts into islands. Edge
+// collection runs chunk-parallel over the combined joint+contact domain
+// into per-chunk buffers; chunks are contiguous ranges of the serial
+// iteration order, so concatenating them in chunk order reproduces the
+// serial edge list exactly. The union-find merge itself stays serial
+// (the paper's irreducible serial core), but it is now the only serial
+// part of the phase.
+func (w *World) createIslands(l0 *obs.Lane) {
+	l0.Begin(w.spans[spanIslandGen])
+	prof := &w.Profile
+	sc := &w.scratch
+	contacts := sc.contacts
+	w.runChunks(phaseEdge, len(w.Joints)+len(contacts))
 	edges := sc.edges
 	for i := range sc.edgeChunks {
 		edges = append(edges, sc.edgeChunks[i]...)
@@ -191,12 +219,17 @@ func (w *World) Step() {
 			prof.IslandRowsOf[i] = append([]int32(nil), is.Joints...) //paraxlint:allow(alloc)
 		}
 	}
-	l0.End(w.spans.islandGen)
+	l0.End(w.spans[spanIslandGen])
+}
 
-	// (e) Island processing: forward-simulate each island. Islands are
-	// independent; big ones go on the work queue, small ones run on the
-	// main thread.
-	l0.Begin(w.spans.islandProc)
+// processIslands forward-simulates each island. Islands are
+// independent; big ones go on the work queue, small ones run on the
+// main thread.
+func (w *World) processIslands(l0 *obs.Lane) {
+	l0.Begin(w.spans[spanIslandProc])
+	prof := &w.Profile
+	sc := &w.scratch
+	contacts, islands := sc.contacts, sc.islands
 	sc.beginIslands(len(islands), len(contacts), w.WarmStart)
 
 	// Warm starting: match this step's contacts to last step's impulses
@@ -220,7 +253,7 @@ func (w *World) Step() {
 	// separate end-of-step loop. Row assembly below reads only the
 	// solving island's own (already integrated) bodies, so results are
 	// bit-identical to the per-island ordering.
-	w.parallelChunks(len(w.Bodies), w.velFn, w.spans.integChunk)
+	w.runChunks(phaseVel, len(w.Bodies))
 
 	for i, is := range islands {
 		if is.DOF > SmallIslandDOF {
@@ -229,7 +262,7 @@ func (w *World) Step() {
 			sc.main = append(sc.main, int32(i))
 		}
 	}
-	w.dispatch(w.islandFn, sc.queued, sc.main)
+	w.run(phaseIsland, sc.queued, sc.main)
 
 	prof.Solver.Iterations = w.Solver.Iterations
 	for i := range islands {
@@ -254,40 +287,48 @@ func (w *World) Step() {
 			w.warmCache[warmKey{sc.contactKey[ci], sc.contactOrd[ci]}] = v
 		}
 	}
-	l0.End(w.spans.islandProc)
+	l0.End(w.spans[spanIslandProc])
+}
 
-	// (f) Check breakable joints: a joint whose applied load exceeded its
-	// threshold breaks (serial, cheap).
-	for ji, load := range sc.jointLoad {
+// breakJoints checks the breakable joints: one whose applied load
+// exceeded its threshold breaks (serial, cheap).
+func (w *World) breakJoints() {
+	for ji, load := range w.scratch.jointLoad {
 		if load == 0 {
 			continue
 		}
 		if br, ok := w.Joints[ji].(*joint.Breakable); ok {
 			if br.ApplyLoad(load) {
-				prof.JointBreaks++
+				w.Profile.JointBreaks++
 			}
 		}
 	}
+}
 
-	// Integration: position integration + sleep-clock update over the
-	// bodies, then geom-pose sync over the geoms, both chunk-parallel.
-	// Hoisted out of the per-island solves; islands touch disjoint
-	// bodies, so integrating after all solves complete is bit-identical,
-	// and the per-chunk integration counts merged in chunk order equal
-	// the per-island body sum the serial version recorded.
-	l0.Begin(w.spans.integrate)
-	w.parallelChunks(len(w.Bodies), w.posFn, w.spans.integChunk)
-	for _, n := range sc.integ {
-		prof.BodiesIntegrated += n
+// integrate runs position integration + sleep-clock update over the
+// bodies, then geom-pose sync over the geoms, both chunk-parallel.
+// Hoisted out of the per-island solves; islands touch disjoint bodies,
+// so integrating after all solves complete is bit-identical, and the
+// per-chunk integration counts merged in chunk order equal the
+// per-island body sum the serial version recorded.
+func (w *World) integrate(l0 *obs.Lane) {
+	l0.Begin(w.spans[spanIntegrate])
+	w.runChunks(phasePos, len(w.Bodies))
+	for _, n := range w.scratch.integ {
+		w.Profile.BodiesIntegrated += n
 	}
-	w.parallelChunks(len(w.Geoms), w.syncFn, w.spans.syncChunk)
-	l0.End(w.spans.integrate)
+	w.runChunks(phaseSync, len(w.Geoms))
+	l0.End(w.spans[spanIntegrate])
+}
 
-	// (g) Cloth: forward-step every cloth object. Parallel per cloth;
-	// vertices are the fine-grain tasks. The span is recorded even with
-	// no cloth in the scene so every trace carries all five phases.
-	l0.Begin(w.spans.cloth)
+// stepCloths forward-steps every cloth object. Parallel per cloth;
+// vertices are the fine-grain tasks. The span is recorded even with no
+// cloth in the scene so every trace carries all five phases.
+func (w *World) stepCloths(l0 *obs.Lane) {
+	l0.Begin(w.spans[spanCloth])
 	if len(w.Cloths) > 0 {
+		prof := &w.Profile
+		sc := &w.scratch
 		sc.clothStats = sc.clothStats[:0]
 		sc.clothIdx = sc.clothIdx[:0]
 		for ci := range w.Cloths {
@@ -295,7 +336,7 @@ func (w *World) Step() {
 			sc.clothIdx = append(sc.clothIdx, int32(ci))
 			prof.ClothVerts = append(prof.ClothVerts, w.Cloths[ci].NumVertices())
 		}
-		w.dispatch(w.clothFn, sc.clothIdx, nil)
+		w.run(phaseCloth, sc.clothIdx, nil)
 		for i := range sc.clothStats {
 			st := &sc.clothStats[i]
 			prof.Cloth.VertexUpdates += st.VertexUpdates
@@ -304,10 +345,14 @@ func (w *World) Step() {
 			prof.Cloth.RayCasts += st.RayCasts
 		}
 	}
-	l0.End(w.spans.cloth)
+	l0.End(w.spans[spanCloth])
+}
 
-	// Blast volume lifetimes. Expired volumes are disabled and their
-	// geom slots staged for reuse by future detonations.
+// expireBlasts ages the blast volumes. Expired volumes are disabled and
+// their geom slots staged for reuse by future detonations; slots freed
+// this step (consumed explosives, expired blasts) become reusable now
+// that no in-step reference to them remains.
+func (w *World) expireBlasts() {
 	live := w.Blasts[:0]
 	for _, bl := range w.Blasts {
 		bl.Remaining -= w.Dt
@@ -323,28 +368,14 @@ func (w *World) Step() {
 		}
 	}
 	w.Blasts = live
-
-	// Slots freed this step (consumed explosives, expired blasts) become
-	// reusable now that no in-step reference to them remains.
 	if len(w.geomFreeStaged) > 0 {
 		w.geomFree = append(w.geomFree, w.geomFreeStaged...)
 		w.geomFreeStaged = w.geomFreeStaged[:0]
 	}
-
-	// (h) Advance time. The pair and edge counts seed next step's
-	// buffer pre-sizing.
-	w.Time += w.Dt
-	w.prevPairs = len(w.pairBuf)
-	w.prevEdges = len(sc.edges)
-	w.recordStepMetrics(prof)
-	w.recordTelemetry(prof)
-	l0.End(w.spans.step)
 }
 
 // narrowChunk is the narrow-phase worker: it tests one chunk of the
 // candidate pair list, writing into that chunk's event buffers.
-//
-//paraxlint:parroot narrow-phase worker, dispatched by parallelChunks
 func (w *World) narrowChunk(chunk, lo, hi int) {
 	e := &w.scratch.narrow[chunk]
 	for _, pr := range w.pairBuf[lo:hi] {
@@ -401,14 +432,10 @@ func (w *World) narrowChunk(chunk, lo, hi int) {
 // solveIsland forward-simulates one island: row assembly into the
 // worker's reusable row buffer and the LCP solve with the worker's
 // workspace. Velocity and position integration are chunk-parallel
-// passes outside the island solves (see Step). Islands touch disjoint
-// bodies, joints and contacts, so concurrent island solves never share
-// mutable state.
-//
-//paraxlint:parroot island worker, dispatched by World.dispatch
+// passes outside the island solves (see processIslands). Islands touch
+// disjoint bodies, joints and contacts, so concurrent island solves
+// never share mutable state.
 func (w *World) solveIsland(worker, idx int) {
-	lane := w.laneFor(worker)
-	lane.Begin(w.spans.island)
 	sc := &w.scratch
 	is := &sc.islands[idx]
 	p := w.params()
@@ -456,10 +483,11 @@ func (w *World) solveIsland(worker, idx int) {
 		}
 	}
 	sc.rows[worker] = rows // keep the grown capacity for the next island
-	lane.Begin(w.spans.solve)
+	lane := w.laneFor(worker)
+	lane.Begin(w.spans[spanSolve])
 	lam := w.Solver.Solve(w.Bodies, rows, w.Dt, sc.jointLoad,
 		&sc.solverStats[idx], &sc.ws[worker])
-	lane.End(w.spans.solve)
+	lane.End(w.spans[spanSolve])
 	if w.WarmStart {
 		for _, ci := range is.Contacts {
 			base := sc.rowBase[ci]
@@ -467,14 +495,11 @@ func (w *World) solveIsland(worker, idx int) {
 				lam[base:int(base)+joint.RowsPerContact])
 		}
 	}
-	lane.End(w.spans.island)
 }
 
 // refreshChunk is the broad-phase AABB refresh worker: it recomputes
 // the bounding boxes of one chunk of the geom list, counting into that
 // chunk's merge slot so the profile totals match the serial refresh.
-//
-//paraxlint:parroot broad-phase AABB refresh worker, dispatched by parallelChunks
 func (w *World) refreshChunk(chunk, lo, hi int) {
 	n := 0
 	for _, g := range w.Geoms[lo:hi] {
@@ -490,8 +515,6 @@ func (w *World) refreshChunk(chunk, lo, hi int) {
 // edgeChunk collects island edges for one chunk of the combined
 // joint+contact domain (joints first, then contacts, matching the
 // serial order) into that chunk's buffer.
-//
-//paraxlint:parroot island edge-collection worker, dispatched by parallelChunks
 func (w *World) edgeChunk(chunk, lo, hi int) {
 	sc := &w.scratch
 	buf := sc.edgeChunks[chunk][:0]
@@ -523,8 +546,6 @@ func (w *World) edgeChunk(chunk, lo, hi int) {
 // cleanup loop previously split between them. IntegrateVelocity must
 // not run on asleep bodies (it does not check Asleep itself), hence
 // the explicit active predicate.
-//
-//paraxlint:parroot velocity-integration worker, dispatched by parallelChunks
 func (w *World) velChunk(chunk, lo, hi int) {
 	for _, b := range w.Bodies[lo:hi] {
 		if b.Enabled && b.InvMass > 0 && !b.Asleep {
@@ -541,8 +562,6 @@ func (w *World) velChunk(chunk, lo, hi int) {
 // merged count equals the per-island body sum. A body is counted even
 // if UpdateSleep puts it to sleep within this very call — it was
 // integrated this step.
-//
-//paraxlint:parroot position-integration worker, dispatched by parallelChunks
 func (w *World) posChunk(chunk, lo, hi int) {
 	n := 0
 	for _, b := range w.Bodies[lo:hi] {
@@ -560,8 +579,6 @@ func (w *World) posChunk(chunk, lo, hi int) {
 // syncChunk writes body poses through to the geoms of one chunk of the
 // geom list. Geoms are written disjointly and bodies only read, so
 // chunks never conflict.
-//
-//paraxlint:parroot geom pose-sync worker, dispatched by parallelChunks
 func (w *World) syncChunk(chunk, lo, hi int) {
 	for _, g := range w.Geoms[lo:hi] {
 		if g.Body < 0 || !g.Enabled() {
@@ -578,11 +595,7 @@ func (w *World) syncChunk(chunk, lo, hi int) {
 }
 
 // stepCloth forward-steps one cloth object.
-//
-//paraxlint:parroot cloth worker, dispatched by World.dispatch
-func (w *World) stepCloth(worker, ci int) {
-	lane := w.laneFor(worker)
-	lane.Begin(w.spans.clothObj)
+func (w *World) stepCloth(ci int) {
 	c := w.Cloths[ci]
 	c.SatisfyPins(w.poseFn)
 	c.Integrate(w.Dt, w.Gravity)
@@ -595,7 +608,6 @@ func (w *World) stepCloth(worker, ci int) {
 	}
 	c.UpdateBox()
 	w.scratch.clothStats[ci] = c.LastStats
-	lane.End(w.spans.clothObj)
 }
 
 // bodySolvable reports whether the solver may read and write a body's
@@ -610,8 +622,6 @@ func (w *World) bodySolvable(bi int32) bool {
 // bodyMoving reports whether a body is awake and above the sleep speed
 // thresholds — the "is the thing that hit me actually moving" test for
 // waking sleeping bodies.
-//
-//paraxlint:noalloc
 func (w *World) bodyMoving(bi int) bool {
 	b := w.Bodies[bi]
 	return !b.Asleep &&
@@ -645,6 +655,8 @@ func (w *World) StepFrame() FrameProfile {
 // explosion scenes. The blast volume itself takes a recycled slot when
 // one is free (from a previous step; slots freed this step are not yet
 // reusable).
+//
+//paraxlint:coldpath fires once per explosive; builds the blast geom and its hit sets
 func (w *World) detonate(gidx int32, prof *StepProfile) {
 	g := w.Geoms[gidx]
 	if !g.Enabled() {

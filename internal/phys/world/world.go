@@ -141,36 +141,28 @@ type World struct {
 	metrics  *obs.Registry
 	obsLabel string
 	obsLanes []*obs.Lane
-	spans    stepSpans
+	spans    [numSpans]obs.SpanID
 	met      stepMetrics
 
 	// Live telemetry (SetSeries/SetHealth): the per-step series rings,
 	// the anomaly detector, the pre-registered channel IDs, the
-	// telemetry step ordinal, and the previous cumulative per-phase
-	// span totals (recordTelemetry differences them into per-step
-	// durations). All nil/zero when telemetry is off.
+	// telemetry step ordinal, and the previous cumulative span totals of
+	// the step phases, indexed by span (recordTelemetry differences them
+	// into per-step durations). All nil/zero when telemetry is off.
 	series      *obs.Series
 	health      *obs.Health
 	ser         stepSeries
 	telStep     int64
-	prevPhaseNs [numPhaseSpans]int64
+	prevPhaseNs [numSpans]int64
 
 	// scratch is the reusable per-step arena; see frameScratch.
 	scratch frameScratch
-	// Persistent task closures, bound once at construction (bind) so
-	// steady-state dispatch never checks for or creates them (a method
-	// value allocates).
-	narrowFn   func(chunk, lo, hi int)
-	refreshFn  func(chunk, lo, hi int)
-	edgeFn     func(chunk, lo, hi int)
-	velFn      func(chunk, lo, hi int)
-	posFn      func(chunk, lo, hi int)
-	syncFn     func(chunk, lo, hi int)
-	islandFn   func(worker, arg int)
-	clothFn    func(worker, arg int)
-	runChunkFn func(worker, arg int)
-	activeFn   func(int32) bool
-	poseFn     func(int32) (m3.Vec, m3.Quat)
+	// The two callbacks handed to packages that cannot import world (the
+	// island builder's active-body predicate, cloth pinning's pose
+	// lookup), bound once at construction: creating a closure or method
+	// value per step would allocate.
+	activeFn func(int32) bool
+	poseFn   func(int32) (m3.Vec, m3.Quat)
 
 	// prevPairs and prevEdges carry the previous step's broad-phase pair
 	// and island-edge counts, pre-sizing this step's buffers so the
@@ -194,29 +186,9 @@ func New() *World {
 		fractureOfGeom: make(map[int32]int32),
 		blastOfGeom:    make(map[int32]int32),
 	}
-	w.bind()
-	return w
-}
-
-// bind installs the persistent task closures. It runs once, at
-// construction — the per-step hot path dispatches through these fields
-// without nil checks, because creating a method value there would
-// allocate on every step.
-func (w *World) bind() {
-	w.narrowFn = w.narrowChunk
-	w.refreshFn = w.refreshChunk
-	w.edgeFn = w.edgeChunk
-	w.velFn = w.velChunk
-	w.posFn = w.posChunk
-	w.syncFn = w.syncChunk
-	w.islandFn = w.solveIsland
-	w.clothFn = w.stepCloth
-	w.runChunkFn = w.runChunk
 	w.poseFn = w.bodyPose
-	w.activeFn = func(i int32) bool {
-		b := w.Bodies[i]
-		return b.Enabled && b.InvMass > 0 && !b.Asleep
-	}
+	w.activeFn = w.bodySolvable
+	return w
 }
 
 // SetThreads sets the worker count for the parallel phases, rebuilding
