@@ -118,10 +118,9 @@ func BenchmarkCGOnly(b *testing.B) {
 }
 
 // wallRubbleWorld builds the mid-size wall/rubble scene used to measure
-// steady-state stepping (workload.BuildWallRubble, shared with
-// paraxsim's -stepbench mode): at steady state every step exercises
-// broad phase, narrow phase, island creation and island processing with
-// a stable contact topology.
+// steady-state stepping (workload.BuildWallRubble): at steady state
+// every step exercises broad phase, narrow phase, island creation and
+// island processing with a stable contact topology.
 func wallRubbleWorld(threads int, warmStart bool) *World {
 	w := workload.BuildWallRubble()
 	w.SetThreads(threads)

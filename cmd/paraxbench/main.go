@@ -13,7 +13,8 @@
 // architecture models, harness captures/experiments) as Chrome
 // trace-event JSON for Perfetto (ui.perfetto.dev); -metrics writes the
 // deterministic text snapshot of the run's counters. -cpuprofile,
-// -memprofile and -pprof expose the standard Go profilers.
+// -memprofile and -pprof expose the standard Go profilers. All of them
+// are written on every exit path (obs.Flags).
 //
 // Usage:
 //
@@ -28,12 +29,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -42,7 +39,9 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 )
 
-func main() {
+func main() { os.Exit(run()) }
+
+func run() int {
 	var (
 		id      = flag.String("exp", "all", "experiment id, comma list, or 'all'")
 		scale   = flag.Float64("scale", 1.0, "workload scale (1.0 = paper; must be > 0)")
@@ -52,13 +51,8 @@ func main() {
 			"comma list of benchmarks to restrict the suite to (default: all)")
 		broad = flag.String("broad", "",
 			"broad-phase algorithm for every captured world: "+strings.Join(broadphase.Names, "|")+" (default: each benchmark's own)")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		serveAddr  = flag.String("serve", "", "serve live telemetry on `addr`: /metrics /health /trace /series.json")
-		traceFile  = flag.String("trace", "", "write Chrome trace-event JSON (Perfetto) to `file`")
-		metricsOut = flag.String("metrics", "", "write the metrics snapshot to `file`")
-		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to `file`")
-		memProfile = flag.String("memprofile", "", "write a heap profile to `file` at exit")
-		pprofAddr  = flag.String("pprof", "", "serve net/http/pprof on `addr` (e.g. localhost:6060)")
+		list     = flag.Bool("list", false, "list experiments and exit")
+		obsFlags = obs.RegisterFlags(flag.CommandLine)
 	)
 	flag.Parse()
 
@@ -66,37 +60,16 @@ func main() {
 		for _, e := range exp.Registry {
 			fmt.Printf("%-8s %s\n", e.ID, e.Title)
 		}
-		return
+		return 0
 	}
 
 	if *scale <= 0 {
 		fmt.Fprintf(os.Stderr, "invalid -scale %v: must be > 0 (a zero or negative scale builds degenerate scenes)\n", *scale)
-		os.Exit(2)
+		return 2
 	}
 	if *threads < 1 {
 		fmt.Fprintf(os.Stderr, "invalid -threads %d: must be >= 1\n", *threads)
-		os.Exit(2)
-	}
-
-	if *pprofAddr != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "# pprof: http://%s/debug/pprof/\n", *pprofAddr)
-	}
-	if *cpuProfile != "" {
-		f, err := os.Create(*cpuProfile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+		return 2
 	}
 
 	s := exp.NewSuite(*scale)
@@ -109,7 +82,7 @@ func main() {
 		s, err = exp.NewSuiteOf(*scale, names...)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
+			return 1
 		}
 	}
 	s.Threads = *threads
@@ -118,27 +91,13 @@ func main() {
 		// instance per world (sweep structures carry cross-step state).
 		if _, err := broadphase.NewByName(*broad); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(2)
+			return 2
 		}
 		name := *broad
 		s.Broad = func() broadphase.Interface {
 			bp, _ := broadphase.NewByName(name)
 			return bp
 		}
-	}
-
-	if *serveAddr != "" {
-		// The harness has no single stepping world, so no series rings or
-		// anomaly detector — /metrics and /trace expose the suite's
-		// registry and tracer live, and /health always answers 200.
-		h := obs.Handler(s.Tracer(), s.Metrics(), nil, nil)
-		go func() {
-			if err := http.ListenAndServe(*serveAddr, h); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry server: %v\n", err)
-				os.Exit(1)
-			}
-		}()
-		fmt.Fprintf(os.Stderr, "# telemetry: http://%s/metrics /health /trace\n", *serveAddr)
 	}
 
 	ids := exp.IDs()
@@ -149,50 +108,19 @@ func main() {
 		}
 	}
 
-	t0 := time.Now()
-	if err := s.RunIDs(os.Stdout, ids...); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	captured, captureTime := s.CaptureStats()
-	fmt.Printf("# timing: capture benchmarks=%d cpu=%s\n", captured, captureTime.Round(time.Millisecond))
-	fmt.Printf("# timing: total experiments=%d threads=%d wall=%s\n",
-		len(ids), *threads, time.Since(t0).Round(time.Millisecond))
-
-	if *traceFile != "" {
-		writeTo(*traceFile, s.Tracer().WriteTrace)
-	}
-	if *metricsOut != "" {
-		// No Tracer.Publish here: the -metrics file is the deterministic
-		// snapshot, byte-identical across -threads values. Span totals
-		// and drop counters are wall-clock/schedule-dependent; they are
-		// published into flight-bundle metrics.txt instead.
-		writeTo(*metricsOut, s.Metrics().WriteSnapshot)
-	}
-	if *memProfile != "" {
-		runtime.GC()
-		writeTo(*memProfile, pprof.WriteHeapProfile)
-	}
-
-	if *serveAddr != "" {
-		fmt.Fprintln(os.Stderr, "run complete; serving telemetry until killed")
-		select {}
-	}
-}
-
-// writeTo creates path and streams write into it, exiting on error.
-func writeTo(path string, write func(w io.Writer) error) {
-	f, err := os.Create(path)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := write(f); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
-	if err := f.Close(); err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
-	}
+	// The harness has no single stepping world, so no series rings or
+	// anomaly detector: -serve exposes the suite's registry and tracer
+	// live on /metrics and /trace, and /health always answers 200.
+	return obsFlags.Run(s.Tracer(), s.Metrics(), nil, nil, func() int {
+		t0 := time.Now()
+		if err := s.RunIDs(os.Stdout, ids...); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			return 1
+		}
+		captured, captureTime := s.CaptureStats()
+		fmt.Printf("# timing: capture benchmarks=%d cpu=%s\n", captured, captureTime.Round(time.Millisecond))
+		fmt.Printf("# timing: total experiments=%d threads=%d wall=%s\n",
+			len(ids), *threads, time.Since(t0).Round(time.Millisecond))
+		return 0
+	})
 }

@@ -11,7 +11,8 @@
 //	POST   /sessions                {"scene":"Wall","scale":1.0}, or a
 //	                                raw PAXW snapshot with Content-Type
 //	                                application/octet-stream → 201, or
-//	                                429 when saturated
+//	                                429 when saturated; a body over
+//	                                32 MiB → 413, scale > 4 → 400
 //	GET    /sessions                list resident sessions
 //	GET    /sessions/{id}           session info
 //	DELETE /sessions/{id}           detach and release

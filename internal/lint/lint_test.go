@@ -173,10 +173,10 @@ func TestParsafeReachable(t *testing.T) {
 		"(*" + mod + "phys/world.StepProfile).AppendIslandDOFs",
 		"(*" + mod + "phys/world.frameScratch).beginStep",
 		"(*" + mod + "phys/world.frameScratch).beginIslands",
-		mod + "phys/world.growFloat",
-		mod + "phys/world.growInt32",
-		mod + "phys/world.growUint64",
-		mod + "phys/world.growStats",
+		// The generic that replaced growFloat/growInt32/growUint64/
+		// growStats: every call site instantiates it, so this entry also
+		// pins that call edges resolve through (*types.Func).Origin.
+		mod + "phys/world.grow",
 		"(*" + mod + "phys/world.World).Step",
 		"(*" + mod + "phys/world.World).bodyMoving",
 		"(*" + mod + "phys/world.World).bodyPose",

@@ -261,36 +261,12 @@ func WriteFlightBundle(dir string, info FlightInfo, snapshot []byte, tr *Tracer,
 			return "", err
 		}
 	}
-	tf, err := os.Create(filepath.Join(bundle, "trace.json"))
-	if err != nil {
-		return "", err
-	}
-	if err := tr.WriteTrace(tf); err != nil {
-		tf.Close()
-		return "", err
-	}
-	if err := tf.Close(); err != nil {
+	if err := writeFile(filepath.Join(bundle, "trace.json"), tr.WriteTrace); err != nil {
 		return "", err
 	}
 	tr.Publish(reg)
-	mf, err := os.Create(filepath.Join(bundle, "metrics.txt"))
-	if err != nil {
+	if err := writeFile(filepath.Join(bundle, "metrics.txt"), reg.WriteSnapshot); err != nil {
 		return "", err
 	}
-	if err := reg.WriteSnapshot(mf); err != nil {
-		mf.Close()
-		return "", err
-	}
-	if err := mf.Close(); err != nil {
-		return "", err
-	}
-	sf, err := os.Create(filepath.Join(bundle, "series.json"))
-	if err != nil {
-		return "", err
-	}
-	if err := s.WriteJSON(sf); err != nil {
-		sf.Close()
-		return "", err
-	}
-	return bundle, sf.Close()
+	return bundle, writeFile(filepath.Join(bundle, "series.json"), s.WriteJSON)
 }

@@ -254,10 +254,11 @@ func (r *Reader) AABB() m3.AABB {
 	return b
 }
 
-// count reads a length prefix, bounding it by the remaining bytes so a
+// Count reads a length prefix, bounding it by the remaining bytes so a
 // corrupt length cannot drive a huge allocation: every element of the
-// encodings in this package occupies at least one byte.
-func (r *Reader) count() int {
+// snapshot encodings occupies at least one byte. On a short or
+// out-of-bounds prefix it sets the sticky error and returns 0.
+func (r *Reader) Count() int {
 	n := int(r.U32())
 	if r.err != nil {
 		return 0
@@ -271,7 +272,7 @@ func (r *Reader) count() int {
 
 // I32s reads a length-prefixed int32 slice (nil when empty).
 func (r *Reader) I32s() []int32 {
-	n := r.count()
+	n := r.Count()
 	if n == 0 {
 		return nil
 	}
@@ -284,7 +285,7 @@ func (r *Reader) I32s() []int32 {
 
 // F64s reads a length-prefixed float64 slice (nil when empty).
 func (r *Reader) F64s() []float64 {
-	n := r.count()
+	n := r.Count()
 	if n == 0 {
 		return nil
 	}
@@ -297,7 +298,7 @@ func (r *Reader) F64s() []float64 {
 
 // Vecs reads a length-prefixed vector slice (nil when empty).
 func (r *Reader) Vecs() []m3.Vec {
-	n := r.count()
+	n := r.Count()
 	if n == 0 {
 		return nil
 	}
@@ -310,7 +311,7 @@ func (r *Reader) Vecs() []m3.Vec {
 
 // String reads a length-prefixed string.
 func (r *Reader) String() string {
-	n := r.count()
+	n := r.Count()
 	if n == 0 {
 		return ""
 	}

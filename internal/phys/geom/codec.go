@@ -44,11 +44,7 @@ func encodeTris(w *enc.Writer, tris []Tri) {
 }
 
 func decodeTris(r *enc.Reader) []Tri {
-	n := int(r.U32())
-	if r.Err() != nil || n > r.Remaining() {
-		r.Fail(enc.ErrShort)
-		return nil
-	}
+	n := r.Count()
 	if n == 0 {
 		return nil
 	}

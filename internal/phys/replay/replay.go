@@ -50,16 +50,25 @@ func Record(w *world.World, label string, n int) *Recording {
 	return rec
 }
 
+// World returns a fresh world restored from the recording's snapshot.
+func (rec *Recording) World() (*world.World, error) {
+	w := world.New()
+	if err := w.Restore(rec.Snapshot); err != nil {
+		return nil, err
+	}
+	return w, nil
+}
+
 // Verify restores the recording into a fresh world with the given
 // thread count and re-steps it, comparing digests. It returns the
 // zero-based index of the first divergent step, or -1 if the replay
 // matched end to end.
 func Verify(rec *Recording, threads int) (int, error) {
-	w := world.New()
-	w.Threads = threads
-	if err := w.Restore(rec.Snapshot); err != nil {
+	w, err := rec.World()
+	if err != nil {
 		return -1, fmt.Errorf("replay: restore: %w", err)
 	}
+	w.Threads = threads
 	for i, want := range rec.Digests {
 		w.Step()
 		if got := w.Profile.Digest(); got != want {
@@ -104,16 +113,8 @@ func Decode(data []byte) (*Recording, error) {
 		return nil, fmt.Errorf("replay: unsupported version %d", v)
 	}
 	rec := &Recording{Label: r.String()}
-	snapLen := int(r.U32())
-	if snapLen < 0 || snapLen > r.Remaining() {
-		return nil, fmt.Errorf("replay: corrupt snapshot length")
-	}
-	rec.Snapshot = append([]byte(nil), r.Raw(snapLen)...)
-	nd := int(r.U32())
-	if nd < 0 || nd*8 > r.Remaining() {
-		return nil, fmt.Errorf("replay: corrupt digest count")
-	}
-	rec.Digests = make([]uint64, nd)
+	rec.Snapshot = append([]byte(nil), r.Raw(r.Count())...)
+	rec.Digests = make([]uint64, r.Count())
 	for i := range rec.Digests {
 		rec.Digests[i] = r.U64()
 	}

@@ -311,15 +311,14 @@ func BuildMix(scale float64) *world.World {
 	return w
 }
 
-// BuildWallRubble is the steady-state stepping scene shared by the
-// repo's BenchmarkStep and paraxsim's -stepbench mode: a brick wall
-// stacked on a ground plane with a field of rubble (spheres and boxes)
-// settling around it. It is deliberately not part of All — it is a
-// measurement scene, not a paper benchmark. At steady state every step
-// exercises broad phase, narrow phase, island creation and island
-// processing with a stable contact topology and no event paths (no
-// explosives, fracture or cloth), so steady-state stepping stays
-// allocation-free.
+// BuildWallRubble is the steady-state stepping scene of the repo's
+// BenchmarkStep: a brick wall stacked on a ground plane with a field of
+// rubble (spheres and boxes) settling around it. It is deliberately not
+// part of All — it is a measurement scene, not a paper benchmark. At
+// steady state every step exercises broad phase, narrow phase, island
+// creation and island processing with a stable contact topology and no
+// event paths (no explosives, fracture or cloth), so steady-state
+// stepping stays allocation-free.
 func BuildWallRubble() *world.World {
 	w := world.New()
 	w.AddStatic(geom.Plane{Normal: m3.V(0, 1, 0)}, m3.Zero, m3.QIdent)

@@ -28,56 +28,29 @@ const (
 )
 
 // spanTable describes every span of the step pipeline. SetObs registers
-// its names with the tracer, SetSeries derives the per-phase timing
-// channels from it, and SpanNames hands the same rows to the tools that
-// read the tracer's totals by name.
+// its names with the tracer and SetSeries derives the per-phase timing
+// channels from it.
 var spanTable = [numSpans]struct {
 	name string
 	// series names the per-step wall-time channel of a step phase; empty
 	// for every other span.
 	series string
-	// serial marks the step phases that still contain a serial section
-	// (pair emission, the union-find merge): their share of the step is
-	// the Amdahl budget -stepbench reports as serial_fraction.
-	serial bool
-	// chunk marks the item span of a chunked phase. Summed across lanes it
-	// is CPU time, so at N threads it can exceed the enclosing phase's
-	// wall time.
-	chunk bool
 }{
 	spanStep:         {name: "step"},
-	spanBroad:        {name: "broadphase", series: "phase/broad_ns", serial: true},
+	spanBroad:        {name: "broadphase", series: "phase/broad_ns"},
 	spanNarrow:       {name: "narrowphase", series: "phase/narrow_ns"},
-	spanIslandGen:    {name: "island-creation", series: "phase/island_creation_ns", serial: true},
+	spanIslandGen:    {name: "island-creation", series: "phase/island_creation_ns"},
 	spanIslandProc:   {name: "island-processing", series: "phase/island_processing_ns"},
 	spanIntegrate:    {name: "integrate", series: "phase/integrate_ns"},
 	spanCloth:        {name: "cloth", series: "phase/cloth_ns"},
-	spanRefreshChunk: {name: "refresh-chunk", chunk: true},
-	spanNarrowChunk:  {name: "narrow-chunk", chunk: true},
-	spanEdgeChunk:    {name: "edge-chunk", chunk: true},
-	spanIntegChunk:   {name: "integrate-chunk", chunk: true},
-	spanSyncChunk:    {name: "sync-chunk", chunk: true},
+	spanRefreshChunk: {name: "refresh-chunk"},
+	spanNarrowChunk:  {name: "narrow-chunk"},
+	spanEdgeChunk:    {name: "edge-chunk"},
+	spanIntegChunk:   {name: "integrate-chunk"},
+	spanSyncChunk:    {name: "sync-chunk"},
 	spanIsland:       {name: "island"},
 	spanSolve:        {name: "solve"},
 	spanClothObj:     {name: "cloth-object"},
-}
-
-// SpanNames lists the tracer span names of the step pipeline, in table
-// order: the step phases, the subset of them that still holds a serial
-// section, and the chunked phases' work-item spans.
-func SpanNames() (phases, serial, chunks []string) {
-	for _, d := range spanTable {
-		switch {
-		case d.series != "":
-			phases = append(phases, d.name)
-			if d.serial {
-				serial = append(serial, d.name)
-			}
-		case d.chunk:
-			chunks = append(chunks, d.name)
-		}
-	}
-	return phases, serial, chunks
 }
 
 // phase names one kind of pool work item. A task is {phase, item}: the

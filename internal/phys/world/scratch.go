@@ -127,16 +127,11 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 		sc.edges = make([]island.Edge, 0, edgeHint) //paraxlint:allow(alloc) pre-sized from the previous step's count
 	}
 
-	sc.jointLoad = growFloat(sc.jointLoad, numJoints)
+	sc.jointLoad = grow(sc.jointLoad, numJoints)
 	clear(sc.jointLoad)
 
-	if cap(sc.refresh) < threads {
-		sc.refresh = make([][2]int, threads) //paraxlint:allow(alloc) capacity growth, amortized
-	}
-	sc.refresh = sc.refresh[:threads]
-	for i := range sc.refresh {
-		sc.refresh[i] = [2]int{}
-	}
+	sc.refresh = grow(sc.refresh, threads)
+	clear(sc.refresh)
 	if cap(sc.edgeChunks) < threads {
 		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
 		sc.edgeChunks = append(sc.edgeChunks[:cap(sc.edgeChunks)], make([][]island.Edge, threads-cap(sc.edgeChunks))...)
@@ -145,10 +140,7 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 	for i := range sc.edgeChunks {
 		sc.edgeChunks[i] = sc.edgeChunks[i][:0]
 	}
-	if cap(sc.integ) < threads {
-		sc.integ = make([]int, threads) //paraxlint:allow(alloc) capacity growth, amortized
-	}
-	sc.integ = sc.integ[:threads]
+	sc.integ = grow(sc.integ, threads)
 	clear(sc.integ)
 	for len(sc.chunkIdx) < threads {
 		sc.chunkIdx = append(sc.chunkIdx, int32(len(sc.chunkIdx)))
@@ -181,18 +173,16 @@ func (sc *frameScratch) chunkRange(chunk int) (int, int, int) {
 
 // beginIslands sizes the per-island and per-contact working sets.
 func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
-	sc.solverStats = growStats(sc.solverStats, numIslands)
-	for i := range sc.solverStats {
-		sc.solverStats[i] = solver.Stats{}
-	}
-	sc.rowBase = growInt32(sc.rowBase, numContacts)
+	sc.solverStats = grow(sc.solverStats, numIslands)
+	clear(sc.solverStats)
+	sc.rowBase = grow(sc.rowBase, numContacts)
 	for i := range sc.rowBase {
 		sc.rowBase[i] = -1
 	}
 	if warm {
-		sc.contactKey = growUint64(sc.contactKey, numContacts)
-		sc.contactOrd = growInt32(sc.contactOrd, numContacts)
-		sc.warmLambda = growFloat(sc.warmLambda, numContacts*joint.RowsPerContact)
+		sc.contactKey = grow(sc.contactKey, numContacts)
+		sc.contactOrd = grow(sc.contactOrd, numContacts)
+		sc.warmLambda = grow(sc.warmLambda, numContacts*joint.RowsPerContact)
 		clear(sc.warmLambda)
 		if sc.ordCount == nil {
 			sc.ordCount = make(map[uint64]int32) //paraxlint:allow(alloc) lazy one-time map
@@ -203,30 +193,12 @@ func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
 	sc.main = sc.main[:0]
 }
 
-func growFloat(s []float64, n int) []float64 {
+// grow returns s re-sliced to length n, reallocating only when its
+// capacity is too small. Contents are unspecified: callers overwrite or
+// clear every element.
+func grow[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]float64, n) //paraxlint:allow(alloc) capacity growth, amortized
-	}
-	return s[:n]
-}
-
-func growInt32(s []int32, n int) []int32 {
-	if cap(s) < n {
-		return make([]int32, n) //paraxlint:allow(alloc) capacity growth, amortized
-	}
-	return s[:n]
-}
-
-func growUint64(s []uint64, n int) []uint64 {
-	if cap(s) < n {
-		return make([]uint64, n) //paraxlint:allow(alloc) capacity growth, amortized
-	}
-	return s[:n]
-}
-
-func growStats(s []solver.Stats, n int) []solver.Stats {
-	if cap(s) < n {
-		return make([]solver.Stats, n) //paraxlint:allow(alloc) capacity growth, amortized
+		return make([]T, n) //paraxlint:allow(alloc) capacity growth, amortized
 	}
 	return s[:n]
 }

@@ -340,12 +340,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 	st.solverIters = int(r.I32())
 	st.solverSOR = r.F64()
 
-	nBodies := int(r.U32())
+	nBodies := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nBodies > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.bodies = make([]*body.Body, nBodies)
 	for i := range st.bodies {
@@ -374,12 +371,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		st.bodies[i] = b
 	}
 
-	nGeoms := int(r.U32())
+	nGeoms := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nGeoms > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.geoms = make([]*geom.Geom, nGeoms)
 	for i := range st.geoms {
@@ -417,12 +411,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		}
 	}
 
-	nJoints := int(r.U32())
+	nJoints := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nJoints > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.joints = make([]joint.Joint, nJoints)
 	for i := range st.joints {
@@ -437,12 +428,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		st.joints[i] = j
 	}
 
-	nExpl := int(r.U32())
+	nExpl := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nExpl > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.explosives = make(map[int32]ExplosiveSpec, nExpl)
 	for i := 0; i < nExpl; i++ {
@@ -454,12 +442,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		st.explosives[gi] = spec
 	}
 
-	nBlasts := int(r.U32())
+	nBlasts := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nBlasts > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.blasts = make([]Blast, nBlasts)
 	for i := range st.blasts {
@@ -480,12 +465,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		}
 	}
 
-	nFr := int(r.U32())
+	nFr := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nFr > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.fractures = make([]FractureGroup, nFr)
 	for i := range st.fractures {
@@ -493,12 +475,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		fr.Parent = r.I32()
 		fr.Debris = r.I32s()
 		fr.LocalPos = r.Vecs()
-		nq := int(r.U32())
+		nq := r.Count()
 		if err := r.Err(); err != nil {
 			return nil, err
-		}
-		if nq > r.Remaining() {
-			return nil, enc.ErrShort
 		}
 		fr.LocalRot = make([]m3.Quat, 0, nq)
 		for q := 0; q < nq; q++ {
@@ -518,22 +497,16 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		}
 	}
 
-	nCloths := int(r.U32())
+	nCloths := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nCloths > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	st.cloths = make([]*cloth.Cloth, nCloths)
 	for i := range st.cloths {
 		c := &cloth.Cloth{}
-		np := int(r.U32())
+		np := r.Count()
 		if err := r.Err(); err != nil {
 			return nil, err
-		}
-		if np > r.Remaining() {
-			return nil, enc.ErrShort
 		}
 		c.Particles = make([]cloth.Particle, np)
 		for p := range c.Particles {
@@ -541,12 +514,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 			c.Particles[p].Prev = r.Vec()
 			c.Particles[p].InvMass = r.F64()
 		}
-		nc := int(r.U32())
+		nc := r.Count()
 		if err := r.Err(); err != nil {
 			return nil, err
-		}
-		if nc > r.Remaining() {
-			return nil, enc.ErrShort
 		}
 		c.Constraints = make([]cloth.Constraint, nc)
 		for ci := range c.Constraints {
@@ -554,12 +524,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 			c.Constraints[ci].J = r.I32()
 			c.Constraints[ci].Rest = r.F64()
 		}
-		nt := int(r.U32())
+		nt := r.Count()
 		if err := r.Err(); err != nil {
 			return nil, err
-		}
-		if nt > r.Remaining() {
-			return nil, enc.ErrShort
 		}
 		c.Tris = make([]geom.Tri, nt)
 		for t := range c.Tris {
@@ -567,12 +534,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 			c.Tris[t][1] = r.I32()
 			c.Tris[t][2] = r.I32()
 		}
-		npin := int(r.U32())
+		npin := r.Count()
 		if err := r.Err(); err != nil {
 			return nil, err
-		}
-		if npin > r.Remaining() {
-			return nil, enc.ErrShort
 		}
 		c.Pins = make([]cloth.Pin, npin)
 		for p := range c.Pins {
@@ -620,12 +584,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		st.clothProxyShape[ci] = sh
 	}
 
-	nWarm := int(r.U32())
+	nWarm := r.Count()
 	if err := r.Err(); err != nil {
 		return nil, err
-	}
-	if nWarm > r.Remaining() {
-		return nil, enc.ErrShort
 	}
 	if nWarm > 0 {
 		st.warmCache = make(map[warmKey][joint.RowsPerContact]float64, nWarm)
@@ -651,12 +612,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 	case bpIncSweep:
 		st.bpInc.Axis = r.I32()
 		st.bpInc.Endpoints = r.I32s()
-		nPairs := int(r.U32())
+		nPairs := r.Count()
 		if err := r.Err(); err != nil {
 			return nil, err
-		}
-		if nPairs > r.Remaining() {
-			return nil, enc.ErrShort
 		}
 		st.bpInc.Pairs = make([]uint64, 0, nPairs)
 		for i := 0; i < nPairs; i++ {

@@ -193,6 +193,34 @@ func TestSessionLifecycle(t *testing.T) {
 	if resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("deleted session still answers: status %d", resp.StatusCode)
 	}
+
+	// What one create request may ask for is bounded: the body by
+	// maxCreateBody (413 beyond it, whichever branch reads it), the scene
+	// scale by maxSceneScale (400). A body of exactly the limit gets past
+	// the size gate.
+	scene := `{"scene":"Ragdoll","scale":0.2}`
+	padded := func(n int) string { return strings.Repeat(" ", n-len(scene)) + scene }
+	for _, c := range []struct {
+		name, contentType, body string
+		want                    int
+	}{
+		{"oversized snapshot", "application/octet-stream", strings.Repeat("\x00", maxCreateBody+1), http.StatusRequestEntityTooLarge},
+		{"oversized json", "application/json", padded(maxCreateBody + 1), http.StatusRequestEntityTooLarge},
+		{"snapshot at limit", "application/octet-stream", strings.Repeat("\x00", maxCreateBody), http.StatusBadRequest},
+		{"json at limit", "application/json", padded(maxCreateBody), http.StatusCreated},
+		{"scale 1e9", "application/json", `{"scene":"Ragdoll","scale":1e9}`, http.StatusBadRequest},
+		{"scale at limit", "application/json", fmt.Sprintf(`{"scene":"Ragdoll","scale":%d}`, maxSceneScale), http.StatusCreated},
+	} {
+		resp, err := http.Post(ts.URL+"/sessions", c.contentType, strings.NewReader(c.body))
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		data, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.want {
+			t.Errorf("%s: status %d, want %d: %s", c.name, resp.StatusCode, c.want, data)
+		}
+	}
 }
 
 func TestAdmissionCapRejects(t *testing.T) {

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -349,6 +350,23 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// maxCreateBody bounds one POST /sessions body, scene JSON or uploaded
+// snapshot alike. The largest paper scene at maxSceneScale, Mix (44 496
+// bodies), snapshots to 25 440 998 bytes and Breakable to 24 922 048, so
+// 32 MiB admits every world the server can build itself and nothing an
+// order of magnitude beyond.
+const maxCreateBody = 32 << 20
+
+// bodyErrStatus maps a request-body read or decode failure to its
+// status: 413 when maxCreateBody cut the body off, 400 otherwise.
+func bodyErrStatus(err error) int {
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		return http.StatusRequestEntityTooLarge
+	}
+	return http.StatusBadRequest
+}
+
 func statusOf(err error) (int, string) {
 	if ce, ok := err.(*createError); ok {
 		return ce.status, ce.msg
@@ -366,17 +384,18 @@ func (s *Server) Handler() http.Handler {
 			info SessionInfo
 			err  error
 		)
+		req.Body = http.MaxBytesReader(w, req.Body, maxCreateBody)
 		if strings.HasPrefix(req.Header.Get("Content-Type"), "application/octet-stream") {
-			snap, rerr := io.ReadAll(io.LimitReader(req.Body, 1<<30))
+			snap, rerr := io.ReadAll(req.Body)
 			if rerr != nil {
-				writeErr(w, http.StatusBadRequest, rerr.Error())
+				writeErr(w, bodyErrStatus(rerr), rerr.Error())
 				return
 			}
 			info, err = s.Create("", 0, snap)
 		} else {
 			var cr createRequest
 			if derr := json.NewDecoder(req.Body).Decode(&cr); derr != nil {
-				writeErr(w, http.StatusBadRequest, "bad request body: "+derr.Error())
+				writeErr(w, bodyErrStatus(derr), "bad request body: "+derr.Error())
 				return
 			}
 			info, err = s.Create(cr.Scene, cr.Scale, nil)

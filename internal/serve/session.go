@@ -99,8 +99,18 @@ func buildSession(id, scene string, scale float64, snap []byte, reg *obs.Registr
 	if scale <= 0 {
 		scale = 1
 	}
+	if scale > maxSceneScale {
+		return nil, fmt.Errorf("scale %g exceeds the maximum %g", scale, float64(maxSceneScale))
+	}
 	return newSession(id, scene, scale, b.Build(scale), reg), nil
 }
+
+// maxSceneScale bounds the scene scale one create request may ask for:
+// body count grows roughly linearly with scale, so an unbounded value is
+// an unbounded allocation. 4 is the largest scale any BENCHMARK.json
+// workload builds (Continuous@4.0), and the largest scene there, Mix, is
+// 44 496 bodies.
+const maxSceneScale = 4
 
 // SessionInfo is the read-model handed back by shard info ops.
 type SessionInfo struct {
