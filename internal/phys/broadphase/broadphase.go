@@ -11,6 +11,7 @@ package broadphase
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 
@@ -35,7 +36,17 @@ type Stats struct {
 	// previous frame's order still holds) and cell inserts in the
 	// spatial hash.
 	SortOps int
-	// OverlapTests counts narrow AABB-vs-AABB tests performed.
+	// OverlapTests counts the candidates the algorithm's structure
+	// presents to the pair filter, whether or not the filter then needs
+	// the boxes to reject them (two statics, one group). For
+	// SweepAndPrune that is every (a, b) with b after a in the order and
+	// b's interval starting at or before a's end on the sweep axis; for
+	// IncrementalSAP every entry of the persistent axis-overlap set; for
+	// SpatialHash every distinct pair sharing a cell; each of the three
+	// adds one per (plane, non-static geom); for BruteForce it is every
+	// pair of enabled geoms. kernels.CostModel charges PerOverlapTest
+	// instructions per unit, so an implementation that skips filter work
+	// still counts the candidate.
 	OverlapTests int
 	// PairsOut is the number of candidate pairs produced.
 	PairsOut int
@@ -87,6 +98,12 @@ func shouldPair(a, b *geom.Geom) bool {
 // previous order, exploiting temporal coherence), and sweeps to emit
 // overlapping pairs. Unbounded shapes (planes) are handled out-of-band
 // and paired against every dynamic geom.
+//
+// Only order persists between passes. The sort and the sweep run over
+// flat per-pass copies indexed by sorted position, not over the geoms:
+// the sweep visits ~100 axis candidates per geom on a static-heavy
+// scene, and nearly all of them are rejected on the interval or the
+// static flag alone, which the copies answer without a pointer load.
 type SweepAndPrune struct {
 	order []int32 // geom indices sorted by Box.Min along the sweep axis
 	axis  int
@@ -96,6 +113,19 @@ type SweepAndPrune struct {
 	mark      []uint32
 	gen       uint32
 	unbounded []int32
+	// Per-pass scratch, refilled by append so capacity survives the pass.
+	lo  []float64  // lo[k] is Box.Min along the sweep axis of order[k]
+	rec []sweepRec // rec[k] is what the pair filter reads of order[k]
+	dyn []int32    // ascending sorted positions k of the non-static geoms
+}
+
+// sweepRec is the part of a geom the pair filter reads, copied out for
+// one sweep; every geom in order is enabled, so that flag is not kept.
+type sweepRec struct {
+	box    m3.AABB
+	id     int32
+	group  int32
+	static bool
 }
 
 // NewSweepAndPrune returns an empty sweep-and-prune structure.
@@ -107,6 +137,7 @@ func (s *SweepAndPrune) Stats() Stats { return s.stats }
 // PairsPrerefreshed implements Interface.
 func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	s.stats = Stats{}
+	base := len(dst)
 	s.gen++
 	if len(s.mark) < len(geoms) {
 		grown := make([]uint32, len(geoms)) //paraxlint:allow(alloc) capacity growth, amortized
@@ -145,62 +176,107 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 	s.axis = bestAxis(geoms, s.order)
 
 	// Insertion sort: nearly sorted from the previous frame.
-	s.insertionSort(geoms)
+	lo, ordered := s.lo[:0], true
+	for _, id := range s.order {
+		v := geoms[id].Box.Min.Comp(s.axis)
+		lo = append(lo, v)
+		ordered = ordered && !math.IsNaN(v)
+	}
+	s.lo = lo
+	s.insertionSort()
 
-	// Sweep.
-	for i := 0; i < len(s.order); i++ {
-		a := geoms[s.order[i]]
-		amax := a.Box.Max.Comp(s.axis)
-		for j := i + 1; j < len(s.order); j++ {
-			b := geoms[s.order[j]]
-			if b.Box.Min.Comp(s.axis) > amax {
-				break
+	rec, dyn := s.rec[:0], s.dyn[:0]
+	for k, id := range s.order {
+		g := geoms[id]
+		static := g.Flags.Has(geom.FlagStatic)
+		rec = append(rec, sweepRec{box: g.Box, id: id, group: g.Group, static: static})
+		if !static {
+			dyn = append(dyn, int32(k))
+		}
+	}
+	s.rec, s.dyn = rec, dyn
+
+	// Sweep. The run of a is the positions after it up to the first whose
+	// interval starts past a's end, and every position in it is one
+	// overlap test. Without NaN keys the sort leaves lo non-decreasing, so
+	// the search may start where the previous run ended and step back; a
+	// NaN key compares false both ways, stays in the run and is walked
+	// over from the front. A static a can only pair with the dynamic
+	// geoms of its run, so it walks dyn, where d is the first entry past
+	// position i.
+	d, end := 0, 0
+	for i := range rec {
+		a := &rec[i]
+		amax := a.box.Max.Comp(s.axis)
+		if !ordered || end <= i {
+			end = i + 1
+		}
+		for end > i+1 && lo[end-1] > amax {
+			end--
+		}
+		for end < len(lo) && !(lo[end] > amax) {
+			end++
+		}
+		s.stats.OverlapTests += end - i - 1
+		if a.static {
+			for _, j := range dyn[d:] {
+				if int(j) >= end {
+					break
+				}
+				if b := &rec[j]; a.pairs(b) {
+					dst = appendPair(dst, a.id, b.id)
+				}
 			}
-			s.stats.OverlapTests++
-			if shouldPair(a, b) {
-				dst = appendPair(dst, int32(a.ID), int32(b.ID))
-				s.stats.PairsOut++
+		} else {
+			d++ // dyn[d] was i
+			for j := i + 1; j < end; j++ {
+				if b := &rec[j]; a.pairs(b) {
+					dst = appendPair(dst, a.id, b.id)
+				}
 			}
 		}
 	}
 	// Planes against everything dynamic.
 	for _, pid := range unbounded {
 		p := geoms[pid]
-		for _, id := range s.order {
-			g := geoms[id]
-			if g.Flags.Has(geom.FlagStatic) {
-				continue
-			}
-			s.stats.OverlapTests++
-			if geom.ShouldCollide(p, g) {
-				dst = appendPair(dst, pid, id)
-				s.stats.PairsOut++
+		s.stats.OverlapTests += len(dyn)
+		for _, j := range dyn {
+			if b := &rec[j]; p.Group == 0 || p.Group != b.group {
+				dst = appendPair(dst, pid, b.id)
 			}
 		}
 	}
+	s.stats.PairsOut = len(dst) - base
 	sortPairs(dst)
 	return dst
 }
 
-// insertionSort re-sorts order by AABB minimum along the sweep axis.
-// SortOps counts only actual element moves, so a frame whose order is
-// unchanged from the previous one reports zero sort work (temporal
-// coherence makes the serial phase cheap, and the counter must not
-// inflate the Fig 2b/3a instruction and memory streams when no work
+// pairs is shouldPair for two geoms of one sweep, which are enabled and
+// of which the caller knows that at most one is static.
+func (a *sweepRec) pairs(b *sweepRec) bool {
+	return (a.group == 0 || a.group != b.group) && a.box.Overlaps(b.box)
+}
+
+// insertionSort re-sorts order, and lo with it, by AABB minimum along
+// the sweep axis. SortOps counts only actual element moves, so a frame
+// whose order is unchanged from the previous one reports zero sort work
+// (temporal coherence makes the serial phase cheap, and the counter must
+// not inflate the Fig 2b/3a instruction and memory streams when no work
 // happened).
-func (s *SweepAndPrune) insertionSort(geoms []*geom.Geom) {
-	axis := s.axis
-	for i := 1; i < len(s.order); i++ {
-		v := s.order[i]
-		kv := geoms[v].Box.Min.Comp(axis)
+func (s *SweepAndPrune) insertionSort() {
+	order, lo := s.order, s.lo
+	ops := 0
+	for i := 1; i < len(order); i++ {
+		v, kv := order[i], lo[i]
 		j := i - 1
-		for j >= 0 && geoms[s.order[j]].Box.Min.Comp(axis) > kv {
-			s.order[j+1] = s.order[j]
+		for j >= 0 && lo[j] > kv {
+			order[j+1], lo[j+1] = order[j], lo[j]
 			j--
-			s.stats.SortOps++
+			ops++
 		}
-		s.order[j+1] = v
+		order[j+1], lo[j+1] = v, kv
 	}
+	s.stats.SortOps = ops
 }
 
 func bestAxis(geoms []*geom.Geom, order []int32) int {

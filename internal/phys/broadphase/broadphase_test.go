@@ -226,3 +226,100 @@ func TestBroadphaseSteadyStateAllocs(t *testing.T) {
 		}
 	}
 }
+
+// referenceSweep is SweepAndPrune as it was before the sweep moved onto
+// flat per-pass copies: the same live-list refresh, axis choice,
+// insertion sort and closed-interval sweep, reading every key and every
+// filter input through the geom pointers and counting one OverlapTests
+// per visited candidate. It exists only as the oracle for
+// TestSAPMatchesReferenceSweep.
+type referenceSweep struct {
+	order     []int32
+	axis      int
+	stats     Stats
+	mark      []uint32
+	gen       uint32
+	unbounded []int32
+}
+
+func (s *referenceSweep) Stats() Stats { return s.stats }
+
+func (s *referenceSweep) SaveOrder(dst []int32) []int32 { return append(dst, s.order...) }
+
+func (s *referenceSweep) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
+	s.stats = Stats{}
+	s.gen++
+	if len(s.mark) < len(geoms) {
+		grown := make([]uint32, len(geoms))
+		copy(grown, s.mark)
+		s.mark = grown
+	}
+	unbounded := s.unbounded[:0]
+	live := s.order[:0]
+	for _, id := range s.order {
+		if int(id) < len(geoms) && geoms[id].Enabled() && geoms[id].Shape.Kind() != geom.KindPlane {
+			live = append(live, id)
+			s.mark[id] = s.gen
+		}
+	}
+	for _, g := range geoms {
+		if !g.Enabled() {
+			continue
+		}
+		if g.Shape.Kind() == geom.KindPlane {
+			unbounded = append(unbounded, int32(g.ID))
+			continue
+		}
+		if s.mark[g.ID] != s.gen {
+			live = append(live, int32(g.ID))
+		}
+	}
+	s.order = live
+	s.unbounded = unbounded
+	s.axis = bestAxis(geoms, s.order)
+
+	axis := s.axis
+	for i := 1; i < len(s.order); i++ {
+		v := s.order[i]
+		kv := geoms[v].Box.Min.Comp(axis)
+		j := i - 1
+		for j >= 0 && geoms[s.order[j]].Box.Min.Comp(axis) > kv {
+			s.order[j+1] = s.order[j]
+			j--
+			s.stats.SortOps++
+		}
+		s.order[j+1] = v
+	}
+
+	for i := 0; i < len(s.order); i++ {
+		a := geoms[s.order[i]]
+		amax := a.Box.Max.Comp(s.axis)
+		for j := i + 1; j < len(s.order); j++ {
+			b := geoms[s.order[j]]
+			if b.Box.Min.Comp(s.axis) > amax {
+				break
+			}
+			s.stats.OverlapTests++
+			if shouldPair(a, b) {
+				dst = appendPair(dst, int32(a.ID), int32(b.ID))
+				s.stats.PairsOut++
+			}
+		}
+	}
+	for _, pid := range unbounded {
+		p := geoms[pid]
+		for _, id := range s.order {
+			g := geoms[id]
+			if g.Flags.Has(geom.FlagStatic) {
+				continue
+			}
+			s.stats.OverlapTests++
+			if geom.ShouldCollide(p, g) {
+				dst = appendPair(dst, pid, id)
+				s.stats.PairsOut++
+			}
+		}
+	}
+	sortPairs(dst)
+	return dst
+}

@@ -1,7 +1,9 @@
 package broadphase
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/geom"
@@ -170,5 +172,109 @@ func TestMixedShapesBroadphase(t *testing.T) {
 	}
 	if len(got) == 0 {
 		t.Fatal("expected overlaps in the mixed scene")
+	}
+}
+
+// TestSAPMatchesReferenceSweep drives the flat sweep kernel and the
+// pointer-walking loop it replaced (referenceSweep) through the same
+// frames and requires identical output in full: the pair slice, every
+// Stats field (OverlapTests is accumulated per run by the kernel and per
+// candidate by the reference) and the persistent order. The scenes are
+// the shape the kernel is built for and no other test here builds:
+// static majority, collision groups shared between a static and a
+// dynamic geom, several planes (one in a group, one not static),
+// enable/disable churn, growth, a geom whose box goes NaN for a few
+// frames, and a coordinate rotation that moves the sweep axis.
+func TestSAPMatchesReferenceSweep(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		r := rand.New(rand.NewSource(seed))
+		var gs []*geom.Geom
+		// The cloud is long in X, so the sweep starts on axis 0.
+		place := func() m3.Vec { return m3.V(r.Float64()*40, r.Float64()*4, r.Float64()*10) }
+		add := func(s geom.Shape, pos m3.Vec, static bool, group int32) {
+			g := &geom.Geom{ID: len(gs), Shape: s, Pos: pos, Rot: m3.Ident, Body: len(gs), Group: group}
+			if static {
+				g.Body, g.Flags = -1, geom.FlagStatic
+			}
+			gs = append(gs, g)
+		}
+		add(geom.Plane{Normal: m3.V(0, 1, 0)}, m3.Vec{}, true, 0)
+		add(geom.Plane{Normal: m3.V(1, 0, 0), Offset: -1}, m3.Vec{}, true, 3)
+		add(geom.Plane{Normal: m3.V(0, 0, 1), Offset: -1}, m3.Vec{}, false, 0)
+		for i := 0; i < 170; i++ {
+			add(geom.Box{Half: m3.V(0.3+r.Float64(), 0.3+r.Float64(), 0.3+r.Float64())}, place(), true, int32(r.Intn(4)))
+		}
+		for i := 0; i < 30; i++ {
+			add(geom.Sphere{R: 0.3 + r.Float64()*0.6}, place(), false, int32(r.Intn(4)))
+		}
+		// A static and a dynamic geom of one group, overlapping: the
+		// static-side walk must apply the group filter too.
+		add(geom.Box{Half: m3.V(1, 1, 1)}, m3.V(20, 2, 5), true, 9)
+		add(geom.Sphere{R: 1}, m3.V(20.5, 2, 5), false, 9)
+
+		sap, ref := NewSweepAndPrune(), &referenceSweep{}
+		var got, want []Pair
+		var gotOrder, wantOrder []int32
+		axes := map[int]bool{}
+		pairsSeen, static := 0, 0
+		for frame := 0; frame < 80; frame++ {
+			if frame%25 == 24 {
+				for _, g := range gs {
+					g.Pos = m3.V(g.Pos.Z, g.Pos.X, g.Pos.Y)
+				}
+			}
+			for _, g := range gs {
+				if _, plane := g.Shape.(geom.Plane); plane {
+					continue
+				}
+				if !g.Flags.Has(geom.FlagStatic) {
+					g.Pos = g.Pos.Add(m3.V(r.Float64()-0.5, r.Float64()-0.5, r.Float64()-0.5))
+				}
+				if r.Float64() < 0.05 {
+					g.Flags ^= geom.FlagDisabled
+				}
+			}
+			nan := gs[len(gs)-1-frame%7]
+			keep := nan.Pos
+			if frame%20 >= 17 {
+				nan.Pos.X = math.NaN()
+			}
+			if frame%3 == 0 {
+				add(geom.Box{Half: m3.V(0.5, 0.5, 0.5)}, place(), true, int32(r.Intn(4)))
+			}
+			if frame%9 == 0 {
+				add(geom.Sphere{R: 0.5}, place(), false, int32(r.Intn(4)))
+			}
+
+			got = refreshPairs(sap, gs, got[:0])
+			want = refreshPairs(ref, gs, want[:0])
+			nan.Pos = keep
+			if !pairsEqual(got, want) {
+				t.Fatalf("seed %d frame %d: kernel emitted %d pairs, reference %d", seed, frame, len(got), len(want))
+			}
+			if sap.Stats() != ref.Stats() {
+				t.Fatalf("seed %d frame %d: stats %+v, reference %+v", seed, frame, sap.Stats(), ref.Stats())
+			}
+			gotOrder, wantOrder = sap.SaveOrder(gotOrder[:0]), ref.SaveOrder(wantOrder[:0])
+			if !slices.Equal(gotOrder, wantOrder) {
+				t.Fatalf("seed %d frame %d: persistent order differs from the reference", seed, frame)
+			}
+			axes[sap.axis] = true
+			pairsSeen += len(got)
+		}
+		for _, g := range gs {
+			if g.Flags.Has(geom.FlagStatic) {
+				static++
+			}
+		}
+		if static*5 < len(gs)*4 {
+			t.Errorf("seed %d: %d of %d geoms static, want at least 80%%", seed, static, len(gs))
+		}
+		if len(axes) < 2 {
+			t.Errorf("seed %d: sweep axis never moved (%v)", seed, axes)
+		}
+		if pairsSeen == 0 {
+			t.Errorf("seed %d: no pairs in 80 frames", seed)
+		}
 	}
 }

@@ -1,9 +1,12 @@
 package workload
 
 import (
+	"fmt"
 	"io"
+	"slices"
 	"testing"
 
+	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
 	"github.com/parallax-arch/parallax/internal/phys/world"
@@ -168,5 +171,55 @@ func TestComplexityOrdering(t *testing.T) {
 	if mix.ObjPairs <= per.ObjPairs {
 		t.Errorf("Mix (%d pairs) should exceed Periodic (%d pairs)",
 			mix.ObjPairs, per.ObjPairs)
+	}
+}
+
+// TestStepPairListMatchesBruteForce checks the default broad phase inside
+// World.Step on the scene shape its sweep is built for and no
+// broadphase-package test builds: Continuous is ~90% static obstacles
+// around a few cars (one collision group each), Mix adds grouped
+// humanoids, cloth proxies, prefractured buildings whose debris starts
+// disabled, and blasts. Every step's recorded pair list must be the one
+// BruteForce produces stepping a clone of the pre-step world, at one
+// thread and at three.
+func TestStepPairListMatchesBruteForce(t *testing.T) {
+	for _, name := range []string{"Continuous", "Mix"} {
+		for _, threads := range []int{1, 3} {
+			t.Run(fmt.Sprintf("%s/threads=%d", name, threads), func(t *testing.T) {
+				b, _ := ByName(name)
+				w := b.Build(0.25)
+				w.RecordDetail = true
+				w.SetThreads(threads)
+				defer w.SetThreads(1) // stops the worker pool
+				static := 0
+				for _, g := range w.Geoms {
+					if g.Flags.Has(geom.FlagStatic) {
+						static++
+					}
+				}
+				if name == "Continuous" && static*5 < len(w.Geoms)*4 {
+					t.Errorf("%d of %d geoms static, want a static-heavy scene", static, len(w.Geoms))
+				}
+				for step := 0; step < 60; step++ {
+					ref, err := w.Clone()
+					if err != nil {
+						t.Fatal(err)
+					}
+					ref.Threads = 1
+					ref.Broad = broadphase.NewBruteForce()
+					ref.Step()
+					w.Step()
+					if !slices.Equal(w.Profile.PairList, ref.Profile.PairList) {
+						t.Fatalf("step %d: %d pairs, brute force %d", step, len(w.Profile.PairList), len(ref.Profile.PairList))
+					}
+					if w.Profile.Broad.PairsOut != len(w.Profile.PairList) {
+						t.Fatalf("step %d: PairsOut %d, pair list has %d", step, w.Profile.Broad.PairsOut, len(w.Profile.PairList))
+					}
+				}
+				if w.Profile.Pairs == 0 {
+					t.Error("no pairs at step 60")
+				}
+			})
+		}
 	}
 }

@@ -72,9 +72,10 @@ func (w *World) applyGravity() {
 }
 
 // broadPhase produces the candidate pair list. The AABB refresh runs
-// chunk-parallel ahead of the pair pass, which itself stays serial —
-// with the incremental sweep it is O(swaps), no longer the re-sweep that
-// made this phase the Amdahl bottleneck. Per-chunk refresh counters
+// chunk-parallel ahead of the pair pass, which itself stays serial: the
+// default Broad is SweepAndPrune, a full sort-and-sweep of every enabled
+// geom each step (DESIGN.md "Incremental broad phase" has the measured
+// reason IncrementalSAP is not the default). Per-chunk refresh counters
 // merge in chunk order, so the profile (and its replay digest) is
 // byte-identical to a serial refresh.
 func (w *World) broadPhase(l0 *obs.Lane) {
