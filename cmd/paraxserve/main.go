@@ -19,7 +19,11 @@
 //	GET    /sessions/{id}/snapshot  PAXW bytes (octet-stream)
 //	POST   /sessions/{id}/step      {"ticks":N} — manual stepping (-hz 0)
 //	POST   /sessions/{id}/query     {"min":[x,y,z],"max":[x,y,z]} body query
-//	POST   /sessions/{id}/migrate   {"shard":K} snapshot/restore rebalance
+//	                                (step, query and migrate bodies over
+//	                                4 KiB → 413)
+//	POST   /sessions/{id}/migrate   {"shard":K} rebalance: the session
+//	                                moves as is (world, steps, degraded
+//	                                state); same reply as the info route
 //	GET    /health                  200 "ok", 503 "draining"
 //	GET    /metrics                 Prometheus text exposition
 //	GET    /trace                   Chrome trace-event JSON (per-shard lanes)

@@ -380,11 +380,5 @@ func (h *Hierarchy) Access(core int, addr uint64, write bool, part int) int {
 	return l1.cfg.HitLatency + h.L2.cfg.HitLatency + h.MemLatency
 }
 
-// StreamFor adapts core/partition-tagged access into a mem.Stream-shaped
-// closure.
-func (h *Hierarchy) StreamFor(core, part int) func(addr uint64, write bool) {
-	return func(addr uint64, write bool) { h.Access(core, addr, write, part) }
-}
-
 // L2Misses returns the shared L2 miss counter.
 func (h *Hierarchy) L2Misses() uint64 { return h.L2.Stats.Misses }

@@ -326,8 +326,3 @@ func (c *Core) Run(trace []Instr) Result {
 		Branches:     branches,
 	}
 }
-
-// IPCOf is a convenience: simulate and return IPC.
-func IPCOf(cfg Config, trace []Instr) float64 {
-	return New(cfg).Run(trace).IPC()
-}

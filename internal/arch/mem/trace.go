@@ -30,7 +30,7 @@ func (l *Layout) BroadphaseTrace(w *world.World, prof *world.StepProfile, s Stre
 	sortTouches := prof.Broad.SortOps
 	for i := 0; i < sortTouches; i++ {
 		// Sort exchanges exhibit locality: consecutive endpoints.
-		a := l.SweepBase + uint64((i*2)%maxInt(n*EndpointBytes, 1))
+		a := l.SweepBase + uint64((i*2)%max(n*EndpointBytes, 1))
 		s(a&^63, true)
 	}
 	// Pair output writes.
@@ -69,7 +69,7 @@ func (l *Layout) IslandCreationTrace(w *world.World, prof *world.StepProfile, s 
 	// DSU walks: measured parent-chain steps, plus one write per body.
 	n := len(w.Bodies)
 	for i := 0; i < prof.FindSteps; i++ {
-		a := l.DSUBase + uint64((i*7)%maxInt(n*DSUBytes, 1))
+		a := l.DSUBase + uint64((i*7)%max(n*DSUBytes, 1))
 		s(a&^63, false)
 	}
 	touch(s, l.DSUBase, n*DSUBytes, true)
@@ -121,26 +121,4 @@ func (l *Layout) ClothSweep(w *world.World, prof *world.StepProfile, s Stream) {
 	for ci := range l.ClothBase {
 		touch(s, l.ClothBase[ci], l.ClothVerts[ci]*ParticleBytes, true)
 	}
-}
-
-// SweepAndScale runs fn once cold and once steady against the given
-// snapshotting sink, returning (coldMisses, steadyMisses). The caller
-// models iters sweeps as cold + (iters-1) x steady. This sampling keeps
-// trace-driven simulation tractable while preserving the hot-loop cache
-// behaviour (a sweep either fits — steady misses ~0 — or thrashes —
-// steady misses ~cold misses).
-func SweepAndScale(fn func(Stream), sink Stream, missCount func() uint64) (cold, steady uint64) {
-	m0 := missCount()
-	fn(sink)
-	m1 := missCount()
-	fn(sink)
-	m2 := missCount()
-	return m1 - m0, m2 - m1
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -40,8 +40,3 @@ func KernelStream(threads int, threadBase func(int) uint64, emit func(addr uint6
 		}
 	}
 }
-
-// IsKernelAddr reports whether an address belongs to a thread-private
-// region given the same base mapping (used to split Fig 6b's kernel vs
-// user misses).
-func IsKernelAddr(addr uint64, base0 uint64) bool { return addr >= base0 }

@@ -76,7 +76,7 @@ func (wl *Workload) SimulateMemory(cfg MemConfig) MemResult {
 	if cfg.Threads < 1 {
 		cfg.Threads = cfg.Cores
 	}
-	h := cache.NewHierarchy(maxInt(cfg.Cores, cfg.Threads), cfg.L2MB)
+	h := cache.NewHierarchy(max(cfg.Cores, cfg.Threads), cfg.L2MB)
 	h.L2.Prefetch = cfg.PrefetchDepth
 	if cfg.Partitioned {
 		// The paper's 12MB organization: three 4MB partitions of whole
@@ -130,7 +130,6 @@ func (wl *Workload) SimulateMemory(cfg MemConfig) MemResult {
 		if cfg.DedicatedPhase >= 0 {
 			part = -1 // dedicated experiments use the whole cache
 		}
-		l2Before := h.L2.Stats.Misses
 		var idx uint64
 		emit(func(addr uint64, write bool) {
 			core := 0
@@ -151,7 +150,6 @@ func (wl *Workload) SimulateMemory(cfg MemConfig) MemResult {
 			}
 			pm.StallCycles += float64(lat - 2)
 		})
-		_ = l2Before
 	}
 
 	want := func(ph world.Phase) bool {
@@ -262,11 +260,4 @@ func scaleSteady(pm *PhaseMem, before PhaseMem, extra int) {
 	pm.L2Misses += (pm.L2Misses - before.L2Misses) * f
 	pm.KernelL2Misses += (pm.KernelL2Misses - before.KernelL2Misses) * f
 	pm.StallCycles += (pm.StallCycles - before.StallCycles) * float64(extra)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -3,10 +3,12 @@ package exp
 import (
 	"fmt"
 	"io"
+	"slices"
 
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
+	"github.com/parallax-arch/parallax/internal/phys/workload"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
@@ -21,21 +23,9 @@ func (s *Suite) Table3(w io.Writer) {
 	fmt.Fprintf(w, "%-12s %18s  %s\n", "Benchmark", "Instr/Frame", "Genre")
 	for _, wl := range s.Workloads() {
 		instr := wl.FrameInstr()
-		genre := ""
-		if b, ok := byBenchName(wl.Name); ok {
-			genre = b.Genre
-		}
-		fmt.Fprintf(w, "%-12s %15.1f M  %s\n", wl.Name, instr.Total()/1e6, genre)
+		b, _ := workload.ByName(wl.Name) // unknown name: zero Benchmark, empty genre
+		fmt.Fprintf(w, "%-12s %15.1f M  %s\n", wl.Name, instr.Total()/1e6, b.Genre)
 	}
-}
-
-func byBenchName(name string) (struct{ Genre string }, bool) {
-	for _, b := range allBenchmarks() {
-		if b.Name == name {
-			return struct{ Genre string }{b.Genre}, true
-		}
-	}
-	return struct{ Genre string }{}, false
 }
 
 // Table4 prints the benchmark composition stats.
@@ -129,7 +119,7 @@ func (s *Suite) Fig2b(w io.Writer) {
 func (s *Suite) dedicated(w io.Writer, ph world.Phase, cores int, only []string) {
 	var wls []*parallax.Workload
 	for _, wl := range s.Workloads() {
-		if only == nil || contains(only, wl.Name) {
+		if only == nil || slices.Contains(only, wl.Name) {
 			wls = append(wls, wl)
 		}
 	}
@@ -149,15 +139,6 @@ func (s *Suite) dedicated(w io.Writer, ph world.Phase, cores int, only []string)
 		}
 		fmt.Fprintln(w, "  (ms)")
 	}
-}
-
-func contains(xs []string, x string) bool {
-	for _, v := range xs {
-		if v == x {
-			return true
-		}
-	}
-	return false
 }
 
 // Fig3a: Broadphase with dedicated L2.
@@ -274,25 +255,10 @@ func (s *Suite) Fig7b(w io.Writer) {
 	fmt.Fprintf(w, "%-18s %8s %8s %8s %8s %8s %8s\n",
 		"Phase", "int alu", "branch", "fp add", "fp mult", "rd port", "wr port")
 	for ph := world.Phase(0); ph < world.NumPhases; ph++ {
-		k := phaseKernel(ph)
+		k := parallax.PhaseKernel(ph)
 		m := kernels.Summary(k.Mix())
 		fmt.Fprintf(w, "%-18s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
 			ph.String(), m.IntALU*100, m.Branch*100, m.FPAdd*100,
 			m.FPMul*100, m.Read*100, m.Write*100)
-	}
-}
-
-func phaseKernel(ph world.Phase) kernels.Kernel {
-	switch ph {
-	case world.PhaseIslandProc:
-		return kernels.Island
-	case world.PhaseCloth:
-		return kernels.Cloth
-	case world.PhaseBroad:
-		return kernels.Broad
-	case world.PhaseIslandGen:
-		return kernels.IslandGen
-	default:
-		return kernels.Narrow
 	}
 }

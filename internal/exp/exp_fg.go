@@ -10,11 +10,8 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/link"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
-	"github.com/parallax-arch/parallax/internal/phys/workload"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
-
-func allBenchmarks() []workload.Benchmark { return workload.All }
 
 func memCfg(threads int) parallax.MemConfig {
 	return parallax.MemConfig{

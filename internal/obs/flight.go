@@ -48,6 +48,22 @@ func (c Cause) String() string {
 // so settling transients cannot trip them.
 const healthWindow = 64
 
+// Detector thresholds. A spike check trips when value > ratio × trailing
+// mean AND the trailing mean exceeds the floor — the floor keeps
+// near-zero resting scenes from tripping on harmless noise. The ratios
+// are deliberately loose (10^4×): breakable-joint scenes legitimately
+// convert large amounts of potential energy in one step, and the
+// detector exists to catch divergence, not drama.
+const (
+	energySpikeRatio   = 1e4
+	energyFloor        = 1
+	residualSpikeRatio = 1e4
+	residualFloor      = 1
+	// rebuildStormMax trips when more than this many consecutive steps
+	// each performed a full broadphase rebuild.
+	rebuildStormMax = 48
+)
+
 // Sample is one step's worth of health inputs, passed by value so the
 // hot-path Update stays allocation-free.
 type Sample struct {
@@ -75,18 +91,6 @@ type Sample struct {
 type Health struct {
 	mu sync.Mutex
 
-	// Tunables, set before stepping (zero value = defaults via New).
-	// A spike check trips when value > ratio * trailing mean AND the
-	// trailing mean exceeds the floor — the floor keeps near-zero
-	// resting scenes from tripping on harmless noise.
-	EnergySpikeRatio   float64
-	EnergyFloor        float64
-	ResidualSpikeRatio float64
-	ResidualFloor      float64
-	// RebuildStormMax trips when more than this many consecutive steps
-	// each performed a full broadphase rebuild.
-	RebuildStormMax int64
-
 	keWin  [healthWindow]float64
 	keSum  float64
 	resWin [healthWindow]float64
@@ -102,19 +106,8 @@ type Health struct {
 	baseline float64 // trailing mean (or limit) at trip time
 }
 
-// NewHealth returns a detector with default thresholds. The spike
-// ratios are deliberately loose (10^4×): breakable-joint scenes
-// legitimately convert large amounts of potential energy in one step,
-// and the detector exists to catch divergence, not drama.
-func NewHealth() *Health {
-	return &Health{
-		EnergySpikeRatio:   1e4,
-		EnergyFloor:        1,
-		ResidualSpikeRatio: 1e4,
-		ResidualFloor:      1,
-		RebuildStormMax:    48,
-	}
-}
+// NewHealth returns an armed detector.
+func NewHealth() *Health { return &Health{} }
 
 // Update folds one step's sample into the detector and reports whether
 // it is (now or already) tripped. step is the world's step ordinal.
@@ -138,12 +131,12 @@ func (h *Health) Update(step int64, s Sample) bool {
 	// sample is folded in, and only once the window has filled.
 	if h.n >= healthWindow {
 		keMean := h.keSum / healthWindow
-		if keMean > h.EnergyFloor && s.KineticEnergy > h.EnergySpikeRatio*keMean {
+		if keMean > energyFloor && s.KineticEnergy > energySpikeRatio*keMean {
 			h.trip(CauseEnergy, step, s.KineticEnergy, keMean)
 			return true
 		}
 		resMean := h.resSum / healthWindow
-		if resMean > h.ResidualFloor && s.Residual > h.ResidualSpikeRatio*resMean {
+		if resMean > residualFloor && s.Residual > residualSpikeRatio*resMean {
 			h.trip(CauseResidual, step, s.Residual, resMean)
 			return true
 		}
@@ -155,8 +148,8 @@ func (h *Health) Update(step int64, s Sample) bool {
 	} else {
 		h.stormRun = 0
 	}
-	if h.stormRun > h.RebuildStormMax {
-		h.trip(CauseRebuildStorm, step, float64(h.stormRun), float64(h.RebuildStormMax))
+	if h.stormRun > rebuildStormMax {
+		h.trip(CauseRebuildStorm, step, float64(h.stormRun), rebuildStormMax)
 		return true
 	}
 

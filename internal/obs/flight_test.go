@@ -42,7 +42,7 @@ func TestHealthNaNTrips(t *testing.T) {
 func TestHealthEnergySpikeTrips(t *testing.T) {
 	h := NewHealth()
 	step := feedSteady(h, healthWindow)
-	if !h.Update(step+1, Sample{KineticEnergy: 100 * h.EnergySpikeRatio * 2, Finite: true, Residual: 10}) {
+	if !h.Update(step+1, Sample{KineticEnergy: 100 * energySpikeRatio * 2, Finite: true, Residual: 10}) {
 		t.Fatal("energy spike did not trip")
 	}
 	if st := h.Status(); st.Cause != CauseEnergy {
@@ -53,7 +53,7 @@ func TestHealthEnergySpikeTrips(t *testing.T) {
 func TestHealthResidualBlowupTrips(t *testing.T) {
 	h := NewHealth()
 	step := feedSteady(h, healthWindow)
-	if !h.Update(step+1, Sample{KineticEnergy: 100, Finite: true, Residual: 10 * h.ResidualSpikeRatio * 2}) {
+	if !h.Update(step+1, Sample{KineticEnergy: 100, Finite: true, Residual: 10 * residualSpikeRatio * 2}) {
 		t.Fatal("residual blowup did not trip")
 	}
 	if st := h.Status(); st.Cause != CauseResidual {
@@ -65,7 +65,7 @@ func TestHealthRebuildStormTrips(t *testing.T) {
 	h := NewHealth()
 	var step int64
 	tripped := false
-	for i := int64(0); i <= h.RebuildStormMax+1 && !tripped; i++ {
+	for i := int64(0); i <= rebuildStormMax+1 && !tripped; i++ {
 		step++
 		tripped = h.Update(step, Sample{KineticEnergy: 100, Finite: true, Rebuilds: 1})
 	}
@@ -78,7 +78,7 @@ func TestHealthRebuildStormTrips(t *testing.T) {
 	// A broken streak resets the run.
 	h2 := NewHealth()
 	step = 0
-	for i := int64(0); i < h2.RebuildStormMax*3; i++ {
+	for i := int64(0); i < rebuildStormMax*3; i++ {
 		step++
 		rb := int64(1)
 		if i%4 == 3 {
@@ -107,7 +107,7 @@ func TestHealthQuietSceneBelowFloorNeverTrips(t *testing.T) {
 	var step int64
 	for i := 0; i < healthWindow+8; i++ {
 		step++
-		// Resting scene: energies way below EnergyFloor. Any ratio of
+		// Resting scene: energies way below energyFloor. Any ratio of
 		// near-zero to near-zero is noise, not an anomaly.
 		if h.Update(step, Sample{KineticEnergy: 1e-9, Finite: true, Residual: 1e-9}) {
 			t.Fatalf("tripped on a resting scene at step %d: %+v", step, h.Status())

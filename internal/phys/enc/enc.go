@@ -138,14 +138,6 @@ func NewReader(b []byte) *Reader { return &Reader{buf: b} }
 // Err returns the sticky error, if any.
 func (r *Reader) Err() error { return r.err }
 
-// Fail forces the sticky error (used by decoders that detect invalid
-// content rather than truncation).
-func (r *Reader) Fail(err error) {
-	if r.err == nil {
-		r.err = err
-	}
-}
-
 // Remaining returns the number of unread bytes.
 func (r *Reader) Remaining() int { return len(r.buf) - r.off }
 

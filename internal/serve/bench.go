@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"fmt"
 	"time"
 
 	"github.com/parallax-arch/parallax/internal/obs"
@@ -22,25 +23,14 @@ type ShardBench struct {
 // this off so the session population stays fixed while measuring).
 func NewShardBench(reg *obs.Registry, budget time.Duration, evict bool, worlds ...*world.World) *ShardBench {
 	tr := obs.NewTracer()
-	sh := newShard(nil, 0, 1, 1, 0, budget, tr, reg, serveCounters{
-		ticks:     reg.Counter("serve/ticks"),
-		misses:    reg.Counter("serve/deadline_misses"),
-		degraded:  reg.Counter("serve/degraded"),
-		evictions: reg.Counter("serve/evictions"),
-	})
+	sh := newShard(nil, 0, 1, 1, 0, budget, tr, reg, newServeCounters(reg))
 	if !evict {
 		sh.evictAfter = 1 << 60
 	}
 	for i, w := range worlds {
-		sh.attach(newSession(benchID(i), "bench", 0, w, reg))
+		sh.attach(newSession(fmt.Sprintf("b-%02d", i), "bench", 0, w, reg))
 	}
 	return &ShardBench{sh: sh}
-}
-
-// benchID formats deterministic ids without fmt (cold path, but keep it
-// simple and allocation-obvious).
-func benchID(i int) string {
-	return "b-" + string(rune('0'+i/10)) + string(rune('0'+i%10))
 }
 
 // Tick runs one shard tick followed by the metric publication run()

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -198,20 +200,26 @@ func TestSessionLifecycle(t *testing.T) {
 	// maxCreateBody (413 beyond it, whichever branch reads it), the scene
 	// scale by maxSceneScale (400). A body of exactly the limit gets past
 	// the size gate.
+	// The per-session bodies are bounded by maxOpBody the same way, before
+	// the session is even looked up.
 	scene := `{"scene":"Ragdoll","scale":0.2}`
 	padded := func(n int) string { return strings.Repeat(" ", n-len(scene)) + scene }
+	bigOp := strings.Repeat(" ", maxOpBody) + `{}`
 	for _, c := range []struct {
-		name, contentType, body string
-		want                    int
+		name, path, contentType, body string
+		want                          int
 	}{
-		{"oversized snapshot", "application/octet-stream", strings.Repeat("\x00", maxCreateBody+1), http.StatusRequestEntityTooLarge},
-		{"oversized json", "application/json", padded(maxCreateBody + 1), http.StatusRequestEntityTooLarge},
-		{"snapshot at limit", "application/octet-stream", strings.Repeat("\x00", maxCreateBody), http.StatusBadRequest},
-		{"json at limit", "application/json", padded(maxCreateBody), http.StatusCreated},
-		{"scale 1e9", "application/json", `{"scene":"Ragdoll","scale":1e9}`, http.StatusBadRequest},
-		{"scale at limit", "application/json", fmt.Sprintf(`{"scene":"Ragdoll","scale":%d}`, maxSceneScale), http.StatusCreated},
+		{"oversized snapshot", "/sessions", "application/octet-stream", strings.Repeat("\x00", maxCreateBody+1), http.StatusRequestEntityTooLarge},
+		{"oversized json", "/sessions", "application/json", padded(maxCreateBody + 1), http.StatusRequestEntityTooLarge},
+		{"snapshot at limit", "/sessions", "application/octet-stream", strings.Repeat("\x00", maxCreateBody), http.StatusBadRequest},
+		{"json at limit", "/sessions", "application/json", padded(maxCreateBody), http.StatusCreated},
+		{"scale 1e9", "/sessions", "application/json", `{"scene":"Ragdoll","scale":1e9}`, http.StatusBadRequest},
+		{"scale at limit", "/sessions", "application/json", fmt.Sprintf(`{"scene":"Ragdoll","scale":%d}`, maxSceneScale), http.StatusCreated},
+		{"oversized step", "/sessions/x/step", "application/json", bigOp, http.StatusRequestEntityTooLarge},
+		{"oversized query", "/sessions/x/query", "application/json", bigOp, http.StatusRequestEntityTooLarge},
+		{"oversized migrate", "/sessions/x/migrate", "application/json", bigOp, http.StatusRequestEntityTooLarge},
 	} {
-		resp, err := http.Post(ts.URL+"/sessions", c.contentType, strings.NewReader(c.body))
+		resp, err := http.Post(ts.URL+c.path, c.contentType, strings.NewReader(c.body))
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)
 		}
@@ -253,7 +261,7 @@ func TestAdmissionQueueBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatalf("New: %v", err)
 	}
-	srv.shards[0].control <- op{kind: opList, reply: make(chan opReply, 1)}
+	srv.shards[0].control <- ctl{fn: func(*shard) {}, done: make(chan struct{})}
 	_, cerr := srv.Create("", 0, tinyWorld().Snapshot())
 	if cerr == nil {
 		t.Fatal("create with a saturated shard queue succeeded")
@@ -369,6 +377,45 @@ func TestMigrateDeterminism(t *testing.T) {
 	}
 }
 
+// TestMigrateKeepsSchedulerState pins that migration hands over the
+// session itself: a degraded session arrives degraded, with its miss
+// count and its health window, rather than laundered back to a fresh
+// active one.
+func TestMigrateKeepsSchedulerState(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Shards: 2, Hz: 0})
+	info := uploadWorld(t, ts.URL, tinyWorld())
+	var health *obs.Health
+	if err := srv.onSession(info.ID, func(_ *shard, s *Session) {
+		s.state, s.misses = stateDegraded, 5
+		health = s.health
+	}); err != nil {
+		t.Fatalf("degrade: %v", err)
+	}
+	stepSession(t, ts.URL, info.ID, 4)
+
+	target := (info.Shard + 1) % 2
+	resp, data := doJSON(t, "POST", ts.URL+"/sessions/"+info.ID+"/migrate", migrateRequest{Shard: target})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("migrate: status %d: %s", resp.StatusCode, data)
+	}
+	var moved SessionInfo
+	json.Unmarshal(data, &moved)
+	if moved.Shard != target || moved.State != "degraded" || moved.Steps != 4 {
+		t.Fatalf("migrate reply = %+v, want shard %d, degraded, 4 steps", moved, target)
+	}
+	if err := srv.onSession(info.ID, func(sh *shard, s *Session) {
+		if sh.index != target || s.state != stateDegraded || s.misses != 5 || s.health != health {
+			t.Errorf("after migrate: shard %d state %v misses %d same health %v; want shard %d degraded 5 true",
+				sh.index, s.state, s.misses, s.health == health, target)
+		}
+	}); err != nil {
+		t.Fatalf("after migrate: %v", err)
+	}
+	if got := srv.Sessions(); got != 1 {
+		t.Fatalf("sessions = %d after migrate, want 1", got)
+	}
+}
+
 // TestDrainSpillRestore pins the SIGTERM contract: drain spills every
 // session, a new server restores them bit-identically, and the
 // manifest is consumed so the next start is empty.
@@ -437,6 +484,78 @@ func TestDrainSpillRestore(t *testing.T) {
 	if got := srv3.Sessions(); got != 0 {
 		t.Fatalf("third start restored %d sessions, want 0 (manifest not consumed)", got)
 	}
+}
+
+// TestRestoreDamagedSpill pins what a restart does with a spill
+// directory it cannot fully restore: a fault in anything the manifest
+// names — and a fleet larger than the restarting server's MaxSessions —
+// is an error that names the session and leaves the manifest for a
+// retry; a manifest that never got renamed into place is no manifest.
+func TestRestoreDamagedSpill(t *testing.T) {
+	// spillTwo drains a server holding two sessions and returns the spill
+	// directory and the second session's id.
+	spillTwo := func(t *testing.T) (dir, id string) {
+		t.Helper()
+		dir = t.TempDir()
+		srv, err := New(Config{Shards: 1, Hz: 0, SpillDir: dir}, obs.NewTracer(), obs.NewRegistry())
+		if err != nil {
+			t.Fatalf("New: %v", err)
+		}
+		srv.Start()
+		for i := 0; i < 2; i++ {
+			info, err := srv.Create("", 0, tinyWorld().Snapshot())
+			if err != nil {
+				t.Fatalf("create: %v", err)
+			}
+			id = info.ID
+		}
+		if err := srv.Drain(); err != nil {
+			t.Fatalf("drain: %v", err)
+		}
+		return dir, id
+	}
+	restart := func(dir string, maxSessions int) (*Server, error) {
+		return New(Config{Shards: 1, Hz: 0, SpillDir: dir, MaxSessions: maxSessions}, obs.NewTracer(), obs.NewRegistry())
+	}
+
+	for _, c := range []struct {
+		name        string
+		damage      func(snapshot string) error
+		maxSessions int
+	}{
+		{"truncated snapshot", func(snapshot string) error { return os.Truncate(snapshot, 40) }, 0},
+		{"missing snapshot", os.Remove, 0},
+		{"fleet over the session limit", func(string) error { return nil }, 1},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			dir, id := spillTwo(t)
+			if err := c.damage(filepath.Join(dir, id+".paxw")); err != nil {
+				t.Fatal(err)
+			}
+			_, err := restart(dir, c.maxSessions)
+			if err == nil || !strings.Contains(err.Error(), id) {
+				t.Fatalf("restart error = %v, want one naming %s", err, id)
+			}
+			if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
+				t.Fatalf("manifest gone after a failed restore: %v", err)
+			}
+		})
+	}
+
+	t.Run("manifest never renamed", func(t *testing.T) {
+		dir, _ := spillTwo(t)
+		manifest := filepath.Join(dir, manifestName)
+		if err := os.Rename(manifest, manifest+".tmp"); err != nil {
+			t.Fatal(err)
+		}
+		srv, err := restart(dir, 0)
+		if err != nil {
+			t.Fatalf("restart: %v", err)
+		}
+		if got := srv.Sessions(); got != 0 {
+			t.Fatalf("restored %d sessions from a manifest that was never renamed into place, want 0", got)
+		}
+	})
 }
 
 // TestFleetTicksManySessions pins the ≥64-concurrent-sessions

@@ -1,11 +1,13 @@
 package serve
 
 import (
+	"cmp"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -14,7 +16,6 @@ import (
 
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // Config sizes the server. The zero value of any field selects its
@@ -60,15 +61,16 @@ func (c *Config) defaults() {
 // Server is the sharded session fleet plus its HTTP surface.
 type Server struct {
 	cfg    Config
-	tr     *obs.Tracer
 	reg    *obs.Registry
 	shards []*shard
 
+	// byID routes every admitted session to its shard (nil while a create
+	// that reserved the slot is still building its world); its size is
+	// what MaxSessions caps and serve/active_sessions reports.
 	mu   sync.Mutex
 	byID map[string]*shard
 
 	nextID   atomic.Int64
-	active   atomic.Int64 // resident + reserved sessions
 	draining atomic.Bool
 	drained  sync.Once
 
@@ -91,16 +93,10 @@ type Server struct {
 func New(cfg Config, tr *obs.Tracer, reg *obs.Registry) (*Server, error) {
 	cfg.defaults()
 	s := &Server{
-		cfg:  cfg,
-		tr:   tr,
-		reg:  reg,
-		byID: make(map[string]*shard),
-		ctr: serveCounters{
-			ticks:     reg.Counter("serve/ticks"),
-			misses:    reg.Counter("serve/deadline_misses"),
-			degraded:  reg.Counter("serve/degraded"),
-			evictions: reg.Counter("serve/evictions"),
-		},
+		cfg:        cfg,
+		reg:        reg,
+		byID:       make(map[string]*shard),
+		ctr:        newServeCounters(reg),
 		cCreated:   reg.Counter("serve/sessions_created"),
 		cRejected:  reg.Counter("serve/rejections"),
 		cDeleted:   reg.Counter("serve/sessions_deleted"),
@@ -129,57 +125,84 @@ func (s *Server) Start() {
 	}
 }
 
-// Sessions returns the resident session count.
+// Sessions returns the admitted session count.
 func (s *Server) Sessions() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return len(s.byID)
 }
 
-// forget drops a session id from the routing map (called by shard reap
-// on eviction) and releases its admission slot.
-func (s *Server) forget(id string) {
-	s.mu.Lock()
-	if _, ok := s.byID[id]; ok {
-		delete(s.byID, id)
-		s.active.Add(-1)
-	}
-	s.mu.Unlock()
-	s.publishActive()
-}
-
-func (s *Server) publishActive() {
-	s.reg.SetGauge(s.gActive, float64(s.active.Load()))
-}
-
-// shardFor routes a session id to its owning shard.
-func (s *Server) shardFor(id string) (*shard, bool) {
+// register routes id to sh. A new id takes an admission slot and is
+// refused (false) once MaxSessions are held; a known id only changes
+// shard. Every way into a shard — create, migrate, spill restore — comes
+// through here, and every way out through unregister. Create and Migrate
+// call it from the receiving shard's goroutine, right after the attach:
+// no tick can evict the session, and unregister it, before its route
+// exists.
+func (s *Server) register(id string, sh *shard) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sh, ok := s.byID[id]
-	return sh, ok
+	if _, known := s.byID[id]; !known && len(s.byID) >= s.cfg.MaxSessions {
+		return false
+	}
+	s.byID[id] = sh
+	s.reg.SetGauge(s.gActive, float64(len(s.byID)))
+	return true
+}
+
+// unregister drops id's route and frees its admission slot: delete, a
+// failed create or migrate, and eviction (from the shard's reap).
+func (s *Server) unregister(id string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	delete(s.byID, id)
+	s.reg.SetGauge(s.gActive, float64(len(s.byID)))
 }
 
 // leastLoaded picks the placement shard by resident-session count.
 func (s *Server) leastLoaded() *shard {
-	best := s.shards[0]
-	bestN := best.nsess.Load()
-	for _, sh := range s.shards[1:] {
-		if n := sh.nsess.Load(); n < bestN {
-			best, bestN = sh, n
-		}
-	}
-	return best
+	return slices.MinFunc(s.shards, func(a, b *shard) int { return cmp.Compare(a.nsess.Load(), b.nsess.Load()) })
 }
 
-// createError distinguishes admission rejections (429) from bad
-// requests (400) and drain refusals (503).
+// createError is an API failure with its HTTP status: admission
+// rejections (429), bad requests (400), unknown sessions (404) and drain
+// refusals (503).
 type createError struct {
 	status int
 	msg    string
 }
 
 func (e *createError) Error() string { return e.msg }
+
+var (
+	errNotFound = &createError{http.StatusNotFound, "not found"}
+	errStopped  = &createError{http.StatusServiceUnavailable, "shard stopped"}
+)
+
+// onSession runs fn on the goroutine of the shard that owns session id,
+// the only place a session's state may be read or written.
+func (s *Server) onSession(id string, fn func(*shard, *Session)) error {
+	s.mu.Lock()
+	sh := s.byID[id]
+	s.mu.Unlock()
+	if sh == nil {
+		return errNotFound
+	}
+	found := false
+	ran := sh.do(func(sh *shard) {
+		if sess := sh.find(id); sess != nil {
+			found = true
+			fn(sh, sess)
+		}
+	})
+	switch {
+	case !ran:
+		return errStopped
+	case !found:
+		return errNotFound
+	}
+	return nil
+}
 
 // Create admits one session built from a named scene or an uploaded
 // PAXW snapshot. Admission is two-staged: a fleet-wide slot reservation
@@ -190,135 +213,106 @@ func (s *Server) Create(scene string, scale float64, snap []byte) (SessionInfo, 
 	if s.draining.Load() {
 		return SessionInfo{}, &createError{http.StatusServiceUnavailable, "draining"}
 	}
-	if s.active.Add(1) > int64(s.cfg.MaxSessions) {
-		s.active.Add(-1)
+	id := fmt.Sprintf("s-%06d", s.nextID.Add(1))
+	if !s.register(id, nil) {
 		s.reg.Add(s.cRejected, 1)
 		return SessionInfo{}, &createError{http.StatusTooManyRequests, "session limit reached"}
 	}
-	id := fmt.Sprintf("s-%06d", s.nextID.Add(1))
 	sess, err := buildSession(id, scene, scale, snap, s.reg)
 	if err != nil {
-		s.active.Add(-1)
+		s.unregister(id)
 		return SessionInfo{}, &createError{http.StatusBadRequest, err.Error()}
 	}
 	sh := s.leastLoaded()
-	r, queued, ok := sh.trySubmit(op{kind: opAttach, sess: sess})
-	if !queued {
-		s.active.Add(-1)
+	queued, ran := sh.tryDo(func(sh *shard) {
+		sh.attach(sess)
+		s.register(id, sh)
+	})
+	if !ran {
+		s.unregister(id)
 		sess.release()
-		s.reg.Add(s.cRejected, 1)
-		return SessionInfo{}, &createError{http.StatusTooManyRequests, "shard queue saturated"}
+		if !queued {
+			s.reg.Add(s.cRejected, 1)
+			return SessionInfo{}, &createError{http.StatusTooManyRequests, "shard queue saturated"}
+		}
+		return SessionInfo{}, errStopped
 	}
-	if !ok || !r.ok {
-		s.active.Add(-1)
-		sess.release()
-		return SessionInfo{}, &createError{http.StatusServiceUnavailable, "shard stopped"}
-	}
-	s.mu.Lock()
-	s.byID[id] = sh
-	s.mu.Unlock()
 	s.reg.Add(s.cCreated, 1)
-	s.publishActive()
 	return SessionInfo{ID: id, Shard: sh.index, Scene: sess.scene, Scale: sess.scale, State: stateActive.String()}, nil
 }
 
 // Delete detaches and releases a session.
 func (s *Server) Delete(id string) bool {
-	sh, ok := s.shardFor(id)
-	if !ok {
+	var sess *Session
+	if s.onSession(id, func(sh *shard, found *Session) { sh.detach(found); sess = found }) != nil {
 		return false
 	}
-	r, ok := sh.submit(op{kind: opDetach, id: id})
-	if !ok || !r.ok {
-		return false
-	}
-	s.forget(id)
-	r.sess.release()
+	s.unregister(id)
+	sess.release()
 	s.reg.Add(s.cDeleted, 1)
 	return true
 }
 
-// Migrate moves a session to the target shard via snapshot/restore: the
-// detached world is serialized, a fresh world is restored from those
-// bytes on the way in, and the PAXW format's bit-stability guarantees
-// the rebuilt session steps identically to the original.
+// Migrate hands a session to the target shard: detached from its source
+// run queue, attached to the target's, the same *Session throughout — so
+// the world, its step count and its scheduler state (degraded, miss
+// count, health window) arrive as they left.
 func (s *Server) Migrate(id string, target int) (SessionInfo, error) {
 	if target < 0 || target >= len(s.shards) {
 		return SessionInfo{}, &createError{http.StatusBadRequest, fmt.Sprintf("shard %d out of range", target)}
 	}
-	src, ok := s.shardFor(id)
-	if !ok {
-		return SessionInfo{}, &createError{http.StatusNotFound, "not found"}
-	}
 	dst := s.shards[target]
-	if src == dst {
-		r, ok := src.submit(op{kind: opInfo, id: id})
-		if !ok || !r.ok {
-			return SessionInfo{}, &createError{http.StatusNotFound, "not found"}
+	var (
+		info SessionInfo
+		sess *Session // set once detached; stays nil when already on dst
+	)
+	err := s.onSession(id, func(src *shard, found *Session) {
+		if src == dst {
+			info = found.info(src.index)
+			return
 		}
-		return r.info, nil
+		src.detach(found)
+		sess = found
+	})
+	if err != nil || sess == nil {
+		return info, err
 	}
-	r, ok := src.submit(op{kind: opDetach, id: id})
-	if !ok || !r.ok {
-		return SessionInfo{}, &createError{http.StatusNotFound, "not found"}
-	}
-	old := r.sess
-	snap := old.w.Snapshot()
-	old.release()
-	nw := world.New()
-	if err := nw.Restore(snap); err != nil {
-		// The snapshot of a live world must restore; treat failure as an
-		// internal error and drop the session rather than leak it.
-		s.forget(id)
-		return SessionInfo{}, &createError{http.StatusInternalServerError, "migration restore failed: " + err.Error()}
-	}
-	moved := newSession(old.id, old.scene, old.scale, nw, s.reg)
-	moved.steps = old.steps
-	// Snapshot the read-model before attach: once the target shard owns
-	// the session it may tick concurrently, and info reads world state.
-	info := moved.info(dst.index)
-	if r2, ok := dst.submit(op{kind: opAttach, sess: moved}); !ok || !r2.ok {
-		s.forget(id)
+	if !dst.do(func(sh *shard) {
+		sh.attach(sess)
+		s.register(id, sh)
+		info = sess.info(sh.index)
+	}) {
+		s.unregister(id)
+		sess.release()
 		return SessionInfo{}, &createError{http.StatusServiceUnavailable, "target shard stopped"}
 	}
-	s.mu.Lock()
-	s.byID[id] = dst
-	s.mu.Unlock()
 	s.reg.Add(s.cMigrated, 1)
 	return info, nil
 }
 
-// Drain stops accepting work, detaches every session, halts the shard
-// goroutines, and — if a spill directory is configured — snapshots all
-// sessions there for the next process to restore. Idempotent.
+// Drain stops accepting work, halts the shard goroutines and — if a
+// spill directory is configured — snapshots every session there for the
+// next process to restore. Once a shard's goroutine has exited nothing
+// else touches its run queue, so spill reads it in place. Idempotent.
 func (s *Server) Drain() error {
 	var err error
 	s.drained.Do(func() {
 		s.draining.Store(true)
-		var all []spilledSession
-		for _, sh := range s.shards {
-			if r, ok := sh.submit(op{kind: opDetachAll}); ok {
-				for _, sess := range r.all {
-					all = append(all, spilledSession{sess: sess, shard: sh.index})
-				}
-			}
-		}
 		for _, sh := range s.shards {
 			close(sh.stop)
 			<-sh.done
 		}
 		if s.cfg.SpillDir != "" {
-			err = s.spill(s.cfg.SpillDir, all)
+			err = s.spill(s.cfg.SpillDir)
 		}
-		for _, sp := range all {
-			sp.sess.release()
+		for _, sh := range s.shards {
+			for _, sess := range sh.sessions {
+				sess.release()
+			}
 		}
 	})
 	return err
 }
-
-// Draining reports whether Drain has begun.
-func (s *Server) Draining() bool { return s.draining.Load() }
 
 // ---- HTTP surface ----
 
@@ -350,6 +344,16 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, map[string]string{"error": msg})
 }
 
+// fail answers with the status a createError carries, 500 otherwise.
+func fail(w http.ResponseWriter, err error) {
+	var ce *createError
+	if errors.As(err, &ce) {
+		writeErr(w, ce.status, ce.msg)
+		return
+	}
+	writeErr(w, http.StatusInternalServerError, err.Error())
+}
+
 // maxCreateBody bounds one POST /sessions body, scene JSON or uploaded
 // snapshot alike. The largest paper scene at maxSceneScale, Mix (44 496
 // bodies), snapshots to 25 440 998 bytes and Breakable to 24 922 048, so
@@ -357,8 +361,12 @@ func writeErr(w http.ResponseWriter, status int, msg string) {
 // order of magnitude beyond.
 const maxCreateBody = 32 << 20
 
+// maxOpBody bounds the step, query and migrate bodies: ~40× the largest
+// legal one, a query box of six float64s.
+const maxOpBody = 4 << 10
+
 // bodyErrStatus maps a request-body read or decode failure to its
-// status: 413 when maxCreateBody cut the body off, 400 otherwise.
+// status: 413 when the size bound cut the body off, 400 otherwise.
 func bodyErrStatus(err error) int {
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -367,11 +375,14 @@ func bodyErrStatus(err error) int {
 	return http.StatusBadRequest
 }
 
-func statusOf(err error) (int, string) {
-	if ce, ok := err.(*createError); ok {
-		return ce.status, ce.msg
+// decodeBody reads a JSON request body of at most limit bytes into v; on
+// failure it has answered the request (413 or 400) and returns false.
+func decodeBody(w http.ResponseWriter, req *http.Request, limit int64, v any) bool {
+	if err := json.NewDecoder(http.MaxBytesReader(w, req.Body, limit)).Decode(v); err != nil {
+		writeErr(w, bodyErrStatus(err), "bad request body: "+err.Error())
+		return false
 	}
-	return http.StatusInternalServerError, err.Error()
+	return true
 }
 
 // Handler returns the server mux: the session API, a drain-aware
@@ -381,28 +392,21 @@ func (s *Server) Handler() http.Handler {
 
 	mux.HandleFunc("POST /sessions", func(w http.ResponseWriter, req *http.Request) {
 		var (
-			info SessionInfo
-			err  error
+			cr   createRequest
+			snap []byte // non-nil wins over cr
 		)
-		req.Body = http.MaxBytesReader(w, req.Body, maxCreateBody)
 		if strings.HasPrefix(req.Header.Get("Content-Type"), "application/octet-stream") {
-			snap, rerr := io.ReadAll(req.Body)
-			if rerr != nil {
-				writeErr(w, bodyErrStatus(rerr), rerr.Error())
+			var err error
+			if snap, err = io.ReadAll(http.MaxBytesReader(w, req.Body, maxCreateBody)); err != nil {
+				writeErr(w, bodyErrStatus(err), err.Error())
 				return
 			}
-			info, err = s.Create("", 0, snap)
-		} else {
-			var cr createRequest
-			if derr := json.NewDecoder(req.Body).Decode(&cr); derr != nil {
-				writeErr(w, bodyErrStatus(derr), "bad request body: "+derr.Error())
-				return
-			}
-			info, err = s.Create(cr.Scene, cr.Scale, nil)
+		} else if !decodeBody(w, req, maxCreateBody, &cr) {
+			return
 		}
+		info, err := s.Create(cr.Scene, cr.Scale, snap)
 		if err != nil {
-			st, msg := statusOf(err)
-			writeErr(w, st, msg)
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusCreated, info)
@@ -411,63 +415,53 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /sessions", func(w http.ResponseWriter, req *http.Request) {
 		var infos []SessionInfo
 		for _, sh := range s.shards {
-			if r, ok := sh.submit(op{kind: opList}); ok && r.ok {
-				infos = append(infos, r.infos...)
-			}
+			sh.do(func(sh *shard) {
+				for _, sess := range sh.sessions {
+					infos = append(infos, sess.info(sh.index))
+				}
+			})
 		}
 		sort.Slice(infos, func(i, j int) bool { return infos[i].ID < infos[j].ID })
 		writeJSON(w, http.StatusOK, map[string]any{"sessions": infos, "count": len(infos)})
 	})
 
-	session := func(w http.ResponseWriter, req *http.Request, kind opKind, o op) (opReply, bool) {
-		id := req.PathValue("id")
-		sh, ok := s.shardFor(id)
-		if !ok {
-			writeErr(w, http.StatusNotFound, "not found")
-			return opReply{}, false
+	// session runs fn against the request's session on its shard; on
+	// failure it has answered the request (404 or 503) and returns false.
+	session := func(w http.ResponseWriter, req *http.Request, fn func(*shard, *Session)) bool {
+		if err := s.onSession(req.PathValue("id"), fn); err != nil {
+			fail(w, err)
+			return false
 		}
-		o.kind = kind
-		o.id = id
-		r, ok := sh.submit(o)
-		if !ok {
-			writeErr(w, http.StatusServiceUnavailable, "shard stopped")
-			return opReply{}, false
-		}
-		if !r.ok {
-			writeErr(w, http.StatusNotFound, r.err)
-			return opReply{}, false
-		}
-		return r, true
+		return true
 	}
 
 	mux.HandleFunc("GET /sessions/{id}", func(w http.ResponseWriter, req *http.Request) {
-		if r, ok := session(w, req, opInfo, op{}); ok {
-			writeJSON(w, http.StatusOK, r.info)
+		var info SessionInfo
+		if session(w, req, func(sh *shard, sess *Session) { info = sess.info(sh.index) }) {
+			writeJSON(w, http.StatusOK, info)
 		}
 	})
 
 	mux.HandleFunc("DELETE /sessions/{id}", func(w http.ResponseWriter, req *http.Request) {
 		if !s.Delete(req.PathValue("id")) {
-			writeErr(w, http.StatusNotFound, "not found")
+			fail(w, errNotFound)
 			return
 		}
 		w.WriteHeader(http.StatusNoContent)
 	})
 
 	mux.HandleFunc("GET /sessions/{id}/snapshot", func(w http.ResponseWriter, req *http.Request) {
-		if r, ok := session(w, req, opSnapshot, op{}); ok {
+		var data []byte
+		if session(w, req, func(_ *shard, sess *Session) { data = sess.w.Snapshot() }) {
 			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(r.data)
+			w.Write(data)
 		}
 	})
 
 	mux.HandleFunc("POST /sessions/{id}/step", func(w http.ResponseWriter, req *http.Request) {
 		var sr stepRequest
-		if req.ContentLength != 0 {
-			if err := json.NewDecoder(req.Body).Decode(&sr); err != nil {
-				writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
-				return
-			}
+		if req.ContentLength != 0 && !decodeBody(w, req, maxOpBody, &sr) {
+			return
 		}
 		if sr.Ticks < 1 {
 			sr.Ticks = 1
@@ -476,40 +470,38 @@ func (s *Server) Handler() http.Handler {
 			writeErr(w, http.StatusBadRequest, "ticks out of range")
 			return
 		}
-		if r, ok := session(w, req, opStep, op{ticks: sr.Ticks}); ok {
-			writeJSON(w, http.StatusOK, r.info)
+		var info SessionInfo
+		if session(w, req, func(sh *shard, sess *Session) {
+			sh.stepN(sess, sr.Ticks)
+			info = sess.info(sh.index)
+		}) {
+			writeJSON(w, http.StatusOK, info)
 		}
 	})
 
 	mux.HandleFunc("POST /sessions/{id}/query", func(w http.ResponseWriter, req *http.Request) {
 		var qr queryRequest
-		if err := json.NewDecoder(req.Body).Decode(&qr); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		if !decodeBody(w, req, maxOpBody, &qr) {
 			return
 		}
 		box := m3.AABB{
 			Min: m3.V(qr.Min[0], qr.Min[1], qr.Min[2]),
 			Max: m3.V(qr.Max[0], qr.Max[1], qr.Max[2]),
 		}
-		if r, ok := session(w, req, opQuery, op{box: box}); ok {
-			ids := r.ids
-			if ids == nil {
-				ids = []int32{}
-			}
+		ids := []int32{}
+		if session(w, req, func(_ *shard, sess *Session) { ids = sess.w.BodiesIn(box, ids) }) {
 			writeJSON(w, http.StatusOK, map[string]any{"bodies": ids, "count": len(ids)})
 		}
 	})
 
 	mux.HandleFunc("POST /sessions/{id}/migrate", func(w http.ResponseWriter, req *http.Request) {
 		var mr migrateRequest
-		if err := json.NewDecoder(req.Body).Decode(&mr); err != nil {
-			writeErr(w, http.StatusBadRequest, "bad request body: "+err.Error())
+		if !decodeBody(w, req, maxOpBody, &mr) {
 			return
 		}
 		info, err := s.Migrate(req.PathValue("id"), mr.Shard)
 		if err != nil {
-			st, msg := statusOf(err)
-			writeErr(w, st, msg)
+			fail(w, err)
 			return
 		}
 		writeJSON(w, http.StatusOK, info)

@@ -35,15 +35,7 @@ const (
 )
 
 func (st sessionState) String() string {
-	switch st {
-	case stateActive:
-		return "active"
-	case stateDegraded:
-		return "degraded"
-	case stateEvicted:
-		return "evicted"
-	}
-	return "unknown"
+	return [...]string{"active", "degraded", "evicted"}[st]
 }
 
 // Session is one resident simulation: a World plus its scheduler state.

@@ -2,61 +2,33 @@ package serve
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
 	"github.com/parallax-arch/parallax/internal/obs"
-	"github.com/parallax-arch/parallax/internal/phys/m3"
 )
 
 // Deadline scheduler thresholds: consecutive budget misses before an
 // active session is degraded to half rate, and further consecutive
-// misses before a degraded session is evicted. Shard fields (not
-// consts) so white-box tests and benchmarks can pin the state machine.
+// misses before a degraded session is evicted (the shard's evictAfter,
+// which NewShardBench can lift to keep a measured population fixed).
 const (
-	defaultDegradeAfter = 3
-	defaultEvictAfter   = 8
+	degradeAfter      = 3
+	defaultEvictAfter = 8
 )
 
-// opKind enumerates the shard control operations. Everything that
-// touches a resident session — stepping, snapshots, queries, removal —
-// runs on the shard goroutine, serialized through one bounded channel:
-// sessions need no locks, and a saturated channel is the admission
-// backpressure signal.
-type opKind int
-
-const (
-	opAttach opKind = iota
-	opDetach
-	opStep
-	opSnapshot
-	opQuery
-	opInfo
-	opList
-	opDetachAll
-)
-
-type op struct {
-	kind  opKind
-	sess  *Session // opAttach
-	id    string   // session selector for opDetach/opStep/opSnapshot/opQuery/opInfo
-	ticks int      // opStep
-	box   m3.AABB  // opQuery
-	reply chan opReply
-}
-
-// opReply is the single response every op gets. The reply channel is
-// buffered (capacity 1) so the shard never blocks on an abandoned
-// caller.
-type opReply struct {
-	ok    bool
-	err   string
-	sess  *Session
-	all   []*Session
-	data  []byte
-	ids   []int32
-	info  SessionInfo
-	infos []SessionInfo
+// ctl is one control operation: fn runs on the shard goroutine, between
+// ticks, and done is closed once it has returned. Everything that touches
+// a resident session is such a closure, serialized through one bounded
+// channel: sessions need no locks, a full channel is the admission
+// backpressure signal, and whatever must wrap every op (a recover, a
+// request id, a histogram) has one place to go, the case in run. Callers
+// collect results in variables the closure captures; done orders those
+// writes before the caller's reads.
+type ctl struct {
+	fn   func(*shard)
+	done chan struct{}
 }
 
 // serveCounters are the fleet-wide counter families, registered once by
@@ -69,23 +41,30 @@ type serveCounters struct {
 	evictions obs.CounterID
 }
 
+func newServeCounters(reg *obs.Registry) serveCounters {
+	return serveCounters{
+		ticks:     reg.Counter("serve/ticks"),
+		misses:    reg.Counter("serve/deadline_misses"),
+		degraded:  reg.Counter("serve/degraded"),
+		evictions: reg.Counter("serve/evictions"),
+	}
+}
+
 // shard owns a dense run queue of sessions and steps them at the tick
 // rate. One goroutine (run) is the sole writer of all session state.
 type shard struct {
 	srv     *Server // nil in standalone benchmarks
 	index   int
-	threads int   // worker threads per resident world
-	budget  int64 // per-session tick budget in nanoseconds; 0 disables deadlines
+	threads int           // worker threads per resident world
+	budget  int64         // per-session tick budget in nanoseconds; 0 disables deadlines
+	period  time.Duration // tick period; 0 = no ticker, manual stepping only
 
-	degradeAfter int64
-	evictAfter   int64
+	evictAfter int64
 
 	sessions []*Session
-	control  chan op
+	control  chan ctl
 	stop     chan struct{}
 	done     chan struct{}
-	ticker   *time.Ticker
-	tickCh   <-chan time.Time // nil when hz == 0 (manual stepping only)
 
 	tr       *obs.Tracer
 	lane     *obs.Lane
@@ -111,29 +90,24 @@ type shard struct {
 // drain/restart snapshots diverge by however many ticks elapsed).
 func newShard(srv *Server, index, threads, queue int, hz float64, budget time.Duration,
 	tr *obs.Tracer, reg *obs.Registry, ctr serveCounters) *shard {
-	if queue < 1 {
-		queue = 1
-	}
 	sh := &shard{
-		srv:          srv,
-		index:        index,
-		threads:      threads,
-		budget:       budget.Nanoseconds(),
-		degradeAfter: defaultDegradeAfter,
-		evictAfter:   defaultEvictAfter,
-		control:      make(chan op, queue),
-		stop:         make(chan struct{}),
-		done:         make(chan struct{}),
-		tr:           tr,
-		lane:         tr.Lane(fmt.Sprintf("serve/shard%d", index), obs.DefaultLaneEvents),
-		tickSpan:     tr.Span("shard-tick"),
-		reg:          reg,
-		ctr:          ctr,
-		gSess:        reg.Gauge(fmt.Sprintf("serve/shard%d/sessions", index)),
+		srv:        srv,
+		index:      index,
+		threads:    threads,
+		budget:     budget.Nanoseconds(),
+		evictAfter: defaultEvictAfter,
+		control:    make(chan ctl, queue),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
+		tr:         tr,
+		lane:       tr.Lane(fmt.Sprintf("serve/shard%d", index), obs.DefaultLaneEvents),
+		tickSpan:   tr.Span("shard-tick"),
+		reg:        reg,
+		ctr:        ctr,
+		gSess:      reg.Gauge(fmt.Sprintf("serve/shard%d/sessions", index)),
 	}
 	if hz > 0 {
-		sh.ticker = time.NewTicker(time.Duration(float64(time.Second) / hz))
-		sh.tickCh = sh.ticker.C
+		sh.period = time.Duration(float64(time.Second) / hz)
 	}
 	return sh
 }
@@ -144,16 +118,20 @@ func newShard(srv *Server, index, threads, queue int, hz float64, budget time.Du
 // free of registry and lane calls.
 func (sh *shard) run() {
 	defer close(sh.done)
+	var tickCh <-chan time.Time
+	if sh.period > 0 {
+		ticker := time.NewTicker(sh.period)
+		defer ticker.Stop()
+		tickCh = ticker.C
+	}
 	for {
 		select {
 		case <-sh.stop:
-			if sh.ticker != nil {
-				sh.ticker.Stop()
-			}
 			return
-		case o := <-sh.control:
-			sh.handle(o)
-		case <-sh.tickCh:
+		case c := <-sh.control:
+			c.fn(sh)
+			close(c.done)
+		case <-tickCh:
 			t0 := sh.tr.Now()
 			sh.tick()
 			sh.lane.Complete(sh.tickSpan, t0)
@@ -185,9 +163,7 @@ func (sh *shard) tick() {
 		dur := sh.tr.Now() - t0
 		s.steps++
 		if s.health.Tripped() {
-			s.state = stateEvicted
-			s.cause = "health"
-			sh.evictPending++
+			sh.evict(s, "health")
 			continue
 		}
 		if sh.budget <= 0 {
@@ -196,14 +172,12 @@ func (sh *shard) tick() {
 		if dur > sh.budget {
 			s.misses++
 			sh.dMisses++
-			if s.state == stateActive && s.misses >= sh.degradeAfter {
+			if s.state == stateActive && s.misses >= degradeAfter {
 				s.state = stateDegraded
 				s.misses = 0
 				sh.dDegraded++
 			} else if s.state == stateDegraded && s.misses >= sh.evictAfter {
-				s.state = stateEvicted
-				s.cause = "deadline"
-				sh.evictPending++
+				sh.evict(s, "deadline")
 			}
 		} else {
 			s.misses = 0
@@ -217,29 +191,30 @@ func (sh *shard) tick() {
 	}
 }
 
+// evict marks s for removal at the next reap.
+func (sh *shard) evict(s *Session, cause string) {
+	s.state = stateEvicted
+	s.cause = cause
+	sh.evictPending++
+}
+
 // reap compacts evicted sessions out of the run queue, returning their
 // slots and worker pools. Runs only on ticks that actually evicted —
 // the steady state never enters it.
 //
 //paraxlint:coldpath eviction sweep: allocates during compaction and touches the registry and server map
 func (sh *shard) reap() {
-	kept := sh.sessions[:0]
-	for _, s := range sh.sessions {
+	sh.sessions = slices.DeleteFunc(sh.sessions, func(s *Session) bool {
 		if s.state != stateEvicted {
-			kept = append(kept, s)
-			continue
+			return false
 		}
 		sh.reg.Add(sh.ctr.evictions, 1)
 		s.release()
 		if sh.srv != nil {
-			sh.srv.forget(s.id)
+			sh.srv.unregister(s.id)
 		}
-	}
-	// Clear the tail so evicted worlds are collectable.
-	for i := len(kept); i < len(sh.sessions); i++ {
-		sh.sessions[i] = nil
-	}
-	sh.sessions = kept
+		return true
+	})
 	sh.evictPending = 0
 	sh.syncLoad()
 }
@@ -275,136 +250,73 @@ func (sh *shard) find(id string) *Session {
 	return nil
 }
 
-// handle executes one control op on the shard goroutine.
-func (sh *shard) handle(o op) {
-	switch o.kind {
-	case opAttach:
-		sh.attach(o.sess)
-		o.reply <- opReply{ok: true}
-
-	case opDetach:
-		s := sh.find(o.id)
-		if s == nil {
-			o.reply <- opReply{err: "not found"}
-			return
-		}
-		kept := sh.sessions[:0]
-		for _, r := range sh.sessions {
-			if r != s {
-				kept = append(kept, r)
-			}
-		}
-		sh.sessions[len(kept)] = nil
-		sh.sessions = kept
-		sh.syncLoad()
-		o.reply <- opReply{ok: true, sess: s}
-
-	case opStep:
-		s := sh.find(o.id)
-		if s == nil {
-			o.reply <- opReply{err: "not found"}
-			return
-		}
-		if s.state == stateEvicted {
-			o.reply <- opReply{err: "evicted"}
-			return
-		}
-		t0 := sh.tr.Now()
-		for i := 0; i < o.ticks; i++ {
-			s.stepFn()
-			s.steps++
-			if s.health.Tripped() {
-				s.state = stateEvicted
-				s.cause = "health"
-				sh.evictPending++
-				sh.reap()
-				break
-			}
-		}
-		sh.lane.Complete(sh.tickSpan, t0)
-		o.reply <- opReply{ok: true, info: s.info(sh.index)}
-
-	case opSnapshot:
-		s := sh.find(o.id)
-		if s == nil {
-			o.reply <- opReply{err: "not found"}
-			return
-		}
-		o.reply <- opReply{ok: true, data: s.w.Snapshot()}
-
-	case opQuery:
-		s := sh.find(o.id)
-		if s == nil {
-			o.reply <- opReply{err: "not found"}
-			return
-		}
-		o.reply <- opReply{ok: true, ids: s.w.BodiesIn(o.box, nil)}
-
-	case opInfo:
-		s := sh.find(o.id)
-		if s == nil {
-			o.reply <- opReply{err: "not found"}
-			return
-		}
-		o.reply <- opReply{ok: true, info: s.info(sh.index)}
-
-	case opList:
-		infos := make([]SessionInfo, 0, len(sh.sessions))
-		for _, s := range sh.sessions {
-			infos = append(infos, s.info(sh.index))
-		}
-		o.reply <- opReply{ok: true, infos: infos}
-
-	case opDetachAll:
-		all := append([]*Session(nil), sh.sessions...)
-		for i := range sh.sessions {
-			sh.sessions[i] = nil
-		}
-		sh.sessions = sh.sessions[:0]
-		sh.syncLoad()
-		o.reply <- opReply{ok: true, all: all}
-	}
-}
-
-// attach adds a session to the run queue. Also used directly (before
-// the shard goroutine starts) when restoring a spill directory.
+// attach adds a session to the run queue.
 func (sh *shard) attach(s *Session) {
 	s.w.SetThreads(sh.threads)
 	sh.sessions = append(sh.sessions, s)
 	sh.syncLoad()
 }
 
-// submit enqueues an op and waits for its reply. Blocking: callers that
-// need backpressure semantics (session creation) use trySubmit instead.
-// A shard that stops before replying yields ok=false.
-func (sh *shard) submit(o op) (opReply, bool) {
-	o.reply = make(chan opReply, 1)
-	select {
-	case sh.control <- o:
-	case <-sh.done:
-		return opReply{}, false
+// detach takes s off the run queue, scheduler state and all: the caller
+// owns it from here, to release or to attach elsewhere.
+func (sh *shard) detach(s *Session) {
+	sh.sessions = slices.DeleteFunc(sh.sessions, func(r *Session) bool { return r == s })
+	sh.syncLoad()
+}
+
+// stepN advances s by n ticks on request (POST …/step), outside the
+// deadline state machine. A tripped health latch evicts at once, as it
+// does in tick.
+func (sh *shard) stepN(s *Session, n int) {
+	t0 := sh.tr.Now()
+	for i := 0; i < n; i++ {
+		s.stepFn()
+		s.steps++
+		if s.health.Tripped() {
+			sh.evict(s, "health")
+			sh.reap()
+			break
+		}
 	}
+	sh.lane.Complete(sh.tickSpan, t0)
+}
+
+// do runs fn on the shard goroutine and waits for it to return. It
+// reports whether fn ran: false means the shard stopped first.
+func (sh *shard) do(fn func(*shard)) bool {
+	c := ctl{fn, make(chan struct{})}
 	select {
-	case r := <-o.reply:
-		return r, true
+	case sh.control <- c:
+		return sh.wait(c)
 	case <-sh.done:
-		return opReply{}, false
+		return false
 	}
 }
 
-// trySubmit is submit with a non-blocking enqueue: a full control queue
-// returns immediately with queued=false — the admission-control signal.
-func (sh *shard) trySubmit(o op) (r opReply, queued, ok bool) {
-	o.reply = make(chan opReply, 1)
+// tryDo is do with a non-blocking enqueue: a full control queue returns
+// at once with queued=false — the admission-control signal.
+func (sh *shard) tryDo(fn func(*shard)) (queued, ran bool) {
+	c := ctl{fn, make(chan struct{})}
 	select {
-	case sh.control <- o:
+	case sh.control <- c:
+		return true, sh.wait(c)
 	default:
-		return opReply{}, false, false
+		return false, false
+	}
+}
+
+// wait blocks until c has run or the shard has stopped, then reports
+// which. A stopped shard runs nothing more, so false is final: fn never
+// ran and never will.
+func (sh *shard) wait(c ctl) bool {
+	select {
+	case <-c.done:
+	case <-sh.done:
 	}
 	select {
-	case r := <-o.reply:
-		return r, true, true
-	case <-sh.done:
-		return opReply{}, true, false
+	case <-c.done:
+		return true
+	default:
+		return false
 	}
 }

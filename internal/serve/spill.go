@@ -32,35 +32,31 @@ type spillEntry struct {
 	Steps int64   `json:"steps"`
 }
 
-// spilledSession pairs a detached session with the shard it lived on.
-type spilledSession struct {
-	sess  *Session
-	shard int
-}
-
-// spill writes every detached session's snapshot plus the manifest.
-// The manifest is written last, via rename, so a crash mid-spill never
-// leaves a manifest pointing at missing snapshots.
-func (s *Server) spill(dir string, all []spilledSession) error {
+// spill writes every session's snapshot plus the manifest; the shards
+// have stopped. Snapshots are plain writes; the manifest is written last,
+// via temp file and rename, so a crash mid-spill never leaves a manifest
+// pointing at missing snapshots.
+func (s *Server) spill(dir string) error {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return fmt.Errorf("spill: %w", err)
 	}
 	man := spillManifest{NextID: s.nextID.Load()}
-	sort.Slice(all, func(i, j int) bool { return all[i].sess.id < all[j].sess.id })
-	for _, sp := range all {
-		sess := sp.sess
-		if err := os.WriteFile(filepath.Join(dir, sess.id+".paxw"), sess.w.Snapshot(), 0o644); err != nil {
-			return fmt.Errorf("spill %s: %w", sess.id, err)
+	for _, sh := range s.shards {
+		for _, sess := range sh.sessions {
+			if err := os.WriteFile(filepath.Join(dir, sess.id+".paxw"), sess.w.Snapshot(), 0o644); err != nil {
+				return fmt.Errorf("spill %s: %w", sess.id, err)
+			}
+			man.Sessions = append(man.Sessions, spillEntry{
+				ID:    sess.id,
+				Scene: sess.scene,
+				Scale: sess.scale,
+				Shard: sh.index,
+				Steps: sess.steps,
+			})
+			s.reg.Add(s.cSpilled, 1)
 		}
-		man.Sessions = append(man.Sessions, spillEntry{
-			ID:    sess.id,
-			Scene: sess.scene,
-			Scale: sess.scale,
-			Shard: sp.shard,
-			Steps: sess.steps,
-		})
-		s.reg.Add(s.cSpilled, 1)
 	}
+	sort.Slice(man.Sessions, func(i, j int) bool { return man.Sessions[i].ID < man.Sessions[j].ID })
 	data, err := json.MarshalIndent(man, "", "  ")
 	if err != nil {
 		return fmt.Errorf("spill manifest: %w", err)
@@ -80,7 +76,8 @@ func (s *Server) spill(dir string, all []spilledSession) error {
 // if the restoring server has fewer shards). The consumed manifest is
 // removed on success so a later restart without a fresh drain starts
 // empty; snapshot files are left behind as inert artifacts the next
-// spill overwrites.
+// spill overwrites. Any failure names the session and leaves the
+// manifest in place for a retry.
 func (s *Server) restoreSpill(dir string) error {
 	data, err := os.ReadFile(filepath.Join(dir, manifestName))
 	if os.IsNotExist(err) {
@@ -107,23 +104,14 @@ func (s *Server) restoreSpill(dir string) error {
 		// drained one.
 		sess.scene, sess.scale = e.Scene, e.Scale
 		sess.steps = e.Steps
-		idx := e.Shard
-		if idx < 0 {
-			idx = 0
+		sh := s.shards[min(max(e.Shard, 0), len(s.shards)-1)]
+		if !s.register(e.ID, sh) {
+			return fmt.Errorf("restore spill %s: session limit %d reached", e.ID, s.cfg.MaxSessions)
 		}
-		if idx >= len(s.shards) {
-			idx = len(s.shards) - 1
-		}
-		sh := s.shards[idx]
 		// Direct attach: the shard goroutines have not started yet.
 		sh.attach(sess)
-		s.byID[e.ID] = sh
-		s.active.Add(1)
 		s.reg.Add(s.cRestored, 1)
 	}
-	if man.NextID > s.nextID.Load() {
-		s.nextID.Store(man.NextID)
-	}
-	s.publishActive()
+	s.nextID.Store(max(s.nextID.Load(), man.NextID))
 	return os.Remove(filepath.Join(dir, manifestName))
 }
