@@ -134,7 +134,9 @@ func wallRubbleWorld(threads int, warmStart bool) *World {
 // and the profiler feeding the architecture model). The traced variants
 // run with the span tracer and metrics registry attached: the
 // observability layer's contract is that recording costs ring-buffer
-// writes and atomic adds only, so allocs/op must stay 0 there too.
+// writes and atomic adds only, so allocs/op must stay 0 there too. The
+// wall/rubble scene has no joints; the scene=Ragdoll variants put the
+// joint-row assembly and the jointed solve under the same alloc gate.
 func BenchmarkStep(b *testing.B) {
 	for _, cfg := range []struct {
 		name     string
@@ -142,17 +144,26 @@ func BenchmarkStep(b *testing.B) {
 		warm     bool
 		traced   bool
 		recorded bool
+		ragdoll  bool
 	}{
-		{"threads=1", 1, false, false, false},
-		{"threads=4", 4, false, false, false},
-		{"threads=1/warmstart", 1, true, false, false},
-		{"threads=1/traced", 1, false, true, false},
-		{"threads=4/traced", 4, false, true, false},
-		{"threads=1/recorded", 1, false, true, true},
-		{"threads=4/recorded", 4, false, true, true},
+		{"threads=1", 1, false, false, false, false},
+		{"threads=4", 4, false, false, false, false},
+		{"threads=1/warmstart", 1, true, false, false, false},
+		{"threads=1/traced", 1, false, true, false, false},
+		{"threads=4/traced", 4, false, true, false, false},
+		{"threads=1/recorded", 1, false, true, true, false},
+		{"threads=4/recorded", 4, false, true, true, false},
+		{"scene=Ragdoll/threads=1", 1, false, false, false, true},
+		{"scene=Ragdoll/threads=4", 4, false, false, false, true},
 	} {
 		b.Run(cfg.name, func(b *testing.B) {
-			w := wallRubbleWorld(cfg.threads, cfg.warm)
+			var w *World
+			if cfg.ragdoll {
+				w = workload.BuildRagdoll(benchScale)
+				w.SetThreads(cfg.threads)
+			} else {
+				w = wallRubbleWorld(cfg.threads, cfg.warm)
+			}
 			if cfg.traced {
 				w.SetObs(NewTracer(), NewMetrics(), "bench")
 			}

@@ -112,7 +112,7 @@ func TestParsafeReachable(t *testing.T) {
 	const mod = "github.com/parallax-arch/parallax/internal/"
 	for _, want := range []string{
 		"(*" + mod + "phys/solver.Solver).Solve",
-		"(*" + mod + "phys/solver.Workspace).grow",
+		"(*" + mod + "phys/solver.Workspace).slotFor",
 		"(*" + mod + "phys/narrowphase.Scratch).Collide",
 		"(*" + mod + "phys/body.Body).IntegrateVelocity",
 		"(*" + mod + "phys/body.Body).IntegratePosition",

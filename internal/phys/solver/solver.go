@@ -45,128 +45,128 @@ type Stats struct {
 	ImpulseNorm float64
 }
 
-// Workspace holds the per-row temporaries one Solve call needs. A
-// caller that steps repeatedly keeps one Workspace per worker thread and
-// passes it back in, so steady-state solving does not allocate: the
-// slices grow to the largest island seen and are then reused.
+// Workspace holds the island-local state of one Solve call. A caller keeps
+// one per worker thread and passes it back in, so steady-state solving does
+// not allocate: the slices grow to the largest island (slotOf: the longest
+// body list) seen and are reused. The zero value is ready to use. Solve's
+// returned impulses alias lambda, valid until the workspace's next Solve.
 type Workspace struct {
-	pLinA, pAngA []m3.Vec
-	pLinB, pAngB []m3.Vec
-	invDen       []float64
-	lambda       []float64
+	// slotOf maps a world body index to its slot+1 (0 = none). It is all
+	// zero between Solves: the scatter clears exactly what the gather set.
+	slotOf []int32
+	slots  []slot
+	aux    []rowAux
+	lambda []float64
 }
 
-// grow resizes the workspace for n rows, reusing prior capacity.
-func (ws *Workspace) grow(n int) {
-	if cap(ws.lambda) < n {
-		// Capacity growth to the largest island seen, then reused forever.
-		ws.pLinA = make([]m3.Vec, n)   //paraxlint:allow(alloc)
-		ws.pAngA = make([]m3.Vec, n)   //paraxlint:allow(alloc)
-		ws.pLinB = make([]m3.Vec, n)   //paraxlint:allow(alloc)
-		ws.pAngB = make([]m3.Vec, n)   //paraxlint:allow(alloc)
-		ws.invDen = make([]float64, n) //paraxlint:allow(alloc)
-		ws.lambda = make([]float64, n) //paraxlint:allow(alloc)
-		return
-	}
-	ws.pLinA = ws.pLinA[:n]
-	ws.pAngA = ws.pAngA[:n]
-	ws.pLinB = ws.pLinB[:n]
-	ws.pAngB = ws.pAngB[:n]
-	ws.invDen = ws.invDen[:n]
-	ws.lambda = ws.lambda[:n]
-	for i := range ws.lambda {
-		ws.pLinA[i] = m3.Zero
-		ws.pAngA[i] = m3.Zero
-		ws.pLinB[i] = m3.Zero
-		ws.pAngB[i] = m3.Zero
-		ws.invDen[i] = 0
-		ws.lambda[i] = 0
-	}
+// slot is one body the island touches: the velocities the sweeps read and
+// write, and the inverse mass and world inverse inertia its rows need.
+type slot struct {
+	lin, ang m3.Vec
+	body     int32
+	invMass  float64
+	invI     m3.Mat
 }
 
-// Solve runs the PGS iteration for one island's rows, mutating body
-// velocities in place. jointLoad, if non-nil, is indexed by joint id and
-// accumulates the constraint force magnitude per joint (for breakable
-// joints). ws, if non-nil, provides reusable per-row storage; the
-// returned impulse slice aliases it and is valid until the workspace's
-// next Solve. A nil ws allocates a temporary workspace.
+// rowAux is the solver's record per row, beside the joint.Row it reads in place:
+// endpoint slots (-1 = static), velocity change per unit impulse, 1/(J M⁻¹ Jᵀ + CFM).
+type rowAux struct {
+	slotA, slotB               int32
+	pLinA, pAngA, pLinB, pAngB m3.Vec
+	invDen                     float64
+}
+
+// slotFor returns the slot of world body bi (-1 for the static world),
+// gathering the body on first touch.
+func (ws *Workspace) slotFor(bs []*body.Body, bi int32) int32 {
+	if bi < 0 {
+		return -1
+	}
+	if ws.slotOf[bi] == 0 {
+		b := bs[bi]
+		ws.slots = append(ws.slots, slot{b.LinVel, b.AngVel, bi, b.InvMass, b.InvInertiaWorld()})
+		ws.slotOf[bi] = int32(len(ws.slots))
+	}
+	return ws.slotOf[bi] - 1
+}
+
+// Solve runs the PGS iteration for one island's rows: it gathers the bodies
+// the rows touch into ws, sweeps over those dense slots, and scatters the
+// velocities back to bs once at the end. jointLoad, if non-nil, accumulates
+// the constraint force magnitude per joint id (for breakable joints). The
+// returned impulses alias ws (see Workspace); a nil ws solves in a temporary.
 func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 	jointLoad []float64, st *Stats, ws *Workspace) []float64 {
 
-	n := len(rows)
 	if st != nil {
-		st.Rows += n
+		st.Rows += len(rows)
 		st.Iterations = s.Iterations
-		st.RowUpdates += n * s.Iterations
+		st.RowUpdates += len(rows) * s.Iterations
 	}
-	if n == 0 {
-		return nil
-	}
+	var local Workspace
 	if ws == nil {
-		ws = &Workspace{} //paraxlint:allow(alloc) convenience fallback; the engine always passes a workspace
+		ws = &local
 	}
-	ws.grow(n)
-	pLinA, pAngA := ws.pLinA, ws.pAngA
-	pLinB, pAngB := ws.pLinB, ws.pAngB
-	invDen, lambda := ws.invDen, ws.lambda
+	for len(ws.slotOf) < len(bs) {
+		ws.slotOf = append(ws.slotOf, 0)
+	}
+	ws.slots, ws.aux, ws.lambda = ws.slots[:0], ws.aux[:0], ws.lambda[:0]
 
-	// Precompute per-row propagation vectors and effective masses.
+	// Gather, precompute per-row propagation vectors and effective masses,
+	// and warm-start. The static-endpoint branches stay, here and below:
+	// adding a zero term for a static body would turn a -0 sum into +0.
 	for i := range rows {
 		r := &rows[i]
+		x := rowAux{slotA: ws.slotFor(bs, r.BodyA), slotB: ws.slotFor(bs, r.BodyB)}
 		den := r.CFM
-		if r.BodyA >= 0 {
-			a := bs[r.BodyA]
-			pLinA[i] = r.JLinA.Scale(a.InvMass)
-			pAngA[i] = a.InvInertiaWorld().MulVec(r.JAngA)
-			den += r.JLinA.Dot(pLinA[i]) + r.JAngA.Dot(pAngA[i])
+		if x.slotA >= 0 {
+			a := &ws.slots[x.slotA]
+			x.pLinA = r.JLinA.Scale(a.invMass)
+			x.pAngA = a.invI.MulVec(r.JAngA)
+			den += r.JLinA.Dot(x.pLinA) + r.JAngA.Dot(x.pAngA)
 		}
-		if r.BodyB >= 0 {
-			b := bs[r.BodyB]
-			pLinB[i] = r.JLinB.Scale(b.InvMass)
-			pAngB[i] = b.InvInertiaWorld().MulVec(r.JAngB)
-			den += r.JLinB.Dot(pLinB[i]) + r.JAngB.Dot(pAngB[i])
+		if x.slotB >= 0 {
+			b := &ws.slots[x.slotB]
+			x.pLinB = r.JLinB.Scale(b.invMass)
+			x.pAngB = b.invI.MulVec(r.JAngB)
+			den += r.JLinB.Dot(x.pLinB) + r.JAngB.Dot(x.pAngB)
 		}
-		if den < m3.Eps {
-			invDen[i] = 0
-		} else {
-			invDen[i] = 1 / den
+		if !(den < m3.Eps) { // not den >= Eps: a NaN den stays NaN
+			x.invDen = 1 / den
 		}
-	}
-
-	// Warm starting: re-apply the previous step's impulses so the
-	// iteration starts near the converged solution (persistent contact
-	// manifolds make stacks converge in far fewer sweeps).
-	for i := range rows {
-		r := &rows[i]
-		if r.Warm == 0 {
-			continue
-		}
-		lambda[i] = r.Warm
-		if r.BodyA >= 0 {
-			a := bs[r.BodyA]
-			a.LinVel = a.LinVel.Add(pLinA[i].Scale(r.Warm))
-			a.AngVel = a.AngVel.Add(pAngA[i].Scale(r.Warm))
-		}
-		if r.BodyB >= 0 {
-			b := bs[r.BodyB]
-			b.LinVel = b.LinVel.Add(pLinB[i].Scale(r.Warm))
-			b.AngVel = b.AngVel.Add(pAngB[i].Scale(r.Warm))
+		ws.aux = append(ws.aux, x)
+		ws.lambda = append(ws.lambda, 0)
+		// Warm starting: re-apply the previous step's impulse, so stacks
+		// with persistent contact manifolds converge in far fewer sweeps.
+		if w := r.Warm; w != 0 {
+			ws.lambda[i] = w
+			if x.slotA >= 0 {
+				a := &ws.slots[x.slotA]
+				a.lin = a.lin.Add(x.pLinA.Scale(w))
+				a.ang = a.ang.Add(x.pAngA.Scale(w))
+			}
+			if x.slotB >= 0 {
+				b := &ws.slots[x.slotB]
+				b.lin = b.lin.Add(x.pLinB.Scale(w))
+				b.ang = b.ang.Add(x.pAngB.Scale(w))
+			}
 		}
 	}
+	slots, aux, lambda := ws.slots, ws.aux, ws.lambda
 	for it := 0; it < s.Iterations; it++ {
 		for i := range rows {
-			r := &rows[i]
+			r, x := &rows[i], &aux[i]
 			// Current constraint velocity.
 			vel := 0.0
-			if r.BodyA >= 0 {
-				a := bs[r.BodyA]
-				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			if x.slotA >= 0 {
+				a := &slots[x.slotA]
+				vel += r.JLinA.Dot(a.lin) + r.JAngA.Dot(a.ang)
 			}
-			if r.BodyB >= 0 {
-				b := bs[r.BodyB]
-				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			if x.slotB >= 0 {
+				b := &slots[x.slotB]
+				vel += r.JLinB.Dot(b.lin) + r.JAngB.Dot(b.ang)
 			}
-			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * invDen[i]
+			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * x.invDen
 
 			lo, hi := r.Lo, r.Hi
 			if r.FrictionOf >= 0 {
@@ -186,59 +186,59 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 			}
 			lambda[i] = nl
 
-			if r.BodyA >= 0 {
-				a := bs[r.BodyA]
-				a.LinVel = a.LinVel.Add(pLinA[i].Scale(dl))
-				a.AngVel = a.AngVel.Add(pAngA[i].Scale(dl))
+			if x.slotA >= 0 {
+				a := &slots[x.slotA]
+				a.lin = a.lin.Add(x.pLinA.Scale(dl))
+				a.ang = a.ang.Add(x.pAngA.Scale(dl))
 			}
-			if r.BodyB >= 0 {
-				b := bs[r.BodyB]
-				b.LinVel = b.LinVel.Add(pLinB[i].Scale(dl))
-				b.AngVel = b.AngVel.Add(pAngB[i].Scale(dl))
-			}
-		}
-	}
-
-	if jointLoad != nil {
-		for i := range rows {
-			r := &rows[i]
-			if r.Joint >= 0 && int(r.Joint) < len(jointLoad) {
-				jointLoad[r.Joint] += math.Abs(lambda[i]) / dt
+			if x.slotB >= 0 {
+				b := &slots[x.slotB]
+				b.lin = b.lin.Add(x.pLinB.Scale(dl))
+				b.ang = b.ang.Add(x.pAngB.Scale(dl))
 			}
 		}
 	}
 
-	// Convergence diagnostics: one more pass over the rows measuring the
-	// residual the iteration left behind. A row clamped at a bound with
-	// the error pushing further out of bounds is satisfied by
-	// complementarity, not a solver failure, so its error is zeroed.
-	if st != nil {
-		for i := range rows {
-			r := &rows[i]
-			vel := 0.0
-			if r.BodyA >= 0 {
-				a := bs[r.BodyA]
-				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
-			}
-			if r.BodyB >= 0 {
-				b := bs[r.BodyB]
-				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
-			}
-			err := r.RHS - vel - r.CFM*lambda[i]
-			lo, hi := r.Lo, r.Hi
-			if r.FrictionOf >= 0 {
-				limit := r.Mu * math.Abs(lambda[r.FrictionOf])
-				lo, hi = -limit, limit
-			}
-			if lambda[i] <= lo && err < 0 {
-				err = 0
-			}
-			if lambda[i] >= hi && err > 0 {
-				err = 0
-			}
+	// Closing pass: joint load feedback, and the residual the sweeps left
+	// behind. A row clamped at a bound with the error pushing further out of
+	// bounds is satisfied by complementarity, so its error is zeroed.
+	for i := range rows {
+		r, x := &rows[i], &aux[i]
+		if r.Joint >= 0 && int(r.Joint) < len(jointLoad) {
+			jointLoad[r.Joint] += math.Abs(lambda[i]) / dt
+		}
+		vel := 0.0
+		if x.slotA >= 0 {
+			a := &slots[x.slotA]
+			vel += r.JLinA.Dot(a.lin) + r.JAngA.Dot(a.ang)
+		}
+		if x.slotB >= 0 {
+			b := &slots[x.slotB]
+			vel += r.JLinB.Dot(b.lin) + r.JAngB.Dot(b.ang)
+		}
+		err := r.RHS - vel - r.CFM*lambda[i]
+		lo, hi := r.Lo, r.Hi
+		if r.FrictionOf >= 0 {
+			limit := r.Mu * math.Abs(lambda[r.FrictionOf])
+			lo, hi = -limit, limit
+		}
+		if lambda[i] <= lo && err < 0 {
+			err = 0
+		}
+		if lambda[i] >= hi && err > 0 {
+			err = 0
+		}
+		if st != nil {
 			st.Residual += math.Abs(err)
 			st.ImpulseNorm += math.Abs(lambda[i])
 		}
+	}
+
+	// Scatter: the island owns exactly the bodies it gathered.
+	for i := range slots {
+		v := &slots[i]
+		bs[v.body].LinVel, bs[v.body].AngVel = v.lin, v.ang
+		ws.slotOf[v.body] = 0
 	}
 	return lambda
 }

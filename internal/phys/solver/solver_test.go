@@ -233,8 +233,9 @@ func TestJointLoadFeedback(t *testing.T) {
 	}
 }
 
-// A reused Workspace must give the same answer as a fresh solve and,
-// once grown, make repeated solves allocation-free.
+// A reused Workspace must give the same answer as a fresh solve, hand
+// back impulses that outlive the call, and, once grown, make repeated
+// solves allocation-free.
 func TestWorkspaceReuse(t *testing.T) {
 	mkRows := func(bs []*body.Body) []joint.Row {
 		return joint.ContactRows(bs, -1, 0, m3.Zero, m3.V(0, 1, 0), 0.01,
@@ -257,8 +258,16 @@ func TestWorkspaceReuse(t *testing.T) {
 	b.LinVel = m3.V(0, -3, 0)
 	bs := []*body.Body{b}
 	got := New().Solve(bs, mkRows(bs), testParams.Dt, nil, nil, ws)
+	// The returned impulses alias ws, one per row, and stay valid until
+	// ws's next Solve (World.solveIsland copies them into its warm-start
+	// buffer after Solve returns): a solve through another workspace in
+	// between must not disturb them.
+	if len(got) != len(want) {
+		t.Fatalf("reused workspace returned %d impulses for %d rows", len(got), len(want))
+	}
+	New().Solve(dbs, drows, testParams.Dt, nil, nil, &Workspace{})
 	for i := range want {
-		if math.Abs(got[i]-want[i]) > 1e-12 {
+		if got[i] != want[i] {
 			t.Fatalf("lambda[%d]: reused workspace %v, fresh %v", i, got[i], want[i])
 		}
 	}
@@ -350,5 +359,318 @@ func TestWarmStartIdempotent(t *testing.T) {
 	if math.Abs(b2.LinVel.Y-b.LinVel.Y) > 0.05 {
 		t.Errorf("warm-started single sweep %v differs from converged %v",
 			b2.LinVel.Y, b.LinVel.Y)
+	}
+}
+
+// referenceSolve is the solver's previous inner loop, kept verbatim as
+// the oracle for the slot-based one: it reaches every body through
+// bs[r.BodyA] on every row of every sweep and rebuilds the world inverse
+// inertia per row endpoint. Same arithmetic in the same order, so Solve
+// must agree with it bit for bit.
+func referenceSolve(s *Solver, bs []*body.Body, rows []joint.Row, dt float64,
+	jointLoad []float64, st *Stats) []float64 {
+
+	n := len(rows)
+	if st != nil {
+		st.Rows += n
+		st.Iterations = s.Iterations
+		st.RowUpdates += n * s.Iterations
+	}
+	if n == 0 {
+		return nil
+	}
+	pLinA, pAngA := make([]m3.Vec, n), make([]m3.Vec, n)
+	pLinB, pAngB := make([]m3.Vec, n), make([]m3.Vec, n)
+	invDen, lambda := make([]float64, n), make([]float64, n)
+
+	// Precompute per-row propagation vectors and effective masses.
+	for i := range rows {
+		r := &rows[i]
+		den := r.CFM
+		if r.BodyA >= 0 {
+			a := bs[r.BodyA]
+			pLinA[i] = r.JLinA.Scale(a.InvMass)
+			pAngA[i] = a.InvInertiaWorld().MulVec(r.JAngA)
+			den += r.JLinA.Dot(pLinA[i]) + r.JAngA.Dot(pAngA[i])
+		}
+		if r.BodyB >= 0 {
+			b := bs[r.BodyB]
+			pLinB[i] = r.JLinB.Scale(b.InvMass)
+			pAngB[i] = b.InvInertiaWorld().MulVec(r.JAngB)
+			den += r.JLinB.Dot(pLinB[i]) + r.JAngB.Dot(pAngB[i])
+		}
+		if den < m3.Eps {
+			invDen[i] = 0
+		} else {
+			invDen[i] = 1 / den
+		}
+	}
+
+	// Warm starting: re-apply the previous step's impulses so the
+	// iteration starts near the converged solution (persistent contact
+	// manifolds make stacks converge in far fewer sweeps).
+	for i := range rows {
+		r := &rows[i]
+		if r.Warm == 0 {
+			continue
+		}
+		lambda[i] = r.Warm
+		if r.BodyA >= 0 {
+			a := bs[r.BodyA]
+			a.LinVel = a.LinVel.Add(pLinA[i].Scale(r.Warm))
+			a.AngVel = a.AngVel.Add(pAngA[i].Scale(r.Warm))
+		}
+		if r.BodyB >= 0 {
+			b := bs[r.BodyB]
+			b.LinVel = b.LinVel.Add(pLinB[i].Scale(r.Warm))
+			b.AngVel = b.AngVel.Add(pAngB[i].Scale(r.Warm))
+		}
+	}
+	for it := 0; it < s.Iterations; it++ {
+		for i := range rows {
+			r := &rows[i]
+			// Current constraint velocity.
+			vel := 0.0
+			if r.BodyA >= 0 {
+				a := bs[r.BodyA]
+				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			}
+			if r.BodyB >= 0 {
+				b := bs[r.BodyB]
+				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			}
+			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * invDen[i]
+
+			lo, hi := r.Lo, r.Hi
+			if r.FrictionOf >= 0 {
+				limit := r.Mu * math.Abs(lambda[r.FrictionOf])
+				lo, hi = -limit, limit
+			}
+			old := lambda[i]
+			nl := old + dl
+			if nl < lo {
+				nl = lo
+			} else if nl > hi {
+				nl = hi
+			}
+			dl = nl - old
+			if dl == 0 {
+				continue
+			}
+			lambda[i] = nl
+
+			if r.BodyA >= 0 {
+				a := bs[r.BodyA]
+				a.LinVel = a.LinVel.Add(pLinA[i].Scale(dl))
+				a.AngVel = a.AngVel.Add(pAngA[i].Scale(dl))
+			}
+			if r.BodyB >= 0 {
+				b := bs[r.BodyB]
+				b.LinVel = b.LinVel.Add(pLinB[i].Scale(dl))
+				b.AngVel = b.AngVel.Add(pAngB[i].Scale(dl))
+			}
+		}
+	}
+
+	if jointLoad != nil {
+		for i := range rows {
+			r := &rows[i]
+			if r.Joint >= 0 && int(r.Joint) < len(jointLoad) {
+				jointLoad[r.Joint] += math.Abs(lambda[i]) / dt
+			}
+		}
+	}
+
+	// Convergence diagnostics: one more pass over the rows measuring the
+	// residual the iteration left behind. A row clamped at a bound with
+	// the error pushing further out of bounds is satisfied by
+	// complementarity, not a solver failure, so its error is zeroed.
+	if st != nil {
+		for i := range rows {
+			r := &rows[i]
+			vel := 0.0
+			if r.BodyA >= 0 {
+				a := bs[r.BodyA]
+				vel += r.JLinA.Dot(a.LinVel) + r.JAngA.Dot(a.AngVel)
+			}
+			if r.BodyB >= 0 {
+				b := bs[r.BodyB]
+				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
+			}
+			err := r.RHS - vel - r.CFM*lambda[i]
+			lo, hi := r.Lo, r.Hi
+			if r.FrictionOf >= 0 {
+				limit := r.Mu * math.Abs(lambda[r.FrictionOf])
+				lo, hi = -limit, limit
+			}
+			if lambda[i] <= lo && err < 0 {
+				err = 0
+			}
+			if lambda[i] >= hi && err > 0 {
+				err = 0
+			}
+			st.Residual += math.Abs(err)
+			st.ImpulseNorm += math.Abs(lambda[i])
+		}
+	}
+	return lambda
+}
+
+func randVec(r *rand.Rand, scale float64) m3.Vec {
+	return m3.V(r.Float64()*2-1, r.Float64()*2-1, r.Float64()*2-1).Scale(scale)
+}
+
+// randomBodies draws n tumbling boxes (anisotropic inertia, so the world
+// inverse inertia depends on the rotation), one in six immovable.
+func randomBodies(r *rand.Rand, n int) []*body.Body {
+	bs := make([]*body.Body, n)
+	for i := range bs {
+		mass := 0.5 + r.Float64()*5
+		if r.Intn(6) == 0 {
+			mass = 0
+		}
+		half := m3.V(0.1+r.Float64(), 0.1+r.Float64(), 0.1+r.Float64())
+		b := body.New(mass, geom.Box{Half: half}.Inertia(mass))
+		b.ID = i
+		b.Pos = randVec(r, 4)
+		b.Rot = m3.QFromAxisAngle(randVec(r, 1).Norm(), r.Float64()*6)
+		b.LinVel, b.AngVel = randVec(r, 5), randVec(r, 3)
+		bs[i] = b
+	}
+	return bs
+}
+
+// randomRows draws an n-row island over a random subset of bs, covering
+// every endpoint shape the solver branches on: a static endpoint on
+// either side (or both), one body on many rows, BodyA == BodyB, friction
+// rows bounded by an earlier row, one-sided bounds, den < Eps rows, warm
+// impulses, and joint ids below, inside and beyond a jointLoad of length
+// joints.
+func randomRows(r *rand.Rand, bs []*body.Body, n, joints int) []joint.Row {
+	touched := r.Perm(len(bs))[:1+r.Intn(len(bs))]
+	pick := func() int32 {
+		if r.Intn(5) == 0 {
+			return -1
+		}
+		return int32(touched[r.Intn(len(touched))])
+	}
+	rows := make([]joint.Row, n)
+	for i := range rows {
+		row := joint.Row{
+			BodyA: pick(), BodyB: pick(),
+			JLinA: randVec(r, 1), JAngA: randVec(r, 1),
+			JLinB: randVec(r, 1), JAngB: randVec(r, 1),
+			RHS: r.Float64()*4 - 2, CFM: 1e-9 * float64(r.Intn(3)),
+			Lo: math.Inf(-1), Hi: math.Inf(1),
+			FrictionOf: -1, Joint: int32(r.Intn(joints+2)) - 1,
+		}
+		switch r.Intn(6) {
+		case 0:
+			row.BodyB = row.BodyA
+		case 1:
+			if i > 0 {
+				row.FrictionOf, row.Mu = int32(r.Intn(i)), r.Float64()
+			}
+		case 2:
+			row.Lo = 0
+		case 3: // no effective mass: den = 0 < Eps
+			row.JLinA, row.JAngA, row.JLinB, row.JAngB = m3.Zero, m3.Zero, m3.Zero, m3.Zero
+			row.CFM = 0
+		}
+		if r.Intn(3) == 0 {
+			row.Warm = r.Float64()*2 - 1
+		}
+		rows[i] = row
+	}
+	return rows
+}
+
+func cloneBodies(bs []*body.Body) []*body.Body {
+	out := make([]*body.Body, len(bs))
+	for i, b := range bs {
+		c := *b
+		out[i] = &c
+	}
+	return out
+}
+
+func bitsEqual(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+func vecBitsEqual(a, b m3.Vec) bool {
+	return bitsEqual(a.X, b.X) && bitsEqual(a.Y, b.Y) && bitsEqual(a.Z, b.Z)
+}
+
+// solveBothWays runs referenceSolve and Solve (through ws) on private
+// copies of bs and requires every output to be bit-equal. It leaves bs
+// itself untouched so the same island can be solved again.
+func solveBothWays(t *testing.T, what string, s *Solver, bs []*body.Body,
+	rows []joint.Row, joints int, ws *Workspace) {
+
+	t.Helper()
+	refBs, gotBs := cloneBodies(bs), cloneBodies(bs)
+	var refLoad, gotLoad []float64
+	if joints > 0 {
+		refLoad, gotLoad = make([]float64, joints), make([]float64, joints)
+	}
+	var refSt, gotSt Stats
+	want := referenceSolve(s, refBs, rows, 0.01, refLoad, &refSt)
+	got := s.Solve(gotBs, rows, 0.01, gotLoad, &gotSt, ws)
+
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d impulses, reference %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !bitsEqual(got[i], want[i]) {
+			t.Fatalf("%s: lambda[%d] = %v, reference %v", what, i, got[i], want[i])
+		}
+	}
+	for i := range refBs {
+		if !vecBitsEqual(gotBs[i].LinVel, refBs[i].LinVel) || !vecBitsEqual(gotBs[i].AngVel, refBs[i].AngVel) {
+			t.Fatalf("%s: body %d velocity = %v %v, reference %v %v", what, i,
+				gotBs[i].LinVel, gotBs[i].AngVel, refBs[i].LinVel, refBs[i].AngVel)
+		}
+	}
+	for j := range refLoad {
+		if !bitsEqual(gotLoad[j], refLoad[j]) {
+			t.Fatalf("%s: jointLoad[%d] = %v, reference %v", what, j, gotLoad[j], refLoad[j])
+		}
+	}
+	if gotSt.Rows != refSt.Rows || gotSt.Iterations != refSt.Iterations || gotSt.RowUpdates != refSt.RowUpdates ||
+		!bitsEqual(gotSt.Residual, refSt.Residual) || !bitsEqual(gotSt.ImpulseNorm, refSt.ImpulseNorm) {
+		t.Fatalf("%s: stats = %+v, reference %+v", what, gotSt, refSt)
+	}
+	if ws != nil {
+		for bi, sl := range ws.slotOf {
+			if sl != 0 {
+				t.Fatalf("%s: body %d still holds slot %d after the scatter", what, bi, sl-1)
+			}
+		}
+	}
+}
+
+// Property test: the gather/sweep/scatter solve agrees bit for bit with
+// the pointer-chasing reference on random islands. One Workspace serves
+// the whole test, and every case is solved, then followed by a
+// different-sized island over an overlapping subset of the same bodies,
+// then solved again, then solved over a grown body list whose new tail
+// the rows also touch — so a slot that outlives its Solve, or a slot map
+// that does not follow the body list, fails here deterministically.
+func TestSolveMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(16))
+	ws := &Workspace{}
+	for trial := 0; trial < 200; trial++ {
+		s := &Solver{Iterations: 1 + r.Intn(20), SOR: []float64{1, 1.3, 0.8}[r.Intn(3)]}
+		joints := r.Intn(2) * (1 + r.Intn(4)) // 0: nil jointLoad
+		bs := randomBodies(r, 2+r.Intn(20))
+		rows := randomRows(r, bs, 1+r.Intn(60), joints)
+		between := randomRows(r, bs, 1+r.Intn(60), joints)
+		grown := append(cloneBodies(bs), randomBodies(r, 1+r.Intn(8))...)
+		grownRows := append(append([]joint.Row(nil), rows...), randomRows(r, grown, 1+r.Intn(10), joints)...)
+
+		solveBothWays(t, "first solve", s, bs, rows, joints, ws)
+		solveBothWays(t, "island in between", s, bs, between, joints, ws)
+		solveBothWays(t, "second solve", s, bs, rows, joints, ws)
+		solveBothWays(t, "grown body list", s, grown, grownRows, joints, ws)
+		solveBothWays(t, "nil workspace", s, bs, rows, joints, nil)
 	}
 }

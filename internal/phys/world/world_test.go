@@ -2,8 +2,10 @@ package world
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
+	"github.com/parallax-arch/parallax/internal/phys/body"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
@@ -300,6 +302,66 @@ func TestSleepFreezesIdleBodies(t *testing.T) {
 	}
 	if !woke {
 		t.Error("contact did not wake the sleeping body")
+	}
+}
+
+// A sleeping body jointed to partners too slow to wake it belongs to no
+// island: solveIsland freezes that endpoint to -1, so the solver neither
+// gathers nor scatters it. Each sleeper here sits between two awake
+// partners, which makes two islands per sleeper that the worker pool may
+// solve at once — a scatter that wrote the sleeper would be a data race
+// (CI runs this package under -race) as well as a wrong answer.
+func TestSolveLeavesSleepingPartnerAlone(t *testing.T) {
+	type vel struct{ lin, ang m3.Vec }
+	var want []vel
+	for _, threads := range []int{1, 3} {
+		w := New()
+		w.Gravity = m3.Zero
+		w.EnableSleep = true
+		w.Threads = threads
+		var sleepers, partners []int32
+		for k := 0; k < 6; k++ {
+			x := float64(10 * k)
+			s, _ := w.AddBody(geom.Sphere{R: 0.2}, 1, m3.V(x, 5, 0), m3.QIdent, 0, 0)
+			w.Bodies[s].UpdateSleep(body.SleepDelay + 0.1) // asleep, with a clock to disturb
+			sleepers = append(sleepers, s)
+			for _, dx := range []float64{-1, 1} {
+				p, _ := w.AddBody(geom.Sphere{R: 0.2}, 1, m3.V(x+dx, 5, 0), m3.QIdent, 0, 0)
+				w.AddJoint(joint.NewBall(w.Bodies, s, p, m3.V(x+dx/2, 5, 0)))
+				// Pull the joint apart while leaving the partner at rest:
+				// the error-reduction bias makes the solve move the partner,
+				// yet nothing is moving when the wake pass looks.
+				w.Bodies[p].Pos = w.Bodies[p].Pos.Add(m3.V(0, 0.05, 0))
+				partners = append(partners, p)
+			}
+		}
+		w.Step()
+
+		if n := len(w.Profile.Islands); n != len(partners) {
+			t.Fatalf("threads=%d: %d islands, want one per awake partner (%d)", threads, n, len(partners))
+		}
+		for k, s := range sleepers {
+			b := w.Bodies[s]
+			if b.LinVel != m3.Zero || b.AngVel != m3.Zero || b.Pos != m3.V(float64(10*k), 5, 0) {
+				t.Errorf("threads=%d: sleeper %d moved: v=%v w=%v pos=%v", threads, s, b.LinVel, b.AngVel, b.Pos)
+			}
+			if !b.Asleep || b.SleepClock() != body.SleepDelay+0.1 {
+				t.Errorf("threads=%d: sleeper %d sleep state disturbed: asleep=%v clock=%v", threads, s, b.Asleep, b.SleepClock())
+			}
+		}
+		var got []vel
+		for _, p := range partners {
+			b := w.Bodies[p]
+			if b.LinVel == m3.Zero {
+				t.Errorf("threads=%d: partner %d was not moved by its joint; the test solves nothing", threads, p)
+			}
+			got = append(got, vel{b.LinVel, b.AngVel})
+		}
+		if want == nil {
+			want = got
+		} else if !reflect.DeepEqual(got, want) {
+			t.Errorf("threads=%d partner velocities differ from threads=1:\n%v\n%v", threads, got, want)
+		}
 	}
 }
 
