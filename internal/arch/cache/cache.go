@@ -1,8 +1,8 @@
 // Package cache implements the set-associative cache models used by the
 // ParallAX study: multi-bank shared L2 caches built from 1 MB 4-way
-// banks (paper section 5), per-core L1s, way-granularity partitioning
-// ("columnization", references [6, 23, 27]) and MOESI-style sharing
-// state for coherence statistics.
+// banks (paper section 5), per-core L1s, bank-granularity partitioning
+// (section 6.1: whole banks dedicated to a phase) and MOESI-style
+// sharing state for coherence statistics.
 package cache
 
 // Config describes one cache.
@@ -50,70 +50,39 @@ const (
 type line struct {
 	tag   uint64
 	state state
-	// part is the partition the line was filled under (-1 = unassigned).
-	part int8
 	// owner is the core that last wrote the line.
 	owner int8
-	// prefetched marks lines brought in speculatively and not yet
-	// demanded.
-	prefetched bool
 	// lastUse is the LRU timestamp.
 	lastUse uint64
 }
 
 // Stats accumulates cache events.
 type Stats struct {
-	Hits   uint64
-	Misses uint64
-	// Cold misses: first-ever touch of a block.
-	ColdMisses uint64
+	Hits       uint64
+	Misses     uint64
 	Writebacks uint64
 	// Invalidations counts coherence kills (write to a line another core
 	// holds).
 	Invalidations uint64
-	// Prefetches counts lines brought in by the next-line prefetcher;
-	// PrefetchHits counts demand hits on prefetched-not-yet-used lines.
-	Prefetches   uint64
-	PrefetchHits uint64
-	// PartMisses buckets misses by partition id.
-	PartMisses map[int]uint64
 }
 
-// MissRatio returns misses / accesses.
-func (s *Stats) MissRatio() float64 {
-	total := s.Hits + s.Misses
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Misses) / float64(total)
-}
-
-// Cache is a single-level set-associative cache with optional way
+// Cache is a single-level set-associative cache with optional bank
 // partitioning. It is a functional (hit/miss) model: latency is carried
 // in the Config and charged by the timing layer.
 type Cache struct {
-	cfg       Config
-	sets      [][]line
-	setsShift uint
-	setsMask  uint64
-	bankMask  uint64
-	clock     uint64
-	seen      map[uint64]struct{}
+	cfg   Config
+	sets  [][]line
+	clock uint64
 	// Prefetch enables a next-N-line prefetcher: every demand miss also
 	// brings in the next Prefetch sequential blocks (the paper's future
 	// work on reducing L2 size requirements via prefetching).
 	Prefetch int
-	// partWays[p] lists the way indices partition p may fill into; nil
-	// means all ways (no partitioning).
-	partWays map[int][]int
 	// partBanks[p] lists the bank indices partition p maps into (the
 	// paper's partitioning: whole 1MB banks dedicated to a phase,
-	// "allocated near the CG core"). When set for a partition, both
-	// lookups and fills of that partition use only those banks.
-	partBanks map[int][]int
+	// "allocated near the CG core"). Fills of a partition with banks use
+	// only those banks; a partition without any interleaves across all.
+	partBanks [][]int
 	bankSets  int
-	nBanks    int
-	candBuf   []uint64
 	Stats     Stats
 }
 
@@ -124,74 +93,103 @@ func New(cfg Config) *Cache {
 	}
 	setsTotal := cfg.SizeBytes / cfg.BlockBytes / cfg.Ways
 	c := &Cache{
-		cfg:       cfg,
-		sets:      make([][]line, setsTotal),
-		seen:      make(map[uint64]struct{}),
-		partWays:  make(map[int][]int),
-		partBanks: make(map[int][]int),
-		nBanks:    cfg.Banks,
-		bankSets:  setsTotal / cfg.Banks,
+		cfg:      cfg,
+		sets:     make([][]line, setsTotal),
+		bankSets: setsTotal / cfg.Banks,
 	}
 	for i := range c.sets {
 		c.sets[i] = make([]line, cfg.Ways)
-		for w := range c.sets[i] {
-			c.sets[i][w].part = -1
-		}
 	}
-	c.Stats.PartMisses = make(map[int]uint64)
 	return c
 }
 
-// Config returns the cache geometry.
-func (c *Cache) Config() Config { return c.cfg }
-
-// Partition dedicates the given ways (indices 0..Ways-1) to partition p.
-// Accesses tagged with p fill only into those ways; lookups still hit in
-// any way ("the cache space dedicated to the serial phases should be
-// readable but not modifiable during parallel phases").
-func (c *Cache) Partition(p int, ways []int) {
-	c.partWays[p] = ways
-}
-
-// PartitionBanks dedicates whole banks to partition p: accesses tagged
-// with p map only into those banks. This is the paper's configuration —
-// 4MB of 1MB 4-way banks per serial phase, placed near the CG core.
+// PartitionBanks dedicates whole banks to partition p >= 0: accesses
+// tagged with p fill only into those banks. This is the paper's
+// configuration — 4MB of 1MB 4-way banks per serial phase, placed near
+// the CG core.
 func (c *Cache) PartitionBanks(p int, banks []int) {
+	for len(c.partBanks) <= p {
+		c.partBanks = append(c.partBanks, nil)
+	}
 	c.partBanks[p] = banks
 }
 
-// candidates returns the distinct set indices where addr could reside:
-// its own partition's set first, then every other partition's mapping
-// (and the unpartitioned mapping), so cross-partition reads hit.
-func (c *Cache) candidates(addr uint64, own uint64) []uint64 {
-	if len(c.partBanks) == 0 {
-		return []uint64{own}
+// setIndex maps a block to a set for partition part: the block
+// interleaves across the partition's banks (all banks when the
+// partition has no bank allocation).
+func (c *Cache) setIndex(block uint64, part int) uint64 {
+	var banks []int
+	if part >= 0 && part < len(c.partBanks) {
+		banks = c.partBanks[part]
 	}
-	out := c.candBuf[:0]
-	out = append(out, own)
-	add := func(si uint64) {
-		for _, s := range out {
-			if s == si {
-				return
+	if len(banks) == 0 {
+		return block % uint64(len(c.sets))
+	}
+	bank := banks[block%uint64(len(banks))]
+	setInBank := (block / uint64(len(banks))) % uint64(c.bankSets)
+	return uint64(bank)*uint64(c.bankSets) + setInBank
+}
+
+// find returns the resident line holding block in set si, or nil.
+func (c *Cache) find(block, si uint64) *line {
+	set := c.sets[si]
+	for w := range set {
+		if l := &set[w]; l.state != invalid && l.tag == block {
+			return l
+		}
+	}
+	return nil
+}
+
+// lookup returns the resident line holding block, or nil. The cache
+// stays logically shared under partitioning ("the cache space dedicated
+// to the serial phases should be readable but not modifiable during
+// parallel phases"): after the block's own set it searches the set the
+// block maps to under every other partition, in partition-id order, and
+// under no partition. Only fill placement is constrained, and fills
+// follow a failed lookup, so a block is resident in at most one of them.
+func (c *Cache) lookup(block, own uint64) *line {
+	if l := c.find(block, own); l != nil || len(c.partBanks) == 0 {
+		return l
+	}
+	for p := -1; p < len(c.partBanks); p++ {
+		if si := c.setIndex(block, p); si != own {
+			if l := c.find(block, si); l != nil {
+				return l
 			}
 		}
-		out = append(out, si)
 	}
-	for p := range c.partBanks {
-		add(c.setIndex(addr, p))
+	return nil
+}
+
+// Access performs one reference from core (for sharing state) under
+// partition part (-1 = unpartitioned) and reports whether it hit.
+func (c *Cache) Access(addr uint64, write bool, core int, part int) bool {
+	c.clock++
+	block := addr / uint64(c.cfg.BlockBytes)
+	si := c.setIndex(block, part)
+	if l := c.lookup(block, si); l != nil {
+		c.Stats.Hits++
+		c.touchLine(l, write, core)
+		return true
 	}
-	add(c.setIndex(addr, -1))
-	c.candBuf = out
-	return out
+	// Miss: fill, and optionally prefetch the sequential blocks that are
+	// not already resident somewhere.
+	c.Stats.Misses++
+	c.fill(block, si, write, core)
+	for i := 1; i <= c.Prefetch; i++ {
+		nb := block + uint64(i)
+		nsi := c.setIndex(nb, part)
+		if c.lookup(nb, nsi) == nil {
+			c.fill(nb, nsi, false, core)
+		}
+	}
+	return false
 }
 
 // touchLine applies the hit-path state transitions.
 func (c *Cache) touchLine(l *line, write bool, core int) {
 	l.lastUse = c.clock
-	if l.prefetched {
-		l.prefetched = false
-		c.Stats.PrefetchHits++
-	}
 	if write {
 		// Writing a line another core holds (or that is shared) kills
 		// the other copies.
@@ -211,141 +209,32 @@ func (c *Cache) touchLine(l *line, write bool, core int) {
 	}
 }
 
-// setIndex maps an address to a set for partition part: the block
-// interleaves across the partition's banks (all banks when the
-// partition has no bank allocation).
-func (c *Cache) setIndex(addr uint64, part int) uint64 {
-	block := addr / uint64(c.cfg.BlockBytes)
-	banks := c.partBanks[part]
-	if len(banks) == 0 {
-		return block % uint64(len(c.sets))
-	}
-	bank := banks[block%uint64(len(banks))]
-	setInBank := (block / uint64(len(banks))) % uint64(c.bankSets)
-	return uint64(bank)*uint64(c.bankSets) + setInBank
-}
-
-// Access performs one reference from core (for sharing state) under
-// partition part (-1 = unpartitioned). It returns true on hit and the
-// access latency contribution in cycles.
-func (c *Cache) Access(addr uint64, write bool, core int, part int) bool {
-	c.clock++
-	block := addr / uint64(c.cfg.BlockBytes)
-	si := c.setIndex(addr, part)
-	// The cache stays logically shared under partitioning: lookups
-	// search every partition's candidate set; only the fill placement is
-	// constrained ("readable but not modifiable" across phases).
-	for _, ci := range c.candidates(addr, si) {
-		set := c.sets[ci]
-		for w := range set {
-			l := &set[w]
-			if l.state != invalid && l.tag == block {
-				c.Stats.Hits++
-				c.touchLine(l, write, core)
-				return true
-			}
-		}
-	}
-	// Miss: classify, fill, and optionally prefetch sequential blocks.
-	c.Stats.Misses++
-	if part >= 0 {
-		c.Stats.PartMisses[part]++
-	}
-	if _, ok := c.seen[block]; !ok {
-		c.seen[block] = struct{}{}
-		c.Stats.ColdMisses++
-	}
-	c.fill(block, si, write, core, part, false)
-	for i := 1; i <= c.Prefetch; i++ {
-		nb := block + uint64(i)
-		nsi := c.setIndex(nb*uint64(c.cfg.BlockBytes), part)
-		if c.present(nb, nsi) {
-			continue
-		}
-		c.fill(nb, nsi, false, core, part, true)
-		c.Stats.Prefetches++
-	}
-	return false
-}
-
-// present reports whether a block is resident in the given set.
-func (c *Cache) present(block, si uint64) bool {
-	for w := range c.sets[si] {
-		l := &c.sets[si][w]
-		if l.state != invalid && l.tag == block {
-			return true
-		}
-	}
-	return false
-}
-
-// fill selects a victim in set si (respecting the partition's way
-// allocation) and installs the block.
-func (c *Cache) fill(block, si uint64, write bool, core, part int, prefetched bool) {
+// fill installs the block in set si over the first invalid way, or
+// failing that the least recently used one (the earliest on a tie).
+func (c *Cache) fill(block, si uint64, write bool, core int) {
 	set := c.sets[si]
-	ways := c.partWays[part]
-	victim := -1
-	var oldest uint64 = ^uint64(0)
-	pick := func(w int) {
+	v := &set[0]
+	for w := range set {
 		l := &set[w]
 		if l.state == invalid {
-			if victim == -1 || set[victim].state != invalid {
-				victim = w
-				oldest = 0
-			}
-			return
+			v = l
+			break
 		}
-		if victim == -1 || (set[victim].state != invalid && l.lastUse < oldest) {
-			victim = w
-			oldest = l.lastUse
+		if l.lastUse < v.lastUse {
+			v = l
 		}
 	}
-	if ways == nil {
-		for w := range set {
-			pick(w)
-		}
-	} else {
-		for _, w := range ways {
-			if w >= 0 && w < len(set) {
-				pick(w)
-			}
-		}
-	}
-	if victim < 0 {
-		victim = 0
-	}
-	v := &set[victim]
 	if v.state == modified || v.state == owned {
 		c.Stats.Writebacks++
 	}
 	v.tag = block
 	v.lastUse = c.clock
-	v.part = int8(part)
 	v.owner = int8(core)
-	v.prefetched = prefetched
 	if write {
 		v.state = modified
 	} else {
 		v.state = exclusive
 	}
-}
-
-// Reset clears contents and statistics but keeps the partition map.
-func (c *Cache) Reset() {
-	for i := range c.sets {
-		for w := range c.sets[i] {
-			c.sets[i][w] = line{part: -1}
-		}
-	}
-	c.clock = 0
-	c.seen = make(map[uint64]struct{})
-	c.Stats = Stats{PartMisses: make(map[int]uint64)}
-}
-
-// ResetStats clears counters but keeps contents (for steady-state
-// sampling).
-func (c *Cache) ResetStats() {
-	c.Stats = Stats{PartMisses: make(map[int]uint64)}
 }
 
 // Hierarchy is a two-level hierarchy: per-core L1s in front of a shared

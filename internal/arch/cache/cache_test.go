@@ -20,8 +20,8 @@ func TestBasicHitMiss(t *testing.T) {
 		t.Error("next block should miss")
 	}
 	st := c.Stats
-	if st.Hits != 2 || st.Misses != 2 || st.ColdMisses != 2 {
-		t.Errorf("stats = %+v", st)
+	if want := (Stats{Hits: 2, Misses: 2}); st != want {
+		t.Errorf("stats = %+v, want %+v", st, want)
 	}
 }
 
@@ -43,7 +43,8 @@ func TestLRUEviction(t *testing.T) {
 func TestCapacityBehaviour(t *testing.T) {
 	// A working set that fits has ~zero steady-state misses; one that
 	// doesn't fit keeps missing.
-	c := New(Config{SizeBytes: 1 << 14, Ways: 4, BlockBytes: 64, HitLatency: 1})
+	cfg := Config{SizeBytes: 1 << 14, Ways: 4, BlockBytes: 64, HitLatency: 1}
+	c := New(cfg)
 	sweep := func(blocks int) {
 		for i := 0; i < blocks; i++ {
 			c.Access(uint64(i*64), false, 0, -1)
@@ -51,44 +52,69 @@ func TestCapacityBehaviour(t *testing.T) {
 	}
 	fitBlocks := (1 << 14) / 64 / 2 // half capacity
 	sweep(fitBlocks)
-	c.ResetStats()
+	c.Stats = Stats{}
 	sweep(fitBlocks)
 	if c.Stats.Misses != 0 {
 		t.Errorf("fitting working set missed %d times in steady state", c.Stats.Misses)
 	}
-	c.Reset()
+	c = New(cfg)
 	over := (1 << 14) / 64 * 4 // 4x capacity
 	sweep(over)
-	c.ResetStats()
+	c.Stats = Stats{}
 	sweep(over)
-	if c.Stats.MissRatio() < 0.9 {
-		t.Errorf("thrashing sweep should keep missing: ratio %v", c.Stats.MissRatio())
+	if ratio := float64(c.Stats.Misses) / float64(c.Stats.Hits+c.Stats.Misses); ratio < 0.9 {
+		t.Errorf("thrashing sweep should keep missing: ratio %v", ratio)
 	}
 }
 
-func TestPartitioningProtectsWays(t *testing.T) {
-	// Two partitions on a 4-way cache: partition 0 owns ways 0-1,
-	// partition 1 owns ways 2-3. Partition 1's flood must not evict
-	// partition 0's resident data.
-	c := New(Config{SizeBytes: 64 * 4 * 16, Ways: 4, BlockBytes: 64, HitLatency: 1})
-	c.Partition(0, []int{0, 1})
-	c.Partition(1, []int{2, 3})
-	// Fill partition 0 with a small set.
-	nsets := 16
-	for i := 0; i < nsets*2; i++ {
+// threeBanks returns a 3-bank cache (16 sets per bank) with bank b
+// dedicated to partition b.
+func threeBanks() *Cache {
+	c := New(Config{SizeBytes: 3 * 16 * 4 * 64, Ways: 4, BlockBytes: 64, Banks: 3, HitLatency: 1})
+	for b := 0; b < 3; b++ {
+		c.PartitionBanks(b, []int{b})
+	}
+	return c
+}
+
+func TestPartitionBanks(t *testing.T) {
+	// Section 6.1's organisation: whole banks per partition. Partition
+	// 1's flood must not evict partition 0's resident data, its fills
+	// must stay inside its own bank, and partition 0's data stays
+	// readable from every other partition.
+	c := threeBanks()
+	const resident = 16 * 2 // half of partition 0's bank
+	const floodBase = 1 << 20
+	for i := 0; i < resident; i++ {
 		c.Access(uint64(i*64), false, 0, 0)
 	}
-	// Flood partition 1 with a huge stream.
 	for i := 0; i < 10000; i++ {
-		c.Access(uint64((1<<20)+i*64), false, 0, 1)
+		c.Access(uint64(floodBase+i*64), false, 0, 1)
 	}
-	// Partition 0's data must still be resident.
-	c.ResetStats()
-	for i := 0; i < nsets*2; i++ {
+	for si, set := range c.sets {
+		for _, l := range set {
+			if l.state == invalid {
+				continue
+			}
+			bank, flood := si/c.bankSets, l.tag >= floodBase/64
+			if (flood && bank != 1) || (!flood && bank != 0) {
+				t.Fatalf("block %#x resident in bank %d", l.tag, bank)
+			}
+		}
+	}
+	c.Stats = Stats{}
+	for i := 0; i < resident; i++ {
 		c.Access(uint64(i*64), false, 0, 0)
 	}
 	if c.Stats.Misses != 0 {
 		t.Errorf("partitioned data evicted by other partition: %d misses", c.Stats.Misses)
+	}
+	// "Readable but not modifiable": other partitions, and unpartitioned
+	// accesses, hit partition 0's lines where they are.
+	for _, part := range []int{1, 2, -1} {
+		if !c.Access(0, false, 0, part) {
+			t.Errorf("read under partition %d missed a block resident in partition 0", part)
+		}
 	}
 }
 
@@ -103,7 +129,7 @@ func TestNoPartitionSharedEviction(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Access(uint64((1<<20)+i*64), false, 0, -1)
 	}
-	c.ResetStats()
+	c.Stats = Stats{}
 	for i := 0; i < nsets*2; i++ {
 		c.Access(uint64(i*64), false, 0, -1)
 	}
@@ -189,14 +215,69 @@ func TestMissRatioMonotoneInSize(t *testing.T) {
 	}
 }
 
-func TestResetClearsContents(t *testing.T) {
-	c := New(Config{SizeBytes: 4096, Ways: 2, BlockBytes: 64, HitLatency: 1})
-	c.Access(0, false, 0, -1)
-	c.Reset()
-	if c.Access(0, false, 0, -1) {
-		t.Error("access after Reset should miss")
+// TestPartitionedPrefetchDeterministic: with banks partitioned and the
+// prefetcher on, the prefetcher's residency check must be the
+// all-partition lookup a demand access uses — otherwise it installs a
+// second copy of a block another partition holds, and which copy a later
+// hit touches depends on search order.
+func TestPartitionedPrefetchDeterministic(t *testing.T) {
+	var want Stats
+	for run := 0; run < 20; run++ {
+		c := threeBanks()
+		c.Prefetch = 4
+		r := rand.New(rand.NewSource(7))
+		for i := 0; i < 20000; i++ {
+			c.Access(uint64(r.Intn(1<<10))*64, r.Intn(4) == 0, r.Intn(2), r.Intn(4)-1)
+		}
+		where := map[uint64]int{}
+		for si, set := range c.sets {
+			for _, l := range set {
+				if l.state == invalid {
+					continue
+				}
+				if other, dup := where[l.tag]; dup {
+					t.Fatalf("run %d: block %#x resident in sets %d and %d", run, l.tag, other, si)
+				}
+				where[l.tag] = si
+			}
+		}
+		if run == 0 {
+			want = c.Stats
+		} else if c.Stats != want {
+			t.Fatalf("run %d: stats %+v, first run %+v", run, c.Stats, want)
+		}
 	}
-	if c.Stats.Misses != 1 || c.Stats.ColdMisses != 1 {
-		t.Errorf("stats after reset = %+v", c.Stats)
+}
+
+// TestHierarchyAccessDoesNotAllocate: the simulator's innermost call
+// runs tens of millions of times per sweep.
+func TestHierarchyAccessDoesNotAllocate(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	addrs := make([]uint64, 10000)
+	for i := range addrs {
+		addrs[i] = uint64(r.Intn(1<<18)) * 64 // 16MB footprint: misses in L1 and L2
+	}
+	shared := NewHierarchy(2, 3)
+	banked := NewHierarchy(2, 3)
+	for b := 0; b < 3; b++ {
+		banked.L2.PartitionBanks(b, []int{b})
+	}
+	for _, tc := range []struct {
+		name  string
+		h     *Hierarchy
+		parts int
+	}{{"unpartitioned", shared, 0}, {"bank-partitioned", banked, 3}} {
+		i := 0
+		allocs := testing.AllocsPerRun(len(addrs), func() {
+			part := -1
+			if tc.parts > 0 {
+				part = i % tc.parts
+			}
+			tc.h.Access(i&1, addrs[i%len(addrs)], i&7 == 0, part)
+			i++
+		})
+		if allocs != 0 {
+			t.Errorf("%s: %v allocations per Hierarchy.Access, want 0", tc.name, allocs)
+		}
 	}
 }

@@ -121,12 +121,6 @@ func ThreadBase(t int) uint64 {
 	return baseThreads + uint64(t)*0x0100_0000
 }
 
-// Ref is one memory reference: a simulated address plus intent.
-type Ref struct {
-	Addr  uint64
-	Write bool
-}
-
 // Stream receives memory references in program order. Implementations
 // are typically cache models.
 type Stream func(addr uint64, write bool)

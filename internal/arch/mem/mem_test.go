@@ -90,6 +90,12 @@ func TestThreadBasesDisjoint(t *testing.T) {
 	}
 }
 
+// Ref is one emitted memory reference: a simulated address plus intent.
+type Ref struct {
+	Addr  uint64
+	Write bool
+}
+
 // captureRefs runs a trace generator and collects the emitted refs.
 func captureRefs(emit func(Stream)) []Ref {
 	var out []Ref

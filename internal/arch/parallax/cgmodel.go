@@ -58,12 +58,7 @@ const MemMLP = 4.0
 
 // CGFrameTime evaluates the frame on a conventional CG-only machine.
 func (wl *Workload) CGFrameTime(cfg MemConfig) CGResult {
-	if cfg.Cores < 1 {
-		cfg.Cores = 1
-	}
-	if cfg.Threads < 1 {
-		cfg.Threads = cfg.Cores
-	}
+	cfg = cfg.normalized()
 	var res CGResult
 	res.Instr = wl.FrameInstr()
 	res.Mem = wl.SimulateMemory(cfg)

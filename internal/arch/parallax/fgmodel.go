@@ -87,8 +87,8 @@ func (wl *Workload) TaskTime(k kernels.Kernel, ipc float64) float64 {
 
 // FGTime evaluates the fine-grain portion of the frame on nFG cores of
 // the given type over the given interconnect, assuming the CG side can
-// keep the task queues full (cgThreads CG cores submitting).
-func (wl *Workload) FGTime(fg cpu.Config, nFG int, lk link.Kind, cgThreads int) FGResult {
+// keep the task queues full.
+func (wl *Workload) FGTime(fg cpu.Config, nFG int, lk link.Kind) FGResult {
 	return wl.FGTimeSharedLocal(fg, nFG, lk, 1)
 }
 
@@ -191,7 +191,7 @@ func (wl *Workload) FGTimeSharedLocal(fg cpu.Config, nFG int, lk link.Kind, clus
 // latency. It returns the FG result plus the fraction of island-phase
 // work filtered back.
 func (wl *Workload) FilteredFGTime(fg cpu.Config, nFG int, lk link.Kind, minTasks int) (FGResult, float64) {
-	res := wl.FGTime(fg, nFG, lk, 4)
+	res := wl.FGTime(fg, nFG, lk)
 	dofs := wl.IslandDOFsSorted()
 	total, kept := 0.0, 0.0
 	for _, d := range dofs {
@@ -218,13 +218,13 @@ func (wl *Workload) FilteredFGTime(fg cpu.Config, nFG int, lk link.Kind, minTask
 func (wl *Workload) FGCoresFor30FPS(fg cpu.Config, budgetFrac float64, lk link.Kind) int {
 	budget := budgetFrac * FrameBudget
 	lo, hi := 1, 1<<14
-	r := wl.FGTime(fg, hi, lk, 4)
+	r := wl.FGTime(fg, hi, lk)
 	if r.Total() > budget {
 		return hi
 	}
 	for lo < hi {
 		mid := (lo + hi) / 2
-		r = wl.FGTime(fg, mid, lk, 4)
+		r = wl.FGTime(fg, mid, lk)
 		if r.Total() <= budget {
 			hi = mid
 		} else {
@@ -232,16 +232,6 @@ func (wl *Workload) FGCoresFor30FPS(fg cpu.Config, budgetFrac float64, lk link.K
 		}
 	}
 	return lo
-}
-
-// FGInstrTotal returns the frame's total farmable FG instructions.
-func (wl *Workload) FGInstrTotal() float64 {
-	instr := wl.FrameInstr()
-	t := 0.0
-	for _, ph := range fgPhases {
-		t += instr[ph] * kernels.FGShare(ph)
-	}
-	return t
 }
 
 // IdealFGCores is the closed-form requirement assuming 100% utilization

@@ -23,9 +23,10 @@ type MemConfig struct {
 	Cores int
 	// L2MB is the shared L2 capacity in 1MB 4-way banks.
 	L2MB int
-	// Partitioned enables the paper's way partitioning: one third of the
-	// ways each to Broadphase, Island Creation, and the parallel phases
-	// (4MB + 4MB + rest in the 12MB configuration).
+	// Partitioned enables the paper's bank partitioning: a third of the
+	// 1MB banks each dedicated to Broadphase and to Island Creation, the
+	// rest to the parallel phases (4MB + 4MB + 4MB in the 12MB
+	// configuration).
 	Partitioned bool
 	// Threads is the worker-thread count for the parallel phases; more
 	// than 4 triggers the measured OS per-thread memory inflation.
@@ -64,18 +65,38 @@ func (m MemResult) TotalL2Misses() (user, kernel uint64) {
 	return user, kernel
 }
 
-// SimulateMemory replays the frame's per-phase reference streams
-// through an L1/L2 hierarchy and returns per-phase miss counts and
-// stall cycles. The solver's and cloth's iterative sweeps are sampled
-// (cold + steady) and scaled by the iteration count.
-func (wl *Workload) SimulateMemory(cfg MemConfig) MemResult {
-	obsStart := wl.obs.tr.Now()
+// normalized applies MemConfig's defaults: at least one core, and one
+// thread per core unless told otherwise.
+func (cfg MemConfig) normalized() MemConfig {
 	if cfg.Cores < 1 {
 		cfg.Cores = 1
 	}
 	if cfg.Threads < 1 {
 		cfg.Threads = cfg.Cores
 	}
+	return cfg
+}
+
+// SimulateMemory replays the frame's per-phase reference streams
+// through an L1/L2 hierarchy and returns per-phase miss counts and
+// stall cycles. The solver's and cloth's iterative sweeps are sampled
+// (cold + steady) and scaled by the iteration count. The result is a
+// pure function of the (read-only) workload and cfg, so each distinct
+// normalized configuration is simulated once per workload; it is safe
+// for concurrent use.
+func (wl *Workload) SimulateMemory(cfg MemConfig) MemResult {
+	cfg = cfg.normalized()
+	wl.obs.reg.Add(wl.obs.memsimRequests, 1)
+	return wl.memsim.get(cfg, func() MemResult {
+		wl.obs.reg.Add(wl.obs.memsimComputed, 1)
+		return wl.simulateMemory(cfg)
+	})
+}
+
+// simulateMemory is the uncached simulation behind SimulateMemory; cfg
+// is already normalized.
+func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
+	obsStart := wl.obs.tr.Now()
 	h := cache.NewHierarchy(max(cfg.Cores, cfg.Threads), cfg.L2MB)
 	h.L2.Prefetch = cfg.PrefetchDepth
 	if cfg.Partitioned {

@@ -6,6 +6,7 @@ import (
 
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 	"github.com/parallax-arch/parallax/internal/arch/link"
+	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
@@ -153,9 +154,9 @@ func TestFGCoreCountOrdering(t *testing.T) {
 
 func TestInterconnectOrdering(t *testing.T) {
 	wl := capture(t, "Mix", 0.25)
-	on := wl.FGTime(cpu.Shader, 150, link.OnChip, 4)
-	htx := wl.FGTime(cpu.Shader, 150, link.HTX, 4)
-	pcie := wl.FGTime(cpu.Shader, 150, link.PCIe, 4)
+	on := wl.FGTime(cpu.Shader, 150, link.OnChip)
+	htx := wl.FGTime(cpu.Shader, 150, link.HTX)
+	pcie := wl.FGTime(cpu.Shader, 150, link.PCIe)
 	if !(on.Total() <= htx.Total() && htx.Total() <= pcie.Total()) {
 		t.Fatalf("interconnect ordering wrong: %v %v %v",
 			on.Total(), htx.Total(), pcie.Total())
@@ -273,5 +274,63 @@ func TestKernelIPCConcurrent(t *testing.T) {
 	close(errs)
 	for e := range errs {
 		t.Error(e)
+	}
+}
+
+// TestSimulateMemoryMemo pins the memo at SimulateMemory (run with -race
+// in CI): concurrent requests for one configuration simulate once, the
+// key is the normalized MemConfig in full, and a memoised result is the
+// uncached simulation's.
+func TestSimulateMemoryMemo(t *testing.T) {
+	wl := capture(t, "Periodic", 0.15)
+	reg := obs.NewRegistry()
+	wl.SetObs(nil, reg, "arch/Periodic")
+	computed := func() int64 { return reg.CounterValue(wl.obs.memsimComputed) }
+
+	base := MemConfig{Cores: 2, L2MB: 3, Threads: 2, DedicatedPhase: -1}
+	var wg sync.WaitGroup
+	results := make([]MemResult, 16)
+	for g := range results {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			results[g] = wl.SimulateMemory(base)
+		}(g)
+	}
+	wg.Wait()
+	if n := computed(); n != 1 {
+		t.Fatalf("16 concurrent requests for one MemConfig ran %d simulations, want 1", n)
+	}
+	want := wl.simulateMemory(base)
+	for g, r := range results {
+		if r != want {
+			t.Fatalf("goroutine %d: memoised result %+v differs from the uncached simulation %+v", g, r, want)
+		}
+	}
+
+	// The defaults are applied before the lookup.
+	wl.SimulateMemory(MemConfig{L2MB: 1, DedicatedPhase: -1})
+	wl.SimulateMemory(MemConfig{Cores: 1, L2MB: 1, Threads: 1, DedicatedPhase: -1})
+	if n := computed(); n != 2 {
+		t.Errorf("a MemConfig and its defaulted twin ran %d simulations, want 1", n-1)
+	}
+
+	// Every field is part of the key.
+	variants := []MemConfig{base, base, base, base}
+	variants[0].PrefetchDepth = 4
+	variants[1].Threads = 1
+	variants[2].Partitioned = true
+	variants[3].DedicatedPhase = int(world.PhaseBroad)
+	for i, v := range variants {
+		before := computed()
+		if got, want := wl.SimulateMemory(v), wl.simulateMemory(v); got != want {
+			t.Errorf("variant %d (%+v): memoised result differs from the uncached simulation", i, v)
+		}
+		if computed() != before+1 {
+			t.Errorf("variant %d (%+v) collided with an earlier configuration", i, v)
+		}
+	}
+	if got := reg.CounterValue(wl.obs.memsimRequests); got != 16+2+int64(len(variants)) {
+		t.Errorf("memsim_requests = %d, want one per SimulateMemory call (%d)", got, 16+2+len(variants))
 	}
 }

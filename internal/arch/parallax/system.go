@@ -5,7 +5,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/link"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // System is a full ParallAX configuration (Fig 8). Model 1 places the
@@ -88,7 +87,7 @@ func (wl *Workload) Evaluate(sys System) Breakdown {
 	}
 
 	if sys.FGCount > 0 {
-		fg := wl.FGTime(sys.FGType, sys.FGCount, sys.Link, sys.CGCores)
+		fg := wl.FGTime(sys.FGType, sys.FGCount, sys.Link)
 		b.FG = fg
 		b.FGTime = fg.Total()
 	} else {
@@ -132,6 +131,3 @@ func PaperModel2Example() float64 {
 	bytes := 1000*60 + 10000*12 + 5000*12
 	return link.For(link.PCIe).TransferTime(bytes) * 2
 }
-
-// phase alias re-exported for experiment code readability.
-type Phase = world.Phase

@@ -11,7 +11,6 @@ package parallax
 
 import (
 	"sort"
-	"sync"
 
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
@@ -30,13 +29,13 @@ type Workload struct {
 	Frame  world.FrameProfile
 	Layout *mem.Layout
 
-	// ipcCache memoizes KernelIPC by the full core configuration
-	// (cpu.Config is a comparable value type), not just its name: two
-	// distinct configs sharing a name — or both zero-named, as in
-	// custom sweeps — must not collide. Guarded by ipcMu with
-	// singleflight semantics for concurrent evaluation.
-	ipcMu    sync.Mutex
-	ipcCache map[cpu.Config]*ipcOnce
+	// ipc memoizes KernelIPC by the full core configuration (cpu.Config
+	// is a comparable value type), not just its name: two distinct
+	// configs sharing a name — or both zero-named, as in custom sweeps —
+	// must not collide. memsim memoizes SimulateMemory by the normalized
+	// MemConfig.
+	ipc    memo[cpu.Config, [kernels.NumAllKernels]float64]
+	memsim memo[MemConfig, MemResult]
 
 	// obs holds the workload's observability hooks (SetObs); zero when
 	// observability is off.
@@ -56,6 +55,8 @@ type wobs struct {
 	memsimSpan obs.SpanID
 	fgSpan     obs.SpanID
 
+	memsimRequests, memsimComputed obs.CounterID
+
 	l1Hits, l1Misses          obs.CounterID
 	l2Hits, l2Misses          obs.CounterID
 	l2Writebacks, l2Invals    obs.CounterID
@@ -63,9 +64,13 @@ type wobs struct {
 }
 
 // SetObs attaches an observability sink to the workload's architecture
-// models: SimulateMemory records the cache hierarchy's hit/miss/
-// writeback/invalidation totals and a complete "memsim" span on the
-// lane named label; the FG interconnect model records its per-call
+// models: SimulateMemory counts its calls and the simulations they led
+// to (memo hit rate = 1 - memsim_computed/memsim_requests; both are
+// deterministic under singleflight — requests is the number of call
+// sites executed, computed the number of distinct configurations), and
+// each simulation records the cache hierarchy's hit/miss/writeback/
+// invalidation totals and a complete "memsim" span on the lane named
+// label; the FG interconnect model records its per-call
 // compute and exposed-communication time (in integer nanoseconds, so
 // the totals stay deterministic) and a "fg-model" span. Either argument
 // may be nil.
@@ -77,6 +82,8 @@ func (wl *Workload) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 		wl.obs.fgSpan = tr.Span("fg-model")
 	}
 	if reg != nil {
+		wl.obs.memsimRequests = reg.Counter("arch/memsim_requests")
+		wl.obs.memsimComputed = reg.Counter("arch/memsim_computed")
 		wl.obs.l1Hits = reg.Counter("arch/cache/l1_hits")
 		wl.obs.l1Misses = reg.Counter("arch/cache/l1_misses")
 		wl.obs.l2Hits = reg.Counter("arch/cache/l2_hits")
@@ -86,11 +93,6 @@ func (wl *Workload) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 		wl.obs.linkComputeNs = reg.Counter("arch/link/compute_ns")
 		wl.obs.linkCommNs = reg.Counter("arch/link/comm_ns")
 	}
-}
-
-type ipcOnce struct {
-	once sync.Once
-	v    [kernels.NumAllKernels]float64
 }
 
 // Capture runs the benchmark world for warmFrames unrecorded frames,
@@ -133,25 +135,15 @@ func (wl *Workload) FrameInstr() kernels.PhaseInstr {
 // timing model. Safe for concurrent use: each configuration's traces
 // run exactly once even when requested from many goroutines.
 func (wl *Workload) KernelIPC(cfg cpu.Config) [kernels.NumAllKernels]float64 {
-	wl.ipcMu.Lock()
-	if wl.ipcCache == nil {
-		wl.ipcCache = make(map[cpu.Config]*ipcOnce)
-	}
-	e, ok := wl.ipcCache[cfg]
-	if !ok {
-		e = &ipcOnce{}
-		wl.ipcCache[cfg] = e
-	}
-	wl.ipcMu.Unlock()
-	e.once.Do(func() {
+	return wl.ipc.get(cfg, func() (v [kernels.NumAllKernels]float64) {
 		for _, k := range []kernels.Kernel{
 			kernels.Narrow, kernels.Island, kernels.Cloth,
 			kernels.Broad, kernels.IslandGen,
 		} {
-			e.v[k] = cpu.New(cfg).Run(k.Trace(300, int64(k)+11)).IPC()
+			v[k] = cpu.New(cfg).Run(k.Trace(300, int64(k)+11)).IPC()
 		}
+		return v
 	})
-	return e.v
 }
 
 // PhaseKernel maps an engine phase to the kernel that models its code:

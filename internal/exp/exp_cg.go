@@ -68,7 +68,7 @@ func (s *Suite) Table4(w io.Writer) {
 func (s *Suite) Fig2a(w io.Writer) {
 	wls := s.Workloads()
 	rs := make([]parallax.CGResult, len(wls))
-	s.pool(len(wls), func(i int) { rs[i] = s.cgOnly(wls[i], 1, 1, false) })
+	s.pool(len(wls), func(i int) { rs[i] = wls[i].CGOnly(1, 1, false) })
 
 	fmt.Fprintf(w, "%-12s %10s %10s %10s %10s %10s %10s %8s %9s\n",
 		"Benchmark", "Broad(ms)", "Narrow", "IslGen", "IslProc", "Cloth",
@@ -97,7 +97,7 @@ func (s *Suite) Fig2a(w io.Writer) {
 func (s *Suite) Fig2b(w io.Writer) {
 	wls := s.Workloads()
 	cells := grid(s, len(wls), len(l2Sweep), func(r, c int) float64 {
-		return s.cgOnly(wls[r], 1, l2Sweep[c], false).Serial()
+		return wls[r].CGOnly(1, l2Sweep[c], false).Serial()
 	})
 
 	fmt.Fprintf(w, "%-12s", "Benchmark")
@@ -166,7 +166,7 @@ var fig5bCores = []int{1, 2, 4}
 func (s *Suite) Fig5b(w io.Writer) {
 	wls := s.Workloads()
 	cells := grid(s, len(wls), len(fig5bCores), func(r, c int) float64 {
-		return s.cgOnly(wls[r], fig5bCores[c], 12, true).Total()
+		return wls[r].CGOnly(fig5bCores[c], 12, true).Total()
 	})
 
 	fmt.Fprintf(w, "%-12s %10s %10s %10s %12s %12s\n",
@@ -190,7 +190,7 @@ func (s *Suite) Fig6a(w io.Writer) {
 	type pair struct{ r, base parallax.CGResult }
 	rs := make([]pair, len(wls))
 	s.pool(len(wls), func(i int) {
-		rs[i] = pair{s.cgOnly(wls[i], 4, 12, true), s.cgOnly(wls[i], 1, 1, false)}
+		rs[i] = pair{wls[i].CGOnly(4, 12, true), wls[i].CGOnly(1, 1, false)}
 	})
 
 	fmt.Fprintf(w, "%-12s %10s %10s %10s %10s %10s %10s %8s %9s\n",

@@ -15,13 +15,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
-// Tiny constructors keeping AblIterations readable.
-func geomPlane() geom.Plane       { return geom.Plane{Normal: m3.V(0, 1, 0)} }
-func m3Zero() m3.Vec              { return m3.Zero }
-func qIdent() m3.Quat             { return m3.QIdent }
-func boxShape(h float64) geom.Box { return geom.Box{Half: m3.V(h, h, h)} }
-func vec(x, y, z float64) m3.Vec  { return m3.V(x, y, z) }
-
 // This file holds the paper's future-work extensions and the ablation
 // studies DESIGN.md calls out, beyond the tables and figures of the
 // published evaluation.
@@ -109,7 +102,7 @@ func (s *Suite) AblPartition(w io.Writer) {
 		}
 	}
 	cells := grid(s, len(rows), 2, func(r, c int) parallax.CGResult {
-		return s.cgOnly(rows[r].wl, 4, rows[r].mb, c == 1)
+		return rows[r].wl.CGOnly(4, rows[r].mb, c == 1)
 	})
 
 	fmt.Fprintf(w, "%-12s %6s %14s %14s %14s %14s\n",
@@ -187,9 +180,9 @@ func (s *Suite) AblIterations(w io.Writer) {
 	cells := make([]cell, len(iterSweep))
 	s.pool(len(iterSweep), func(i int) {
 		wd := world.New()
-		wd.AddStatic(geomPlane(), m3Zero(), qIdent())
+		wd.AddStatic(geom.Plane{Normal: m3.V(0, 1, 0)}, m3.Zero, m3.QIdent)
 		for b := 0; b < 8; b++ {
-			wd.AddBody(boxShape(0.5), 10, vec(0, 0.5+float64(b)*1.0, 0), qIdent(), 0, 0)
+			wd.AddBody(geom.Box{Half: m3.V(0.5, 0.5, 0.5)}, 10, m3.V(0, 0.5+float64(b)*1.0, 0), m3.QIdent, 0, 0)
 		}
 		wd.Solver.Iterations = iterSweep[i]
 		updates := 0
@@ -223,9 +216,9 @@ func (s *Suite) AblWarmstart(w io.Writer) {
 		wd := world.New()
 		wd.WarmStart = c == 1
 		wd.Solver.Iterations = iterSweep[r]
-		wd.AddStatic(geomPlane(), m3Zero(), qIdent())
+		wd.AddStatic(geom.Plane{Normal: m3.V(0, 1, 0)}, m3.Zero, m3.QIdent)
 		for i := 0; i < 8; i++ {
-			wd.AddBody(boxShape(0.5), 10, vec(0, 0.5+float64(i)*1.0, 0), qIdent(), 0, 0)
+			wd.AddBody(geom.Box{Half: m3.V(0.5, 0.5, 0.5)}, 10, m3.V(0, 0.5+float64(i)*1.0, 0), m3.QIdent, 0, 0)
 		}
 		for i := 0; i < 200; i++ {
 			wd.Step()
@@ -255,7 +248,7 @@ func (s *Suite) RefSystem(w io.Writer) {
 	}
 	rows := make([]row, len(wls))
 	s.pool(len(wls), func(i int) {
-		rows[i] = row{wls[i].Evaluate(sys), s.cgOnly(wls[i], 4, 12, true).FPS()}
+		rows[i] = row{wls[i].Evaluate(sys), wls[i].CGOnly(4, 12, true).FPS()}
 	})
 
 	fmt.Fprintf(w, "%-12s %11s %9s %9s %10s %8s %8s\n",

@@ -32,7 +32,7 @@ func (s *Suite) Fig9a(w io.Writer) {
 	for _, cfg := range []struct {
 		cores, l2 int
 	}{{1, 9}, {4, 12}} {
-		r := s.cgOnly(wl, cfg.cores, cfg.l2, true)
+		r := wl.CGOnly(cfg.cores, cfg.l2, true)
 		var cgPart, fgPart float64
 		for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
 			cgPart += r.PhaseTime[ph] * (1 - kernels.FGShare(ph))
@@ -43,7 +43,7 @@ func (s *Suite) Fig9a(w io.Writer) {
 			cfg.cores, cfg.l2, r.Serial()*1e3, cgPart*1e3, fgPart*1e3,
 			fgPart/total*100)
 	}
-	r4 := s.cgOnly(wl, 4, 12, true)
+	r4 := wl.CGOnly(4, 12, true)
 	nonFG := r4.Serial()
 	for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
 		nonFG += r4.PhaseTime[ph] * (1 - kernels.FGShare(ph))
@@ -89,7 +89,7 @@ func (s *Suite) Fig10a(w io.Writer) {
 func (s *Suite) Fig10b(w io.Writer) {
 	wl := s.byName("Mix")
 	// The simulated budget: whatever the 4-core CG machine leaves.
-	r4 := s.cgOnly(wl, 4, 12, true)
+	r4 := wl.CGOnly(4, 12, true)
 	nonFG := r4.Serial()
 	for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
 		nonFG += r4.PhaseTime[ph] * (1 - kernels.FGShare(ph))

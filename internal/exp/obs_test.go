@@ -119,7 +119,7 @@ func TestSuiteTraceCoversRun(t *testing.T) {
 
 // TestSuiteMetricsThreadCountDeterminism pins satellite (d): the
 // metrics snapshot of a run — engine counters, cache/link/arbiter
-// model counters, harness memo and pool counters — is byte-identical
+// model counters, memo and harness pool counters — is byte-identical
 // whatever the harness thread count is.
 func TestSuiteMetricsThreadCountDeterminism(t *testing.T) {
 	if testing.Short() {
@@ -141,7 +141,8 @@ func TestSuiteMetricsThreadCountDeterminism(t *testing.T) {
 		"counter arch/arbiter/tasks_run",
 		"gauge arch/arbiter/max_queue_depth",
 		"counter harness/pool_tasks",
-		"counter harness/cg_requests",
+		"counter arch/memsim_requests",
+		"counter arch/memsim_computed",
 		"hist engine/island_dof",
 	} {
 		if !strings.Contains(serial, name) {

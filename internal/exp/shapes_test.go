@@ -20,7 +20,7 @@ func TestShapeSerialFractionSmall(t *testing.T) {
 	s := suiteForTest(t)
 	sum, n := 0.0, 0
 	for _, wl := range s.Workloads() {
-		r := s.cgOnly(wl, 1, 1, false)
+		r := wl.CGOnly(1, 1, false)
 		sum += r.Serial() / r.Total()
 		n++
 	}
@@ -35,7 +35,7 @@ func TestShapeComplexityOrdering(t *testing.T) {
 	// (Explosions, Highspeed, Mix) dwarfs Periodic/Ragdoll.
 	s := suiteForTest(t)
 	total := func(name string) float64 {
-		return s.cgOnly(s.byName(name), 1, 1, false).Total()
+		return s.byName(name).CGOnly(1, 1, false).Total()
 	}
 	// (Wall/building sizes scale super-linearly with the suite scale, so
 	// at the reduced test scale we require strict ordering; at full
@@ -59,7 +59,7 @@ func TestShapeSerialL2Monotone(t *testing.T) {
 		prev := -1.0
 		first, last := 0.0, 0.0
 		for _, mb := range []int{1, 2, 4, 8, 16} {
-			v := s.cgOnly(wl, 1, mb, false).Serial()
+			v := wl.CGOnly(1, mb, false).Serial()
 			if prev > 0 && v > prev*1.05 {
 				t.Errorf("%s: serial time rose at %dMB: %v -> %v", name, mb, prev, v)
 			}
@@ -80,9 +80,9 @@ func TestShapeCGScalingSublinearAndDecreasing(t *testing.T) {
 	s := suiteForTest(t)
 	g12, g24, n := 0.0, 0.0, 0.0
 	for _, wl := range s.Workloads() {
-		t1 := s.cgOnly(wl, 1, 12, true).Total()
-		t2 := s.cgOnly(wl, 2, 12, true).Total()
-		t4 := s.cgOnly(wl, 4, 12, true).Total()
+		t1 := wl.CGOnly(1, 12, true).Total()
+		t2 := wl.CGOnly(2, 12, true).Total()
+		t4 := wl.CGOnly(4, 12, true).Total()
 		g12 += t1/t2 - 1
 		g24 += t2/t4 - 1
 		n++
@@ -170,7 +170,7 @@ func TestShapeReferenceSystemBeatsCMP(t *testing.T) {
 	// The proposed system must beat the 4-core CMP on every benchmark.
 	s := suiteForTest(t)
 	for _, wl := range s.Workloads() {
-		cmp := s.cgOnly(wl, 4, 12, true).Total()
+		cmp := wl.CGOnly(4, 12, true).Total()
 		sys := wl.Evaluate(parallax.Reference())
 		if sys.Total() >= cmp {
 			t.Errorf("%s: ParallAX (%v) does not beat the CMP (%v)",
@@ -193,8 +193,8 @@ func TestShapeSerialTimeCoreInvariant(t *testing.T) {
 	// Serial phases do not speed up with more cores (paper Fig 9a).
 	s := suiteForTest(t)
 	wl := s.byName("Explosions")
-	s1 := s.cgOnly(wl, 1, 12, true).Serial()
-	s4 := s.cgOnly(wl, 4, 12, true).Serial()
+	s1 := wl.CGOnly(1, 12, true).Serial()
+	s4 := wl.CGOnly(4, 12, true).Serial()
 	if s4 < s1*0.85 || s4 > s1*1.15 {
 		t.Errorf("serial time varies with cores: %v vs %v", s1, s4)
 	}

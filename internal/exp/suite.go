@@ -54,12 +54,6 @@ type Suite struct {
 	captureNanos atomic.Int64
 	captured     atomic.Int64
 
-	// cgCache memoizes CG-machine evaluations with singleflight
-	// deduplication: concurrent requests for the same point block on
-	// one computation instead of repeating it.
-	cgMu    sync.Mutex
-	cgCache map[cgKey]*cgOnce
-
 	// Observability (lazily initialized): one tracer and one metrics
 	// registry shared by the harness, every captured engine world, and
 	// the architecture models, so a single export shows the whole run.
@@ -68,30 +62,17 @@ type Suite struct {
 	// whatever pool worker ran them), and those spans are the single
 	// timing source behind both the trace export and the "# timing:"
 	// output lines.
-	obsOnce    sync.Once
-	trace      *obs.Tracer
-	metrics    *obs.Registry
-	hLane      *obs.Lane
-	poolTasks  obs.CounterID
-	cgRequests obs.CounterID
-	cgComputed obs.CounterID
+	obsOnce   sync.Once
+	trace     *obs.Tracer
+	metrics   *obs.Registry
+	hLane     *obs.Lane
+	poolTasks obs.CounterID
 }
 
 type suiteEntry struct {
 	bench workload.Benchmark
 	once  sync.Once
 	wl    *parallax.Workload
-}
-
-type cgKey struct {
-	name        string
-	cores, l2MB int
-	part        bool
-}
-
-type cgOnce struct {
-	once sync.Once
-	res  parallax.CGResult
 }
 
 // Names lists the benchmarks in paper order.
@@ -109,7 +90,7 @@ func Names() []string {
 // the measured window) only when an experiment first asks for the
 // workload, and Workloads forces all pending captures concurrently.
 func NewSuite(scale float64) *Suite {
-	s := newSuite(scale)
+	s := &Suite{Scale: scale}
 	for _, b := range workload.All {
 		s.entries = append(s.entries, &suiteEntry{bench: b})
 	}
@@ -120,7 +101,7 @@ func NewSuite(scale float64) *Suite {
 // experiments and tests). Unknown names are an error listing the valid
 // benchmarks.
 func NewSuiteOf(scale float64, names ...string) (*Suite, error) {
-	s := newSuite(scale)
+	s := &Suite{Scale: scale}
 	for _, n := range names {
 		b, ok := workload.ByName(n)
 		if !ok {
@@ -132,10 +113,6 @@ func NewSuiteOf(scale float64, names ...string) (*Suite, error) {
 	return s, nil
 }
 
-func newSuite(scale float64) *Suite {
-	return &Suite{Scale: scale, cgCache: make(map[cgKey]*cgOnce)}
-}
-
 // obsInit creates the suite's shared observability sinks.
 func (s *Suite) obsInit() {
 	s.obsOnce.Do(func() {
@@ -143,8 +120,6 @@ func (s *Suite) obsInit() {
 		s.metrics = obs.NewRegistry()
 		s.hLane = s.trace.Lane("harness", 2048)
 		s.poolTasks = s.metrics.Counter("harness/pool_tasks")
-		s.cgRequests = s.metrics.Counter("harness/cg_requests")
-		s.cgComputed = s.metrics.Counter("harness/cg_computed")
 	})
 }
 
@@ -250,30 +225,6 @@ func (s *Suite) byName(name string) *parallax.Workload {
 	}
 	panic(fmt.Sprintf("exp: benchmark %q not in suite (have: %s)",
 		name, strings.Join(s.BenchNames(), ", ")))
-}
-
-// cgOnly memoizes CG-machine evaluations, which several figures share.
-// Concurrency-safe with singleflight semantics: each (workload, cores,
-// l2MB, partitioned) point is computed exactly once even when many
-// experiment goroutines request it at the same time.
-func (s *Suite) cgOnly(wl *parallax.Workload, cores, l2MB int, part bool) parallax.CGResult {
-	// Memo hit rate = 1 - cg_computed/cg_requests. Both counts are
-	// deterministic under singleflight: requests is the fixed number of
-	// call sites executed, computed is the number of unique keys.
-	s.Metrics().Add(s.cgRequests, 1)
-	key := cgKey{wl.Name, cores, l2MB, part}
-	s.cgMu.Lock()
-	c, ok := s.cgCache[key]
-	if !ok {
-		c = &cgOnce{}
-		s.cgCache[key] = c
-	}
-	s.cgMu.Unlock()
-	c.once.Do(func() {
-		s.metrics.Add(s.cgComputed, 1)
-		c.res = wl.CGOnly(cores, l2MB, part)
-	})
-	return c.res
 }
 
 // pool runs fn(0..n-1) on at most s.threads() workers and waits for all
