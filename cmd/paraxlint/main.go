@@ -69,9 +69,8 @@ func main() {
 		}
 	}
 
-	// LoadModule (not Load) so parsafe sees the full in-module closure
-	// even for subset patterns; per-package analyzers skip the DepOnly
-	// extras.
+	// LoadModule hands parsafe the full in-module closure even for subset
+	// patterns; per-package analyzers skip the DepOnly extras.
 	pkgs, err := lint.LoadModule(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paraxlint: %v\n", err)

@@ -173,10 +173,11 @@ func TestParsafeReachable(t *testing.T) {
 		"(*" + mod + "phys/world.StepProfile).AppendIslandDOFs",
 		"(*" + mod + "phys/world.frameScratch).beginStep",
 		"(*" + mod + "phys/world.frameScratch).beginIslands",
-		// The generic that replaced growFloat/growInt32/growUint64/
-		// growStats: every call site instantiates it, so this entry also
-		// pins that call edges resolve through (*types.Func).Origin.
-		mod + "phys/world.grow",
+		// The step arena's one growth rule, a generic in a leaf package:
+		// every call site instantiates it from another package, so this
+		// entry also pins that call edges resolve through
+		// (*types.Func).Origin across package boundaries.
+		mod + "phys/arena.Grow",
 		"(*" + mod + "phys/world.World).Step",
 		"(*" + mod + "phys/world.World).bodyMoving",
 		"(*" + mod + "phys/world.World).bodyPose",

@@ -122,46 +122,17 @@ func goList(patterns ...string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-// Load lists, parses and type-checks the packages matching the patterns
-// (dependencies are consumed as export data, not re-checked). Test files
-// are excluded: the invariants paraxlint enforces are production-code
-// contracts, and tests legitimately print, time and randomize.
-func Load(patterns ...string) ([]*Package, error) {
-	pkgs, err := goList(patterns...)
-	if err != nil {
-		return nil, err
-	}
-	sharedLookup.add(pkgs)
-	var out []*Package
-	for _, p := range pkgs {
-		if p.DepOnly {
-			continue
-		}
-		if p.Error != nil {
-			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
-		}
-		files := make([]string, len(p.GoFiles))
-		for i, f := range p.GoFiles {
-			files[i] = filepath.Join(p.Dir, f)
-		}
-		lp, err := TypeCheck(p.ImportPath, files)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, lp)
-	}
-	return out, nil
-}
-
-// LoadModule is Load extended for module-spanning analysis: packages
-// that are inside the module but were pulled in only as dependencies of
-// the matched patterns are parsed and type-checked from source too
-// (flagged DepOnly), instead of being consumed as opaque export data.
-// This way `paraxlint ./internal/phys/...` still hands parsafe the full
-// in-module call-graph closure — the worker hot path reaches into
-// internal/obs, and an allocation there is no less a finding for having
-// been matched indirectly. Out-of-module (standard library) deps remain
-// export data.
+// LoadModule lists, parses and type-checks the packages matching the
+// patterns. Test files are excluded: the invariants paraxlint enforces
+// are production-code contracts, and tests legitimately print, time and
+// randomize. Packages that are inside the module but were pulled in only
+// as dependencies of the matched patterns are parsed and type-checked
+// from source too (flagged DepOnly), instead of being consumed as opaque
+// export data. This way `paraxlint ./internal/phys/...` still hands
+// parsafe the full in-module call-graph closure — the worker hot path
+// reaches into internal/obs, and an allocation there is no less a
+// finding for having been matched indirectly. Out-of-module (standard
+// library) deps remain export data.
 func LoadModule(patterns ...string) ([]*Package, error) {
 	modPath, err := modulePath()
 	if err != nil {
@@ -231,18 +202,12 @@ var (
 	modErr    error
 )
 
-// TypeCheck parses and type-checks one package from explicit file paths.
-// It is the shared core of Load and the analyzer test harness (which
-// points it at testdata fixtures).
-func TypeCheck(path string, filenames []string) (*Package, error) {
-	return TypeCheckWith(token.NewFileSet(), path, filenames, nil)
-}
-
-// TypeCheckWith is TypeCheck with a caller-supplied FileSet and a set of
-// already-checked source dependencies. deps maps import paths to
-// type-checked packages that take precedence over gc export data, which
-// is how the test harness builds multi-package fixtures (a fixture root
-// importing a fixture dep, neither of which has export data on disk).
+// TypeCheckWith parses and type-checks one package from explicit file
+// paths, positions recorded in the caller's FileSet. deps maps import
+// paths to already-checked source packages that take precedence over gc
+// export data, which is how the analyzer test harness builds
+// multi-package fixtures out of testdata (a fixture root importing a
+// fixture dep, neither of which has export data on disk).
 func TypeCheckWith(fset *token.FileSet, path string, filenames []string, deps map[string]*types.Package) (*Package, error) {
 	var imp types.Importer = importer.ForCompiler(fset, "gc", sharedLookup.lookup)
 	if len(deps) > 0 {

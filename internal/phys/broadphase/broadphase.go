@@ -61,9 +61,15 @@ type Stats struct {
 type Interface interface {
 	// PairsPrerefreshed updates the spatial structure for the current
 	// geom placements and appends all candidate pairs to dst, returning
-	// it. The caller has already refreshed every enabled geom's bounding
-	// box (World.Step's chunk-parallel refresh pass) and accounts for that
-	// work itself: Stats.Geoms and Stats.AABBUpdates are left zero.
+	// it: each pair once, A < B, in ascending (A, B) order. The world
+	// depends on that order — contacts inherit it from their pairs, and
+	// warm starting matches them to last step's by one merge pass over
+	// two lists in that order — so an implementation that emitted pairs
+	// twice or unsorted would lose warm starts and write snapshots that
+	// Restore rejects. The caller has already refreshed every enabled
+	// geom's bounding box (World.Step's chunk-parallel refresh pass) and
+	// accounts for that work itself: Stats.Geoms and Stats.AABBUpdates
+	// are left zero.
 	PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 	// Stats returns counters for the most recent PairsPrerefreshed call.
 	Stats() Stats
@@ -139,10 +145,8 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 	s.stats = Stats{}
 	base := len(dst)
 	s.gen++
-	if len(s.mark) < len(geoms) {
-		grown := make([]uint32, len(geoms)) //paraxlint:allow(alloc) capacity growth, amortized
-		copy(grown, s.mark)
-		s.mark = grown
+	for len(s.mark) < len(geoms) {
+		s.mark = append(s.mark, 0)
 	}
 	if s.gen == 0 { // wrapped: stale stamps could collide, reset
 		clear(s.mark)

@@ -78,16 +78,10 @@ func (s *IncrementalSAP) Stats() Stats { return s.stats }
 func (s *IncrementalSAP) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	s.stats = Stats{}
 	s.gen++
-	if len(s.mark) < len(geoms) {
-		grown := make([]uint32, len(geoms)) //paraxlint:allow(alloc) capacity growth, amortized
-		copy(grown, s.mark)
-		s.mark = grown
-		grown = make([]uint32, len(geoms)) //paraxlint:allow(alloc) capacity growth, amortized
-		copy(grown, s.gone)
-		s.gone = grown
-		has := make([]bool, len(geoms)) //paraxlint:allow(alloc) capacity growth, amortized
-		copy(has, s.has)
-		s.has = has
+	for len(s.mark) < len(geoms) {
+		s.mark = append(s.mark, 0)
+		s.gone = append(s.gone, 0)
+		s.has = append(s.has, false)
 	}
 	if s.gen == 0 { // wrapped: stale stamps could collide, reset
 		clear(s.mark)

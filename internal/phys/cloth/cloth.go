@@ -387,8 +387,6 @@ func closestPointTri(p, a, b, cc m3.Vec) m3.Vec {
 	if va := d3*d6 - d5*d4; va <= 0 && (d4-d3) >= 0 && (d5-d6) >= 0 {
 		return b.Add(cc.Sub(b).Scale((d4 - d3) / ((d4 - d3) + (d5 - d6))))
 	}
-	den := 1 / (d1*d4 - d3*d2 + d5*d2 - d1*d6 + d3*d6 - d5*d4)
-	_ = den
 	// Interior: project onto the plane.
 	nn := n.Norm()
 	return p.Sub(nn.Scale(p.Sub(a).Dot(nn)))

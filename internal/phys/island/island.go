@@ -5,51 +5,7 @@
 // is why this phase serializes the pipeline (paper section 3.2).
 package island
 
-// DSU is a union-find (disjoint-set union) structure over body indices.
-type DSU struct {
-	parent []int32
-	rank   []int8
-	// FindSteps counts parent-chain hops, a work measure for the
-	// architecture model.
-	FindSteps int
-}
-
-// NewDSU returns a DSU over n elements, each in its own set.
-func NewDSU(n int) *DSU {
-	d := &DSU{parent: make([]int32, n), rank: make([]int8, n)}
-	for i := range d.parent {
-		d.parent[i] = int32(i)
-	}
-	return d
-}
-
-// Find returns the set representative of x, with path compression.
-func (d *DSU) Find(x int32) int32 {
-	root := x
-	for d.parent[root] != root {
-		root = d.parent[root]
-		d.FindSteps++
-	}
-	for d.parent[x] != root {
-		d.parent[x], x = root, d.parent[x]
-	}
-	return root
-}
-
-// Union merges the sets containing a and b.
-func (d *DSU) Union(a, b int32) {
-	ra, rb := d.Find(a), d.Find(b)
-	if ra == rb {
-		return
-	}
-	if d.rank[ra] < d.rank[rb] {
-		ra, rb = rb, ra
-	}
-	d.parent[rb] = ra
-	if d.rank[ra] == d.rank[rb] {
-		d.rank[ra]++
-	}
-}
+import "github.com/parallax-arch/parallax/internal/phys/arena"
 
 // Island is one connected component of interacting bodies. Joints and
 // Contacts index into the caller's per-step lists.
@@ -75,37 +31,32 @@ type Edge struct {
 	DOF int
 }
 
-// Build groups the given bodies into islands. active reports whether a
-// body participates (enabled, dynamic, awake); inactive bodies join no
-// island. Constraints whose both endpoints are inactive are dropped.
-// The pass is strictly sequential, mirroring the serial phase.
-func Build(numBodies int, edges []Edge, active func(int32) bool) []Island {
-	islands, _ := BuildCounted(numBodies, edges, active)
-	return islands
-}
-
-// BuildCounted is Build plus the union-find work counter used by the
-// architecture model.
-func BuildCounted(numBodies int, edges []Edge, active func(int32) bool) ([]Island, int) {
-	var b Builder
-	return b.Build(numBodies, edges, active)
-}
-
-// Builder is a reusable island builder: all working storage (the
-// union-find arrays, the root->slot table, and the island lists
-// themselves) persists between Build calls, so a world stepping at a
-// stable topology builds its islands without allocating. The returned
-// islands alias the builder's storage and are valid until the next
-// Build.
+// Builder groups bodies into islands. Its zero value is ready to use, and
+// all working storage persists between Build calls: the union-find arrays
+// and one flat partition — every island's bodies back to back in bodies,
+// likewise joints and contacts, each Island's slices a window into them.
+// Members are counted, then filled, so no island owns storage of its own
+// and a world whose topology changes every step still builds its islands
+// without allocating once the flat arrays have seen the largest scene.
 type Builder struct {
 	parent  []int32
 	rank    []int8
 	act     []bool
-	slot    []int32 // body index -> island slot + 1; 0 = unassigned
+	slot    []int32 // body index -> island index + 1; 0 = in no island
 	islands []Island
-	// findSteps counts parent-chain hops, the serial-phase work measure.
+
+	bodies, joints, contacts []int32
+	// next[k] counts island k's members while counting; while filling it
+	// is where k's next member goes in each flat array.
+	next []members
+
+	// findSteps counts parent-chain hops, the serial-phase work measure
+	// the architecture model reads.
 	findSteps int
 }
+
+// members is one count, or one position, per flat array.
+type members struct{ bodies, joints, contacts int32 }
 
 // find returns the set representative of x with path compression.
 func (b *Builder) find(x int32) int32 {
@@ -135,85 +86,127 @@ func (b *Builder) union(x, y int32) {
 	}
 }
 
-// addIsland appends one island, reusing the member slices of a
-// previously built island occupying the same slot.
-func (b *Builder) addIsland() *Island {
-	if len(b.islands) < cap(b.islands) {
-		b.islands = b.islands[:len(b.islands)+1]
-		is := &b.islands[len(b.islands)-1]
-		is.Bodies = is.Bodies[:0]
-		is.Joints = is.Joints[:0]
-		is.Contacts = is.Contacts[:0]
-		is.DOF = 0
-		return is
+// reset puts each of n elements in its own set.
+func (b *Builder) reset(n int) {
+	b.parent = arena.Grow(b.parent, n)
+	b.rank = arena.Grow(b.rank, n)
+	b.findSteps = 0
+	for i := range b.parent {
+		b.parent[i] = int32(i)
+		b.rank[i] = 0
 	}
-	b.islands = append(b.islands, Island{})
-	return &b.islands[len(b.islands)-1]
 }
 
 // on reports whether i is a valid, active body index for this Build.
 func (b *Builder) on(i int32) bool { return i >= 0 && b.act[i] }
 
-// Build implements the same grouping as the package-level Build over
-// reused storage. The result is deterministic: islands appear in order
-// of their lowest body index, members in ascending order.
+// owner returns the body whose island e's constraint belongs to: its
+// first active endpoint, or -1 if both are inactive (e is dropped).
+func (b *Builder) owner(e *Edge) int32 {
+	switch {
+	case b.on(e.A):
+		return e.A
+	case b.on(e.B):
+		return e.B
+	}
+	return -1
+}
+
+// Build groups the given bodies into islands and returns them with the
+// union-find work counter. active reports whether a body participates
+// (enabled, dynamic, awake); inactive bodies join no island. Constraints
+// whose both endpoints are inactive are dropped. The pass is strictly
+// sequential, mirroring the serial phase, and the result deterministic:
+// islands appear in order of their lowest body index, bodies ascending,
+// joints and contacts in edge order. The islands alias the builder's
+// storage and are valid until the next Build.
 func (b *Builder) Build(numBodies int, edges []Edge, active func(int32) bool) ([]Island, int) {
-	if cap(b.parent) < numBodies {
-		// Capacity growth to the largest body count seen, then reused.
-		b.parent = make([]int32, numBodies) //paraxlint:allow(alloc)
-		b.rank = make([]int8, numBodies)    //paraxlint:allow(alloc)
-		b.act = make([]bool, numBodies)     //paraxlint:allow(alloc)
-		b.slot = make([]int32, numBodies)   //paraxlint:allow(alloc)
-	}
-	b.parent = b.parent[:numBodies]
-	b.rank = b.rank[:numBodies]
-	b.act = b.act[:numBodies]
-	b.slot = b.slot[:numBodies]
-	b.findSteps = 0
-	b.islands = b.islands[:0]
-	for i := int32(0); i < int32(numBodies); i++ {
-		b.parent[i] = i
-		b.rank[i] = 0
+	b.reset(numBodies)
+	b.act = arena.Grow(b.act, numBodies)
+	b.slot = arena.Grow(b.slot, numBodies)
+	for i := range b.act {
+		b.act[i] = active(int32(i))
 		b.slot[i] = 0
-		b.act[i] = active(i)
 	}
-	for _, e := range edges {
-		if b.on(e.A) && b.on(e.B) {
+	for i := range edges {
+		if e := &edges[i]; b.on(e.A) && b.on(e.B) {
 			b.union(e.A, e.B)
 		}
 	}
-	// Map roots to island slots.
+
+	// Count. Every find the work counter sees happens here — one per
+	// active body, then one per owned edge; filling reads slot instead.
+	b.islands, b.next = b.islands[:0], b.next[:0]
+	var total members
 	for i := int32(0); i < int32(numBodies); i++ {
 		if !b.act[i] {
 			continue
 		}
 		r := b.find(i)
-		s := b.slot[r]
-		if s == 0 {
-			b.addIsland()
-			s = int32(len(b.islands))
-			b.slot[r] = s
+		if b.slot[r] == 0 {
+			b.islands = append(b.islands, Island{})
+			b.next = append(b.next, members{})
+			b.slot[r] = int32(len(b.islands))
 		}
-		is := &b.islands[s-1]
-		is.Bodies = append(is.Bodies, i)
+		b.slot[i] = b.slot[r]
+		b.next[b.slot[i]-1].bodies++
+		total.bodies++
 	}
-	for _, e := range edges {
-		var owner int32 = -1
-		switch {
-		case b.on(e.A):
-			owner = e.A
-		case b.on(e.B):
-			owner = e.B
-		default:
+	for i := range edges {
+		e := &edges[i]
+		o := b.owner(e)
+		if o < 0 {
 			continue
 		}
-		is := &b.islands[b.slot[b.find(owner)]-1]
+		k := b.slot[b.find(o)] - 1
 		if e.IsContact {
-			is.Contacts = append(is.Contacts, e.Ref)
+			b.next[k].contacts++
+			total.contacts++
 		} else {
-			is.Joints = append(is.Joints, e.Ref)
+			b.next[k].joints++
+			total.joints++
 		}
-		is.DOF += e.DOF
+		b.islands[k].DOF += e.DOF
+	}
+
+	// Lay the islands' windows out back to back.
+	b.bodies = arena.Grow(b.bodies, int(total.bodies))
+	b.joints = arena.Grow(b.joints, int(total.joints))
+	b.contacts = arena.Grow(b.contacts, int(total.contacts))
+	var at members
+	for k := range b.islands {
+		is, n := &b.islands[k], b.next[k]
+		b.next[k] = at
+		is.Bodies = b.bodies[at.bodies : at.bodies+n.bodies]
+		is.Joints = b.joints[at.joints : at.joints+n.joints]
+		is.Contacts = b.contacts[at.contacts : at.contacts+n.contacts]
+		at.bodies += n.bodies
+		at.joints += n.joints
+		at.contacts += n.contacts
+	}
+
+	// Fill, in the order counted.
+	for i, s := range b.slot {
+		if s != 0 {
+			at := &b.next[s-1]
+			b.bodies[at.bodies] = int32(i)
+			at.bodies++
+		}
+	}
+	for i := range edges {
+		e := &edges[i]
+		o := b.owner(e)
+		if o < 0 {
+			continue
+		}
+		at := &b.next[b.slot[o]-1]
+		if e.IsContact {
+			b.contacts[at.contacts] = e.Ref
+			at.contacts++
+		} else {
+			b.joints[at.joints] = e.Ref
+			at.joints++
+		}
 	}
 	return b.islands, b.findSteps
 }

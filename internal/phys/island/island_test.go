@@ -1,27 +1,35 @@
 package island
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 )
 
 func allActive(int32) bool { return true }
 
+// build runs one Build through a fresh Builder.
+func build(numBodies int, edges []Edge, active func(int32) bool) ([]Island, int) {
+	var b Builder
+	return b.Build(numBodies, edges, active)
+}
+
 func TestDSUBasics(t *testing.T) {
-	d := NewDSU(5)
-	if d.Find(0) == d.Find(1) {
+	var d Builder
+	d.reset(5)
+	if d.find(0) == d.find(1) {
 		t.Fatal("fresh elements should be in distinct sets")
 	}
-	d.Union(0, 1)
-	d.Union(1, 2)
-	if d.Find(0) != d.Find(2) {
+	d.union(0, 1)
+	d.union(1, 2)
+	if d.find(0) != d.find(2) {
 		t.Error("transitive union failed")
 	}
-	if d.Find(3) == d.Find(0) {
+	if d.find(3) == d.find(0) {
 		t.Error("unrelated element merged")
 	}
-	d.Union(0, 0) // self-union is a no-op
-	if d.Find(0) != d.Find(2) {
+	d.union(0, 0) // self-union is a no-op
+	if d.find(0) != d.find(2) {
 		t.Error("self-union corrupted structure")
 	}
 }
@@ -31,14 +39,15 @@ func TestDSUMatchesNaive(t *testing.T) {
 	r := rand.New(rand.NewSource(3))
 	for trial := 0; trial < 30; trial++ {
 		n := 40
-		d := NewDSU(n)
+		var d Builder
+		d.reset(n)
 		adj := make([][]bool, n)
 		for i := range adj {
 			adj[i] = make([]bool, n)
 		}
 		for e := 0; e < 50; e++ {
 			a, b := int32(r.Intn(n)), int32(r.Intn(n))
-			d.Union(a, b)
+			d.union(a, b)
 			adj[a][b], adj[b][a] = true, true
 		}
 		// Floyd-Warshall style closure.
@@ -57,7 +66,7 @@ func TestDSUMatchesNaive(t *testing.T) {
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
 				reach := i == j || adj[i][j]
-				same := d.Find(int32(i)) == d.Find(int32(j))
+				same := d.find(int32(i)) == d.find(int32(j))
 				if reach != same {
 					t.Fatalf("trial %d: dsu(%d,%d)=%v reach=%v", trial, i, j, same, reach)
 				}
@@ -72,7 +81,7 @@ func TestBuildSimple(t *testing.T) {
 		{A: 0, B: 1, Ref: 0, DOF: 3},
 		{A: 3, B: 4, Ref: 0, IsContact: true, DOF: 3},
 	}
-	islands := Build(5, edges, allActive)
+	islands, _ := build(5, edges, allActive)
 	if len(islands) != 3 {
 		t.Fatalf("want 3 islands, got %d", len(islands))
 	}
@@ -92,7 +101,7 @@ func TestBuildWorldEdges(t *testing.T) {
 		{A: 0, B: -1, Ref: 7, IsContact: true, DOF: 3},
 		{A: 1, B: -1, Ref: 8, IsContact: true, DOF: 3},
 	}
-	islands := Build(2, edges, allActive)
+	islands, _ := build(2, edges, allActive)
 	if len(islands) != 2 {
 		t.Fatalf("want 2 islands, got %d", len(islands))
 	}
@@ -110,7 +119,7 @@ func TestBuildInactiveBodies(t *testing.T) {
 	}
 	// Body 1 inactive: 0 and 2 should stay separate; edges touching only
 	// inactive endpoints keep their active side.
-	islands := Build(3, edges, func(i int32) bool { return i != 1 })
+	islands, _ := build(3, edges, func(i int32) bool { return i != 1 })
 	if len(islands) != 2 {
 		t.Fatalf("want 2 islands, got %d", len(islands))
 	}
@@ -131,7 +140,7 @@ func TestBuildDOFAccumulation(t *testing.T) {
 		{A: 1, B: 2, Ref: 1, DOF: 3},
 		{A: 2, B: 0, Ref: 0, IsContact: true, DOF: 9},
 	}
-	islands := Build(3, edges, allActive)
+	islands, _ := build(3, edges, allActive)
 	if len(islands) != 1 {
 		t.Fatalf("want 1 island, got %d", len(islands))
 	}
@@ -149,7 +158,7 @@ func TestBuildChainIsOneIsland(t *testing.T) {
 	for i := int32(0); i < n-1; i++ {
 		edges = append(edges, Edge{A: i, B: i + 1, Ref: i, DOF: 3})
 	}
-	islands := Build(n, edges, allActive)
+	islands, _ := build(n, edges, allActive)
 	if len(islands) != 1 {
 		t.Fatalf("chain should form one island, got %d", len(islands))
 	}
@@ -159,13 +168,34 @@ func TestBuildChainIsOneIsland(t *testing.T) {
 }
 
 func TestBuildEmpty(t *testing.T) {
-	if islands := Build(0, nil, allActive); len(islands) != 0 {
+	if islands, _ := build(0, nil, allActive); len(islands) != 0 {
 		t.Errorf("empty world produced islands: %v", islands)
 	}
 }
 
-// A reused Builder must match one-shot Build results and, once grown,
-// rebuild without allocating.
+// sameIslands fails the test unless a reused Builder's result matches a
+// fresh Builder's on the same input: members, DOF and the find counter.
+func sameIslands(t *testing.T, label string, got []Island, gotSteps int, numBodies int, edges []Edge, active func(int32) bool) {
+	t.Helper()
+	want, wantSteps := build(numBodies, edges, active)
+	if gotSteps != wantSteps {
+		t.Errorf("%s: findSteps %d, want %d", label, gotSteps, wantSteps)
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d islands, want %d", label, len(got), len(want))
+	}
+	for i := range want {
+		if !equalI32(got[i].Bodies, want[i].Bodies) ||
+			!equalI32(got[i].Joints, want[i].Joints) ||
+			!equalI32(got[i].Contacts, want[i].Contacts) ||
+			got[i].DOF != want[i].DOF {
+			t.Errorf("%s island %d: got %+v want %+v", label, i, got[i], want[i])
+		}
+	}
+}
+
+// A reused Builder must match a fresh one and, once grown, rebuild
+// without allocating.
 func TestBuilderReuseMatchesBuild(t *testing.T) {
 	edgesA := []Edge{
 		{A: 0, B: 1, Ref: 0, IsContact: true, DOF: 3},
@@ -176,31 +206,71 @@ func TestBuilderReuseMatchesBuild(t *testing.T) {
 		{A: 0, B: 3, Ref: 0, DOF: 6},
 		{A: 1, B: 2, Ref: 1, IsContact: true, DOF: 3},
 	}
-	allOn := func(int32) bool { return true }
 	var b Builder
 	for trial, edges := range [][]Edge{edgesA, edgesB, edgesA} {
-		got, gotSteps := b.Build(5, edges, allOn)
-		want, wantSteps := BuildCounted(5, edges, allOn)
-		if gotSteps != wantSteps {
-			t.Errorf("trial %d: findSteps %d, want %d", trial, gotSteps, wantSteps)
-		}
-		if len(got) != len(want) {
-			t.Fatalf("trial %d: %d islands, want %d", trial, len(got), len(want))
-		}
-		for i := range want {
-			if !equalI32(got[i].Bodies, want[i].Bodies) ||
-				!equalI32(got[i].Joints, want[i].Joints) ||
-				!equalI32(got[i].Contacts, want[i].Contacts) ||
-				got[i].DOF != want[i].DOF {
-				t.Errorf("trial %d island %d: got %+v want %+v", trial, i, got[i], want[i])
-			}
-		}
+		got, gotSteps := b.Build(5, edges, allActive)
+		sameIslands(t, fmt.Sprintf("trial %d", trial), got, gotSteps, 5, edges, allActive)
 	}
 	allocs := testing.AllocsPerRun(20, func() {
-		b.Build(5, edgesA, allOn)
+		b.Build(5, edgesA, allActive)
 	})
 	if allocs > 0 {
 		t.Errorf("grown Builder allocates %v/op, want 0", allocs)
+	}
+}
+
+// One Builder rebuilt across changing topologies — islands merging,
+// splitting, the scene shrinking and growing, bodies going inactive — must
+// match a fresh Builder every time, and allocate nothing once its flat
+// arrays have seen the largest input. Island k's members move between
+// rebuilds here, which is what per-island member storage reallocated for.
+func TestBuilderChangingTopologies(t *testing.T) {
+	chain := func(n int32) []Edge { // one island of n bodies
+		var edges []Edge
+		for i := int32(0); i+1 < n; i++ {
+			edges = append(edges, Edge{A: i, B: i + 1, Ref: i, DOF: 3})
+		}
+		return edges
+	}
+	pairs := func(n int32) []Edge { // n/2 two-body islands, each resting on the world
+		var edges []Edge
+		for i := int32(0); i+1 < n; i += 2 {
+			edges = append(edges,
+				Edge{A: i, B: i + 1, Ref: i, IsContact: true, DOF: 3},
+				Edge{A: -1, B: i, Ref: i + 1, IsContact: true, DOF: 3})
+		}
+		return edges
+	}
+	oddOff := func(i int32) bool { return i%2 == 0 }
+	steps := []struct {
+		name      string
+		numBodies int
+		edges     []Edge
+		active    func(int32) bool
+	}{
+		{"largest", 64, append(chain(64), pairs(64)...), allActive},
+		{"split", 64, pairs(64), allActive},
+		{"merge", 64, chain(64), allActive},
+		{"shrink", 7, chain(7), allActive},
+		{"grow", 40, append(pairs(40), Edge{A: 1, B: 38, Ref: 99, DOF: 5}), allActive},
+		{"inactive", 64, chain(64), oddOff},
+		{"empty", 0, nil, allActive},
+		{"singletons", 64, nil, allActive},
+	}
+	var b Builder
+	for round := 0; round < 2; round++ {
+		for _, st := range steps {
+			got, gotSteps := b.Build(st.numBodies, st.edges, st.active)
+			sameIslands(t, st.name, got, gotSteps, st.numBodies, st.edges, st.active)
+		}
+	}
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, st := range steps {
+			b.Build(st.numBodies, st.edges, st.active)
+		}
+	})
+	if allocs > 0 {
+		t.Errorf("Builder that has seen its largest input allocates %v per pass over the topologies, want 0", allocs)
 	}
 }
 

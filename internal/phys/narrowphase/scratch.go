@@ -1,6 +1,7 @@
 package narrowphase
 
 import (
+	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
 )
@@ -66,12 +67,10 @@ func (scr *Scratch) Collide(a, b *geom.Geom, dst []Contact, st *Stats) []Contact
 // aliases scr.tris and is valid until the next query on this Scratch.
 func (scr *Scratch) triQuery(tm *geom.TriMesh, query m3.AABB) []int32 {
 	scr.tris = tm.TrianglesIn(query, scr.tris[:0])
-	n := len(tm.Tris)
-	if cap(scr.seen) < n {
-		//paraxlint:allow(alloc) grows once per mesh size, amortized to zero in steady state
-		scr.seen = make([]uint32, n)
-	}
-	seen := scr.seen[:n]
+	// A regrown seen is all zero, which no generation equals: stamps only
+	// ever mean something within the query that wrote them.
+	scr.seen = arena.Grow(scr.seen, len(tm.Tris))
+	seen := scr.seen
 	scr.gen++
 	if scr.gen == 0 { // stamp wraparound: reset all marks
 		clear(scr.seen[:cap(scr.seen)])

@@ -61,7 +61,9 @@ func largestIsland(w *world.World) ([]*body.Body, []joint.Row) {
 		return i
 	}
 	var big island.Island
-	for _, is := range island.Build(len(w.Bodies), edges, active) {
+	var builder island.Builder
+	islands, _ := builder.Build(len(w.Bodies), edges, active)
+	for _, is := range islands {
 		if is.DOF > big.DOF {
 			big = is
 		}

@@ -5,9 +5,11 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"strings"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/obs"
+	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
@@ -83,7 +85,8 @@ func TestSnapshotPreservesMetrics(t *testing.T) {
 
 // FuzzRestore feeds World.Restore hostile PAXW bytes. The seed corpus
 // is every paper scene at scale 0.25 plus a truncated and a bit-flipped
-// copy of each. Each input is tried twice: as it is (mutations almost
+// copy of each, and two crafted snapshots that are well-formed up to one
+// inconsistency. Each input is tried twice: as it is (mutations almost
 // always die at the checksum) and with the CRC32 trailer re-sealed over
 // the mutated payload, so the mutation reaches decodeState's own
 // validation. Either way Restore must not panic, and a Restore that
@@ -96,6 +99,53 @@ func FuzzRestore(f *testing.F) {
 		flipped := bytes.Clone(snap)
 		flipped[len(flipped)/3] ^= 0x10
 		f.Add(flipped)
+	}
+	// Two sealed snapshots only decodeState's own validation stops, checked
+	// here to still reach it: a blast whose geom is no blast volume, and
+	// warm-start entries out of order. (world's
+	// TestRestoreRejectsHostileState has the cases that need unexported
+	// state to craft.)
+	for _, seed := range []struct {
+		craft func() []byte
+		want  string
+	}{
+		{func() []byte {
+			w := BuildExplosions(0.25)
+			for i := 0; i < 200 && len(w.Blasts) == 0; i++ {
+				w.Step()
+			}
+			if len(w.Blasts) == 0 {
+				f.Fatal("Explosions@0.25 detonated nothing in 200 steps")
+			}
+			w.Blasts[0].Geom = 0
+			return w.Snapshot()
+		}, "not a blast volume"},
+		{func() []byte {
+			w := BuildRagdoll(0.25)
+			w.WarmStart = true
+			w.Broad = broadphase.NewBruteForce() // no broad-phase state: the entries end 5 bytes from the end
+			for i := 0; i < 200 && w.Profile.Contacts < 2; i++ {
+				w.Step()
+			}
+			if w.Profile.Contacts < 2 {
+				f.Fatal("Ragdoll@0.25 made no two contacts in 200 steps")
+			}
+			snap := w.Snapshot()
+			const entry = 8 + 4 + 3*8 // pair, ordinal, three impulses
+			end := len(snap) - 5
+			last, prev := snap[end-entry:end], snap[end-2*entry:end-entry]
+			for i := range last {
+				last[i], prev[i] = prev[i], last[i]
+			}
+			binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.ChecksumIEEE(snap[:len(snap)-4]))
+			return snap
+		}, "out of order or duplicated"},
+	} {
+		snap := seed.craft()
+		if err := world.New().Restore(snap); err == nil || !strings.Contains(err.Error(), seed.want) {
+			f.Fatalf("crafted seed: Restore = %v, want an error naming %q", err, seed.want)
+		}
+		f.Add(snap)
 	}
 	ragdoll, _ := ByName("Ragdoll")
 	want := ragdoll.Build(0.25).Snapshot()

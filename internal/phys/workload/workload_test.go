@@ -223,3 +223,48 @@ func TestStepPairListMatchesBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestContactOrderAllBroadPhases pins the order World's warm start is
+// built on: whichever broad phase produced the pairs, and however many
+// narrow-phase chunks were merged, the step's contact list is strictly
+// increasing in (geom pair, ordinal within the pair) — ordinal counted
+// the order-blind way, as the number of earlier contacts of that pair.
+func TestContactOrderAllBroadPhases(t *testing.T) {
+	for _, b := range All {
+		for _, name := range broadphase.Names {
+			t.Run(b.Name+"/"+name, func(t *testing.T) {
+				w := b.Build(0.25)
+				var err error
+				if w.Broad, err = broadphase.NewByName(name); err != nil {
+					t.Fatal(err)
+				}
+				w.RecordDetail = true
+				w.SetThreads(3)
+				defer w.SetThreads(1) // stops the worker pool
+				// 25 steps that have contacts: Ragdoll@0.25 first lands at
+				// step 67, every other scene touches down at once.
+				withContacts := 0
+				for step := 0; step < 120 && withContacts < 25; step++ {
+					w.Step()
+					seen := map[[2]int32]int{}
+					var prev [2]int32
+					prevOrd := -1
+					for i, c := range w.Profile.ContactGeoms {
+						ord := seen[c]
+						seen[c]++
+						if d := slices.Compare(prev[:], c[:]); d > 0 || d == 0 && prevOrd >= ord {
+							t.Fatalf("step %d: contact %d is (pair %v, ordinal %d) after (pair %v, ordinal %d)", step, i, c, ord, prev, prevOrd)
+						}
+						prev, prevOrd = c, ord
+					}
+					if len(w.Profile.ContactGeoms) > 0 {
+						withContacts++
+					}
+				}
+				if withContacts < 25 {
+					t.Errorf("%d steps with contacts in 120, want 25", withContacts)
+				}
+			})
+		}
+	}
+}

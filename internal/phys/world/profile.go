@@ -112,12 +112,6 @@ func (p *StepProfile) AppendIslandDOFs(dst []int) []int {
 	return dst
 }
 
-// IslandDOFs returns the per-island fine-grain task counts in a fresh
-// slice. Hot loops should use AppendIslandDOFs with a reused buffer.
-func (p *StepProfile) IslandDOFs() []int {
-	return p.AppendIslandDOFs(make([]int, 0, len(p.Islands)))
-}
-
 // Digest returns a 64-bit FNV-1a hash over the profile's counters and
 // per-island statistics — everything the step records except the
 // RecordDetail slices. Two steps that did identical work produce the

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/island"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
@@ -26,29 +27,42 @@ type narrowEvents struct {
 	scr narrowphase.Scratch
 }
 
-// warmKey identifies a contact across steps for warm starting: the geom
-// pair plus the contact's ordinal within that pair's manifold.
-type warmKey struct {
-	pair uint64
-	ord  int32
+// warmEntry is one contact's solved impulses (normal + two friction),
+// kept for the next step's warm start. A contact is identified across
+// steps by its geom pair plus its ordinal within that pair's manifold.
+// The merged contact list is strictly increasing in (pair, ord) — see
+// processIslands — and so is every []warmEntry.
+type warmEntry struct {
+	pair   uint64
+	ord    int32
+	lambda [joint.RowsPerContact]float64
+}
+
+// before reports whether e sorts strictly before (pair, ord).
+func (e *warmEntry) before(pair uint64, ord int32) bool {
+	return e.pair < pair || e.pair == pair && e.ord < ord
 }
 
 // frameScratch is the World's reusable per-step arena. Everything the
 // step loop needs that scales with the scene — per-chunk narrow-phase
 // buffers, the merged contact list, island edges, per-island solver
 // stats, joint-load accumulators, warm-start bookkeeping, and
-// per-worker row buffers and solver workspaces — lives here and is
-// re-sliced to length zero (or overwritten in place) each step, so a
-// steady-state Step performs no heap allocation. Event paths that fire
-// rarely (detonations, RecordDetail profile copies) still allocate; see
-// DESIGN.md "Scratch-arena memory model".
+// per-worker row buffers and solver workspaces — lives here as flat
+// slices, no maps, and is re-sliced to length zero (or overwritten in
+// place) each step, so a steady-state Step performs no heap allocation.
+// Buffers rewritten every step are sized by arena.Grow; the per-thread
+// ones, whose elements own buffers that carry over, grow by appending
+// zero values. Event paths that fire rarely (detonations, RecordDetail
+// profile copies) still allocate; see DESIGN.md "Scratch-arena memory
+// model".
 type frameScratch struct {
-	// Narrow phase: one buffer set per chunk (chunk count = Threads).
+	// Narrow phase: one buffer set per chunk. Like edgeChunks, rows and ws
+	// below it is as long as the largest Threads seen; beginStep empties
+	// every entry, so the ones past this step's chunk count merge as
+	// nothing.
 	narrow []narrowEvents
 	// contacts is the merged, deterministic contact list.
 	contacts []narrowphase.Contact
-	// seenExpl dedups explosion events across chunks.
-	seenExpl map[int32]bool
 
 	// Island creation.
 	edges   []island.Edge
@@ -67,14 +81,13 @@ type frameScratch struct {
 	rows []([]joint.Row)
 	ws   []solver.Workspace
 
-	// Warm starting: per-contact keys, manifold ordinals, the row base of
-	// each solved contact (-1 = not solved this step), and the per-row
-	// impulses gathered from island solves.
-	contactKey []uint64
-	contactOrd []int32
-	ordCount   map[uint64]int32
-	rowBase    []int32
-	warmLambda []float64
+	// rowBase is the row base of each solved contact (-1 = not solved
+	// this step). warmNext, when warm starting, has one entry per contact:
+	// processIslands seeds it with last step's impulses, solveIsland
+	// overwrites those with this step's, and the solved contacts' entries
+	// become World.warm (whose old storage is the next warmNext).
+	rowBase  []int32
+	warmNext []warmEntry
 
 	// Cloth phase.
 	clothStats []cloth.Stats
@@ -103,11 +116,9 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 	if threads < 1 {
 		threads = 1
 	}
-	if cap(sc.narrow) < threads {
-		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
-		sc.narrow = append(sc.narrow[:cap(sc.narrow)], make([]narrowEvents, threads-cap(sc.narrow))...)
+	for len(sc.narrow) < threads {
+		sc.narrow = append(sc.narrow, narrowEvents{})
 	}
-	sc.narrow = sc.narrow[:threads]
 	for i := range sc.narrow {
 		e := &sc.narrow[i]
 		e.contacts = e.contacts[:0]
@@ -118,42 +129,29 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 		e.clothHits = e.clothHits[:0]
 	}
 	sc.contacts = sc.contacts[:0]
-	if sc.seenExpl == nil {
-		sc.seenExpl = make(map[int32]bool) //paraxlint:allow(alloc) lazy one-time map
-	}
-	clear(sc.seenExpl)
-	sc.edges = sc.edges[:0]
-	if cap(sc.edges) < edgeHint {
-		sc.edges = make([]island.Edge, 0, edgeHint) //paraxlint:allow(alloc) pre-sized from the previous step's count
-	}
+	sc.edges = arena.Grow(sc.edges, edgeHint)[:0]
 
-	sc.jointLoad = grow(sc.jointLoad, numJoints)
+	sc.jointLoad = arena.Grow(sc.jointLoad, numJoints)
 	clear(sc.jointLoad)
 
-	sc.refresh = grow(sc.refresh, threads)
+	sc.refresh = arena.Grow(sc.refresh, threads)
 	clear(sc.refresh)
-	if cap(sc.edgeChunks) < threads {
-		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
-		sc.edgeChunks = append(sc.edgeChunks[:cap(sc.edgeChunks)], make([][]island.Edge, threads-cap(sc.edgeChunks))...)
+	for len(sc.edgeChunks) < threads {
+		sc.edgeChunks = append(sc.edgeChunks, nil)
 	}
-	sc.edgeChunks = sc.edgeChunks[:threads]
 	for i := range sc.edgeChunks {
 		sc.edgeChunks[i] = sc.edgeChunks[i][:0]
 	}
-	sc.integ = grow(sc.integ, threads)
+	sc.integ = arena.Grow(sc.integ, threads)
 	clear(sc.integ)
 	for len(sc.chunkIdx) < threads {
 		sc.chunkIdx = append(sc.chunkIdx, int32(len(sc.chunkIdx)))
 	}
 
-	if cap(sc.rows) < threads {
-		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
-		sc.rows = append(sc.rows[:cap(sc.rows)], make([][]joint.Row, threads-cap(sc.rows))...)
-		//paraxlint:allow(alloc) capacity growth, amortized to zero in steady state
-		sc.ws = append(sc.ws[:cap(sc.ws)], make([]solver.Workspace, threads-cap(sc.ws))...)
+	for len(sc.rows) < threads {
+		sc.rows = append(sc.rows, nil)
+		sc.ws = append(sc.ws, solver.Workspace{})
 	}
-	sc.rows = sc.rows[:threads]
-	sc.ws = sc.ws[:threads]
 }
 
 // chunkRange returns chunk's element range [lo, hi) under the partition
@@ -173,32 +171,15 @@ func (sc *frameScratch) chunkRange(chunk int) (int, int, int) {
 
 // beginIslands sizes the per-island and per-contact working sets.
 func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
-	sc.solverStats = grow(sc.solverStats, numIslands)
+	sc.solverStats = arena.Grow(sc.solverStats, numIslands)
 	clear(sc.solverStats)
-	sc.rowBase = grow(sc.rowBase, numContacts)
+	sc.rowBase = arena.Grow(sc.rowBase, numContacts)
 	for i := range sc.rowBase {
 		sc.rowBase[i] = -1
 	}
 	if warm {
-		sc.contactKey = grow(sc.contactKey, numContacts)
-		sc.contactOrd = grow(sc.contactOrd, numContacts)
-		sc.warmLambda = grow(sc.warmLambda, numContacts*joint.RowsPerContact)
-		clear(sc.warmLambda)
-		if sc.ordCount == nil {
-			sc.ordCount = make(map[uint64]int32) //paraxlint:allow(alloc) lazy one-time map
-		}
-		clear(sc.ordCount)
+		sc.warmNext = arena.Grow(sc.warmNext, numContacts)
 	}
 	sc.queued = sc.queued[:0]
 	sc.main = sc.main[:0]
-}
-
-// grow returns s re-sliced to length n, reallocating only when its
-// capacity is too small. Contents are unspecified: callers overwrite or
-// clear every element.
-func grow[T any](s []T, n int) []T {
-	if cap(s) < n {
-		return make([]T, n) //paraxlint:allow(alloc) capacity growth, amortized
-	}
-	return s[:n]
 }

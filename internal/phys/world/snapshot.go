@@ -29,7 +29,7 @@ import (
 // joints including Breakable fatigue and broken flags; explosive specs,
 // active blasts with their already-hit sets, and fracture tables;
 // cloths (particle positions and Verlet previous positions, pins,
-// constraints); the warm-start impulse cache; and the broad phase's
+// constraints); the warm-start impulse list; and the broad phase's
 // cross-step state — the sweep-and-prune order, or the incremental
 // SAP's endpoint order plus persistent overlap-pair set (their
 // temporal coherence is observable in the step profile's SortOps and
@@ -209,28 +209,13 @@ func (w *World) Snapshot() []byte {
 	}
 	e.I32s(w.clothProxy)
 
-	// Warm-start cache, in (pair, ordinal) order.
-	wk := make([]warmKey, 0, len(w.warmCache))
-	for k := range w.warmCache {
-		wk = append(wk, k)
-	}
-	slices.SortFunc(wk, func(a, b warmKey) int {
-		switch {
-		case a.pair != b.pair:
-			if a.pair < b.pair {
-				return -1
-			}
-			return 1
-		default:
-			return int(a.ord) - int(b.ord)
-		}
-	})
-	e.U32(uint32(len(wk)))
-	for _, k := range wk {
-		v := w.warmCache[k]
-		e.U64(k.pair)
-		e.I32(k.ord)
-		for _, f := range v {
+	// Warm-start impulses; the list is kept in (pair, ordinal) order.
+	e.U32(uint32(len(w.warm)))
+	for i := range w.warm {
+		we := &w.warm[i]
+		e.U64(we.pair)
+		e.I32(we.ord)
+		for _, f := range we.lambda {
 			e.F64(f)
 		}
 	}
@@ -286,7 +271,7 @@ type worldState struct {
 	cloths                   []*cloth.Cloth
 	clothProxy               []int32
 	clothProxyShape          []*geom.Box
-	warmCache                map[warmKey][joint.RowsPerContact]float64
+	warm                     []warmEntry
 	bpTag                    uint8
 	bpOrder                  []int32
 	bpInc                    broadphase.IncSAPState
@@ -405,9 +390,16 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 	if len(st.bodyGeom) != nBodies {
 		return nil, fmt.Errorf("world: bodyGeom length %d != body count %d", len(st.bodyGeom), nBodies)
 	}
+	// detonate stores a blast volume at w.Geoms[slot] for a free slot, and
+	// the staged slots become free ones when the next step ends.
 	for _, gi := range st.geomFree {
 		if gi < 0 || int(gi) >= nGeoms {
 			return nil, fmt.Errorf("world: free geom slot %d out of range", gi)
+		}
+	}
+	for _, gi := range st.geomFreeStaged {
+		if gi < 0 || int(gi) >= nGeoms {
+			return nil, fmt.Errorf("world: staged free geom slot %d out of range", gi)
 		}
 	}
 
@@ -462,6 +454,11 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		}
 		if bl.Geom < 0 || int(bl.Geom) >= nGeoms {
 			return nil, fmt.Errorf("world: blast %d on geom %d (of %d)", i, bl.Geom, nGeoms)
+		}
+		// blastHit and blastHitCloth read the volume's radius off its shape.
+		bg := st.geoms[bl.Geom]
+		if _, ok := bg.Shape.(geom.Sphere); !ok || !bg.Flags.Has(geom.FlagBlast) {
+			return nil, fmt.Errorf("world: blast %d on geom %d, which is not a blast volume (%T, flags %#x)", i, bl.Geom, bg.Shape, uint16(bg.Flags))
 		}
 	}
 
@@ -588,15 +585,18 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if nWarm > 0 {
-		st.warmCache = make(map[warmKey][joint.RowsPerContact]float64, nWarm)
-		for i := 0; i < nWarm; i++ {
-			k := warmKey{pair: r.U64(), ord: r.I32()}
-			var v [joint.RowsPerContact]float64
-			for vi := range v {
-				v[vi] = r.F64()
-			}
-			st.warmCache[k] = v
+	// processIslands merge-joins this list against the contact list, so
+	// it must be strictly increasing in (pair, ordinal) like Snapshot
+	// writes it.
+	st.warm = make([]warmEntry, nWarm)
+	for i := range st.warm {
+		we := &st.warm[i]
+		we.pair, we.ord = r.U64(), r.I32()
+		for li := range we.lambda {
+			we.lambda[li] = r.F64()
+		}
+		if i > 0 && !st.warm[i-1].before(we.pair, we.ord) {
+			return nil, fmt.Errorf("world: warm-start entry %d (pair %#x, ordinal %d) out of order or duplicated", i, we.pair, we.ord)
 		}
 	}
 
@@ -701,7 +701,7 @@ func (w *World) commit(st *worldState) {
 	w.clothProxy = st.clothProxy
 	w.clothProxyShape = st.clothProxyShape
 	w.clothContacts = make([][]int32, len(st.cloths))
-	w.warmCache = st.warmCache
+	w.warm = st.warm
 
 	switch st.bpTag {
 	case bpSweep:

@@ -2,6 +2,9 @@ package world
 
 import (
 	"bytes"
+	"hash/crc32"
+	"runtime"
+	"strings"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
@@ -57,6 +60,20 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 	s2 := w2.Snapshot()
 	if !bytes.Equal(s1, s2) {
 		t.Fatalf("snapshot not byte-stable through a restore round trip (%d vs %d bytes)", len(s1), len(s2))
+	}
+
+	// The bytes themselves are pinned to what the engine wrote while the
+	// warm-start impulses still lived in a map keyed by (pair, ordinal)
+	// that Snapshot sorted: the flat list kept in contact order must be
+	// the same 58 entries in the same order, and must have warm-started
+	// the same rows on the way here.
+	if len(w.warm) != 58 {
+		t.Errorf("%d warm-start entries after 40 steps, want 58", len(w.warm))
+	}
+	if runtime.GOARCH != "amd64" {
+		t.Logf("snapshot CRC not compared on %s: the constant was taken on amd64, and other ports may fuse or round floating-point operations differently", runtime.GOARCH)
+	} else if got := crc32.ChecksumIEEE(s1); len(s1) != 21353 || got != 558161692 {
+		t.Errorf("warm-started snapshot is %d bytes, CRC-32 %d; want 21353 bytes, CRC-32 558161692", len(s1), got)
 	}
 }
 
@@ -178,6 +195,64 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 	}
 	if !bytes.Equal(target.Snapshot(), want) {
 		t.Error("failed Restore mutated the world")
+	}
+}
+
+// TestRestoreRejectsHostileState: snapshots that pass the checksum but
+// carry state a later Step would trip over must fail Restore with a named
+// error and leave the target alone. Each case is crafted by corrupting a
+// live world and letting Snapshot seal it. The first three used to
+// restore cleanly and panic a step or so later — a staged slot becomes a
+// free one when the step ends and detonate stores a blast volume at
+// w.Geoms[slot]; blastHit reads the radius off the volume's shape — and
+// a duplicated warm-start entry used to overwrite its twin silently.
+func TestRestoreRejectsHostileState(t *testing.T) {
+	w := snapWorld(1)
+	for i := 0; i < 60 && (len(w.Blasts) == 0 || len(w.warm) < 2); i++ {
+		w.Step()
+	}
+	if len(w.Blasts) == 0 || len(w.warm) < 2 {
+		t.Fatalf("scene has %d blasts and %d warm-start entries; the cases below need a live blast and two entries", len(w.Blasts), len(w.warm))
+	}
+	pristine := w.Snapshot()
+
+	for _, tc := range []struct {
+		name    string
+		corrupt func(w *World)
+		want    string
+	}{
+		{"staged free slot out of range", func(w *World) {
+			w.geomFreeStaged = append(w.geomFreeStaged, int32(len(w.Geoms)))
+		}, "staged free geom slot"},
+		{"blast on a box", func(w *World) {
+			w.Blasts[0].Geom = 1 // the first stacked box
+		}, "not a blast volume"},
+		{"blast on an unflagged sphere", func(w *World) {
+			w.Geoms[w.Blasts[0].Geom].Flags &^= geom.FlagBlast
+		}, "not a blast volume"},
+		{"warm-start entries out of order", func(w *World) {
+			w.warm[0], w.warm[1] = w.warm[1], w.warm[0]
+		}, "out of order or duplicated"},
+		{"warm-start entry duplicated", func(w *World) {
+			w.warm[1] = w.warm[0]
+		}, "out of order or duplicated"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			src, target := New(), New()
+			for _, nw := range []*World{src, target} {
+				if err := nw.Restore(pristine); err != nil {
+					t.Fatalf("Restore of the pristine snapshot: %v", err)
+				}
+			}
+			tc.corrupt(src)
+			err := target.Restore(src.Snapshot())
+			if err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("Restore = %v, want an error naming %q", err, tc.want)
+			}
+			if !bytes.Equal(target.Snapshot(), pristine) {
+				t.Error("failed Restore mutated the world")
+			}
+		})
 	}
 }
 

@@ -2,6 +2,7 @@ package world
 
 import (
 	"github.com/parallax-arch/parallax/internal/obs"
+	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/body"
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
@@ -81,11 +82,8 @@ func (w *World) applyGravity() {
 func (w *World) broadPhase(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanBroad])
 	prof := &w.Profile
-	if cap(w.pairBuf) < w.prevPairs {
-		w.pairBuf = make([]broadphase.Pair, 0, w.prevPairs) //paraxlint:allow(alloc) pre-sized from the previous step's count
-	}
 	w.runChunks(phaseRefresh, len(w.Geoms))
-	w.pairBuf = w.Broad.PairsPrerefreshed(w.Geoms, w.pairBuf[:0])
+	w.pairBuf = w.Broad.PairsPrerefreshed(w.Geoms, arena.Grow(w.pairBuf, w.prevPairs)[:0])
 	prof.Broad = w.Broad.Stats()
 	for _, r := range w.scratch.refresh {
 		prof.Broad.Geoms += r[0]
@@ -123,12 +121,11 @@ func (w *World) narrowPhase(l0 *obs.Lane) {
 	prof.Contacts = len(contacts)
 
 	// Serial event processing: explosions, blasts, fracture, cloth lists.
+	// An explosive touching several geoms is reported once per pair;
+	// detonate ignores all but the first (the geom is then disabled and
+	// its spec consumed).
 	for i := range sc.narrow {
 		for _, gidx := range sc.narrow[i].explosions {
-			if sc.seenExpl[gidx] {
-				continue
-			}
-			sc.seenExpl[gidx] = true
 			w.detonate(gidx, prof)
 		}
 	}
@@ -234,16 +231,27 @@ func (w *World) processIslands(l0 *obs.Lane) {
 	sc.beginIslands(len(islands), len(contacts), w.WarmStart)
 
 	// Warm starting: match this step's contacts to last step's impulses
-	// by (geom pair, ordinal within the pair's manifold).
+	// by (geom pair, ordinal within the pair's manifold). The broad phase
+	// emits each pair once, in (A, B) order, and the narrow phase keeps
+	// that order and each pair's orientation, so the merged contact list
+	// is strictly increasing in (pair, ordinal): the ordinal is a run
+	// length, and last step's entries — kept in that same order — are
+	// found by one merge pass. Each contact's entry carries last step's
+	// impulses into solveIsland and this step's out of it.
 	if w.WarmStart {
+		next, prev := sc.warmNext, w.warm
 		for ci := range contacts {
-			k := uint64(uint32(contacts[ci].A))<<32 | uint64(uint32(contacts[ci].B))
-			sc.contactKey[ci] = k
-			sc.contactOrd[ci] = sc.ordCount[k]
-			sc.ordCount[k]++
-		}
-		if w.warmCache == nil {
-			w.warmCache = make(map[warmKey][joint.RowsPerContact]float64) //paraxlint:allow(alloc) lazy one-time cache
+			e := warmEntry{pair: uint64(uint32(contacts[ci].A))<<32 | uint64(uint32(contacts[ci].B))}
+			if ci > 0 && next[ci-1].pair == e.pair {
+				e.ord = next[ci-1].ord + 1
+			}
+			for len(prev) > 0 && prev[0].before(e.pair, e.ord) {
+				prev = prev[1:]
+			}
+			if len(prev) > 0 && prev[0].pair == e.pair && prev[0].ord == e.ord {
+				e.lambda = prev[0].lambda
+			}
+			next[ci] = e
 		}
 	}
 
@@ -275,18 +283,18 @@ func (w *World) processIslands(l0 *obs.Lane) {
 		prof.Solver.ImpulseNorm += sc.solverStats[i].ImpulseNorm
 	}
 	if w.WarmStart {
-		// Rebuild the impulse cache from this step's results. Contacts
-		// are visited in merge order, so the cache contents are
-		// deterministic whatever worker solved each island.
-		clear(w.warmCache)
+		// Next step's list is the entries of the contacts an island
+		// solved, still in contact order — so its contents are
+		// deterministic whatever worker solved each island. The list it
+		// replaces becomes the buffer the step after builds in.
+		next, n := sc.warmNext, 0
 		for ci := range contacts {
-			if sc.rowBase[ci] < 0 {
-				continue // contact was not part of any solved island
+			if sc.rowBase[ci] >= 0 {
+				next[n] = next[ci]
+				n++
 			}
-			var v [joint.RowsPerContact]float64
-			copy(v[:], sc.warmLambda[ci*joint.RowsPerContact:])
-			w.warmCache[warmKey{sc.contactKey[ci], sc.contactOrd[ci]}] = v
 		}
+		w.warm, sc.warmNext = next[:n], w.warm
 	}
 	l0.End(w.spans[spanIslandProc])
 }
@@ -476,10 +484,8 @@ func (w *World) solveIsland(worker, idx int) {
 		rows = joint.ContactRows(w.Bodies, a, b, c.Pos, c.Normal, c.Depth,
 			joint.DefaultMaterial, p, base, rows)
 		if w.WarmStart {
-			if cached, ok := w.warmCache[warmKey{sc.contactKey[ci], sc.contactOrd[ci]}]; ok {
-				for j := 0; j < joint.RowsPerContact; j++ {
-					rows[int(base)+j].Warm = cached[j]
-				}
+			for j, lambda := range sc.warmNext[ci].lambda {
+				rows[int(base)+j].Warm = lambda // zero (no warm start) if last step had no such contact
 			}
 		}
 	}
@@ -491,9 +497,7 @@ func (w *World) solveIsland(worker, idx int) {
 	lane.End(w.spans[spanSolve])
 	if w.WarmStart {
 		for _, ci := range is.Contacts {
-			base := sc.rowBase[ci]
-			copy(sc.warmLambda[int(ci)*joint.RowsPerContact:(int(ci)+1)*joint.RowsPerContact],
-				lam[base:int(base)+joint.RowsPerContact])
+			copy(sc.warmNext[ci].lambda[:], lam[sc.rowBase[ci]:])
 		}
 	}
 }

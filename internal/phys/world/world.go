@@ -130,9 +130,9 @@ type World struct {
 	// the slot repurposed mid-step.
 	geomFree       []int32
 	geomFreeStaged []int32
-	// warmCache holds last step's contact impulses keyed by (geom pair,
-	// ordinal within the pair's manifold): normal + two friction values.
-	warmCache map[warmKey][joint.RowsPerContact]float64
+	// warm holds last step's solved contact impulses, in contact order;
+	// see warmEntry.
+	warm []warmEntry
 
 	// Observability sink (SetObs): span tracer lanes, per-step metric
 	// harvesting. All nil/zero when tracing is off — the hot path pays
@@ -338,21 +338,4 @@ func (w *World) EnableBodyGeom(geomIdx int32) {
 // params returns the per-step joint parameters.
 func (w *World) params() joint.Params {
 	return joint.Params{Dt: w.Dt, ERP: w.ERP, CFM: w.CFM}
-}
-
-// BodyOfGeom returns the body index for a geom (-1 for static).
-func (w *World) BodyOfGeom(g int32) int32 { return int32(w.Geoms[g].Body) }
-
-// GeomOfBody returns the geom index for a body.
-func (w *World) GeomOfBody(b int32) int32 { return w.bodyGeom[b] }
-
-// DynamicBodyCount returns the number of enabled dynamic bodies.
-func (w *World) DynamicBodyCount() int {
-	n := 0
-	for _, b := range w.Bodies {
-		if b.Enabled && b.InvMass > 0 {
-			n++
-		}
-	}
-	return n
 }
