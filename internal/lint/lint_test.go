@@ -165,8 +165,9 @@ func TestParsafeReachable(t *testing.T) {
 		"(*" + mod + "phys/joint.Breakable).ApplyLoad",
 		"(*" + mod + "phys/world.World).recordStepMetrics",
 		"(*" + mod + "phys/world.World).recordTelemetry",
-		"(*" + mod + "phys/world.pool).post",
-		"(*" + mod + "phys/world.pool).wait",
+		"(*" + mod + "phys/world.pool).start",
+		"(*" + mod + "phys/world.pool).drain",
+		"(*" + mod + "phys/world.pool).finish",
 		"(*" + mod + "phys/world.World).run",
 		"(*" + mod + "phys/world.World).runChunks",
 		"(*" + mod + "phys/world.StepProfile).reset",

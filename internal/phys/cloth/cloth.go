@@ -63,6 +63,12 @@ type Cloth struct {
 	// are runtime-only state: excluded from snapshots.
 	scr    narrowphase.Scratch
 	triBuf []int32
+
+	// sched is Constraints in the order Relax sweeps them (see schedule):
+	// derived, runtime-only, rebuilt when the constraint count changes.
+	// Once a cloth has relaxed, Constraints may grow but must not be
+	// edited in place.
+	sched []Constraint
 }
 
 // Stats counts per-step cloth work.
@@ -185,11 +191,46 @@ func (c *Cloth) ApplyBlast(center m3.Vec, radius, impulse, dt float64) int {
 	return hit
 }
 
-// Relax runs the constraint relaxation sweeps.
+// schedule rebuilds sched: Constraints counting-sorted by wavefront
+// level. A constraint's level is the larger of its two particles'
+// next-free levels, and it advances both past its own — so constraints
+// that share a particle land on increasing levels in their original
+// order, and the constraints of one level touch disjoint particles.
+//
+//paraxlint:coldpath runs on the first Relax after construction, restore or an append to Constraints
+func (c *Cloth) schedule() {
+	free := make([]int32, len(c.Particles)) // next free level per particle
+	level := make([]int32, len(c.Constraints))
+	start := make([]int32, len(c.Constraints)+1) // start[l+1] counts level l, then start[l] becomes its first slot
+	for k, con := range c.Constraints {
+		l := max(free[con.I], free[con.J])
+		free[con.I], free[con.J] = l+1, l+1
+		level[k] = l
+		start[l+1]++
+	}
+	for l := 1; l < len(start); l++ {
+		start[l] += start[l-1]
+	}
+	c.sched = make([]Constraint, len(c.Constraints))
+	for k, con := range c.Constraints {
+		c.sched[start[level[k]]] = con
+		start[level[k]]++
+	}
+}
+
+// Relax runs Iterations Gauss-Seidel sweeps over the constraints in
+// wavefront order (see schedule). An update reads and writes only its
+// own two particles, so updates that share none commute exactly, and the
+// schedule keeps every sharing pair in Constraints order: each sweep is
+// bit-identical to one over Constraints itself, but neighbouring updates
+// are independent and the core overlaps their sqrt-and-divide chains.
 func (c *Cloth) Relax() {
+	if len(c.sched) != len(c.Constraints) {
+		c.schedule()
+	}
 	st := &c.LastStats
 	for it := 0; it < c.Iterations; it++ {
-		for _, con := range c.Constraints {
+		for _, con := range c.sched {
 			a := &c.Particles[con.I]
 			b := &c.Particles[con.J]
 			d := b.Pos.Sub(a.Pos)

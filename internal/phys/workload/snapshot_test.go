@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
+	"math"
 	"strings"
 	"testing"
 
@@ -85,8 +86,8 @@ func TestSnapshotPreservesMetrics(t *testing.T) {
 
 // FuzzRestore feeds World.Restore hostile PAXW bytes. The seed corpus
 // is every paper scene at scale 0.25 plus a truncated and a bit-flipped
-// copy of each, and two crafted snapshots that are well-formed up to one
-// inconsistency. Each input is tried twice: as it is (mutations almost
+// copy of each, and three crafted snapshots that are well-formed up to
+// one inconsistency. Each input is tried twice: as it is (mutations almost
 // always die at the checksum) and with the CRC32 trailer re-sealed over
 // the mutated payload, so the mutation reaches decodeState's own
 // validation. Either way Restore must not panic, and a Restore that
@@ -100,9 +101,10 @@ func FuzzRestore(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x10
 		f.Add(flipped)
 	}
-	// Two sealed snapshots only decodeState's own validation stops, checked
-	// here to still reach it: a blast whose geom is no blast volume, and
-	// warm-start entries out of order. (world's
+	// Three sealed snapshots only decodeState's own validation stops,
+	// checked here to still reach it: a blast whose geom is no blast volume,
+	// warm-start entries out of order, and a cloth iteration count whose
+	// first step would never return. (world's
 	// TestRestoreRejectsHostileState has the cases that need unexported
 	// state to craft.)
 	for _, seed := range []struct {
@@ -140,6 +142,11 @@ func FuzzRestore(f *testing.F) {
 			binary.LittleEndian.PutUint32(snap[len(snap)-4:], crc32.ChecksumIEEE(snap[:len(snap)-4]))
 			return snap
 		}, "out of order or duplicated"},
+		{func() []byte {
+			w := BuildDeformable(0.25)
+			w.Cloths[0].Iterations = math.MaxInt32
+			return w.Snapshot()
+		}, "iteration count"},
 	} {
 		snap := seed.craft()
 		if err := world.New().Restore(snap); err == nil || !strings.Contains(err.Error(), seed.want) {

@@ -1,11 +1,14 @@
 package workload
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"io"
 	"slices"
 	"testing"
 
+	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
@@ -146,6 +149,56 @@ func TestMixHasEverything(t *testing.T) {
 	}
 	if !hasHF {
 		t.Error("Mix has no heightfield terrain")
+	}
+}
+
+// TestCallerWorksTheClothQueue: at two threads the calling goroutine
+// claims cloths off the same cursor as the one pool worker, so its trace
+// lane carries cloth-object spans. (It used to post every cloth to the
+// pool and sleep until the worker had stepped them all: its lane never
+// recorded one, and two threads ran the cloth phase no faster than one.)
+func TestCallerWorksTheClothQueue(t *testing.T) {
+	w := BuildMix(0.25)
+	if len(w.Cloths) < 2 {
+		t.Fatalf("Mix@0.25 has %d cloths; the test needs a queue of at least 2", len(w.Cloths))
+	}
+	w.Threads = 2
+	tr := obs.NewTracer()
+	w.SetObs(tr, nil, "mix")
+	for i := 0; i < 20; i++ {
+		w.Step()
+	}
+	var buf bytes.Buffer
+	if err := tr.WriteTrace(&buf); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	var doc struct {
+		TraceEvents []struct {
+			Ph   string `json:"ph"`
+			Name string `json:"name"`
+			Tid  int    `json:"tid"`
+			Args struct {
+				Name string `json:"name"`
+			} `json:"args"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatalf("trace is not valid JSON: %v", err)
+	}
+	caller, cloths := -1, map[int]int{} // cloth-object spans per lane
+	for _, e := range doc.TraceEvents {
+		switch {
+		case e.Ph == "M" && e.Name == "thread_name" && e.Args.Name == "mix/worker0":
+			caller = e.Tid
+		case e.Ph == "B" && e.Name == "cloth-object":
+			cloths[e.Tid]++
+		}
+	}
+	if caller < 0 {
+		t.Fatal("trace has no lane named mix/worker0")
+	}
+	if cloths[caller] == 0 {
+		t.Errorf("the calling goroutine's lane recorded no cloth-object span in 20 steps of %d cloths (per lane: %v)", len(w.Cloths), cloths)
 	}
 }
 

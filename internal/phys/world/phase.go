@@ -53,9 +53,9 @@ var spanTable = [numSpans]struct {
 	spanClothObj:     {name: "cloth-object"},
 }
 
-// phase names one kind of pool work item. A task is {phase, item}: the
-// item is a chunk index for the chunked phases and an island or cloth
-// index for the other two.
+// phase names one kind of pool work item. A dispatch is one phase and a
+// list of items: chunk indices for the chunked phases, island or cloth
+// indices for the other two.
 type phase uint8
 
 const (
@@ -117,9 +117,13 @@ func (w *World) runItem(worker int, ph phase, item int) {
 	lane.End(id)
 }
 
-// run executes one item of phase ph per index: the queued items on the
-// pool workers, the main items on the calling goroutine, returning when
-// all have completed. With Threads <= 1 everything runs inline.
+// run executes one item of phase ph per index, returning when all have
+// completed. The queued items go to the pool's shared cursor; the calling
+// goroutine runs the main items and then claims queued ones alongside
+// the workers, so it is busy for the whole phase. The split orders the
+// work: queued items are started first, and main items are the ones not
+// worth a claim each (islands under SmallIslandDOF) or that should not
+// wait for a wake-up (chunk 0). With Threads <= 1 everything runs inline.
 func (w *World) run(ph phase, queued, main []int32) {
 	p := w.ensurePool()
 	if p == nil {
@@ -127,13 +131,14 @@ func (w *World) run(ph phase, queued, main []int32) {
 			w.runItem(0, ph, int(a))
 		}
 	} else {
-		p.post(w, ph, queued)
+		p.start(w, ph, queued)
 	}
 	for _, a := range main {
 		w.runItem(0, ph, int(a))
 	}
 	if p != nil {
-		p.wait()
+		p.drain(0)
+		p.finish()
 	}
 }
 

@@ -74,8 +74,8 @@ type frameScratch struct {
 	// jointLoad accumulates constraint force per joint id. Islands touch
 	// disjoint joints, so parallel island solves write disjoint entries.
 	jointLoad []float64
-	// queued and main partition island indices (and later cloth indices)
-	// between the work queue and the main thread.
+	// queued and main partition island indices between the work queue
+	// and the main thread.
 	queued, main []int32
 	// Per-worker storage, indexed by pool worker id (0 = main thread).
 	rows []([]joint.Row)

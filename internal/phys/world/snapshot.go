@@ -49,6 +49,13 @@ const snapMagic = uint32('P') | uint32('A')<<8 | uint32('X')<<16 | uint32('W')<<
 // silent misparse would corrupt a simulation.
 const SnapshotVersion = 1
 
+// maxSnapshotIterations bounds the solver and cloth iteration counts
+// Restore accepts. A step's cost is linear in them and nothing interrupts
+// a step, so an unchecked count is a hang for every world that shares
+// the restoring one's goroutine; 1024 is 25 times the largest the repo
+// uses.
+const maxSnapshotIterations = 1024
+
 // Broad-phase implementation tags in the snapshot encoding.
 const (
 	bpSweep uint8 = iota
@@ -324,6 +331,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 	st.time = r.F64()
 	st.solverIters = int(r.I32())
 	st.solverSOR = r.F64()
+	if st.solverIters < 0 || st.solverIters > maxSnapshotIterations {
+		return nil, fmt.Errorf("world: solver iteration count %d outside [0, %d]", st.solverIters, maxSnapshotIterations)
+	}
 
 	nBodies := r.Count()
 	if err := r.Err(); err != nil {
@@ -546,6 +556,9 @@ func decodeState(r *enc.Reader) (*worldState, error) {
 		c.Thickness = r.F64()
 		c.Friction = r.F64()
 		c.Box = r.AABB()
+		if c.Iterations < 0 || c.Iterations > maxSnapshotIterations {
+			return nil, fmt.Errorf("world: cloth %d iteration count %d outside [0, %d]", i, c.Iterations, maxSnapshotIterations)
+		}
 		for _, con := range c.Constraints {
 			if con.I < 0 || int(con.I) >= np || con.J < 0 || int(con.J) >= np {
 				return nil, fmt.Errorf("world: cloth %d constraint out of range", i)

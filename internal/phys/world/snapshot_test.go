@@ -3,7 +3,9 @@ package world
 import (
 	"bytes"
 	"hash/crc32"
+	"math"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 
@@ -74,6 +76,16 @@ func TestSnapshotRoundTripIdentity(t *testing.T) {
 		t.Logf("snapshot CRC not compared on %s: the constant was taken on amd64, and other ports may fuse or round floating-point operations differently", runtime.GOARCH)
 	} else if got := crc32.ChecksumIEEE(s1); len(s1) != 21353 || got != 558161692 {
 		t.Errorf("warm-started snapshot is %d bytes, CRC-32 %d; want 21353 bytes, CRC-32 558161692", len(s1), got)
+	}
+	// The same bytes also pin that a cloth's Constraints are encoded in
+	// input order: this one has relaxed 40 times, sweeping them in its
+	// wavefront schedule's order, and neither it nor its restored twin may
+	// have had the list itself permuted.
+	input := cloth.NewGrid(6, 6, 0.2, m3.V(-3, 2, -2), 0.5).Constraints // detWorld's cloth
+	for _, c := range []*cloth.Cloth{w.Cloths[0], w2.Cloths[0]} {
+		if !slices.Equal(c.Constraints, input) {
+			t.Error("a relaxed cloth's Constraints are no longer in input order")
+		}
 	}
 }
 
@@ -205,7 +217,9 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // restore cleanly and panic a step or so later — a staged slot becomes a
 // free one when the step ends and detonate stores a blast volume at
 // w.Geoms[slot]; blastHit reads the radius off the volume's shape — and
-// a duplicated warm-start entry used to overwrite its twin silently.
+// a duplicated warm-start entry used to overwrite its twin silently. An
+// iteration count of 2^31-1 used to restore cleanly too, and the first
+// Step after it never returned.
 func TestRestoreRejectsHostileState(t *testing.T) {
 	w := snapWorld(1)
 	for i := 0; i < 60 && (len(w.Blasts) == 0 || len(w.warm) < 2); i++ {
@@ -236,6 +250,15 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"warm-start entry duplicated", func(w *World) {
 			w.warm[1] = w.warm[0]
 		}, "out of order or duplicated"},
+		{"solver iterations unbounded", func(w *World) {
+			w.Solver.Iterations = math.MaxInt32
+		}, "solver iteration count"},
+		{"cloth iterations unbounded", func(w *World) {
+			w.Cloths[0].Iterations = math.MaxInt32
+		}, "cloth 0 iteration count"},
+		{"cloth iterations negative", func(w *World) {
+			w.Cloths[0].Iterations = -1
+		}, "cloth 0 iteration count"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src, target := New(), New()

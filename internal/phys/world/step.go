@@ -222,7 +222,7 @@ func (w *World) createIslands(l0 *obs.Lane) {
 
 // processIslands forward-simulates each island. Islands are
 // independent; big ones go on the work queue, small ones run on the
-// main thread.
+// main thread, which then works the queue with the pool.
 func (w *World) processIslands(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanIslandProc])
 	prof := &w.Profile
@@ -330,7 +330,9 @@ func (w *World) integrate(l0 *obs.Lane) {
 	l0.End(w.spans[spanIntegrate])
 }
 
-// stepCloths forward-steps every cloth object. Parallel per cloth;
+// stepCloths forward-steps every cloth object: one queued item per
+// cloth, claimed by the calling goroutine and the pool workers alike
+// (there are no main items — no cloth is too small to be worth a claim);
 // vertices are the fine-grain tasks. The span is recorded even with no
 // cloth in the scene so every trace carries all five phases.
 func (w *World) stepCloths(l0 *obs.Lane) {
