@@ -1,311 +1,384 @@
-// Package enc implements the little-endian binary encoding used by the
-// world snapshot format: a growable Writer and a sticky-error Reader
-// over a flat byte slice. Floats are stored as their IEEE-754 bit
-// patterns so encoding is byte-stable: the same state always produces
-// the same bytes, and a decode-encode round trip is the identity.
+// Package enc implements the little-endian binary encoding of the world
+// snapshot (PAXW) and recording (PAXR) formats as one two-way Codec: a
+// format is a single function that names each field once, and the same
+// walk appends the fields when the Codec stores and fills them when it
+// loads. Floats are stored as their IEEE-754 bit patterns, so encoding
+// is byte-stable: the same state always produces the same bytes, and a
+// load-store round trip is the identity.
 //
-// Snapshot encoding is a cold path (it never runs inside Step), so the
-// package favors clarity over allocation avoidance.
+// What a field may hold is declared where the field is named: an index
+// is coded together with the length of the list it indexes (Index,
+// Indices), a bounded integer with its bounds (Int), and a count with
+// the least size of the element it counts (Len, Slice), so a corrupt
+// length prefix can never make a load allocate more than a small
+// multiple of its input.
+//
+// Encoding is a cold path (it never runs inside Step).
 package enc
 
 import (
 	"encoding/binary"
 	"errors"
+	"fmt"
+	"hash/crc32"
 	"math"
 
 	"github.com/parallax-arch/parallax/internal/phys/m3"
 )
 
-// ErrShort is returned once a Reader runs past the end of its buffer.
+// ErrShort is the failure of a load that runs past the end of its
+// buffer, or meets a count the bytes that remain cannot hold.
 var ErrShort = errors.New("enc: buffer too short")
 
-// Writer appends values to a growing byte buffer.
-type Writer struct {
-	buf []byte
+// Codec is one pass over an encoding, in one direction. Every accessor
+// takes a pointer: storing, it appends the value and never writes
+// through the pointer (a walk over live state is read-only); loading,
+// it fills the value from the next bytes. The first failure sticks:
+// from then on loads yield zero values and counts of zero, so a walk
+// runs unchecked and its caller tests End once.
+type Codec struct {
+	buf  []byte
+	off  int // read position when loading; the end of buf when storing (see next)
+	load bool
+	what string // names the container in End's errors
+	err  error
 }
 
-// Bytes returns the encoded buffer.
-func (w *Writer) Bytes() []byte { return w.buf }
+// Store returns a Codec that appends to an empty buffer with room for
+// size bytes.
+func Store(size int) *Codec { return &Codec{buf: make([]byte, 0, size)} }
 
-// Len returns the number of bytes written so far.
-func (w *Writer) Len() int { return len(w.buf) }
+// Load returns a Codec that reads b.
+func Load(b []byte) *Codec { return &Codec{buf: b, load: true} }
 
-// Raw appends b verbatim.
-func (w *Writer) Raw(b []byte) { w.buf = append(w.buf, b...) }
+// Begin starts a framed container — magic, version, payload, CRC-32 —
+// with room for a payload of size bytes; Seal closes it.
+func Begin(magic, version uint32, size int) *Codec {
+	c := Store(size + 12)
+	c.U32(&magic)
+	c.U32(&version)
+	return c
+}
 
-// U8 appends one byte.
-func (w *Writer) U8(v uint8) { w.buf = append(w.buf, v) }
+// Seal appends the CRC-32 (IEEE) of everything stored so far and
+// returns the finished container.
+func (c *Codec) Seal() []byte {
+	sum := crc32.ChecksumIEEE(c.buf)
+	c.U32(&sum)
+	return c.buf
+}
 
-// U16 appends a little-endian uint16.
-func (w *Writer) U16(v uint16) { w.buf = binary.LittleEndian.AppendUint16(w.buf, v) }
+// Open returns a Codec loading the payload of a framed container. A
+// container that is truncated, fails its checksum, or carries another
+// magic or version opens already failed. what names the container in
+// End's errors.
+func Open(data []byte, magic, version uint32, what string) *Codec {
+	c := &Codec{load: true, what: what}
+	if len(data) < 12 {
+		c.Failf("truncated (%d bytes)", len(data))
+		return c
+	}
+	n := len(data) - 4
+	c.buf = data[:n]
+	var m, v uint32
+	c.U32(&m)
+	c.U32(&v)
+	if got, want := binary.LittleEndian.Uint32(data[n:]), crc32.ChecksumIEEE(data[:n]); got != want {
+		c.Failf("checksum mismatch (got %08x, want %08x)", got, want)
+	} else if m != magic {
+		c.Failf("bad magic %08x", m)
+	} else if v != version {
+		c.Failf("unsupported version %d (want %d)", v, version)
+	}
+	return c
+}
 
-// U32 appends a little-endian uint32.
-func (w *Writer) U32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
+// Loading reports the direction: true when accessors fill the values
+// they point at, false when they append them.
+func (c *Codec) Loading() bool { return c.load }
 
-// U64 appends a little-endian uint64.
-func (w *Writer) U64(v uint64) { w.buf = binary.LittleEndian.AppendUint64(w.buf, v) }
+// Remaining returns the number of unread bytes (loading); none once
+// the load has failed.
+func (c *Codec) Remaining() int { return len(c.buf) - c.off }
 
-// I32 appends a little-endian int32.
-func (w *Writer) I32(v int32) { w.U32(uint32(v)) }
+// fail makes err stick unless an earlier failure already did. A failed
+// load gives up the input it has not read, so that "no bytes remain"
+// is the one condition every later load and count has to test.
+func (c *Codec) fail(err error) {
+	if c.err == nil {
+		c.err = err
+	}
+	c.off = len(c.buf)
+}
 
-// I64 appends a little-endian int64.
-func (w *Writer) I64(v int64) { w.U64(uint64(v)) }
+// Failf records a failure unless an earlier one already stuck.
+func (c *Codec) Failf(format string, args ...any) { c.fail(fmt.Errorf(format, args...)) }
 
-// Bool appends a bool as one byte.
-func (w *Writer) Bool(v bool) {
-	if v {
-		w.U8(1)
+// Err returns the first failure, if any.
+func (c *Codec) Err() error { return c.err }
+
+// End closes a pass: it returns the first failure or, loading, reports
+// bytes the walk left unread, prefixed with the container's name.
+func (c *Codec) End() error {
+	if c.load && c.err == nil && c.Remaining() != 0 {
+		c.Failf("%d trailing bytes", c.Remaining())
+	}
+	if c.err != nil && c.what != "" {
+		return fmt.Errorf("%s: %w", c.what, c.err)
+	}
+	return c.err
+}
+
+// zero is what a load reads once its input has run out; the widest
+// fixed-size field (Mat) is 72 bytes.
+var zero [72]byte
+
+// next returns the n bytes the next field occupies: the next n unread
+// bytes when loading — or, when fewer than n remain, n zero bytes and
+// ErrShort — and fresh room at the end of the buffer when storing. A
+// storing Codec keeps off at the end of its buffer, so "n unread bytes
+// remain" is false for it without a test of the direction: the
+// successful load is the path a restore spends its time on, and next
+// has to stay small enough to inline into every accessor.
+func (c *Codec) next(n int) []byte {
+	if end := c.off + n; end <= len(c.buf) {
+		b := c.buf[c.off:end]
+		c.off = end
+		return b
+	}
+	if c.load {
+		c.fail(ErrShort)
+		return zero[:n]
+	}
+	c.buf = append(c.buf, make([]byte, n)...)
+	c.off = len(c.buf)
+	return c.buf[c.off-n:]
+}
+
+// U8 codes one byte.
+func (c *Codec) U8(p *uint8) {
+	if b := c.next(1); c.load {
+		*p = b[0]
 	} else {
-		w.U8(0)
+		b[0] = *p
 	}
 }
 
-// F64 appends a float64 as its IEEE-754 bit pattern.
-func (w *Writer) F64(v float64) { w.U64(math.Float64bits(v)) }
-
-// Vec appends the three components of a vector.
-func (w *Writer) Vec(v m3.Vec) {
-	w.F64(v.X)
-	w.F64(v.Y)
-	w.F64(v.Z)
+// U16 codes a little-endian uint16.
+func (c *Codec) U16(p *uint16) {
+	if b := c.next(2); c.load {
+		*p = binary.LittleEndian.Uint16(b)
+	} else {
+		binary.LittleEndian.PutUint16(b, *p)
+	}
 }
 
-// Quat appends the four components of a quaternion (W first).
-func (w *Writer) Quat(q m3.Quat) {
-	w.F64(q.W)
-	w.F64(q.X)
-	w.F64(q.Y)
-	w.F64(q.Z)
+// U32 codes a little-endian uint32.
+func (c *Codec) U32(p *uint32) {
+	if b := c.next(4); c.load {
+		*p = binary.LittleEndian.Uint32(b)
+	} else {
+		binary.LittleEndian.PutUint32(b, *p)
+	}
 }
 
-// Mat appends a 3x3 matrix in row-major order.
-func (w *Writer) Mat(m m3.Mat) {
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			w.F64(m.M[i][j])
+// U64 codes a little-endian uint64.
+func (c *Codec) U64(p *uint64) {
+	if b := c.next(8); c.load {
+		*p = binary.LittleEndian.Uint64(b)
+	} else {
+		binary.LittleEndian.PutUint64(b, *p)
+	}
+}
+
+// I32 codes a little-endian int32 that may hold any value. An int32
+// that indexes a list or has bounds goes through Index or Int instead.
+func (c *Codec) I32(p *int32) {
+	if b := c.next(4); c.load {
+		*p = int32(binary.LittleEndian.Uint32(b))
+	} else {
+		binary.LittleEndian.PutUint32(b, uint32(*p))
+	}
+}
+
+// Bool codes a bool as one byte; any non-zero byte loads as true.
+func (c *Codec) Bool(p *bool) {
+	if b := c.next(1); c.load {
+		*p = b[0] != 0
+	} else if *p {
+		b[0] = 1
+	}
+}
+
+func getF64(b []byte) float64    { return math.Float64frombits(binary.LittleEndian.Uint64(b)) }
+func putF64(b []byte, v float64) { binary.LittleEndian.PutUint64(b, math.Float64bits(v)) }
+
+// F64 codes a float64 as its IEEE-754 bit pattern.
+func (c *Codec) F64(p *float64) {
+	if b := c.next(8); c.load {
+		*p = getF64(b)
+	} else {
+		putF64(b, *p)
+	}
+}
+
+// Vec codes the three components of a vector. Vec, Quat and Mat take
+// their 24, 32 and 72 bytes under one bounds check each: restoring a
+// world is mostly these.
+func (c *Codec) Vec(p *m3.Vec) {
+	if b := c.next(24); c.load {
+		*p = m3.Vec{X: getF64(b), Y: getF64(b[8:]), Z: getF64(b[16:])}
+	} else {
+		putF64(b, p.X)
+		putF64(b[8:], p.Y)
+		putF64(b[16:], p.Z)
+	}
+}
+
+// Quat codes the four components of a quaternion (W first).
+func (c *Codec) Quat(p *m3.Quat) {
+	if b := c.next(32); c.load {
+		*p = m3.Quat{W: getF64(b), X: getF64(b[8:]), Y: getF64(b[16:]), Z: getF64(b[24:])}
+	} else {
+		putF64(b, p.W)
+		putF64(b[8:], p.X)
+		putF64(b[16:], p.Y)
+		putF64(b[24:], p.Z)
+	}
+}
+
+// Mat codes a 3x3 matrix in row-major order.
+func (c *Codec) Mat(p *m3.Mat) {
+	b := c.next(72)
+	for i := range p.M {
+		for j := range p.M[i] {
+			if k := 8 * (3*i + j); c.load {
+				p.M[i][j] = getF64(b[k:])
+			} else {
+				putF64(b[k:], p.M[i][j])
+			}
 		}
 	}
 }
 
-// AABB appends the box's min and max corners.
-func (w *Writer) AABB(b m3.AABB) {
-	w.Vec(b.Min)
-	w.Vec(b.Max)
+// AABB codes a box's min and max corners.
+func (c *Codec) AABB(p *m3.AABB) {
+	c.Vec(&p.Min)
+	c.Vec(&p.Max)
 }
 
-// I32s appends a length-prefixed int32 slice.
-func (w *Writer) I32s(s []int32) {
-	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.I32(v)
-	}
-}
-
-// F64s appends a length-prefixed float64 slice.
-func (w *Writer) F64s(s []float64) {
-	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.F64(v)
-	}
-}
-
-// Vecs appends a length-prefixed vector slice.
-func (w *Writer) Vecs(s []m3.Vec) {
-	w.U32(uint32(len(s)))
-	for _, v := range s {
-		w.Vec(v)
-	}
-}
-
-// String appends a length-prefixed UTF-8 string.
-func (w *Writer) String(s string) {
-	w.U32(uint32(len(s)))
-	w.buf = append(w.buf, s...)
-}
-
-// Reader consumes values from a byte buffer. After the first short
-// read the error sticks and every subsequent read returns zero values,
-// so decode sequences can run unchecked and test Err once at the end.
-type Reader struct {
-	buf []byte
-	off int
-	err error
-}
-
-// NewReader returns a Reader over b.
-func NewReader(b []byte) *Reader { return &Reader{buf: b} }
-
-// Err returns the sticky error, if any.
-func (r *Reader) Err() error { return r.err }
-
-// Remaining returns the number of unread bytes.
-func (r *Reader) Remaining() int { return len(r.buf) - r.off }
-
-// Offset returns the current read position.
-func (r *Reader) Offset() int { return r.off }
-
-func (r *Reader) take(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf)-r.off < n {
-		r.err = ErrShort
-		return nil
-	}
-	b := r.buf[r.off : r.off+n]
-	r.off += n
-	return b
-}
-
-// Raw reads n bytes verbatim.
-func (r *Reader) Raw(n int) []byte { return r.take(n) }
-
-// U8 reads one byte.
-func (r *Reader) U8() uint8 {
-	b := r.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// U16 reads a little-endian uint16.
-func (r *Reader) U16() uint16 {
-	b := r.take(2)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint16(b)
-}
-
-// U32 reads a little-endian uint32.
-func (r *Reader) U32() uint32 {
-	b := r.take(4)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint32(b)
-}
-
-// U64 reads a little-endian uint64.
-func (r *Reader) U64() uint64 {
-	b := r.take(8)
-	if b == nil {
-		return 0
-	}
-	return binary.LittleEndian.Uint64(b)
-}
-
-// I32 reads a little-endian int32.
-func (r *Reader) I32() int32 { return int32(r.U32()) }
-
-// I64 reads a little-endian int64.
-func (r *Reader) I64() int64 { return int64(r.U64()) }
-
-// Bool reads one byte as a bool.
-func (r *Reader) Bool() bool { return r.U8() != 0 }
-
-// F64 reads a float64 from its IEEE-754 bit pattern.
-func (r *Reader) F64() float64 { return math.Float64frombits(r.U64()) }
-
-// Vec reads a vector.
-func (r *Reader) Vec() m3.Vec {
-	var v m3.Vec
-	v.X = r.F64()
-	v.Y = r.F64()
-	v.Z = r.F64()
-	return v
-}
-
-// Quat reads a quaternion (W first).
-func (r *Reader) Quat() m3.Quat {
-	var q m3.Quat
-	q.W = r.F64()
-	q.X = r.F64()
-	q.Y = r.F64()
-	q.Z = r.F64()
-	return q
-}
-
-// Mat reads a 3x3 matrix in row-major order.
-func (r *Reader) Mat() m3.Mat {
-	var m m3.Mat
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			m.M[i][j] = r.F64()
+// Int codes an int as an int32; a load fails unless lo <= *p <= hi.
+func (c *Codec) Int(p *int, lo, hi int, what string) {
+	v := int32(*p)
+	c.I32(&v)
+	if c.load {
+		*p = int(v)
+		if *p < lo || *p > hi {
+			c.Failf("%s %d outside [%d, %d]", what, v, lo, hi)
 		}
 	}
-	return m
 }
 
-// AABB reads a bounding box.
-func (r *Reader) AABB() m3.AABB {
-	var b m3.AABB
-	b.Min = r.Vec()
-	b.Max = r.Vec()
-	return b
+// Index codes an index into a list of n elements as an int32; a load
+// fails unless 0 <= *p < n, or *p is -1 and none admits it.
+func (c *Codec) Index(p *int32, n int, none bool, what string) {
+	c.I32(p)
+	if c.load && !(0 <= *p && int(*p) < n) && !(none && *p == -1) {
+		c.Failf("%s %d out of range (of %d)", what, *p, n)
+	}
 }
 
-// Count reads a length prefix, bounding it by the remaining bytes so a
-// corrupt length cannot drive a huge allocation: every element of the
-// snapshot encodings occupies at least one byte. On a short or
-// out-of-bounds prefix it sets the sticky error and returns 0.
-func (r *Reader) Count() int {
-	n := int(r.U32())
-	if r.err != nil {
+// Indices codes a counted list of indices into a list of n elements.
+func (c *Codec) Indices(s *[]int32, n int, none bool, what string) {
+	Slice(c, s, 4, "", func(_ int, p *int32) { c.Index(p, n, none, what) })
+}
+
+// Len codes the count n of a list whose elements occupy at least
+// minElemBytes each and returns the count in effect: n when storing;
+// when loading, the count read, which fails with ErrShort (and reads as
+// zero) if the bytes that remain could not hold that many elements.
+func (c *Codec) Len(n, minElemBytes int) int {
+	v := uint32(n)
+	c.U32(&v)
+	if !c.load {
+		return n
+	}
+	if int64(v) > int64(c.Remaining()/minElemBytes) {
+		c.fail(ErrShort)
 		return 0
 	}
-	if n < 0 || n > r.Remaining() {
-		r.err = ErrShort
-		return 0
-	}
-	return n
+	return int(v)
 }
 
-// I32s reads a length-prefixed int32 slice (nil when empty).
-func (r *Reader) I32s() []int32 {
-	n := r.Count()
-	if n == 0 {
-		return nil
+// Slice codes a counted list: its length through Len, then elem once
+// per element in order. Loading, it makes the list (nil when empty) —
+// the one place a count read from the input sizes an allocation. It
+// stops at the first failure, names the element in the error (what and
+// its index, unless what is empty), and leaves a list that failed to
+// load nil.
+func Slice[T any](c *Codec, s *[]T, minElemBytes int, what string, elem func(i int, e *T)) {
+	n := c.Len(len(*s), minElemBytes)
+	if c.load {
+		*s = nil
+		if n > 0 {
+			*s = make([]T, n)
+		}
 	}
-	s := make([]int32, n)
-	for i := range s {
-		s[i] = r.I32()
+	if c.err != nil {
+		return
 	}
-	return s
+	for i := range *s {
+		if elem(i, &(*s)[i]); c.err != nil {
+			if what != "" {
+				c.err = fmt.Errorf("%s %d %w", what, i, c.err)
+			}
+			if c.load {
+				*s = nil
+			}
+			return
+		}
+	}
 }
 
-// F64s reads a length-prefixed float64 slice (nil when empty).
-func (r *Reader) F64s() []float64 {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	s := make([]float64, n)
-	for i := range s {
-		s[i] = r.F64()
-	}
-	return s
+// Pointers is Slice for a list of pointers to elements. Loading, it
+// makes the elements as well, all of them in one allocation.
+func Pointers[T any](c *Codec, s *[]*T, minElemBytes int, what string, elem func(i int, e *T)) {
+	var elems []T
+	Slice(c, s, minElemBytes, what, func(i int, p **T) {
+		if c.load {
+			if elems == nil {
+				elems = make([]T, len(*s))
+			}
+			*p = &elems[i]
+		}
+		elem(i, *p)
+	})
 }
 
-// Vecs reads a length-prefixed vector slice (nil when empty).
-func (r *Reader) Vecs() []m3.Vec {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	s := make([]m3.Vec, n)
-	for i := range s {
-		s[i] = r.Vec()
-	}
-	return s
+// F64s codes a counted list of floats.
+func (c *Codec) F64s(s *[]float64) {
+	Slice(c, s, 8, "", func(_ int, p *float64) { c.F64(p) })
 }
 
-// String reads a length-prefixed string.
-func (r *Reader) String() string {
-	n := r.Count()
-	if n == 0 {
-		return ""
+// Vecs codes a counted list of vectors.
+func (c *Codec) Vecs(s *[]m3.Vec) {
+	Slice(c, s, 24, "", func(_ int, p *m3.Vec) { c.Vec(p) })
+}
+
+// Bytes codes a counted run of raw bytes; a load copies them out of
+// the input buffer.
+func (c *Codec) Bytes(p *[]byte) {
+	if b := c.next(c.Len(len(*p), 1)); c.load {
+		*p = append([]byte(nil), b...)
+	} else {
+		copy(b, *p)
 	}
-	return string(r.take(n))
+}
+
+// String codes a counted UTF-8 string.
+func (c *Codec) String(p *string) {
+	b := []byte(*p)
+	if c.Bytes(&b); c.load {
+		*p = string(b)
+	}
 }

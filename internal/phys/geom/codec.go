@@ -1,7 +1,7 @@
 package geom
 
 import (
-	"fmt"
+	"math"
 
 	"github.com/parallax-arch/parallax/internal/phys/enc"
 )
@@ -9,8 +9,8 @@ import (
 // Shape serialization for the world snapshot format. The encoding is a
 // one-byte kind tag followed by the shape's defining fields.
 //
-// Derived state is handled per shape so a decode-encode round trip (and
-// a restored simulation) is byte-identical to the original:
+// Derived state is handled per shape so a load-store round trip (and a
+// restored simulation) is byte-identical to the original:
 //
 //   - HeightField and TriMesh rebuild their derived state through the
 //     public constructors, which recompute it deterministically from the
@@ -32,150 +32,124 @@ const (
 	tagHeightField
 	tagTriMesh
 	tagHull
+	tagUnknown = uint8(255)
 )
 
-func encodeTris(w *enc.Writer, tris []Tri) {
-	w.U32(uint32(len(tris)))
-	for _, t := range tris {
-		w.I32(t[0])
-		w.I32(t[1])
-		w.I32(t[2])
-	}
-}
-
-func decodeTris(r *enc.Reader) []Tri {
-	n := r.Count()
-	if n == 0 {
-		return nil
-	}
-	tris := make([]Tri, n)
-	for i := range tris {
-		tris[i][0] = r.I32()
-		tris[i][1] = r.I32()
-		tris[i][2] = r.I32()
-	}
-	return tris
-}
-
-// EncodeShape appends the snapshot encoding of s to w. It supports
-// every shape kind in the package; an unknown Shape implementation is
-// an error.
-func EncodeShape(w *enc.Writer, s Shape) error {
-	switch sh := s.(type) {
+func shapeTag(s Shape) uint8 {
+	switch s.(type) {
 	case Sphere:
-		w.U8(tagSphere)
-		w.F64(sh.R)
-	case Box:
-		w.U8(tagBox)
-		w.Vec(sh.Half)
-	case *Box:
-		w.U8(tagBox)
-		w.Vec(sh.Half)
+		return tagSphere
+	case Box, *Box:
+		return tagBox
 	case Capsule:
-		w.U8(tagCapsule)
-		w.F64(sh.R)
-		w.F64(sh.HalfLen)
+		return tagCapsule
 	case Plane:
-		w.U8(tagPlane)
-		w.Vec(sh.Normal)
-		w.F64(sh.Offset)
+		return tagPlane
 	case *HeightField:
-		w.U8(tagHeightField)
-		w.U32(uint32(sh.NX))
-		w.U32(uint32(sh.NZ))
-		w.F64(sh.CellX)
-		w.F64(sh.CellZ)
-		w.F64s(sh.Heights)
+		return tagHeightField
 	case *TriMesh:
-		w.U8(tagTriMesh)
-		w.Vecs(sh.Verts)
-		encodeTris(w, sh.Tris)
+		return tagTriMesh
 	case *Hull:
-		w.U8(tagHull)
-		w.Vecs(sh.Verts)
-		encodeTris(w, sh.Faces)
-		w.F64(sh.volume)
-		w.Vec(sh.centroid)
-		w.Mat(sh.unitInertia)
-		w.F64(sh.radius)
-	default:
-		return fmt.Errorf("geom: cannot encode shape type %T", s)
+		return tagHull
 	}
-	return nil
+	return tagUnknown
 }
 
-// DecodeShape reads one shape from r. Value shapes (sphere, box,
-// capsule, plane) are returned by value; callers that need a mutable
-// boxed shape (the world's cloth proxies) re-box the result themselves.
-func DecodeShape(r *enc.Reader) (Shape, error) {
-	tag := r.U8()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	var s Shape
+// CodeTris codes a counted triangle list whose vertex indices index a
+// list of nVerts vertices.
+func CodeTris(c *enc.Codec, tris *[]Tri, nVerts int) {
+	enc.Slice(c, tris, 12, "triangle", func(_ int, t *Tri) {
+		for k := range t {
+			c.Index(&t[k], nVerts, false, "vertex")
+		}
+	})
+}
+
+// CodeShape codes one shape, every kind in the package; storing any
+// other Shape implementation fails the codec. Value shapes (sphere,
+// box, capsule, plane) load by value, and a *Box stores as a box:
+// callers that need a mutable boxed shape (the world's cloth proxies)
+// re-box the loaded one themselves.
+func CodeShape(c *enc.Codec, s *Shape) {
+	tag := shapeTag(*s)
+	c.U8(&tag)
 	switch tag {
 	case tagSphere:
-		s = Sphere{R: r.F64()}
+		sh, _ := (*s).(Sphere)
+		c.F64(&sh.R)
+		if c.Loading() {
+			*s = sh
+		}
 	case tagBox:
-		s = Box{Half: r.Vec()}
+		sh, _ := (*s).(Box)
+		if p, ok := (*s).(*Box); ok {
+			sh = *p
+		}
+		c.Vec(&sh.Half)
+		if c.Loading() {
+			*s = sh
+		}
 	case tagCapsule:
-		s = Capsule{R: r.F64(), HalfLen: r.F64()}
+		sh, _ := (*s).(Capsule)
+		c.F64(&sh.R)
+		c.F64(&sh.HalfLen)
+		if c.Loading() {
+			*s = sh
+		}
 	case tagPlane:
-		s = Plane{Normal: r.Vec(), Offset: r.F64()}
+		sh, _ := (*s).(Plane)
+		c.Vec(&sh.Normal)
+		c.F64(&sh.Offset)
+		if c.Loading() {
+			*s = sh
+		}
 	case tagHeightField:
-		nx := int(r.U32())
-		nz := int(r.U32())
-		cellX := r.F64()
-		cellZ := r.F64()
-		heights := r.F64s()
-		if err := r.Err(); err != nil {
-			return nil, err
+		sh, _ := (*s).(*HeightField)
+		if sh == nil {
+			sh = &HeightField{}
 		}
-		if nx < 0 || nz < 0 || nx*nz != len(heights) {
-			return nil, fmt.Errorf("geom: heightfield %dx%d does not match %d heights", nx, nz, len(heights))
-		}
-		s = NewHeightField(nx, nz, cellX, cellZ, heights)
-	case tagTriMesh:
-		verts := r.Vecs()
-		tris := decodeTris(r)
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if err := checkTris(tris, len(verts)); err != nil {
-			return nil, err
-		}
-		s = NewTriMesh(verts, tris)
-	case tagHull:
-		h := &Hull{Verts: r.Vecs(), Faces: decodeTris(r)}
-		h.volume = r.F64()
-		h.centroid = r.Vec()
-		h.unitInertia = r.Mat()
-		h.radius = r.F64()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		if err := checkTris(h.Faces, len(h.Verts)); err != nil {
-			return nil, err
-		}
-		s = h
-	default:
-		return nil, fmt.Errorf("geom: unknown shape tag %d", tag)
-	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return s, nil
-}
-
-// checkTris validates triangle vertex indices against the vertex count,
-// so a corrupt snapshot fails decoding instead of panicking later.
-func checkTris(tris []Tri, nverts int) error {
-	for _, t := range tris {
-		for _, vi := range t {
-			if vi < 0 || int(vi) >= nverts {
-				return fmt.Errorf("geom: triangle index %d out of range (%d verts)", vi, nverts)
+		// HeightAt reads the four corners of a cell, so a field has at
+		// least one cell.
+		c.Int(&sh.NX, 2, math.MaxInt32, "heightfield NX")
+		c.Int(&sh.NZ, 2, math.MaxInt32, "heightfield NZ")
+		c.F64(&sh.CellX)
+		c.F64(&sh.CellZ)
+		c.F64s(&sh.Heights)
+		if c.Loading() {
+			if int64(sh.NX)*int64(sh.NZ) != int64(len(sh.Heights)) {
+				c.Failf("heightfield %dx%d does not match %d heights", sh.NX, sh.NZ, len(sh.Heights))
 			}
+			*s = NewHeightField(sh.NX, sh.NZ, sh.CellX, sh.CellZ, sh.Heights)
+		}
+	case tagTriMesh:
+		sh, _ := (*s).(*TriMesh)
+		if sh == nil {
+			sh = &TriMesh{}
+		}
+		c.Vecs(&sh.Verts)
+		CodeTris(c, &sh.Tris, len(sh.Verts))
+		if c.Loading() {
+			*s = NewTriMesh(sh.Verts, sh.Tris)
+		}
+	case tagHull:
+		sh, _ := (*s).(*Hull)
+		if sh == nil {
+			sh = &Hull{}
+		}
+		c.Vecs(&sh.Verts)
+		CodeTris(c, &sh.Faces, len(sh.Verts))
+		c.F64(&sh.volume)
+		c.Vec(&sh.centroid)
+		c.Mat(&sh.unitInertia)
+		c.F64(&sh.radius)
+		if c.Loading() {
+			*s = sh
+		}
+	default:
+		if c.Loading() {
+			c.Failf("unknown shape tag %d", tag)
+		} else {
+			c.Failf("cannot encode shape type %T", *s)
 		}
 	}
-	return nil
 }

@@ -1,10 +1,6 @@
 package joint
 
-import (
-	"fmt"
-
-	"github.com/parallax-arch/parallax/internal/phys/enc"
-)
+import "github.com/parallax-arch/parallax/internal/phys/enc"
 
 // Joint serialization for the world snapshot format: a one-byte type
 // tag followed by the joint's fields. Breakable wraps its inner joint
@@ -19,110 +15,97 @@ const (
 	tagSlider
 	tagFixed
 	tagBreakable
+	tagUnknown = uint8(255)
 )
 
-// EncodeJoint appends the snapshot encoding of j to w. An unknown Joint
-// implementation is an error.
-func EncodeJoint(w *enc.Writer, j Joint) error {
-	switch t := j.(type) {
+func jointTag(j Joint) uint8 {
+	switch j.(type) {
 	case *Ball:
-		w.U8(tagBall)
-		w.I32(t.A)
-		w.I32(t.B)
-		w.Vec(t.AnchorA)
-		w.Vec(t.AnchorB)
+		return tagBall
 	case *Hinge:
-		w.U8(tagHinge)
-		w.I32(t.A)
-		w.I32(t.B)
-		w.Vec(t.AnchorA)
-		w.Vec(t.AnchorB)
-		w.Vec(t.AxisA)
-		w.Vec(t.AxisB)
-		w.F64(t.SoftAnchor)
+		return tagHinge
 	case *Slider:
-		w.U8(tagSlider)
-		w.I32(t.A)
-		w.I32(t.B)
-		w.Vec(t.AxisA)
-		w.Vec(t.RefA)
-		w.Vec(t.RefB)
-		w.Quat(t.RelRot)
+		return tagSlider
 	case *Fixed:
-		w.U8(tagFixed)
-		w.I32(t.A)
-		w.I32(t.B)
-		w.Vec(t.AnchorA)
-		w.Vec(t.AnchorB)
-		w.Quat(t.RelRot)
+		return tagFixed
 	case *Breakable:
-		w.U8(tagBreakable)
-		if err := EncodeJoint(w, t.Joint); err != nil {
-			return err
-		}
-		w.F64(t.Threshold)
-		w.F64(t.FatigueLimit)
-		w.F64(t.Fatigue)
-		w.Bool(t.Broken)
-	default:
-		return fmt.Errorf("joint: cannot encode joint type %T", j)
+		return tagBreakable
 	}
-	return nil
+	return tagUnknown
 }
 
-// DecodeJoint reads one joint from r.
-func DecodeJoint(r *enc.Reader) (Joint, error) {
-	tag := r.U8()
-	if err := r.Err(); err != nil {
-		return nil, err
+// held returns the *T that j holds or, when j holds nothing yet (a
+// load), a new one that it stores in j first.
+func held[T any, P interface {
+	*T
+	Joint
+}](j *Joint) P {
+	t, _ := (*j).(P)
+	if t == nil {
+		t = new(T)
+		*j = t
 	}
-	var j Joint
+	return t
+}
+
+// CodeJoint codes one joint whose body indices index a list of nBodies
+// bodies (-1 anchors an end to the world). Storing any Joint
+// implementation from outside the package fails the codec.
+func CodeJoint(c *enc.Codec, j *Joint, nBodies int) { codeJoint(c, j, nBodies, false) }
+
+// codeJoint is CodeJoint for a joint that may be the one a Breakable
+// wraps. A Breakable inside a Breakable fails where its tag is met, so
+// the nesting a hostile input can ask for is one level deep.
+func codeJoint(c *enc.Codec, j *Joint, nBodies int, wrapped bool) {
+	bodies := func(a, b *int32) {
+		c.Index(a, nBodies, true, "body A")
+		c.Index(b, nBodies, true, "body B")
+	}
+	tag := jointTag(*j)
+	c.U8(&tag)
 	switch tag {
 	case tagBall:
-		t := &Ball{A: r.I32(), B: r.I32()}
-		t.AnchorA = r.Vec()
-		t.AnchorB = r.Vec()
-		j = t
+		t := held[Ball](j)
+		bodies(&t.A, &t.B)
+		c.Vec(&t.AnchorA)
+		c.Vec(&t.AnchorB)
 	case tagHinge:
-		t := &Hinge{A: r.I32(), B: r.I32()}
-		t.AnchorA = r.Vec()
-		t.AnchorB = r.Vec()
-		t.AxisA = r.Vec()
-		t.AxisB = r.Vec()
-		t.SoftAnchor = r.F64()
-		j = t
+		t := held[Hinge](j)
+		bodies(&t.A, &t.B)
+		c.Vec(&t.AnchorA)
+		c.Vec(&t.AnchorB)
+		c.Vec(&t.AxisA)
+		c.Vec(&t.AxisB)
+		c.F64(&t.SoftAnchor)
 	case tagSlider:
-		t := &Slider{A: r.I32(), B: r.I32()}
-		t.AxisA = r.Vec()
-		t.RefA = r.Vec()
-		t.RefB = r.Vec()
-		t.RelRot = r.Quat()
-		j = t
+		t := held[Slider](j)
+		bodies(&t.A, &t.B)
+		c.Vec(&t.AxisA)
+		c.Vec(&t.RefA)
+		c.Vec(&t.RefB)
+		c.Quat(&t.RelRot)
 	case tagFixed:
-		t := &Fixed{A: r.I32(), B: r.I32()}
-		t.AnchorA = r.Vec()
-		t.AnchorB = r.Vec()
-		t.RelRot = r.Quat()
-		j = t
+		t := held[Fixed](j)
+		bodies(&t.A, &t.B)
+		c.Vec(&t.AnchorA)
+		c.Vec(&t.AnchorB)
+		c.Quat(&t.RelRot)
 	case tagBreakable:
-		inner, err := DecodeJoint(r)
-		if err != nil {
-			return nil, err
+		if wrapped {
+			c.Failf("nested breakable joint")
+			return
 		}
-		if _, nested := inner.(*Breakable); nested {
-			return nil, fmt.Errorf("joint: nested breakable joint in snapshot")
-		}
-		t := &Breakable{Joint: inner}
-		t.Threshold = r.F64()
-		t.FatigueLimit = r.F64()
-		t.Fatigue = r.F64()
-		t.Broken = r.Bool()
-		j = t
+		t := held[Breakable](j)
+		codeJoint(c, &t.Joint, nBodies, true)
+		c.F64(&t.Threshold)
+		c.F64(&t.FatigueLimit)
+		c.F64(&t.Fatigue)
+		c.Bool(&t.Broken)
 	default:
-		return nil, fmt.Errorf("joint: unknown joint tag %d", tag)
+		if c.Loading() {
+			c.Failf("unknown joint tag %d", tag)
+		} else {
+			c.Failf("cannot encode joint type %T", *j)
+		}
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return j, nil
 }

@@ -1,10 +1,13 @@
 package joint
 
 import (
+	"bytes"
 	"math"
+	"strings"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/body"
+	"github.com/parallax-arch/parallax/internal/phys/enc"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
 )
@@ -284,5 +287,26 @@ func TestBreakableDelegation(t *testing.T) {
 	br.Broken = true
 	if br.ApplyLoad(1e9) {
 		t.Error("already-broken joint reported breaking again")
+	}
+}
+
+// TestCodeJointStopsAtNestedBreakable: a Breakable inside a Breakable
+// fails where the second tag is read. The decoder used to recurse first
+// and check on the way back — a quarter of a KiB of stack per input
+// byte, so a few MiB of this tag overflowed the stack, which no recover
+// catches.
+func TestCodeJointStopsAtNestedBreakable(t *testing.T) {
+	in := bytes.Repeat([]byte{tagBreakable}, 1<<20)
+	c := enc.Load(in)
+	var j Joint
+	CodeJoint(c, &j, 4)
+	if err := c.Err(); err == nil || !strings.Contains(err.Error(), "nested breakable joint") {
+		t.Fatalf("Err = %v, want the nesting named", err)
+	}
+
+	c = enc.Store(0)
+	j = NewBreakable(NewBreakable(&Ball{}, 0, 1), 0, 1)
+	if CodeJoint(c, &j, 4); c.Err() == nil {
+		t.Fatal("storing a nested breakable did not fail")
 	}
 }

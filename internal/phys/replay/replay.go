@@ -8,7 +8,6 @@ package replay
 
 import (
 	"fmt"
-	"hash/crc32"
 	"os"
 
 	"github.com/parallax-arch/parallax/internal/phys/enc"
@@ -78,51 +77,28 @@ func Verify(rec *Recording, threads int) (int, error) {
 	return -1, nil
 }
 
+// code is the recording format after the frame's magic and version:
+// label, snapshot, digests.
+func (rec *Recording) code(c *enc.Codec) {
+	c.String(&rec.Label)
+	c.Bytes(&rec.Snapshot)
+	enc.Slice(c, &rec.Digests, 8, "digest", func(_ int, d *uint64) { c.U64(d) })
+}
+
 // Encode serializes the recording.
 func (rec *Recording) Encode() []byte {
-	var w enc.Writer
-	w.U32(Magic)
-	w.U32(Version)
-	w.String(rec.Label)
-	w.U32(uint32(len(rec.Snapshot)))
-	w.Raw(rec.Snapshot)
-	w.U32(uint32(len(rec.Digests)))
-	for _, d := range rec.Digests {
-		w.U64(d)
-	}
-	payload := w.Bytes()
-	w.U32(crc32.ChecksumIEEE(payload))
-	return w.Bytes()
+	c := enc.Begin(Magic, Version, 8+len(rec.Label)+len(rec.Snapshot)+4+8*len(rec.Digests))
+	rec.code(c)
+	return c.Seal()
 }
 
 // Decode parses a recording, validating checksum, magic and version.
 func Decode(data []byte) (*Recording, error) {
-	if len(data) < 12 {
-		return nil, fmt.Errorf("replay: recording too short (%d bytes)", len(data))
-	}
-	payload := data[:len(data)-4]
-	r := enc.NewReader(data[len(data)-4:])
-	if sum := crc32.ChecksumIEEE(payload); r.U32() != sum {
-		return nil, fmt.Errorf("replay: checksum mismatch")
-	}
-	r = enc.NewReader(payload)
-	if r.U32() != Magic {
-		return nil, fmt.Errorf("replay: bad magic")
-	}
-	if v := r.U32(); v != Version {
-		return nil, fmt.Errorf("replay: unsupported version %d", v)
-	}
-	rec := &Recording{Label: r.String()}
-	rec.Snapshot = append([]byte(nil), r.Raw(r.Count())...)
-	rec.Digests = make([]uint64, r.Count())
-	for i := range rec.Digests {
-		rec.Digests[i] = r.U64()
-	}
-	if err := r.Err(); err != nil {
-		return nil, fmt.Errorf("replay: %w", err)
-	}
-	if r.Remaining() != 0 {
-		return nil, fmt.Errorf("replay: %d trailing bytes", r.Remaining())
+	c := enc.Open(data, Magic, Version, "replay: recording")
+	rec := &Recording{}
+	rec.code(c)
+	if err := c.End(); err != nil {
+		return nil, err
 	}
 	return rec, nil
 }

@@ -1,6 +1,9 @@
 package replay
 
 import (
+	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"path/filepath"
 	"testing"
 
@@ -88,4 +91,39 @@ func TestRecordingFileRoundTrip(t *testing.T) {
 	if _, err := Decode(data[:5]); err == nil {
 		t.Error("truncated recording not detected")
 	}
+}
+
+// FuzzDecodeRecording feeds Decode hostile PAXR bytes, each input as it
+// is and with the CRC32 trailer re-sealed over it so mutations get past
+// the checksum. Decode must not panic, and a recording that decodes
+// must encode back to the bytes it came from: the format has one
+// encoding per value. (The snapshot a recording carries is opaque here;
+// FuzzRestore in internal/phys/workload owns that decoder.)
+func FuzzDecodeRecording(f *testing.F) {
+	for _, name := range []string{"Breakable", "Deformable"} {
+		b, ok := workload.ByName(name)
+		if !ok {
+			f.Fatalf("%s benchmark missing", name)
+		}
+		data := Record(b.Build(0.25), name+" scale=0.25", 3).Encode()
+		f.Add(data)
+		f.Add(data[:len(data)/2])
+		f.Add(data[len(data)-64:])
+	}
+	f.Add((&Recording{}).Encode())
+	f.Fuzz(func(t *testing.T, data []byte) {
+		resealed := bytes.Clone(data)
+		if n := len(resealed) - 4; n >= 0 {
+			binary.LittleEndian.PutUint32(resealed[n:], crc32.ChecksumIEEE(resealed[:n]))
+		}
+		for _, in := range [][]byte{data, resealed} {
+			rec, err := Decode(in)
+			if err != nil {
+				continue
+			}
+			if !bytes.Equal(rec.Encode(), in) {
+				t.Fatalf("a %d-byte recording decoded and encoded back to different bytes", len(in))
+			}
+		}
+	})
 }

@@ -11,6 +11,7 @@ import (
 
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
+	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
@@ -86,12 +87,15 @@ func TestSnapshotPreservesMetrics(t *testing.T) {
 
 // FuzzRestore feeds World.Restore hostile PAXW bytes. The seed corpus
 // is every paper scene at scale 0.25 plus a truncated and a bit-flipped
-// copy of each, and three crafted snapshots that are well-formed up to
+// copy of each, and five crafted snapshots that are well-formed up to
 // one inconsistency. Each input is tried twice: as it is (mutations almost
 // always die at the checksum) and with the CRC32 trailer re-sealed over
-// the mutated payload, so the mutation reaches decodeState's own
+// the mutated payload, so the mutation reaches the format walk's own
 // validation. Either way Restore must not panic, and a Restore that
-// fails must leave the target world's Snapshot byte-identical.
+// fails must leave the target world's Snapshot byte-identical. An
+// input that restores is hostile until it has stepped: it goes into two
+// fresh worlds that step three times, at 1 and at 3 threads, without a
+// panic, and what they then Snapshot must Restore again.
 func FuzzRestore(f *testing.F) {
 	for _, b := range All {
 		snap := b.Build(0.25).Snapshot()
@@ -101,10 +105,11 @@ func FuzzRestore(f *testing.F) {
 		flipped[len(flipped)/3] ^= 0x10
 		f.Add(flipped)
 	}
-	// Three sealed snapshots only decodeState's own validation stops,
-	// checked here to still reach it: a blast whose geom is no blast volume,
-	// warm-start entries out of order, and a cloth iteration count whose
-	// first step would never return. (world's
+	// Five sealed snapshots only the walk's own validation stops, checked
+	// here to still reach it: a blast whose geom is no blast volume,
+	// warm-start entries out of order, a cloth iteration count whose first
+	// step would never return, a cloth proxy naming a cloth that does not
+	// exist, and a sweep order listing a geom twice. (world's
 	// TestRestoreRejectsHostileState has the cases that need unexported
 	// state to craft.)
 	for _, seed := range []struct {
@@ -147,6 +152,23 @@ func FuzzRestore(f *testing.F) {
 			w.Cloths[0].Iterations = math.MaxInt32
 			return w.Snapshot()
 		}, "iteration count"},
+		{func() []byte {
+			w := BuildDeformable(0.25)
+			for _, g := range w.Geoms {
+				if g.Flags.Has(geom.FlagCloth) {
+					g.Aux = 7
+					break
+				}
+			}
+			return w.Snapshot()
+		}, "proxy geom"},
+		{func() []byte {
+			w := BuildRagdoll(0.25)
+			w.Step() // the first pass builds the order
+			sap := w.Broad.(*broadphase.SweepAndPrune)
+			sap.RestoreOrder(append(sap.SaveOrder(nil), 3))
+			return w.Snapshot()
+		}, "lists geom 3 twice"},
 	} {
 		snap := seed.craft()
 		if err := world.New().Restore(snap); err == nil || !strings.Contains(err.Error(), seed.want) {
@@ -166,8 +188,24 @@ func FuzzRestore(f *testing.F) {
 			if err := w.Restore(want); err != nil {
 				t.Fatalf("Restore of the pristine target: %v", err)
 			}
-			if err := w.Restore(in); err != nil && !bytes.Equal(w.Snapshot(), want) {
-				t.Fatalf("failed Restore (%v) mutated the world", err)
+			if err := w.Restore(in); err != nil {
+				if !bytes.Equal(w.Snapshot(), want) {
+					t.Fatalf("failed Restore (%v) mutated the world", err)
+				}
+				continue
+			}
+			for _, threads := range []int{1, 3} {
+				w := world.New()
+				w.Threads = threads
+				if err := w.Restore(in); err != nil {
+					t.Fatalf("second Restore of an accepted input: %v", err)
+				}
+				for i := 0; i < 3; i++ {
+					w.Step()
+				}
+				if err := world.New().Restore(w.Snapshot()); err != nil {
+					t.Fatalf("threads=%d: the stepped world's snapshot does not restore: %v", threads, err)
+				}
 			}
 		}
 	})

@@ -1,8 +1,8 @@
 package world
 
 import (
+	"cmp"
 	"fmt"
-	"hash/crc32"
 	"slices"
 
 	"github.com/parallax-arch/parallax/internal/phys/body"
@@ -65,224 +65,57 @@ const (
 	bpOther = uint8(255)
 )
 
-// Snapshot encodes the world's complete dynamic state.
-func (w *World) Snapshot() []byte {
-	e := &enc.Writer{}
-	e.U32(snapMagic)
-	e.U32(SnapshotVersion)
-
-	// Parameters.
-	e.Vec(w.Gravity)
-	e.F64(w.Dt)
-	e.F64(w.ERP)
-	e.F64(w.CFM)
-	e.Bool(w.EnableSleep)
-	e.Bool(w.WarmStart)
-	e.F64(w.Time)
-	e.I32(int32(w.Solver.Iterations))
-	e.F64(w.Solver.SOR)
-
-	// Bodies.
-	e.U32(uint32(len(w.Bodies)))
-	for _, b := range w.Bodies {
-		e.Vec(b.Pos)
-		e.Quat(b.Rot)
-		e.Vec(b.LinVel)
-		e.Vec(b.AngVel)
-		e.F64(b.Mass)
-		e.Mat(b.Inertia)
-		e.Vec(b.Force)
-		e.Vec(b.Torque)
-		e.Bool(b.Enabled)
-		e.Bool(b.Asleep)
-		e.F64(b.SleepClock())
-	}
-
-	// Geoms.
-	e.U32(uint32(len(w.Geoms)))
-	for _, g := range w.Geoms {
-		if err := geom.EncodeShape(e, g.Shape); err != nil {
-			// Unknown shape implementations cannot appear in worlds built
-			// through the package API; fail loudly if one does.
-			panic(fmt.Sprintf("world: snapshot: %v", err))
-		}
-		e.Vec(g.Pos)
-		e.Mat(g.Rot)
-		e.I32(int32(g.Body))
-		e.Vec(g.OffsetPos)
-		e.Quat(g.OffsetRot)
-		e.U16(uint16(g.Flags))
-		e.AABB(g.Box)
-		e.I32(g.Group)
-		e.I32(g.Aux)
-	}
-	e.I32s(w.bodyGeom)
-	e.I32s(w.geomFree)
-	e.I32s(w.geomFreeStaged)
-
-	// Joints.
-	e.U32(uint32(len(w.Joints)))
-	for _, j := range w.Joints {
-		if err := joint.EncodeJoint(e, j); err != nil {
-			panic(fmt.Sprintf("world: snapshot: %v", err))
-		}
-	}
-
-	// Explosive specs, in geom-index order.
-	expl := make([]int32, 0, len(w.Explosives))
-	for gi := range w.Explosives {
-		expl = append(expl, gi)
-	}
-	slices.Sort(expl)
-	e.U32(uint32(len(expl)))
-	for _, gi := range expl {
-		spec := w.Explosives[gi]
-		e.I32(gi)
-		e.F64(spec.Radius)
-		e.F64(spec.Duration)
-		e.F64(spec.Impulse)
-	}
-
-	// Active blasts, with their already-hit sets in sorted order.
-	e.U32(uint32(len(w.Blasts)))
-	for i := range w.Blasts {
-		bl := &w.Blasts[i]
-		e.I32(bl.Geom)
-		e.F64(bl.Remaining)
-		e.F64(bl.Impulse)
-		hit := make([]int32, 0, len(bl.hit))
-		for bi := range bl.hit {
-			hit = append(hit, bi)
-		}
-		slices.Sort(hit)
-		e.I32s(hit)
-		hitCloth := make([]int32, 0, len(bl.hitCloth))
-		for ci := range bl.hitCloth {
-			hitCloth = append(hitCloth, ci)
-		}
-		slices.Sort(hitCloth)
-		e.I32s(hitCloth)
-	}
-
-	// Fracture tables.
-	e.U32(uint32(len(w.Fractures)))
-	for i := range w.Fractures {
-		fr := &w.Fractures[i]
-		e.I32(fr.Parent)
-		e.I32s(fr.Debris)
-		e.Vecs(fr.LocalPos)
-		e.U32(uint32(len(fr.LocalRot)))
-		for _, q := range fr.LocalRot {
-			e.Quat(q)
-		}
-		e.Bool(fr.Broken)
-	}
-
-	// Cloths.
-	e.U32(uint32(len(w.Cloths)))
-	for _, c := range w.Cloths {
-		e.U32(uint32(len(c.Particles)))
-		for i := range c.Particles {
-			p := &c.Particles[i]
-			e.Vec(p.Pos)
-			e.Vec(p.Prev)
-			e.F64(p.InvMass)
-		}
-		e.U32(uint32(len(c.Constraints)))
-		for i := range c.Constraints {
-			con := &c.Constraints[i]
-			e.I32(con.I)
-			e.I32(con.J)
-			e.F64(con.Rest)
-		}
-		e.U32(uint32(len(c.Tris)))
-		for _, t := range c.Tris {
-			e.I32(t[0])
-			e.I32(t[1])
-			e.I32(t[2])
-		}
-		e.U32(uint32(len(c.Pins)))
-		for i := range c.Pins {
-			pin := &c.Pins[i]
-			e.I32(pin.P)
-			e.I32(pin.Body)
-			e.Vec(pin.Local)
-		}
-		e.I32(int32(c.Iterations))
-		e.F64(c.Damping)
-		e.F64(c.Thickness)
-		e.F64(c.Friction)
-		e.AABB(c.Box)
-	}
-	e.I32s(w.clothProxy)
-
-	// Warm-start impulses; the list is kept in (pair, ordinal) order.
-	e.U32(uint32(len(w.warm)))
-	for i := range w.warm {
-		we := &w.warm[i]
-		e.U64(we.pair)
-		e.I32(we.ord)
-		for _, f := range we.lambda {
-			e.F64(f)
-		}
-	}
-
-	// Broad phase.
-	switch bp := w.Broad.(type) {
-	case *broadphase.SweepAndPrune:
-		e.U8(bpSweep)
-		e.I32s(bp.SaveOrder(nil))
-	case *broadphase.IncrementalSAP:
-		e.U8(bpIncSweep)
-		st := bp.SaveState()
-		e.I32(st.Axis)
-		e.I32s(st.Endpoints)
-		e.U32(uint32(len(st.Pairs)))
-		for _, k := range st.Pairs {
-			e.U64(k)
-		}
-		e.Bool(st.Rebuild)
-	case *broadphase.SpatialHash:
-		e.U8(bpHash)
-		e.F64(bp.CellSize)
-	case *broadphase.BruteForce:
-		e.U8(bpBrute)
-	default:
-		// Custom implementation: its state cannot be captured here.
-		// Restore leaves the target world's broad phase untouched.
-		e.U8(bpOther)
-	}
-
-	buf := e.Bytes()
-	e.U32(crc32.ChecksumIEEE(buf))
-	return e.Bytes()
+// worldState is a snapshot's contents in file order, the one form both
+// directions meet in. Snapshot gathers it from a live world (sharing
+// the world's slices, which a storing walk only reads), and Restore
+// loads and checks all of it before any of it is committed, so a
+// corrupt snapshot never leaves the world half-restored.
+type worldState struct {
+	gravity                            m3.Vec
+	dt, erp, cfm                       float64
+	enableSleep, warmStart             bool
+	time                               float64
+	solverIters                        int
+	solverSOR                          float64
+	bodies                             []*body.Body
+	geoms                              []*geom.Geom
+	bodyGeom, geomFree, geomFreeStaged []int32
+	joints                             []joint.Joint
+	explosives                         []explosive  // World.Explosives in geom order
+	blasts                             []blastState // World.Blasts, hit sets as sorted lists
+	fractures                          []FractureGroup
+	cloths                             []*cloth.Cloth
+	clothProxy                         []int32
+	warm                               []warmEntry
+	bpTag                              uint8
+	bpOrder                            []int32
+	bpInc                              broadphase.IncSAPState
+	bpCellSize                         float64
 }
 
-// worldState is the fully decoded snapshot, parsed before any of it is
-// committed so a corrupt snapshot never leaves the world half-restored.
-type worldState struct {
-	gravity                  m3.Vec
-	dt, erp, cfm             float64
-	enableSleep, warmStart   bool
-	time                     float64
-	solverIters              int
-	solverSOR                float64
-	bodies                   []*body.Body
-	geoms                    []*geom.Geom
-	bodyGeom                 []int32
-	geomFree, geomFreeStaged []int32
-	joints                   []joint.Joint
-	explosives               map[int32]ExplosiveSpec
-	blasts                   []Blast
-	fractures                []FractureGroup
-	cloths                   []*cloth.Cloth
-	clothProxy               []int32
-	clothProxyShape          []*geom.Box
-	warm                     []warmEntry
-	bpTag                    uint8
-	bpOrder                  []int32
-	bpInc                    broadphase.IncSAPState
-	bpCellSize               float64
+type explosive struct {
+	geom int32
+	spec ExplosiveSpec
+}
+
+type blastState struct {
+	geom               int32
+	remaining, impulse float64
+	hit, hitCloth      []int32
+}
+
+// Snapshot encodes the world's complete dynamic state.
+func (w *World) Snapshot() []byte {
+	st := w.gather()
+	c := enc.Begin(snapMagic, SnapshotVersion, st.size())
+	st.walk(c)
+	if err := c.Err(); err != nil {
+		// Shape and joint implementations from outside the engine cannot
+		// appear in worlds built through the package API; fail loudly if
+		// one does.
+		panic(fmt.Sprintf("world: snapshot: %v", err))
+	}
+	return c.Seal()
 }
 
 // Restore replaces the world's dynamic state with a snapshot previously
@@ -290,393 +123,322 @@ type worldState struct {
 // observability attachments) is left untouched. On error the world is
 // unchanged.
 func (w *World) Restore(data []byte) error {
-	if len(data) < 12 {
-		return fmt.Errorf("world: snapshot truncated (%d bytes)", len(data))
-	}
-	payload := data[:len(data)-4]
-	sum := crc32.ChecksumIEEE(payload)
-	trailer := enc.NewReader(data[len(data)-4:])
-	if got := trailer.U32(); got != sum {
-		return fmt.Errorf("world: snapshot checksum mismatch (got %08x, want %08x)", got, sum)
-	}
-	r := enc.NewReader(payload)
-	if magic := r.U32(); magic != snapMagic {
-		return fmt.Errorf("world: bad snapshot magic %08x", magic)
-	}
-	if v := r.U32(); v != SnapshotVersion {
-		return fmt.Errorf("world: unsupported snapshot version %d (want %d)", v, SnapshotVersion)
-	}
-	st, err := decodeState(r)
-	if err != nil {
+	c := enc.Open(data, snapMagic, SnapshotVersion, "world: snapshot")
+	st := &worldState{}
+	st.walk(c)
+	if err := c.End(); err != nil {
 		return err
 	}
-	if r.Remaining() != 0 {
-		return fmt.Errorf("world: %d trailing bytes in snapshot", r.Remaining())
+	if err := st.check(); err != nil {
+		return fmt.Errorf("world: snapshot: %w", err)
 	}
 	w.commit(st)
 	return nil
 }
 
-// decodeState parses everything after the header. It validates index
-// ranges that later code dereferences, so a corrupt-but-checksummed
-// snapshot fails with an error instead of a panic.
-func decodeState(r *enc.Reader) (*worldState, error) {
-	st := &worldState{}
-	st.gravity = r.Vec()
-	st.dt = r.F64()
-	st.erp = r.F64()
-	st.cfm = r.F64()
-	st.enableSleep = r.Bool()
-	st.warmStart = r.Bool()
-	st.time = r.F64()
-	st.solverIters = int(r.I32())
-	st.solverSOR = r.F64()
-	if st.solverIters < 0 || st.solverIters > maxSnapshotIterations {
-		return nil, fmt.Errorf("world: solver iteration count %d outside [0, %d]", st.solverIters, maxSnapshotIterations)
+// gather collects the world's state for a storing walk. It copies only
+// what the world keeps in another form: map contents become lists in
+// sorted key order, so equal states encode to equal bytes.
+func (w *World) gather() *worldState {
+	st := &worldState{
+		gravity: w.Gravity, dt: w.Dt, erp: w.ERP, cfm: w.CFM,
+		enableSleep: w.EnableSleep, warmStart: w.WarmStart, time: w.Time,
+		solverIters: w.Solver.Iterations, solverSOR: w.Solver.SOR,
+		bodies: w.Bodies, geoms: w.Geoms,
+		bodyGeom: w.bodyGeom, geomFree: w.geomFree, geomFreeStaged: w.geomFreeStaged,
+		joints: w.Joints, fractures: w.Fractures,
+		cloths: w.Cloths, clothProxy: w.clothProxy, warm: w.warm,
 	}
-
-	nBodies := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
+	for gi, spec := range w.Explosives {
+		st.explosives = append(st.explosives, explosive{gi, spec})
 	}
-	st.bodies = make([]*body.Body, nBodies)
-	for i := range st.bodies {
-		pos := r.Vec()
-		rot := r.Quat()
-		lin := r.Vec()
-		ang := r.Vec()
-		mass := r.F64()
-		inertia := r.Mat()
-		force := r.Vec()
-		torque := r.Vec()
-		enabled := r.Bool()
-		asleep := r.Bool()
-		idle := r.F64()
-		b := body.New(mass, inertia)
-		b.ID = i
-		b.Pos = pos
-		b.Rot = rot
-		b.LinVel = lin
-		b.AngVel = ang
-		b.Force = force
-		b.Torque = torque
-		b.Enabled = enabled
-		b.Asleep = asleep
-		b.SetSleepClock(idle)
-		st.bodies[i] = b
-	}
-
-	nGeoms := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	st.geoms = make([]*geom.Geom, nGeoms)
-	for i := range st.geoms {
-		sh, err := geom.DecodeShape(r)
-		if err != nil {
-			return nil, err
+	slices.SortFunc(st.explosives, func(a, b explosive) int { return cmp.Compare(a.geom, b.geom) })
+	sortedKeys := func(set map[int32]bool) []int32 {
+		keys := make([]int32, 0, len(set))
+		for k := range set {
+			keys = append(keys, k)
 		}
-		gm := &geom.Geom{ID: i, Shape: sh}
-		gm.Pos = r.Vec()
-		gm.Rot = r.Mat()
-		gm.Body = int(r.I32())
-		gm.OffsetPos = r.Vec()
-		gm.OffsetRot = r.Quat()
-		gm.Flags = geom.Flag(r.U16())
-		gm.Box = r.AABB()
-		gm.Group = r.I32()
-		gm.Aux = r.I32()
-		if gm.Body < -1 || gm.Body >= nBodies {
-			return nil, fmt.Errorf("world: geom %d references body %d (of %d)", i, gm.Body, nBodies)
+		slices.Sort(keys)
+		return keys
+	}
+	for i := range w.Blasts {
+		bl := &w.Blasts[i]
+		st.blasts = append(st.blasts, blastState{bl.Geom, bl.Remaining, bl.Impulse, sortedKeys(bl.hit), sortedKeys(bl.hitCloth)})
+	}
+	switch bp := w.Broad.(type) {
+	case *broadphase.SweepAndPrune:
+		st.bpTag, st.bpOrder = bpSweep, bp.SaveOrder(nil)
+	case *broadphase.IncrementalSAP:
+		st.bpTag, st.bpInc = bpIncSweep, bp.SaveState()
+	case *broadphase.SpatialHash:
+		st.bpTag, st.bpCellSize = bpHash, bp.CellSize
+	case *broadphase.BruteForce:
+		st.bpTag = bpBrute
+	default:
+		// Custom implementation: its state cannot be captured here.
+		// Restore leaves the target world's broad phase untouched.
+		st.bpTag = bpOther
+	}
+	return st
+}
+
+// size estimates the encoding's length from the counts, so a storing
+// walk appends into one buffer. Shapes that carry their own lists
+// (height fields, meshes, hulls) are not counted; append makes up the
+// difference.
+func (st *worldState) size() int {
+	n := 128 + 242*len(st.bodies) + 240*len(st.geoms) + 128*len(st.joints) + 28*len(st.explosives) + 36*len(st.warm) +
+		4*(len(st.bodyGeom)+len(st.geomFree)+len(st.geomFreeStaged)+len(st.bpOrder)+len(st.bpInc.Endpoints)) +
+		8*len(st.bpInc.Pairs)
+	for _, bl := range st.blasts {
+		n += 28 + 4*(len(bl.hit)+len(bl.hitCloth))
+	}
+	for _, fr := range st.fractures {
+		n += 17 + 60*len(fr.Debris)
+	}
+	for _, cl := range st.cloths {
+		n += 96 + 56*len(cl.Particles) + 16*len(cl.Constraints) + 12*len(cl.Tris) + 32*len(cl.Pins)
+	}
+	return n
+}
+
+// walk is the snapshot format after the frame's magic and version:
+// every field named once, in file order, with the range it may hold.
+// A field that indexes a list is coded with that list's length, and a
+// count with the least number of bytes one of its elements occupies.
+// What relates one field to another is left to check.
+func (st *worldState) walk(c *enc.Codec) {
+	// Parameters.
+	c.Vec(&st.gravity)
+	c.F64(&st.dt)
+	c.F64(&st.erp)
+	c.F64(&st.cfm)
+	c.Bool(&st.enableSleep)
+	c.Bool(&st.warmStart)
+	c.F64(&st.time)
+	c.Int(&st.solverIters, 0, maxSnapshotIterations, "solver iteration count")
+	c.F64(&st.solverSOR)
+
+	enc.Pointers(c, &st.bodies, 242, "body", func(i int, b *body.Body) {
+		c.Vec(&b.Pos)
+		c.Quat(&b.Rot)
+		c.Vec(&b.LinVel)
+		c.Vec(&b.AngVel)
+		c.F64(&b.Mass)
+		c.Mat(&b.Inertia)
+		c.Vec(&b.Force)
+		c.Vec(&b.Torque)
+		c.Bool(&b.Enabled)
+		c.Bool(&b.Asleep)
+		idle := b.SleepClock()
+		c.F64(&idle)
+		if c.Loading() {
+			b.ID = i
+			b.SetMass(b.Mass, b.Inertia) // derives the inverses
+			b.SetSleepClock(idle)
 		}
-		st.geoms[i] = gm
-	}
-	st.bodyGeom = r.I32s()
-	st.geomFree = r.I32s()
-	st.geomFreeStaged = r.I32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(st.bodyGeom) != nBodies {
-		return nil, fmt.Errorf("world: bodyGeom length %d != body count %d", len(st.bodyGeom), nBodies)
-	}
-	// detonate stores a blast volume at w.Geoms[slot] for a free slot, and
+	})
+	nBodies := len(st.bodies)
+
+	enc.Pointers(c, &st.geoms, 223, "geom", func(i int, g *geom.Geom) {
+		if c.Loading() {
+			g.ID = i
+		}
+		geom.CodeShape(c, &g.Shape)
+		c.Vec(&g.Pos)
+		c.Mat(&g.Rot)
+		c.Int(&g.Body, -1, nBodies-1, "body")
+		c.Vec(&g.OffsetPos)
+		c.Quat(&g.OffsetRot)
+		c.U16((*uint16)(&g.Flags))
+		c.AABB(&g.Box)
+		c.I32(&g.Group) // a label: only ever compared for equality
+		c.I32(&g.Aux)   // means something under FlagCloth only; check ranges it there
+	})
+	nGeoms := len(st.geoms)
+	// bodyGeom has no reader in the engine; version 1 carries it.
+	c.Indices(&st.bodyGeom, nGeoms, true, "body geom")
+	// detonate stores a blast volume at Geoms[slot] for a free slot, and
 	// the staged slots become free ones when the next step ends.
-	for _, gi := range st.geomFree {
-		if gi < 0 || int(gi) >= nGeoms {
-			return nil, fmt.Errorf("world: free geom slot %d out of range", gi)
-		}
-	}
-	for _, gi := range st.geomFreeStaged {
-		if gi < 0 || int(gi) >= nGeoms {
-			return nil, fmt.Errorf("world: staged free geom slot %d out of range", gi)
-		}
-	}
+	c.Indices(&st.geomFree, nGeoms, false, "free geom slot")
+	c.Indices(&st.geomFreeStaged, nGeoms, false, "staged free geom slot")
 
-	nJoints := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	st.joints = make([]joint.Joint, nJoints)
-	for i := range st.joints {
-		j, err := joint.DecodeJoint(r)
-		if err != nil {
-			return nil, err
-		}
-		a, b := j.Bodies()
-		if a < -1 || int(a) >= nBodies || b < -1 || int(b) >= nBodies {
-			return nil, fmt.Errorf("world: joint %d references bodies (%d, %d) of %d", i, a, b, nBodies)
-		}
-		st.joints[i] = j
-	}
+	enc.Slice(c, &st.joints, 57, "joint", func(_ int, j *joint.Joint) { joint.CodeJoint(c, j, nBodies) })
 
-	nExpl := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	st.explosives = make(map[int32]ExplosiveSpec, nExpl)
-	for i := 0; i < nExpl; i++ {
-		gi := r.I32()
-		spec := ExplosiveSpec{Radius: r.F64(), Duration: r.F64(), Impulse: r.F64()}
-		if gi < 0 || int(gi) >= nGeoms {
-			return nil, fmt.Errorf("world: explosive spec on geom %d (of %d)", gi, nGeoms)
-		}
-		st.explosives[gi] = spec
-	}
+	enc.Slice(c, &st.explosives, 28, "explosive spec", func(_ int, e *explosive) {
+		c.Index(&e.geom, nGeoms, false, "geom")
+		c.F64(&e.spec.Radius)
+		c.F64(&e.spec.Duration)
+		c.F64(&e.spec.Impulse)
+	})
 
-	nBlasts := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	st.blasts = make([]Blast, nBlasts)
-	for i := range st.blasts {
-		bl := &st.blasts[i]
-		bl.Geom = r.I32()
-		bl.Remaining = r.F64()
-		bl.Impulse = r.F64()
-		bl.hit = make(map[int32]bool)
-		for _, bi := range r.I32s() {
-			bl.hit[bi] = true
-		}
-		bl.hitCloth = make(map[int32]bool)
-		for _, ci := range r.I32s() {
-			bl.hitCloth[ci] = true
-		}
-		if bl.Geom < 0 || int(bl.Geom) >= nGeoms {
-			return nil, fmt.Errorf("world: blast %d on geom %d (of %d)", i, bl.Geom, nGeoms)
-		}
-		// blastHit and blastHitCloth read the volume's radius off its shape.
-		bg := st.geoms[bl.Geom]
-		if _, ok := bg.Shape.(geom.Sphere); !ok || !bg.Flags.Has(geom.FlagBlast) {
-			return nil, fmt.Errorf("world: blast %d on geom %d, which is not a blast volume (%T, flags %#x)", i, bl.Geom, bg.Shape, uint16(bg.Flags))
-		}
-	}
+	enc.Slice(c, &st.blasts, 28, "blast", func(_ int, bl *blastState) {
+		c.Index(&bl.geom, nGeoms, false, "geom")
+		c.F64(&bl.remaining)
+		c.F64(&bl.impulse)
+		c.Indices(&bl.hit, nBodies, false, "hit body")
+		// The cloth count comes later in the file; check ranges these.
+		enc.Slice(c, &bl.hitCloth, 4, "", func(_ int, ci *int32) { c.I32(ci) })
+	})
 
-	nFr := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	st.fractures = make([]FractureGroup, nFr)
-	for i := range st.fractures {
-		fr := &st.fractures[i]
-		fr.Parent = r.I32()
-		fr.Debris = r.I32s()
-		fr.LocalPos = r.Vecs()
-		nq := r.Count()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		fr.LocalRot = make([]m3.Quat, 0, nq)
-		for q := 0; q < nq; q++ {
-			fr.LocalRot = append(fr.LocalRot, r.Quat())
-		}
-		fr.Broken = r.Bool()
-		if fr.Parent < 0 || int(fr.Parent) >= nGeoms {
-			return nil, fmt.Errorf("world: fracture %d parent %d (of %d)", i, fr.Parent, nGeoms)
-		}
-		for _, di := range fr.Debris {
-			if di < 0 || int(di) >= nGeoms {
-				return nil, fmt.Errorf("world: fracture %d debris %d (of %d)", i, di, nGeoms)
-			}
-		}
-		if len(fr.Debris) != len(fr.LocalPos) || len(fr.Debris) != len(fr.LocalRot) {
-			return nil, fmt.Errorf("world: fracture %d table lengths mismatch", i)
-		}
-	}
+	enc.Slice(c, &st.fractures, 17, "fracture", func(_ int, fr *FractureGroup) {
+		c.Index(&fr.Parent, nGeoms, false, "parent geom")
+		c.Indices(&fr.Debris, nGeoms, false, "debris geom")
+		c.Vecs(&fr.LocalPos)
+		enc.Slice(c, &fr.LocalRot, 32, "", func(_ int, q *m3.Quat) { c.Quat(q) })
+		c.Bool(&fr.Broken)
+	})
 
-	nCloths := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	st.cloths = make([]*cloth.Cloth, nCloths)
-	for i := range st.cloths {
-		c := &cloth.Cloth{}
-		np := r.Count()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		c.Particles = make([]cloth.Particle, np)
-		for p := range c.Particles {
-			c.Particles[p].Pos = r.Vec()
-			c.Particles[p].Prev = r.Vec()
-			c.Particles[p].InvMass = r.F64()
-		}
-		nc := r.Count()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		c.Constraints = make([]cloth.Constraint, nc)
-		for ci := range c.Constraints {
-			c.Constraints[ci].I = r.I32()
-			c.Constraints[ci].J = r.I32()
-			c.Constraints[ci].Rest = r.F64()
-		}
-		nt := r.Count()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		c.Tris = make([]geom.Tri, nt)
-		for t := range c.Tris {
-			c.Tris[t][0] = r.I32()
-			c.Tris[t][1] = r.I32()
-			c.Tris[t][2] = r.I32()
-		}
-		npin := r.Count()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		c.Pins = make([]cloth.Pin, npin)
-		for p := range c.Pins {
-			c.Pins[p].P = r.I32()
-			c.Pins[p].Body = r.I32()
-			c.Pins[p].Local = r.Vec()
-		}
-		c.Iterations = int(r.I32())
-		c.Damping = r.F64()
-		c.Thickness = r.F64()
-		c.Friction = r.F64()
-		c.Box = r.AABB()
-		if c.Iterations < 0 || c.Iterations > maxSnapshotIterations {
-			return nil, fmt.Errorf("world: cloth %d iteration count %d outside [0, %d]", i, c.Iterations, maxSnapshotIterations)
-		}
-		for _, con := range c.Constraints {
-			if con.I < 0 || int(con.I) >= np || con.J < 0 || int(con.J) >= np {
-				return nil, fmt.Errorf("world: cloth %d constraint out of range", i)
-			}
-		}
-		for _, pin := range c.Pins {
-			if pin.P < 0 || int(pin.P) >= np || pin.Body < 0 || int(pin.Body) >= nBodies {
-				return nil, fmt.Errorf("world: cloth %d pin out of range", i)
-			}
-		}
-		st.cloths[i] = c
-	}
-	st.clothProxy = r.I32s()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	if len(st.clothProxy) != nCloths {
-		return nil, fmt.Errorf("world: %d cloth proxies for %d cloths", len(st.clothProxy), nCloths)
-	}
-	st.clothProxyShape = make([]*geom.Box, nCloths)
-	for ci, gi := range st.clothProxy {
-		if gi < 0 || int(gi) >= nGeoms {
-			return nil, fmt.Errorf("world: cloth %d proxy geom %d (of %d)", ci, gi, nGeoms)
-		}
-		// Re-establish the proxy aliasing: the proxy geom's Shape must be
-		// the same *Box the world resizes each step.
-		bx, ok := st.geoms[gi].Shape.(geom.Box)
-		if !ok {
-			return nil, fmt.Errorf("world: cloth %d proxy geom %d is %T, want box", ci, gi, st.geoms[gi].Shape)
-		}
-		sh := &geom.Box{Half: bx.Half}
-		st.geoms[gi].Shape = sh
-		st.clothProxyShape[ci] = sh
-	}
+	enc.Pointers(c, &st.cloths, 92, "cloth", func(_ int, cl *cloth.Cloth) {
+		enc.Slice(c, &cl.Particles, 56, "particle", func(_ int, p *cloth.Particle) {
+			c.Vec(&p.Pos)
+			c.Vec(&p.Prev)
+			c.F64(&p.InvMass)
+		})
+		np := len(cl.Particles)
+		enc.Slice(c, &cl.Constraints, 16, "constraint", func(_ int, con *cloth.Constraint) {
+			c.Index(&con.I, np, false, "particle")
+			c.Index(&con.J, np, false, "particle")
+			c.F64(&con.Rest)
+		})
+		geom.CodeTris(c, &cl.Tris, np)
+		enc.Slice(c, &cl.Pins, 32, "pin", func(_ int, pin *cloth.Pin) {
+			c.Index(&pin.P, np, false, "particle")
+			c.Index(&pin.Body, nBodies, false, "body")
+			c.Vec(&pin.Local)
+		})
+		// A step's cost is linear in the iteration counts and nothing
+		// interrupts a step.
+		c.Int(&cl.Iterations, 0, maxSnapshotIterations, "iteration count")
+		c.F64(&cl.Damping)
+		c.F64(&cl.Thickness)
+		c.F64(&cl.Friction)
+		c.AABB(&cl.Box)
+	})
+	c.Indices(&st.clothProxy, nGeoms, false, "cloth proxy geom")
 
-	nWarm := r.Count()
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	// processIslands merge-joins this list against the contact list, so
-	// it must be strictly increasing in (pair, ordinal) like Snapshot
-	// writes it.
-	st.warm = make([]warmEntry, nWarm)
-	for i := range st.warm {
-		we := &st.warm[i]
-		we.pair, we.ord = r.U64(), r.I32()
-		for li := range we.lambda {
-			we.lambda[li] = r.F64()
+	enc.Slice(c, &st.warm, 36, "warm-start entry", func(_ int, we *warmEntry) {
+		c.U64(&we.pair)
+		c.I32(&we.ord) // merge-joined against contact ordinals, never an index
+		for i := range we.lambda {
+			c.F64(&we.lambda[i])
 		}
-		if i > 0 && !st.warm[i-1].before(we.pair, we.ord) {
-			return nil, fmt.Errorf("world: warm-start entry %d (pair %#x, ordinal %d) out of order or duplicated", i, we.pair, we.ord)
-		}
-	}
+	})
 
-	st.bpTag = r.U8()
+	c.U8(&st.bpTag)
 	switch st.bpTag {
 	case bpSweep:
-		st.bpOrder = r.I32s()
-		for _, gi := range st.bpOrder {
-			if gi < 0 || int(gi) >= nGeoms {
-				return nil, fmt.Errorf("world: broadphase order entry %d out of range", gi)
+		c.Indices(&st.bpOrder, nGeoms, false, "broadphase order entry")
+	case bpIncSweep:
+		c.Index(&st.bpInc.Axis, 3, false, "broadphase sweep axis")
+		c.Indices(&st.bpInc.Endpoints, 2*nGeoms, false, "broadphase endpoint") // geom<<1 | side
+		enc.Slice(c, &st.bpInc.Pairs, 8, "", func(_ int, k *uint64) { c.U64(k) })
+		c.Bool(&st.bpInc.Rebuild)
+	case bpHash:
+		c.F64(&st.bpCellSize)
+	case bpBrute, bpOther:
+	default:
+		c.Failf("unknown broadphase tag %d", st.bpTag)
+	}
+}
+
+// check validates what relates one loaded field to another — walk has
+// already ranged each field on its own — so a corrupt-but-checksummed
+// snapshot fails here instead of panicking a later Step.
+func (st *worldState) check() error {
+	nGeoms, nCloths := len(st.geoms), len(st.cloths)
+	if len(st.bodyGeom) != len(st.bodies) {
+		return fmt.Errorf("bodyGeom length %d != body count %d", len(st.bodyGeom), len(st.bodies))
+	}
+	for i, bl := range st.blasts {
+		// blastHit and blastHitCloth read the volume's radius off its shape.
+		g := st.geoms[bl.geom]
+		if _, ok := g.Shape.(geom.Sphere); !ok || !g.Flags.Has(geom.FlagBlast) {
+			return fmt.Errorf("blast %d on geom %d, which is not a blast volume (%T, flags %#x)", i, bl.geom, g.Shape, uint16(g.Flags))
+		}
+		for _, ci := range bl.hitCloth {
+			if ci < 0 || int(ci) >= nCloths {
+				return fmt.Errorf("blast %d hit cloth %d out of range (of %d)", i, ci, nCloths)
 			}
 		}
+	}
+	for i, fr := range st.fractures {
+		if len(fr.Debris) != len(fr.LocalPos) || len(fr.Debris) != len(fr.LocalRot) {
+			return fmt.Errorf("fracture %d table lengths mismatch", i)
+		}
+	}
+
+	// Each cloth has one proxy, a box carrying FlagCloth whose Aux names
+	// the cloth, and nothing else carries the flag: the narrow phase
+	// indexes clothContacts and Cloths with the Aux of any flagged geom.
+	if len(st.clothProxy) != nCloths {
+		return fmt.Errorf("%d cloth proxies for %d cloths", len(st.clothProxy), nCloths)
+	}
+	for ci, gi := range st.clothProxy {
+		g := st.geoms[gi]
+		if _, ok := g.Shape.(geom.Box); !ok || !g.Flags.Has(geom.FlagCloth) || g.Aux != int32(ci) {
+			return fmt.Errorf("cloth %d proxy geom %d is not its proxy (%T, flags %#x, Aux %d)", ci, gi, g.Shape, uint16(g.Flags), g.Aux)
+		}
+	}
+	flagged := 0
+	for _, g := range st.geoms {
+		if g.Flags.Has(geom.FlagCloth) {
+			flagged++
+		}
+	}
+	if flagged != nCloths {
+		return fmt.Errorf("%d geoms flagged as cloth proxies for %d cloths", flagged, nCloths)
+	}
+
+	// processIslands merge-joins the warm-start list against the contact
+	// list, so it must be strictly increasing in (pair, ordinal) like
+	// Snapshot writes it.
+	for i := 1; i < len(st.warm); i++ {
+		if we := &st.warm[i]; !st.warm[i-1].before(we.pair, we.ord) {
+			return fmt.Errorf("warm-start entry %d (pair %#x, ordinal %d) out of order or duplicated", i, we.pair, we.ord)
+		}
+	}
+
+	switch st.bpTag {
+	case bpSweep:
+		// The sweep emits a pair per overlapping pair of entries, so a geom
+		// listed twice pairs with itself and doubles its other pairs.
+		seen := make([]bool, nGeoms)
+		for _, gi := range st.bpOrder {
+			if seen[gi] {
+				return fmt.Errorf("broadphase order lists geom %d twice", gi)
+			}
+			seen[gi] = true
+		}
 	case bpIncSweep:
-		st.bpInc.Axis = r.I32()
-		st.bpInc.Endpoints = r.I32s()
-		nPairs := r.Count()
-		if err := r.Err(); err != nil {
-			return nil, err
-		}
-		st.bpInc.Pairs = make([]uint64, 0, nPairs)
-		for i := 0; i < nPairs; i++ {
-			st.bpInc.Pairs = append(st.bpInc.Pairs, r.U64())
-		}
-		st.bpInc.Rebuild = r.Bool()
-		if st.bpInc.Axis < 0 || st.bpInc.Axis > 2 {
-			return nil, fmt.Errorf("world: broadphase sweep axis %d out of range", st.bpInc.Axis)
-		}
 		// Each geom in the endpoint array must contribute exactly one min
 		// and one max, min first — RestoreState and the next pass's sort
 		// assume a well-formed permutation.
-		seen := make(map[int32]int32, len(st.bpInc.Endpoints)/2)
+		seen := make([]int32, nGeoms)
 		done := 0
 		for _, packed := range st.bpInc.Endpoints {
 			id, side := packed>>1, packed&1
-			if id < 0 || int(id) >= nGeoms {
-				return nil, fmt.Errorf("world: broadphase endpoint geom %d (of %d)", id, nGeoms)
-			}
 			if seen[id] != side {
-				return nil, fmt.Errorf("world: broadphase endpoints of geom %d malformed", id)
+				return fmt.Errorf("broadphase endpoints of geom %d malformed", id)
 			}
 			seen[id] = side + 1
-			if side == 1 {
-				done++
-			}
+			done += int(side)
 		}
 		if 2*done != len(st.bpInc.Endpoints) {
-			return nil, fmt.Errorf("world: broadphase endpoint array incomplete (%d endpoints, %d closed)", len(st.bpInc.Endpoints), done)
+			return fmt.Errorf("broadphase endpoint array incomplete (%d endpoints, %d closed)", len(st.bpInc.Endpoints), done)
 		}
 		for _, k := range st.bpInc.Pairs {
 			a, b := int32(k>>32), int32(k&0xffffffff)
-			if a >= b || seen[a] != 2 || seen[b] != 2 {
-				return nil, fmt.Errorf("world: broadphase pair key (%d,%d) malformed", a, b)
+			if a < 0 || a >= b || int(b) >= nGeoms || seen[a] != 2 || seen[b] != 2 {
+				return fmt.Errorf("broadphase pair key (%d,%d) malformed", a, b)
 			}
 		}
-	case bpHash:
-		st.bpCellSize = r.F64()
-	case bpBrute, bpOther:
-	default:
-		return nil, fmt.Errorf("world: unknown broadphase tag %d", st.bpTag)
 	}
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	return st, nil
+	return nil
 }
 
-// commit swaps the decoded state into the world. Execution
+// commit swaps the loaded state into the world, rebuilding what the
+// world keeps in another form than the file's. Execution
 // configuration (Threads, RecordDetail, obs attachments, worker pool,
 // scratch arena) is preserved.
 func (w *World) commit(st *worldState) {
@@ -699,11 +461,22 @@ func (w *World) commit(st *worldState) {
 	w.geomFree = st.geomFree
 	w.geomFreeStaged = st.geomFreeStaged
 	w.Joints = st.joints
-	w.Explosives = st.explosives
-	w.Blasts = st.blasts
+	w.Explosives = make(map[int32]ExplosiveSpec, len(st.explosives))
+	for _, e := range st.explosives {
+		w.Explosives[e.geom] = e.spec
+	}
+	w.Blasts = make([]Blast, len(st.blasts))
 	w.blastOfGeom = make(map[int32]int32, len(st.blasts))
-	for i := range st.blasts {
-		w.blastOfGeom[st.blasts[i].Geom] = int32(i)
+	for i, bs := range st.blasts {
+		bl := &w.Blasts[i]
+		*bl = Blast{Geom: bs.geom, Remaining: bs.remaining, Impulse: bs.impulse, hit: map[int32]bool{}, hitCloth: map[int32]bool{}}
+		for _, bi := range bs.hit {
+			bl.hit[bi] = true
+		}
+		for _, ci := range bs.hitCloth {
+			bl.hitCloth[ci] = true
+		}
+		w.blastOfGeom[bs.geom] = int32(i)
 	}
 	w.Fractures = st.fractures
 	w.fractureOfGeom = make(map[int32]int32, len(st.fractures))
@@ -712,7 +485,14 @@ func (w *World) commit(st *worldState) {
 	}
 	w.Cloths = st.cloths
 	w.clothProxy = st.clothProxy
-	w.clothProxyShape = st.clothProxyShape
+	// Re-establish the proxy aliasing: a proxy geom's Shape is the same
+	// *Box the world resizes each step.
+	w.clothProxyShape = make([]*geom.Box, len(st.cloths))
+	for ci, gi := range st.clothProxy {
+		sh := &geom.Box{Half: st.geoms[gi].Shape.(geom.Box).Half}
+		st.geoms[gi].Shape = sh
+		w.clothProxyShape[ci] = sh
+	}
 	w.clothContacts = make([][]int32, len(st.cloths))
 	w.warm = st.warm
 

@@ -2,14 +2,19 @@ package world
 
 import (
 	"bytes"
+	"encoding/binary"
+	"errors"
 	"hash/crc32"
 	"math"
 	"runtime"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
+	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
+	"github.com/parallax-arch/parallax/internal/phys/enc"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
@@ -219,7 +224,9 @@ func TestSnapshotRejectsCorruption(t *testing.T) {
 // w.Geoms[slot]; blastHit reads the radius off the volume's shape — and
 // a duplicated warm-start entry used to overwrite its twin silently. An
 // iteration count of 2^31-1 used to restore cleanly too, and the first
-// Step after it never returned.
+// Step after it never returned. The cases from the cloth proxies down
+// restored cleanly until the format became one walk that ranges each
+// field where it names it.
 func TestRestoreRejectsHostileState(t *testing.T) {
 	w := snapWorld(1)
 	for i := 0; i < 60 && (len(w.Blasts) == 0 || len(w.warm) < 2); i++ {
@@ -259,6 +266,38 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 		{"cloth iterations negative", func(w *World) {
 			w.Cloths[0].Iterations = -1
 		}, "cloth 0 iteration count"},
+		// The narrow phase indexes clothContacts and Cloths with the Aux of
+		// whatever geom carries FlagCloth, on the first contact.
+		{"cloth proxy names cloth 7", func(w *World) {
+			w.Geoms[w.clothProxy[0]].Aux = 7
+		}, "cloth 0 proxy geom"},
+		{"cloth proxy names cloth -1", func(w *World) {
+			w.Geoms[w.clothProxy[0]].Aux = -1
+		}, "cloth 0 proxy geom"},
+		{"a second geom flagged as a cloth proxy", func(w *World) {
+			w.Geoms[1].Flags |= geom.FlagCloth
+		}, "flagged as cloth proxies"},
+		{"blast hit set names cloth 5", func(w *World) {
+			w.Blasts[0].hitCloth[5] = true
+		}, "hit cloth 5"},
+		// A geom listed twice pairs with itself and doubles its other
+		// pairs on every step from then on.
+		{"sweep order lists a geom twice", func(w *World) {
+			sap := w.Broad.(*broadphase.SweepAndPrune)
+			sap.RestoreOrder(append(sap.SaveOrder(nil), 1))
+		}, "lists geom 1 twice"},
+		// HeightAt reads Heights[-2] of a field with no cell once a body
+		// lands on it.
+		{"height field 1x1", func(w *World) {
+			w.AddStatic(geom.NewHeightField(1, 1, 1, 1, []float64{0}), m3.V(20, 0, 20), m3.QIdent)
+		}, "heightfield NX 1"},
+		{"height field 0x0", func(w *World) {
+			w.AddStatic(geom.NewHeightField(0, 0, 1, 1, nil), m3.V(20, 0, 20), m3.QIdent)
+		}, "heightfield NX 0"},
+		// export.WriteOBJ indexes Particles with these.
+		{"cloth triangle past its particles", func(w *World) {
+			w.Cloths[0].Tris[3][2] = int32(len(w.Cloths[0].Particles))
+		}, "cloth 0 triangle 3 vertex 36"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			src, target := New(), New()
@@ -342,4 +381,70 @@ func TestSnapshotCloth(t *testing.T) {
 	if w2.clothProxyShape[0] != w2.Geoms[gi].Shape.(*geom.Box) {
 		t.Fatal("restored cloth proxy shape does not alias the proxy geom's shape")
 	}
+}
+
+// TestRestoreBoundsAllocation: a length prefix is bounded by what the
+// bytes after it could hold, not merely by how many there are. The
+// input is a valid header and parameter block, then a body count equal
+// to the 4 MiB of zero padding that follows, sealed: with the count
+// bounded by bytes alone Restore made 4 M bodies — 1.4 GiB — before it
+// met the end of the buffer.
+func TestRestoreBoundsAllocation(t *testing.T) {
+	const padding = 4 << 20
+	empty := New().Snapshot()
+	const params = 8 + 24 + 3*8 + 2 + 8 + 4 + 8 // frame header, then gravity to the solver's SOR
+	in := append([]byte(nil), empty[:params]...)
+	in = binary.LittleEndian.AppendUint32(in, padding)
+	in = append(in, make([]byte, padding)...)
+	in = binary.LittleEndian.AppendUint32(in, crc32.ChecksumIEEE(in))
+
+	w := New()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err := w.Restore(in)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, enc.ErrShort) {
+		t.Fatalf("Restore = %v, want enc.ErrShort", err)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got > 2*uint64(len(in)) {
+		t.Fatalf("Restore of %d bytes allocated %d", len(in), got)
+	}
+	if !bytes.Equal(w.Snapshot(), empty) {
+		t.Error("failed Restore mutated the world")
+	}
+}
+
+// TestSnapshotConcurrent: Snapshot only reads the world, so it may run
+// beside itself and beside queries. Two goroutines snapshot one stepped
+// world while a third casts rays; under -race this turns red if a
+// storing walk ever writes through a field pointer.
+func TestSnapshotConcurrent(t *testing.T) {
+	w := snapWorld(2)
+	for i := 0; i < 40; i++ {
+		w.Step()
+	}
+	want := w.Snapshot()
+	// All three are counted before any starts: a WaitGroup's counter is
+	// an atomic, and one goroutine finishing before the next is added
+	// would order their accesses for the race detector.
+	var wg sync.WaitGroup
+	wg.Add(3)
+	for g := 0; g < 2; g++ {
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				if !bytes.Equal(w.Snapshot(), want) {
+					t.Error("concurrent Snapshot produced different bytes")
+					return
+				}
+			}
+		}()
+	}
+	go func() {
+		defer wg.Done()
+		for i := 0; i < 200; i++ {
+			w.RayCast(m3.V(float64(i%9)-4, 6, 0), m3.V(0, -1, 0), 10)
+		}
+	}()
+	wg.Wait()
 }
