@@ -5,6 +5,11 @@
 // sharing state for coherence statistics.
 package cache
 
+import (
+	"fmt"
+	"math/bits"
+)
+
 // Config describes one cache.
 type Config struct {
 	// SizeBytes is the total capacity.
@@ -70,9 +75,13 @@ type Stats struct {
 // partitioning. It is a functional (hit/miss) model: latency is carried
 // in the Config and charged by the timing layer.
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	clock uint64
+	cfg Config
+	// lines holds every set's ways back to back: set si is
+	// lines[si*Ways : (si+1)*Ways].
+	lines      []line
+	blockShift uint
+	sets       divisor
+	clock      uint64
 	// Prefetch enables a next-N-line prefetcher: every demand miss also
 	// brings in the next Prefetch sequential blocks (the paper's future
 	// work on reducing L2 size requirements via prefetching).
@@ -81,26 +90,68 @@ type Cache struct {
 	// paper's partitioning: whole 1MB banks dedicated to a phase,
 	// "allocated near the CG core"). Fills of a partition with banks use
 	// only those banks; a partition without any interleaves across all.
-	partBanks [][]int
-	bankSets  int
+	partBanks []partition
+	bankSets  divisor
 	Stats     Stats
 }
 
-// New builds a cache from the config.
+// partition is one partition's bank allocation.
+type partition struct {
+	banks []int
+	n     divisor // len(banks)
+}
+
+// divisor divides by a fixed n >= 1 without a DIV on the access path: a
+// shift and a mask when n is a power of two, else a multiply-high by
+// floor(2^64/n)+1, which gives the exact quotient of any dividend below
+// 2^32 (Granlund and Montgomery) — every block the layouts produce.
+// Larger dividends divide.
+type divisor struct {
+	n     uint64
+	recip uint64 // 0 when n is a power of two
+	shift uint   // log2(n) when n is a power of two
+}
+
+func newDivisor(n uint64) divisor {
+	if n&(n-1) == 0 {
+		return divisor{n: n, shift: uint(bits.TrailingZeros64(n))}
+	}
+	return divisor{n: n, recip: ^uint64(0)/n + 1}
+}
+
+// divmod returns x/n and x%n.
+func (d divisor) divmod(x uint64) (q, r uint64) {
+	switch {
+	case d.recip == 0:
+		return x >> d.shift, x & (d.n - 1)
+	case x>>32 == 0:
+		q, _ = bits.Mul64(x, d.recip)
+		return q, x - q*d.n
+	}
+	return x / d.n, x % d.n
+}
+
+// New builds a cache from the config. A config the model cannot index —
+// a block size that is not a power of two, or no complete set (per bank,
+// when banked) — is a bug in the caller and panics by name.
 func New(cfg Config) *Cache {
 	if cfg.Banks < 1 {
 		cfg.Banks = 1
 	}
+	if cfg.BlockBytes < 1 || cfg.BlockBytes&(cfg.BlockBytes-1) != 0 {
+		panic(fmt.Sprintf("cache: BlockBytes %d is not a power of two (%+v)", cfg.BlockBytes, cfg))
+	}
+	if cfg.Ways < 1 || cfg.SizeBytes/cfg.BlockBytes/cfg.Ways/cfg.Banks < 1 {
+		panic(fmt.Sprintf("cache: config has no sets (%+v)", cfg))
+	}
 	setsTotal := cfg.SizeBytes / cfg.BlockBytes / cfg.Ways
-	c := &Cache{
-		cfg:      cfg,
-		sets:     make([][]line, setsTotal),
-		bankSets: setsTotal / cfg.Banks,
+	return &Cache{
+		cfg:        cfg,
+		lines:      make([]line, setsTotal*cfg.Ways),
+		blockShift: uint(bits.TrailingZeros(uint(cfg.BlockBytes))),
+		sets:       newDivisor(uint64(setsTotal)),
+		bankSets:   newDivisor(uint64(setsTotal / cfg.Banks)),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]line, cfg.Ways)
-	}
-	return c
 }
 
 // PartitionBanks dedicates whole banks to partition p >= 0: accesses
@@ -109,30 +160,35 @@ func New(cfg Config) *Cache {
 // the CG core.
 func (c *Cache) PartitionBanks(p int, banks []int) {
 	for len(c.partBanks) <= p {
-		c.partBanks = append(c.partBanks, nil)
+		c.partBanks = append(c.partBanks, partition{})
 	}
-	c.partBanks[p] = banks
+	c.partBanks[p] = partition{banks: banks, n: newDivisor(uint64(max(len(banks), 1)))}
 }
 
 // setIndex maps a block to a set for partition part: the block
 // interleaves across the partition's banks (all banks when the
 // partition has no bank allocation).
 func (c *Cache) setIndex(block uint64, part int) uint64 {
-	var banks []int
 	if part >= 0 && part < len(c.partBanks) {
-		banks = c.partBanks[part]
+		if p := &c.partBanks[part]; len(p.banks) > 0 {
+			rest, bank := p.n.divmod(block)
+			_, setInBank := c.bankSets.divmod(rest)
+			return uint64(p.banks[bank])*c.bankSets.n + setInBank
+		}
 	}
-	if len(banks) == 0 {
-		return block % uint64(len(c.sets))
-	}
-	bank := banks[block%uint64(len(banks))]
-	setInBank := (block / uint64(len(banks))) % uint64(c.bankSets)
-	return uint64(bank)*uint64(c.bankSets) + setInBank
+	_, si := c.sets.divmod(block)
+	return si
+}
+
+// set returns set si's ways.
+func (c *Cache) set(si uint64) []line {
+	w := uint64(c.cfg.Ways)
+	return c.lines[si*w : si*w+w]
 }
 
 // find returns the resident line holding block in set si, or nil.
 func (c *Cache) find(block, si uint64) *line {
-	set := c.sets[si]
+	set := c.set(si)
 	for w := range set {
 		if l := &set[w]; l.state != invalid && l.tag == block {
 			return l
@@ -166,7 +222,7 @@ func (c *Cache) lookup(block, own uint64) *line {
 // partition part (-1 = unpartitioned) and reports whether it hit.
 func (c *Cache) Access(addr uint64, write bool, core int, part int) bool {
 	c.clock++
-	block := addr / uint64(c.cfg.BlockBytes)
+	block := addr >> c.blockShift
 	si := c.setIndex(block, part)
 	if l := c.lookup(block, si); l != nil {
 		c.Stats.Hits++
@@ -212,7 +268,7 @@ func (c *Cache) touchLine(l *line, write bool, core int) {
 // fill installs the block in set si over the first invalid way, or
 // failing that the least recently used one (the earliest on a tie).
 func (c *Cache) fill(block, si uint64, write bool, core int) {
-	set := c.sets[si]
+	set := c.set(si)
 	v := &set[0]
 	for w := range set {
 		l := &set[w]

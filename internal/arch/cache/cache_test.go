@@ -1,7 +1,9 @@
 package cache
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 )
 
@@ -91,15 +93,13 @@ func TestPartitionBanks(t *testing.T) {
 	for i := 0; i < 10000; i++ {
 		c.Access(uint64(floodBase+i*64), false, 0, 1)
 	}
-	for si, set := range c.sets {
-		for _, l := range set {
-			if l.state == invalid {
-				continue
-			}
-			bank, flood := si/c.bankSets, l.tag >= floodBase/64
-			if (flood && bank != 1) || (!flood && bank != 0) {
-				t.Fatalf("block %#x resident in bank %d", l.tag, bank)
-			}
+	for i, l := range c.lines {
+		if l.state == invalid {
+			continue
+		}
+		bank, flood := i/c.cfg.Ways/int(c.bankSets.n), l.tag >= floodBase/64
+		if (flood && bank != 1) || (!flood && bank != 0) {
+			t.Fatalf("block %#x resident in bank %d", l.tag, bank)
 		}
 	}
 	c.Stats = Stats{}
@@ -188,8 +188,8 @@ func TestL2BankConfig(t *testing.T) {
 		t.Errorf("L2 config = %+v", cfg)
 	}
 	c := New(cfg)
-	if len(c.sets) != 4<<20/64/4 {
-		t.Errorf("set count = %d", len(c.sets))
+	if c.sets.n != 4<<20/64/4 || len(c.lines) != 4<<20/64 || c.bankSets.n != 1<<20/64/4 {
+		t.Errorf("%d sets of %d lines in all, %d sets a bank", c.sets.n, len(c.lines), c.bankSets.n)
 	}
 }
 
@@ -230,16 +230,15 @@ func TestPartitionedPrefetchDeterministic(t *testing.T) {
 			c.Access(uint64(r.Intn(1<<10))*64, r.Intn(4) == 0, r.Intn(2), r.Intn(4)-1)
 		}
 		where := map[uint64]int{}
-		for si, set := range c.sets {
-			for _, l := range set {
-				if l.state == invalid {
-					continue
-				}
-				if other, dup := where[l.tag]; dup {
-					t.Fatalf("run %d: block %#x resident in sets %d and %d", run, l.tag, other, si)
-				}
-				where[l.tag] = si
+		for i, l := range c.lines {
+			if l.state == invalid {
+				continue
 			}
+			si := i / c.cfg.Ways
+			if other, dup := where[l.tag]; dup {
+				t.Fatalf("run %d: block %#x resident in sets %d and %d", run, l.tag, other, si)
+			}
+			where[l.tag] = si
 		}
 		if run == 0 {
 			want = c.Stats
@@ -279,5 +278,68 @@ func TestHierarchyAccessDoesNotAllocate(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocations per Hierarchy.Access, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestSetIndexMatchesModulo: the mask and the multiply-high reciprocal
+// give block % sets (and the bank-interleaved set under partitioning) for
+// every L2 size an experiment uses and for the L1, at the boundaries of
+// the reciprocal's 32-bit range and beyond it.
+func TestSetIndexMatchesModulo(t *testing.T) {
+	cfgs := []Config{L1D()}
+	for _, mb := range []int{1, 2, 3, 4, 6, 8, 9, 12, 16, 32} {
+		cfgs = append(cfgs, L2BankMB(mb))
+	}
+	r := rand.New(rand.NewSource(11))
+	for _, cfg := range cfgs {
+		c := New(cfg)
+		n := uint64(cfg.SizeBytes / cfg.BlockBytes / cfg.Ways)
+		blocks := []uint64{0, 1, n - 1, n, n + 1, 2*n - 1, 1<<32 - n, 1<<32 - 2, 1<<32 - 1, 1 << 32, 1<<32 + 1, 1<<58 - 1}
+		for i := 0; i < 20000; i++ {
+			blocks = append(blocks, uint64(r.Uint32()), r.Uint64()>>uint(r.Intn(32)))
+		}
+		// Partition 0 takes the upper third of the banks, as the serial
+		// phases' partitions do.
+		var banks []int
+		for b := cfg.Banks - max(cfg.Banks/3, 1); b < cfg.Banks; b++ {
+			banks = append(banks, b)
+		}
+		c.PartitionBanks(0, banks)
+		nb, bankSets := uint64(len(banks)), n/uint64(cfg.Banks)
+		for _, b := range blocks {
+			if got := c.setIndex(b, -1); got != b%n {
+				t.Fatalf("%d KB cache: block %#x maps to set %d, want %d", cfg.SizeBytes>>10, b, got, b%n)
+			}
+			want := uint64(banks[b%nb])*bankSets + b/nb%bankSets
+			if got := c.setIndex(b, 0); got != want {
+				t.Fatalf("%d KB cache, banks %v: block %#x maps to set %d, want %d", cfg.SizeBytes>>10, banks, b, got, want)
+			}
+		}
+	}
+}
+
+// TestNewRefusesUnindexableConfig: a config without a complete set, or
+// with a block size the shift cannot express, fails in New by name — not
+// as a division by zero on the first access.
+func TestNewRefusesUnindexableConfig(t *testing.T) {
+	for _, tc := range []struct {
+		cfg  Config
+		want string
+	}{
+		{L2BankMB(0), "no sets"},
+		{Config{SizeBytes: 64, Ways: 4, BlockBytes: 64}, "no sets"},
+		{Config{SizeBytes: 3 * 4 * 64, Ways: 4, BlockBytes: 64, Banks: 4}, "no sets"},
+		{Config{SizeBytes: 4096, Ways: 0, BlockBytes: 64}, "no sets"},
+		{Config{SizeBytes: 4096, Ways: 2, BlockBytes: 48}, "not a power of two"},
+		{Config{SizeBytes: 4096, Ways: 2}, "not a power of two"},
+	} {
+		func() {
+			defer func() {
+				if r := fmt.Sprint(recover()); !strings.Contains(r, "cache: ") || !strings.Contains(r, tc.want) {
+					t.Errorf("New(%+v): %s, want a panic naming %q", tc.cfg, r, tc.want)
+				}
+			}()
+			New(tc.cfg)
+		}()
 	}
 }

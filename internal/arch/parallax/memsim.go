@@ -2,8 +2,6 @@ package parallax
 
 import (
 	"github.com/parallax-arch/parallax/internal/arch/cache"
-	"github.com/parallax-arch/parallax/internal/arch/mem"
-	archos "github.com/parallax-arch/parallax/internal/arch/os"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
@@ -94,11 +92,18 @@ func (wl *Workload) SimulateMemory(cfg MemConfig) MemResult {
 }
 
 // simulateMemory is the uncached simulation behind SimulateMemory; cfg
-// is already normalized.
+// is already normalized. The L1 side of the hierarchy is the class's
+// recorded miss trace (l1trace.go); only the L2 is built and run here.
+// That is exact: the L2 sees the references, cores, partitions and
+// clock it would see behind live L1s, an L1 hit stalls for zero cycles,
+// and every stall term is a small integer, so summing a segment's
+// stalls at once gives the float the per-reference sum gives.
 func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
+	tr := wl.l1Trace(l1Class{Threads: cfg.Threads, DedicatedPhase: cfg.DedicatedPhase})
 	obsStart := wl.obs.tr.Now()
-	h := cache.NewHierarchy(max(cfg.Cores, cfg.Threads), cfg.L2MB)
-	h.L2.Prefetch = cfg.PrefetchDepth
+	l2cfg := cache.L2BankMB(cfg.L2MB)
+	l2 := cache.New(l2cfg)
+	l2.Prefetch = cfg.PrefetchDepth
 	if cfg.Partitioned {
 		// The paper's 12MB organization: three 4MB partitions of whole
 		// 1MB banks — one for Broadphase, one for Island Creation, the
@@ -122,9 +127,9 @@ func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
 		if len(parB) == 0 {
 			parB = genB
 		}
-		h.L2.PartitionBanks(PartBroad, broadB)
-		h.L2.PartitionBanks(PartIslandGen, genB)
-		h.L2.PartitionBanks(PartParallel, parB)
+		l2.PartitionBanks(PartBroad, broadB)
+		l2.PartitionBanks(PartIslandGen, genB)
+		l2.PartitionBanks(PartParallel, parB)
 	}
 
 	var res MemResult
@@ -132,14 +137,16 @@ func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
 	if iters < 1 {
 		iters = 1
 	}
+	// Stall cycles beyond the L1's own latency: an L2 hit's 15, plus the
+	// 340-cycle miss-to-memory penalty (paper Table 5).
+	hitStall := uint64(l2cfg.HitLatency)
+	missStall := hitStall + 340
 
-	// account wraps a stream emission, attributing misses and stalls to
-	// a phase. Parallel-phase accesses round-robin across cores' L1s.
-	account := func(ph world.Phase, parallel bool, kernelRegion bool, emit func(mem.Stream)) {
-		pm := &res.Phase[ph]
+	for _, seg := range tr.segs {
 		part := -1
-		if cfg.Partitioned {
-			switch ph {
+		// Dedicated experiments use the whole cache.
+		if cfg.Partitioned && cfg.DedicatedPhase < 0 {
+			switch seg.phase {
 			case world.PhaseBroad:
 				part = PartBroad
 			case world.PhaseIslandGen:
@@ -148,122 +155,39 @@ func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
 				part = PartParallel
 			}
 		}
-		if cfg.DedicatedPhase >= 0 {
-			part = -1 // dedicated experiments use the whole cache
-		}
-		var idx uint64
-		emit(func(addr uint64, write bool) {
+		was := l2.Stats
+		entries, cores := tr.cut(seg.lo, seg.hi)
+		for i, e := range entries {
 			core := 0
-			if parallel {
-				core = int(idx % uint64(cfg.Threads))
+			if cores != nil {
+				core = int(cores[i])
 			}
-			idx++
-			lat := h.Access(core, addr, write, part)
-			pm.Accesses++
-			if lat > 2 {
-				pm.L1Misses++
-			}
-			if lat > 17 {
-				pm.L2Misses++
-				if kernelRegion {
-					pm.KernelL2Misses++
-				}
-			}
-			pm.StallCycles += float64(lat - 2)
-		})
-	}
-
-	want := func(ph world.Phase) bool {
-		return cfg.DedicatedPhase < 0 || world.Phase(cfg.DedicatedPhase) == ph
-	}
-
-	// The paper's dedicated-cache experiments save the phase's cache
-	// state at the end of a step and reload it at the start of the next,
-	// so the measured steps see warm state. Replay the phase's streams
-	// once unaccounted to reproduce that warm start.
-	if cfg.DedicatedPhase >= 0 {
-		sink := func(addr uint64, write bool) {
-			h.Access(0, addr, write, -1)
+			l2.Access(uint64(e&^writeBit)<<blockShift, e&writeBit != 0, core, part)
 		}
-		for si := range wl.Frame.Steps {
-			prof := &wl.Frame.Steps[si]
-			switch world.Phase(cfg.DedicatedPhase) {
-			case world.PhaseBroad:
-				wl.Layout.BroadphaseTrace(wl.World, prof, sink)
-			case world.PhaseNarrow:
-				wl.Layout.NarrowphaseTrace(wl.World, prof, sink)
-			case world.PhaseIslandGen:
-				wl.Layout.IslandCreationTrace(wl.World, prof, sink)
-			case world.PhaseIslandProc:
-				wl.Layout.IslandSweep(wl.World, prof, sink)
-			case world.PhaseCloth:
-				wl.Layout.ClothSweep(wl.World, prof, sink)
-			}
+		if seg.warm {
+			continue
 		}
-	}
-
-	for si := range wl.Frame.Steps {
-		prof := &wl.Frame.Steps[si]
-		if want(world.PhaseBroad) {
-			account(world.PhaseBroad, false, false, func(s mem.Stream) {
-				wl.Layout.BroadphaseTrace(wl.World, prof, s)
-			})
+		hits, misses := l2.Stats.Hits-was.Hits, l2.Stats.Misses-was.Misses
+		pm := &res.Phase[seg.phase]
+		before := *pm
+		pm.Accesses += seg.accesses
+		pm.L1Misses += hits + misses
+		pm.L2Misses += misses
+		if seg.kernel {
+			pm.KernelL2Misses += misses
 		}
-		if want(world.PhaseNarrow) {
-			account(world.PhaseNarrow, true, false, func(s mem.Stream) {
-				wl.Layout.NarrowphaseTrace(wl.World, prof, s)
-			})
-		}
-		if want(world.PhaseIslandGen) {
-			account(world.PhaseIslandGen, false, false, func(s mem.Stream) {
-				wl.Layout.IslandCreationTrace(wl.World, prof, s)
-			})
-		}
-		if want(world.PhaseIslandProc) {
-			// Row construction streams once; the iterated working set is
-			// the bodies, sampled once and scaled by (iters-1).
-			account(world.PhaseIslandProc, true, false, func(s mem.Stream) {
-				wl.Layout.IslandSweep(wl.World, prof, s)
-			})
-			pm := &res.Phase[world.PhaseIslandProc]
-			before := *pm
-			account(world.PhaseIslandProc, true, false, func(s mem.Stream) {
-				wl.Layout.IslandSweepSteady(wl.World, prof, s)
-			})
+		pm.StallCycles += float64(hitStall*hits + missStall*misses)
+		if seg.steady {
 			scaleSteady(pm, before, iters-1)
-			// OS/kernel overhead of the worker threads.
-			account(world.PhaseIslandProc, true, true, func(s mem.Stream) {
-				archos.KernelStream(cfg.Threads, mem.ThreadBase, s)
-			})
-		}
-		if want(world.PhaseCloth) && len(wl.Layout.ClothBase) > 0 {
-			account(world.PhaseCloth, true, false, func(s mem.Stream) {
-				wl.Layout.ClothSweep(wl.World, prof, s)
-			})
-			pm := &res.Phase[world.PhaseCloth]
-			before := *pm
-			account(world.PhaseCloth, true, false, func(s mem.Stream) {
-				wl.Layout.ClothSweep(wl.World, prof, s)
-			})
-			scaleSteady(pm, before, iters-1)
-			account(world.PhaseCloth, true, true, func(s mem.Stream) {
-				archos.KernelStream(cfg.Threads, mem.ThreadBase, s)
-			})
 		}
 	}
 	if r := wl.obs.reg; r != nil {
-		var l1h, l1m uint64
-		for _, l1 := range h.L1s {
-			l1h += l1.Stats.Hits
-			l1m += l1.Stats.Misses
-		}
-		r.Add(wl.obs.l1Hits, int64(l1h))
-		r.Add(wl.obs.l1Misses, int64(l1m))
-		l2 := &h.L2.Stats
-		r.Add(wl.obs.l2Hits, int64(l2.Hits))
-		r.Add(wl.obs.l2Misses, int64(l2.Misses))
-		r.Add(wl.obs.l2Writebacks, int64(l2.Writebacks))
-		r.Add(wl.obs.l2Invals, int64(l2.Invalidations))
+		r.Add(wl.obs.l1Hits, int64(tr.hits))
+		r.Add(wl.obs.l1Misses, int64(tr.misses))
+		r.Add(wl.obs.l2Hits, int64(l2.Stats.Hits))
+		r.Add(wl.obs.l2Misses, int64(l2.Stats.Misses))
+		r.Add(wl.obs.l2Writebacks, int64(l2.Stats.Writebacks))
+		r.Add(wl.obs.l2Invals, int64(l2.Stats.Invalidations))
 	}
 	wl.obs.lane.Complete(wl.obs.memsimSpan, obsStart)
 	return res

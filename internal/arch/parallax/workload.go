@@ -33,9 +33,11 @@ type Workload struct {
 	// is a comparable value type), not just its name: two distinct
 	// configs sharing a name — or both zero-named, as in custom sweeps —
 	// must not collide. memsim memoizes SimulateMemory by the normalized
-	// MemConfig.
-	ipc    memo[cpu.Config, [kernels.NumAllKernels]float64]
-	memsim memo[MemConfig, MemResult]
+	// MemConfig; l1traces holds the L1-filtered miss trace every
+	// simulation of one l1Class replays.
+	ipc      memo[cpu.Config, [kernels.NumAllKernels]float64]
+	memsim   memo[MemConfig, MemResult]
+	l1traces memo[l1Class, *l1Trace]
 
 	// obs holds the workload's observability hooks (SetObs); zero when
 	// observability is off.
@@ -52,10 +54,12 @@ type wobs struct {
 	reg  *obs.Registry
 	lane *obs.Lane
 
-	memsimSpan obs.SpanID
-	fgSpan     obs.SpanID
+	memsimSpan  obs.SpanID
+	l1traceSpan obs.SpanID
+	fgSpan      obs.SpanID
 
-	memsimRequests, memsimComputed obs.CounterID
+	memsimRequests, memsimComputed                 obs.CounterID
+	l1traceRequests, l1traceComputed, l1traceBytes obs.CounterID
 
 	l1Hits, l1Misses          obs.CounterID
 	l2Hits, l2Misses          obs.CounterID
@@ -69,21 +73,29 @@ type wobs struct {
 // deterministic under singleflight — requests is the number of call
 // sites executed, computed the number of distinct configurations), and
 // each simulation records the cache hierarchy's hit/miss/writeback/
-// invalidation totals and a complete "memsim" span on the lane named
-// label; the FG interconnect model records its per-call
-// compute and exposed-communication time (in integer nanoseconds, so
-// the totals stay deterministic) and a "fg-model" span. Either argument
-// may be nil.
+// invalidation totals (the L1s' from the trace it replayed, so they
+// count once per simulation as they did when every simulation ran its
+// own L1s) and a complete "memsim" span on the lane named label; the L1
+// traces under it count the same way (l1trace_requests, one per
+// simulation; l1trace_computed, one per class; l1trace_bytes retained)
+// and record an "l1trace" span each; the FG interconnect model records
+// its per-call compute and exposed-communication time (in integer
+// nanoseconds, so the totals stay deterministic) and a "fg-model" span.
+// Either argument may be nil.
 func (wl *Workload) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 	wl.obs = wobs{tr: tr, reg: reg}
 	if tr != nil {
 		wl.obs.lane = tr.Lane(label, obs.DefaultLaneEvents)
 		wl.obs.memsimSpan = tr.Span("memsim")
+		wl.obs.l1traceSpan = tr.Span("l1trace")
 		wl.obs.fgSpan = tr.Span("fg-model")
 	}
 	if reg != nil {
 		wl.obs.memsimRequests = reg.Counter("arch/memsim_requests")
 		wl.obs.memsimComputed = reg.Counter("arch/memsim_computed")
+		wl.obs.l1traceRequests = reg.Counter("arch/l1trace_requests")
+		wl.obs.l1traceComputed = reg.Counter("arch/l1trace_computed")
+		wl.obs.l1traceBytes = reg.Counter("arch/l1trace_bytes")
 		wl.obs.l1Hits = reg.Counter("arch/cache/l1_hits")
 		wl.obs.l1Misses = reg.Counter("arch/cache/l1_misses")
 		wl.obs.l2Hits = reg.Counter("arch/cache/l2_hits")

@@ -102,12 +102,12 @@ func TestSuiteTraceCoversRun(t *testing.T) {
 		}
 	}
 
-	// The five engine pipeline phases, the two architecture models, and
+	// The five engine pipeline phases, the architecture models' spans, and
 	// the harness's own spans must all appear in one export.
 	want := []string{
 		"step", "broadphase", "narrowphase", "island-creation",
 		"island-processing", "cloth",
-		"memsim", "fg-model",
+		"memsim", "l1trace", "fg-model",
 		"capture:Mix", "exp:fig2a", "exp:fig10b", "exp:sec721",
 	}
 	for _, name := range want {
@@ -143,6 +143,9 @@ func TestSuiteMetricsThreadCountDeterminism(t *testing.T) {
 		"counter harness/pool_tasks",
 		"counter arch/memsim_requests",
 		"counter arch/memsim_computed",
+		"counter arch/l1trace_requests",
+		"counter arch/l1trace_computed",
+		"counter arch/l1trace_bytes",
 		"hist engine/island_dof",
 	} {
 		if !strings.Contains(serial, name) {
