@@ -10,9 +10,10 @@
 //
 //	POST   /sessions                {"scene":"Wall","scale":1.0}, or a
 //	                                raw PAXW snapshot with Content-Type
-//	                                application/octet-stream → 201, or
-//	                                429 when saturated; a body over
-//	                                32 MiB → 413, scale > 4 → 400
+//	                                application/octet-stream → 201 with
+//	                                the info route's reply, or 429 when
+//	                                saturated; a body over 32 MiB → 413,
+//	                                scale > 4 → 400
 //	GET    /sessions                list resident sessions
 //	GET    /sessions/{id}           session info
 //	DELETE /sessions/{id}           detach and release
@@ -25,8 +26,11 @@
 //	                                moves as is (world, steps, degraded
 //	                                state); same reply as the info route
 //	GET    /health                  200 "ok", 503 "draining"
-//	GET    /metrics                 Prometheus text exposition
-//	GET    /trace                   Chrome trace-event JSON (per-shard lanes)
+//	GET    /metrics                 Prometheus text exposition (serve/*
+//	                                counters, queue-wait and op-time
+//	                                histograms)
+//	GET    /trace                   Chrome trace-event JSON (per-shard
+//	                                lanes: shard-tick and shard-op spans)
 //
 // Exit codes: 0 clean shutdown (including SIGTERM drain), 1 runtime or
 // I/O error, 2 usage.

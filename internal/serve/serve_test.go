@@ -143,6 +143,12 @@ func TestSessionLifecycle(t *testing.T) {
 	if info.ID == "" {
 		t.Fatal("created session has empty id")
 	}
+	// The create reply is the info route's reply, on both create paths.
+	for path, created := range map[string]SessionInfo{"scene": info, "upload": uploadWorld(t, ts.URL, tinyWorld())} {
+		if created.Bodies == 0 || !created.Healthy || created.State != "active" || created.Steps != 0 {
+			t.Fatalf("create from %s answered %+v, want bodies > 0, healthy, active, 0 steps", path, created)
+		}
+	}
 
 	resp, data := doJSON(t, "GET", ts.URL+"/sessions/"+info.ID, nil)
 	if resp.StatusCode != http.StatusOK {

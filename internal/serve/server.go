@@ -224,9 +224,11 @@ func (s *Server) Create(scene string, scale float64, snap []byte) (SessionInfo, 
 		return SessionInfo{}, &createError{http.StatusBadRequest, err.Error()}
 	}
 	sh := s.leastLoaded()
+	var info SessionInfo
 	queued, ran := sh.tryDo(func(sh *shard) {
 		sh.attach(sess)
 		s.register(id, sh)
+		info = sess.info(sh.index)
 	})
 	if !ran {
 		s.unregister(id)
@@ -238,7 +240,7 @@ func (s *Server) Create(scene string, scale float64, snap []byte) (SessionInfo, 
 		return SessionInfo{}, errStopped
 	}
 	s.reg.Add(s.cCreated, 1)
-	return SessionInfo{ID: id, Shard: sh.index, Scene: sess.scene, Scale: sess.scale, State: stateActive.String()}, nil
+	return info, nil
 }
 
 // Delete detaches and releases a session.

@@ -57,6 +57,7 @@ type Session struct {
 	health *obs.Health
 
 	state  sessionState
+	tick   int64 // the owning shard's last tick that visited (or attached) it
 	steps  int64 // ticks actually stepped (in-server or via /step)
 	misses int64 // consecutive deadline misses in the current state
 	cause  string

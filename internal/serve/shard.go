@@ -18,28 +18,37 @@ const (
 	defaultEvictAfter = 8
 )
 
-// ctl is one control operation: fn runs on the shard goroutine, between
-// ticks, and done is closed once it has returned. Everything that touches
+// ctl is one control operation: fn runs on the shard goroutine — between
+// ticks, or inside a tick between two sessions' steps, never inside a
+// step — and done is closed once it has returned. Everything that touches
 // a resident session is such a closure, serialized through one bounded
 // channel: sessions need no locks, a full channel is the admission
-// backpressure signal, and whatever must wrap every op (a recover, a
-// request id, a histogram) has one place to go, the case in run. Callers
-// collect results in variables the closure captures; done orders those
-// writes before the caller's reads.
+// backpressure signal, and whatever must wrap every op (the wait and
+// execution histograms today; a recover, a request id) has one place to
+// go, exec. Callers collect results in variables the closure captures;
+// done orders those writes before the caller's reads. at is the tracer
+// clock when the op was enqueued.
 type ctl struct {
 	fn   func(*shard)
 	done chan struct{}
+	at   int64
 }
 
-// serveCounters are the fleet-wide counter families, registered once by
-// the server and shared by all shards (counters are atomic adds, so
-// cross-shard sharing is free).
+// serveCounters are the fleet-wide counter and histogram families,
+// registered once by the server and shared by all shards (both are atomic
+// adds, so cross-shard sharing is free).
 type serveCounters struct {
 	ticks     obs.CounterID
 	misses    obs.CounterID
 	degraded  obs.CounterID
 	evictions obs.CounterID
+	queueWait obs.HistID // enqueue → fn starts, µs
+	opTime    obs.HistID // fn's own run time, µs
 }
+
+// opBoundsUs are the bucket bounds of both op histograms, in microseconds:
+// from under one cheap query (≈ 20 µs) to over one 60 Hz tick period.
+var opBoundsUs = []int64{20, 50, 100, 200, 500, 1000, 2000, 5000, 10000, 20000}
 
 func newServeCounters(reg *obs.Registry) serveCounters {
 	return serveCounters{
@@ -47,6 +56,8 @@ func newServeCounters(reg *obs.Registry) serveCounters {
 		misses:    reg.Counter("serve/deadline_misses"),
 		degraded:  reg.Counter("serve/degraded"),
 		evictions: reg.Counter("serve/evictions"),
+		queueWait: reg.Histogram("serve/queue_wait_us", opBoundsUs),
+		opTime:    reg.Histogram("serve/op_us", opBoundsUs),
 	}
 }
 
@@ -65,10 +76,14 @@ type shard struct {
 	control  chan ctl
 	stop     chan struct{}
 	done     chan struct{}
+	// yield hands the shard's CPU to a waiting thread (osYield; tests log
+	// it): tick calls it as each gap opens.
+	yield func()
 
 	tr       *obs.Tracer
 	lane     *obs.Lane
 	tickSpan obs.SpanID
+	opSpan   obs.SpanID
 	reg      *obs.Registry
 	ctr      serveCounters
 	gSess    obs.GaugeID
@@ -76,8 +91,11 @@ type shard struct {
 	nsess atomic.Int64 // resident sessions, readable by the placement path
 
 	tickNum int64
-	// Per-tick deltas accumulated by the allocation-free tick loop and
-	// folded into the registry by run() between ticks.
+	// gen counts changes to the run queue (attach, detach, reap): the tick
+	// walk rescans from the front when an op in one of its gaps moved it.
+	gen int64
+	// Per-tick deltas accumulated by the allocation-free session step and
+	// folded into the registry by publish, after the tick.
 	dMisses   int64
 	dDegraded int64
 	// evictPending counts sessions marked evicted since the last reap.
@@ -99,9 +117,11 @@ func newShard(srv *Server, index, threads, queue int, hz float64, budget time.Du
 		control:    make(chan ctl, queue),
 		stop:       make(chan struct{}),
 		done:       make(chan struct{}),
+		yield:      osYield,
 		tr:         tr,
 		lane:       tr.Lane(fmt.Sprintf("serve/shard%d", index), obs.DefaultLaneEvents),
 		tickSpan:   tr.Span("shard-tick"),
+		opSpan:     tr.Span("shard-op"),
 		reg:        reg,
 		ctr:        ctr,
 		gSess:      reg.Gauge(fmt.Sprintf("serve/shard%d/sessions", index)),
@@ -113,9 +133,8 @@ func newShard(srv *Server, index, threads, queue int, hz float64, budget time.Du
 }
 
 // run is the shard goroutine: control ops and ticks interleave here, so
-// every access to resident sessions is single-threaded. Metric and span
-// publication happens here, between ticks, keeping the tick loop itself
-// free of registry and lane calls.
+// every access to resident sessions is single-threaded. The ticker is
+// created here, so a shard that is never started owns no timer.
 func (sh *shard) run() {
 	defer close(sh.done)
 	var tickCh <-chan time.Time
@@ -129,65 +148,124 @@ func (sh *shard) run() {
 		case <-sh.stop:
 			return
 		case c := <-sh.control:
-			c.fn(sh)
-			close(c.done)
+			sh.exec(c)
 		case <-tickCh:
-			t0 := sh.tr.Now()
 			sh.tick()
-			sh.lane.Complete(sh.tickSpan, t0)
-			sh.publish()
 		}
 	}
 }
 
-// tick steps every resident session once (degraded sessions every other
-// tick) and drives the deadline state machine. This is the server's
-// per-tick hot loop: parsafe proves it — and everything reachable from
-// it — allocation-free and shared-state-free, so steady-state serving
-// never churns the GC no matter how many sessions are resident. World
-// stepping goes through the per-session stepFn trampoline (bound to
-// World.Step at attach, a cold path), the same graph cut the engine's
-// own pool dispatch uses.
+// exec runs one control op. It is the only place a ctl is executed — from
+// run between ticks and from drain inside one — so it is where the op's
+// queue wait and run time are observed and its span recorded.
+func (sh *shard) exec(c ctl) {
+	t0 := sh.tr.Now()
+	c.fn(sh)
+	dur := sh.lane.Complete(sh.opSpan, t0)
+	close(c.done)
+	sh.reg.ObserveInt(sh.ctr.queueWait, (t0-c.at)/1e3)
+	sh.reg.ObserveInt(sh.ctr.opTime, dur/1e3)
+}
+
+// drain runs the control ops that are queued right now and returns: at
+// most len(sh.control) of them, counted before the first runs, so callers
+// that refill the queue as fast as it empties wait for the next gap and
+// cannot keep a tick from finishing. This goroutine is the queue's only
+// receiver, so none of the receives can block, and an empty queue costs
+// one channel len.
+func (sh *shard) drain() {
+	for n := len(sh.control); n > 0; n-- {
+		sh.exec(<-sh.control)
+	}
+}
+
+// tick steps every resident session once (a degraded one on every other
+// tick) and serves the control queue in the gap after each step, so a
+// request waits for one session's step and not for the whole fleet's. The
+// ops in a gap may attach, detach or reap, so the walk does not trust its
+// index across one: every session it visits is stamped with the tick
+// number, and when the run queue changed under it (gen) it rescans from
+// the front, passing over what is stamped. Whatever the ops do, a session
+// resident from the tick's start to its end is stepped by it exactly once.
+// A session attached in a gap is stamped by attach and first steps on the
+// next tick.
 //
-//paraxlint:parroot shard tick loop: the steady-state serving hot path
+// A gap opens with a yield of the shard's thread, before the drain. A
+// request that arrived during the step is still a readable socket then: the
+// thread that will run its handler has been woken, and if the kernel put it
+// on this CPU — a lightly loaded two-CPU guest keeps all of a process's
+// threads on one — it waits there until the shard's thread is preempted, a
+// scheduler tick or the rest of this tick away. The yield runs it now, so
+// its op is on the queue when the drain looks. On a CPU nobody is waiting
+// for, the yield is one system call that returns at once.
+//
+// The walk is cold code — a system call, channel receives, closure calls,
+// registry and lane writes — around the one thing that is proven, step.
 func (sh *shard) tick() {
+	t0 := sh.tr.Now()
 	skipDegraded := sh.tickNum&1 == 1
 	sh.tickNum++
-	for _, s := range sh.sessions {
-		if s.state == stateEvicted || (s.state == stateDegraded && skipDegraded) {
+	for i := 0; i < len(sh.sessions); i++ {
+		s := sh.sessions[i]
+		if s.tick == sh.tickNum {
 			continue
 		}
-		t0 := sh.tr.Now()
-		//paraxlint:allow(parsafe) session step trampoline: stepFn is bound to World.Step, whose hot path is proven by its own noalloc contract and the step benchmarks
-		s.stepFn()
-		dur := sh.tr.Now() - t0
-		s.steps++
-		if s.health.Tripped() {
-			sh.evict(s, "health")
+		s.tick = sh.tickNum
+		if s.state == stateDegraded && skipDegraded {
 			continue
 		}
-		if sh.budget <= 0 {
-			continue
-		}
-		if dur > sh.budget {
-			s.misses++
-			sh.dMisses++
-			if s.state == stateActive && s.misses >= degradeAfter {
-				s.state = stateDegraded
-				s.misses = 0
-				sh.dDegraded++
-			} else if s.state == stateDegraded && s.misses >= sh.evictAfter {
-				sh.evict(s, "deadline")
-			}
-		} else {
-			s.misses = 0
-			if s.state == stateDegraded {
-				s.state = stateActive
-			}
+		sh.step(s)
+		gen := sh.gen
+		sh.yield()
+		sh.drain()
+		if sh.gen != gen {
+			i = -1
 		}
 	}
 	if sh.evictPending > 0 {
 		sh.reap()
+	}
+	sh.lane.Complete(sh.tickSpan, t0)
+	sh.publish()
+}
+
+// step advances one session by its tick and drives the deadline state
+// machine. This is the server's steady-state hot path: parsafe proves it —
+// and everything reachable from it — allocation-free and
+// shared-state-free, so serving never churns the GC no matter how many
+// sessions are resident. World stepping goes through the per-session
+// stepFn trampoline (bound to World.Step at attach, a cold path), the
+// same graph cut the engine's own pool dispatch uses.
+//
+//paraxlint:parroot shard session step: the steady-state serving hot path
+func (sh *shard) step(s *Session) {
+	t0 := sh.tr.Now()
+	//paraxlint:allow(parsafe) session step trampoline: stepFn is bound to World.Step, whose hot path is proven by its own noalloc contract and the step benchmarks
+	s.stepFn()
+	dur := sh.tr.Now() - t0
+	s.steps++
+	if s.health.Tripped() {
+		sh.evict(s, "health")
+		return
+	}
+	if sh.budget <= 0 {
+		return
+	}
+	if dur > sh.budget {
+		s.misses++
+		sh.dMisses++
+		if s.state == stateActive && s.misses >= degradeAfter {
+			s.state = stateDegraded
+			s.misses = 0
+			sh.dDegraded++
+		} else if s.state == stateDegraded && s.misses >= sh.evictAfter {
+			sh.evict(s, "deadline")
+		}
+	} else {
+		s.misses = 0
+		if s.state == stateDegraded {
+			s.state = stateActive
+		}
 	}
 }
 
@@ -199,10 +277,8 @@ func (sh *shard) evict(s *Session, cause string) {
 }
 
 // reap compacts evicted sessions out of the run queue, returning their
-// slots and worker pools. Runs only on ticks that actually evicted —
-// the steady state never enters it.
-//
-//paraxlint:coldpath eviction sweep: allocates during compaction and touches the registry and server map
+// slots and worker pools. Runs only at the end of a tick that actually
+// evicted, and from stepN — the steady state never enters it.
 func (sh *shard) reap() {
 	sh.sessions = slices.DeleteFunc(sh.sessions, func(s *Session) bool {
 		if s.state != stateEvicted {
@@ -232,9 +308,11 @@ func (sh *shard) publish() {
 	}
 }
 
-// syncLoad republishes the shard's resident-session count (placement
-// atomic + gauge). Cold path: attach, detach, reap.
+// syncLoad follows every change to the run queue — attach, detach, reap:
+// it republishes the resident-session count (placement atomic + gauge)
+// and tells a tick in progress to rescan.
 func (sh *shard) syncLoad() {
+	sh.gen++
 	n := int64(len(sh.sessions))
 	sh.nsess.Store(n)
 	sh.reg.SetGauge(sh.gSess, float64(n))
@@ -250,9 +328,12 @@ func (sh *shard) find(id string) *Session {
 	return nil
 }
 
-// attach adds a session to the run queue.
+// attach adds a session to the run queue, stamped with the current tick:
+// whatever stamp it carries is another shard's count, and one attached in
+// a gap of a tick waits for the next.
 func (sh *shard) attach(s *Session) {
 	s.w.SetThreads(sh.threads)
+	s.tick = sh.tickNum
 	sh.sessions = append(sh.sessions, s)
 	sh.syncLoad()
 }
@@ -265,10 +346,9 @@ func (sh *shard) detach(s *Session) {
 }
 
 // stepN advances s by n ticks on request (POST …/step), outside the
-// deadline state machine. A tripped health latch evicts at once, as it
-// does in tick.
+// deadline state machine and as one indivisible op. A tripped health
+// latch evicts at once, as it does in step.
 func (sh *shard) stepN(s *Session, n int) {
-	t0 := sh.tr.Now()
 	for i := 0; i < n; i++ {
 		s.stepFn()
 		s.steps++
@@ -278,13 +358,12 @@ func (sh *shard) stepN(s *Session, n int) {
 			break
 		}
 	}
-	sh.lane.Complete(sh.tickSpan, t0)
 }
 
 // do runs fn on the shard goroutine and waits for it to return. It
 // reports whether fn ran: false means the shard stopped first.
 func (sh *shard) do(fn func(*shard)) bool {
-	c := ctl{fn, make(chan struct{})}
+	c := ctl{fn, make(chan struct{}), sh.tr.Now()}
 	select {
 	case sh.control <- c:
 		return sh.wait(c)
@@ -296,7 +375,7 @@ func (sh *shard) do(fn func(*shard)) bool {
 // tryDo is do with a non-blocking enqueue: a full control queue returns
 // at once with queued=false — the admission-control signal.
 func (sh *shard) tryDo(fn func(*shard)) (queued, ran bool) {
-	c := ctl{fn, make(chan struct{})}
+	c := ctl{fn, make(chan struct{}), sh.tr.Now()}
 	select {
 	case sh.control <- c:
 		return true, sh.wait(c)
