@@ -220,8 +220,10 @@ func rootIdent(e ast.Expr) *ast.Ident {
 }
 
 // sortedAfter reports whether, after the range loop, the enclosing
-// function calls a sort.* or slices.Sort* function mentioning the same
-// destination expression.
+// function calls a sort.* or slices.* function, or a sort of its own
+// package (a function or method whose name starts with "sort", such as
+// broadphase's counting pair sort), mentioning the same destination
+// expression.
 func sortedAfter(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, dest ast.Expr) bool {
 	destStr := exprText(pass, dest)
 	found := false
@@ -238,7 +240,8 @@ func sortedAfter(pass *Pass, fd *ast.FuncDecl, rng *ast.RangeStmt, dest ast.Expr
 			return true
 		}
 		p := fn.Pkg().Path()
-		if p != "sort" && p != "slices" {
+		ownSort := fn.Pkg() == pass.Pkg && strings.HasPrefix(strings.ToLower(fn.Name()), "sort")
+		if p != "sort" && p != "slices" && !ownSort {
 			return true
 		}
 		for _, arg := range call.Args {

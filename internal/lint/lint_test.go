@@ -151,7 +151,10 @@ func TestParsafeReachable(t *testing.T) {
 		mod + "phys/broadphase.appendPair",
 		mod + "phys/broadphase.cellKey",
 		"(*" + mod + "phys/broadphase.SpatialHash).PairsPrerefreshed",
-		mod + "phys/broadphase.sortPairs",
+		// The comparison sortPairs was replaced by the counting pairSort,
+		// and the pass's sweep is now worker-reachable through SweepRange.
+		"(*" + mod + "phys/broadphase.SweepAndPrune).SweepRange",
+		"(*" + mod + "phys/broadphase.pairSort).sort",
 		"(*" + mod + "phys/broadphase.IncrementalSAP).PairsPrerefreshed",
 		"(*" + mod + "phys/broadphase.IncrementalSAP).sortIncremental",
 		"(*" + mod + "phys/broadphase.IncrementalSAP).rebuild",

@@ -56,6 +56,41 @@ func sortedKeys(m map[string]int) []string {
 	return keys
 }
 
+// sortInts is the package's own sort; like sort.*, calling it on the
+// appended slice after the loop restores a deterministic order.
+func sortInts(xs []int) {
+	for i := 1; i < len(xs); i++ {
+		for j := i; j > 0 && xs[j-1] > xs[j]; j-- {
+			xs[j-1], xs[j] = xs[j], xs[j-1]
+		}
+	}
+}
+
+func ownSortedKeys(m map[int]bool) []int {
+	var keys []int
+	for k := range m {
+		keys = append(keys, k) // sorted below by the package's own sort: allowed
+	}
+	sortInts(keys)
+	return keys
+}
+
+// reverseInts is no sort, whatever it is called on.
+func reverseInts(xs []int) {
+	for i, j := 0, len(xs)-1; i < j; i, j = i+1, j-1 {
+		xs[i], xs[j] = xs[j], xs[i]
+	}
+}
+
+func reversedKeys(m map[int]bool) []int {
+	var keys []int
+	for k := range m {
+		keys = append(keys, k) // want "random element order"
+	}
+	reverseInts(keys)
+	return keys
+}
+
 func floatAccum(m map[string]float64) float64 {
 	var sum float64
 	for _, v := range m {

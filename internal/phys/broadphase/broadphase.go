@@ -2,11 +2,13 @@
 // culling the O(n^2) space of geom pairs down to pairs whose bounding
 // boxes overlap. Two classic algorithms are provided — sweep-and-prune
 // and a uniform spatial hash — both maintaining persistent spatial
-// structures across steps, which is what makes this phase hard to
-// parallelize (the paper treats broad phase as a serial phase). Both
-// also keep all working storage (membership stamps, cell entry lists,
-// dedup tables) across passes so that steady-state stepping does not
-// allocate.
+// structures across steps. The paper treats the broad phase as a serial
+// phase; here only SweepAndPrune's order update and merge are, and its
+// sweep runs as independent ranges that the world spreads over its
+// threads, with a result identical to the serial pass's. Every
+// implementation keeps all working storage (membership stamps, cell
+// entry lists, dedup tables, sort buffers) across passes so that
+// steady-state stepping does not allocate.
 package broadphase
 
 import (
@@ -110,6 +112,11 @@ func shouldPair(a, b *geom.Geom) bool {
 // the sweep visits ~100 axis candidates per geom on a static-heavy
 // scene, and nearly all of them are rejected on the interval or the
 // static flag alone, which the copies answer without a pointer load.
+//
+// A pass is three calls: Prepare (serial), SweepRange over any partition
+// of the start positions (the ranges only read the structure, so they
+// may run concurrently), and Merge over the ranges' outputs.
+// PairsPrerefreshed is the three with one range.
 type SweepAndPrune struct {
 	order []int32 // geom indices sorted by Box.Min along the sweep axis
 	axis  int
@@ -118,11 +125,23 @@ type SweepAndPrune struct {
 	// (generation-stamped membership, replacing a per-pass map).
 	mark      []uint32
 	gen       uint32
-	unbounded []int32
+	unbounded []sweepRec // the planes; only id and group are set
 	// Per-pass scratch, refilled by append so capacity survives the pass.
 	lo  []float64  // lo[k] is Box.Min along the sweep axis of order[k]
 	rec []sweepRec // rec[k] is what the pair filter reads of order[k]
 	dyn []int32    // ascending sorted positions k of the non-static geoms
+	// ordered is false when lo holds a NaN, which the sort leaves out of
+	// order; ids is len(geoms), the bound of every geom id in the pass.
+	ordered bool
+	ids     int
+	// Merge's scratch: the plane pairs, its input lists (the ranges'
+	// buffers, then planes) and the sort.
+	planes []Pair
+	lists  [][]Pair
+	sorter pairSort
+	// PairsPrerefreshed's one range: its pair buffer and its test count.
+	whole      [1][]Pair
+	wholeTests [1]int
 }
 
 // sweepRec is the part of a geom the pair filter reads, copied out for
@@ -137,13 +156,25 @@ type sweepRec struct {
 // NewSweepAndPrune returns an empty sweep-and-prune structure.
 func NewSweepAndPrune() *SweepAndPrune { return &SweepAndPrune{} }
 
-// Stats implements Interface.
+// Stats implements Interface; for a split pass it covers Prepare through
+// Merge.
 func (s *SweepAndPrune) Stats() Stats { return s.stats }
 
-// PairsPrerefreshed implements Interface.
+// PairsPrerefreshed implements Interface: Prepare, one SweepRange over
+// every start position, Merge.
 func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
+	n := s.Prepare(geoms)
+	s.whole[0], s.wholeTests[0] = s.SweepRange(0, n, s.whole[0][:0])
+	return s.Merge(s.whole[:], s.wholeTests[:], dst)
+}
+
+// Prepare is the serial first part of a pass over pre-refreshed geoms:
+// it refreshes the persistent order, picks the sweep axis, re-sorts the
+// order along it and fills the flat copies the sweep reads. It returns
+// the number of start positions, the range SweepRange partitions.
+func (s *SweepAndPrune) Prepare(geoms []*geom.Geom) int {
 	s.stats = Stats{}
-	base := len(dst)
+	s.ids = len(geoms)
 	s.gen++
 	for len(s.mark) < len(geoms) {
 		s.mark = append(s.mark, 0)
@@ -166,7 +197,7 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 			continue
 		}
 		if g.Shape.Kind() == geom.KindPlane {
-			unbounded = append(unbounded, int32(g.ID))
+			unbounded = append(unbounded, sweepRec{id: int32(g.ID), group: g.Group})
 			continue
 		}
 		if s.mark[g.ID] != s.gen {
@@ -186,7 +217,7 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 		lo = append(lo, v)
 		ordered = ordered && !math.IsNaN(v)
 	}
-	s.lo = lo
+	s.lo, s.ordered = lo, ordered
 	s.insertionSort()
 
 	rec, dyn := s.rec[:0], s.dyn[:0]
@@ -199,19 +230,38 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 		}
 	}
 	s.rec, s.dyn = rec, dyn
+	return len(rec)
+}
 
-	// Sweep. The run of a is the positions after it up to the first whose
-	// interval starts past a's end, and every position in it is one
-	// overlap test. Without NaN keys the sort leaves lo non-decreasing, so
-	// the search may start where the previous run ended and step back; a
-	// NaN key compares false both ways, stays in the run and is walked
-	// over from the front. A static a can only pair with the dynamic
-	// geoms of its run, so it walks dyn, where d is the first entry past
-	// position i.
-	d, end := 0, 0
-	for i := range rec {
+// SweepRange appends to dst the pairs whose sweep run starts at a sorted
+// position in [from, to), and returns dst with the number of overlap
+// tests those runs made. It only reads s, so between Prepare and Merge
+// the ranges of a partition may run concurrently; their union is the
+// whole sweep's, in some order that Merge canonicalises.
+//
+// The run of a is the positions after it up to the first whose interval
+// starts past a's end, and every position in it is one overlap test.
+// Without NaN keys the sort leaves lo non-decreasing, so the search may
+// start where the previous run ended and step back; a NaN key compares
+// false both ways, stays in the run and is walked over from the front. A
+// static a can only pair with the dynamic geoms of its run, so it walks
+// dyn, where d is the first entry past position i.
+func (s *SweepAndPrune) SweepRange(from, to int, dst []Pair) ([]Pair, int) {
+	rec, lo, dyn, axis, ordered := s.rec, s.lo, s.dyn, s.axis, s.ordered
+	// d starts at the first entry of dyn at or past from: a binary search
+	// written out, since a sort.Search closure could not run on a worker.
+	d, hi := 0, len(dyn)
+	for d < hi {
+		if m := int(uint(d+hi) >> 1); int(dyn[m]) < from {
+			d = m + 1
+		} else {
+			hi = m
+		}
+	}
+	tests, end := 0, from+1
+	for i := from; i < to; i++ {
 		a := &rec[i]
-		amax := a.box.Max.Comp(s.axis)
+		amax := a.box.Max.Comp(axis)
 		if !ordered || end <= i {
 			end = i + 1
 		}
@@ -221,7 +271,7 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 		for end < len(lo) && !(lo[end] > amax) {
 			end++
 		}
-		s.stats.OverlapTests += end - i - 1
+		tests += end - i - 1
 		if a.static {
 			for _, j := range dyn[d:] {
 				if int(j) >= end {
@@ -240,18 +290,36 @@ func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 			}
 		}
 	}
-	// Planes against everything dynamic.
-	for _, pid := range unbounded {
-		p := geoms[pid]
-		s.stats.OverlapTests += len(dyn)
-		for _, j := range dyn {
-			if b := &rec[j]; p.Group == 0 || p.Group != b.group {
-				dst = appendPair(dst, pid, b.id)
+	return dst, tests
+}
+
+// Merge is the serial last part of a pass: it pairs the planes with
+// every dynamic geom, totals the Stats from the ranges' test counts, and
+// appends to dst the ranges' pairs (chunks, which partitioned the start
+// positions, in any order) and the plane pairs in the canonical (A, B)
+// order. It returns the extended slice.
+func (s *SweepAndPrune) Merge(chunks [][]Pair, tests []int, dst []Pair) []Pair {
+	planes := s.planes[:0]
+	for pi := range s.unbounded {
+		p := &s.unbounded[pi]
+		s.stats.OverlapTests += len(s.dyn)
+		for _, j := range s.dyn {
+			if b := &s.rec[j]; p.group == 0 || p.group != b.group {
+				planes = appendPair(planes, p.id, b.id)
 			}
 		}
 	}
+	s.planes = planes
+	for _, t := range tests {
+		s.stats.OverlapTests += t
+	}
+	lists := s.lists[:0]
+	lists = append(lists, chunks...)
+	lists = append(lists, planes)
+	s.lists = lists
+	base := len(dst)
+	dst = s.sorter.sort(s.ids, lists, dst)
 	s.stats.PairsOut = len(dst) - base
-	sortPairs(dst)
 	return dst
 }
 
@@ -330,6 +398,7 @@ type SpatialHash struct {
 	dynamic  []int32
 	unbound  []int32
 	stats    Stats
+	sorter   pairSort
 }
 
 // cellEntry records one geom overlapping one grid cell.
@@ -355,6 +424,7 @@ func cellKey(x, y, z int32) uint64 {
 // PairsPrerefreshed implements Interface.
 func (h *SpatialHash) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	h.stats = Stats{}
+	base := len(dst)
 	h.entries = h.entries[:0]
 	clear(h.seen)
 
@@ -460,8 +530,7 @@ func (h *SpatialHash) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 			}
 		}
 	}
-	sortPairs(dst)
-	return dst
+	return h.sorter.sortTail(len(geoms), dst, base)
 }
 
 // fastFloor truncates toward negative infinity. The != below is an
@@ -477,25 +546,12 @@ func fastFloor(x float64) int {
 	return i
 }
 
-// sortPairs orders pairs deterministically; determinism keeps
-// simulation results reproducible across runs and thread counts.
-func sortPairs(p []Pair) {
-	slices.SortFunc(p, cmpPair)
-}
-
-// cmpPair is the canonical (A, B) pair ordering.
-func cmpPair(a, b Pair) int {
-	if a.A != b.A {
-		return int(a.A) - int(b.A)
-	}
-	return int(a.B) - int(b.B)
-}
-
 // BruteForce is the O(n^2) reference implementation used by tests to
 // validate the real algorithms.
 type BruteForce struct {
-	stats Stats
-	live  []*geom.Geom
+	stats  Stats
+	live   []*geom.Geom
+	sorter pairSort
 }
 
 // NewBruteForce returns the reference broad phase.
@@ -507,6 +563,7 @@ func (bf *BruteForce) Stats() Stats { return bf.stats }
 // PairsPrerefreshed implements Interface.
 func (bf *BruteForce) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	bf.stats = Stats{}
+	base := len(dst)
 	live := bf.live[:0]
 	for _, g := range geoms {
 		if !g.Enabled() {
@@ -526,6 +583,5 @@ func (bf *BruteForce) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 			}
 		}
 	}
-	sortPairs(dst)
-	return dst
+	return bf.sorter.sortTail(len(geoms), dst, base)
 }

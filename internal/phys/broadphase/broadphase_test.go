@@ -2,6 +2,7 @@ package broadphase
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/geom"
@@ -34,12 +35,17 @@ func randomScene(r *rand.Rand, n int, side float64) []*geom.Geom {
 // refreshPairs is one broad-phase pass as World.Step runs it: refresh
 // every enabled geom's AABB, then call the implementation's pair method.
 func refreshPairs(bp Interface, gs []*geom.Geom, dst []Pair) []Pair {
+	refreshBoxes(gs)
+	return bp.PairsPrerefreshed(gs, dst)
+}
+
+// refreshBoxes is World.Step's AABB refresh of every enabled geom.
+func refreshBoxes(gs []*geom.Geom) {
 	for _, g := range gs {
 		if g.Enabled() {
 			g.UpdateAABB()
 		}
 	}
-	return bp.PairsPrerefreshed(gs, dst)
 }
 
 func pairsEqual(a, b []Pair) bool {
@@ -320,6 +326,16 @@ func (s *referenceSweep) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pai
 			}
 		}
 	}
-	sortPairs(dst)
+	slices.SortFunc(dst, cmpPair)
 	return dst
+}
+
+// cmpPair is the canonical (A, B) pair order as a comparison: the order
+// the production counting sort (pairSort) must reproduce, and the oracle
+// it is tested against.
+func cmpPair(a, b Pair) int {
+	if a.A != b.A {
+		return int(a.A) - int(b.A)
+	}
+	return int(a.B) - int(b.B)
 }

@@ -54,6 +54,7 @@ type IncrementalSAP struct {
 	members   []int32 // live geom ids, rebuilt each pass (plane pairing, axis choice)
 	unbounded []int32 // planes, paired out-of-band like SweepAndPrune
 	active    []int32 // rebuild-sweep scratch
+	sorter    pairSort
 }
 
 // endpoint is one interval bound on the sweep axis. side 0 is the
@@ -77,6 +78,7 @@ func (s *IncrementalSAP) Stats() Stats { return s.stats }
 // PairsPrerefreshed implements Interface.
 func (s *IncrementalSAP) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	s.stats = Stats{}
+	base := len(dst)
 	s.gen++
 	for len(s.mark) < len(geoms) {
 		s.mark = append(s.mark, 0)
@@ -169,9 +171,9 @@ func (s *IncrementalSAP) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pai
 	}
 
 	// Emit: filter the persistent axis-overlap set through the same 3D
-	// test the full sweep applies. Iteration order is irrelevant — dst is
-	// canonically sorted below, making the output byte-identical to
-	// SweepAndPrune's.
+	// test the full sweep applies. Iteration order is irrelevant — the
+	// pairs are canonically sorted below, making the output
+	// byte-identical to SweepAndPrune's.
 	for k := range s.set {
 		a, b := int32(k>>32), int32(uint32(k))
 		s.stats.OverlapTests++
@@ -194,8 +196,7 @@ func (s *IncrementalSAP) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pai
 			}
 		}
 	}
-	slices.SortFunc(dst, cmpPair)
-	return dst
+	return s.sorter.sortTail(len(geoms), dst, base)
 }
 
 // sortIncremental insertion-sorts the endpoint array, maintaining the

@@ -162,7 +162,31 @@ func TestCallerWorksTheClothQueue(t *testing.T) {
 	if len(w.Cloths) < 2 {
 		t.Fatalf("Mix@0.25 has %d cloths; the test needs a queue of at least 2", len(w.Cloths))
 	}
-	w.Threads = 2
+	lanes := laneSpans(t, w, "cloth-object")
+	if lanes["mix/worker0"] == 0 {
+		t.Errorf("the calling goroutine's lane recorded no cloth-object span in 20 steps of %d cloths (per lane: %v)", len(w.Cloths), lanes)
+	}
+}
+
+// TestWorkerSweepsChunks: at two threads the broad phase's sweep is two
+// chunks of start positions, and the pool worker claims the queued one,
+// so its lane carries sweep-chunk spans. (Until the pass was split, the
+// whole pair pass ran on the calling goroutine.)
+func TestWorkerSweepsChunks(t *testing.T) {
+	lanes := laneSpans(t, BuildMix(0.25), "sweep-chunk")
+	if lanes["mix/worker0"] == 0 || lanes["mix/worker1"] == 0 {
+		t.Errorf("want sweep-chunk spans on both lanes in 20 steps, have %v", lanes)
+	}
+}
+
+// laneSpans steps w at two threads under a tracer for 20 steps and
+// counts the spans of the given name that each trace lane began, by lane
+// name. The two lanes are mix/worker0 (the calling goroutine) and
+// mix/worker1 (the pool's worker); both must be in the trace.
+func laneSpans(t *testing.T, w *world.World, span string) map[string]int {
+	t.Helper()
+	w.SetThreads(2)
+	defer w.SetThreads(1) // stops the worker pool
 	tr := obs.NewTracer()
 	w.SetObs(tr, nil, "mix")
 	for i := 0; i < 20; i++ {
@@ -185,21 +209,25 @@ func TestCallerWorksTheClothQueue(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatalf("trace is not valid JSON: %v", err)
 	}
-	caller, cloths := -1, map[int]int{} // cloth-object spans per lane
+	laneOf, perTid := map[int]string{}, map[int]int{}
 	for _, e := range doc.TraceEvents {
 		switch {
-		case e.Ph == "M" && e.Name == "thread_name" && e.Args.Name == "mix/worker0":
-			caller = e.Tid
-		case e.Ph == "B" && e.Name == "cloth-object":
-			cloths[e.Tid]++
+		case e.Ph == "M" && e.Name == "thread_name":
+			laneOf[e.Tid] = e.Args.Name
+		case e.Ph == "B" && e.Name == span:
+			perTid[e.Tid]++
 		}
 	}
-	if caller < 0 {
-		t.Fatal("trace has no lane named mix/worker0")
+	lanes := map[string]int{}
+	for tid, name := range laneOf {
+		lanes[name] = perTid[tid]
 	}
-	if cloths[caller] == 0 {
-		t.Errorf("the calling goroutine's lane recorded no cloth-object span in 20 steps of %d cloths (per lane: %v)", len(w.Cloths), cloths)
+	for _, name := range []string{"mix/worker0", "mix/worker1"} {
+		if _, ok := lanes[name]; !ok {
+			t.Fatalf("trace has no lane named %s (lanes: %v)", name, lanes)
+		}
 	}
+	return lanes
 }
 
 func TestPrintTable4SmallScale(t *testing.T) {

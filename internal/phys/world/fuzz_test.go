@@ -3,6 +3,7 @@ package world
 import (
 	"bytes"
 	"math"
+	"slices"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
@@ -147,13 +148,25 @@ func buildFuzzWorld(data []byte, threads int, broad broadphase.Interface) *World
 //     incremental SAP passes oracles 1-3 too, and ends with body state
 //     bit-identical to the full-sweep run (profile digests differ
 //     between implementations only in maintenance counters, so the
-//     comparison is on the simulated state itself).
+//     comparison is on the simulated state itself);
+//  5. the pair list — at every step of the 3-thread run, the pairs the
+//     chunk-parallel sweep-and-prune produced are BruteForce's over the
+//     same geoms. This is the pair-list oracle that outlives
+//     IncrementalSAP.
+//
+// The last seed stacks five boxes and three spheres on one spot: the 3
+// threads cut the eight start positions into chunks of 3, 3 and 2, and
+// every cut falls inside one overlapping cluster.
 func FuzzWorldStep(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 10, 1, 20, 7, 7, 7})
 	f.Add([]byte{0, 100, 1, 30, 3, 0, 1, 2, 7, 5, 2, 9, 9, 9, 7, 7})
 	f.Add([]byte{4, 1, 0, 50, 5, 1, 8, 8, 8, 7, 7, 7, 7, 6, 2, 7})
 	f.Add(bytes.Repeat([]byte{0, 40, 80, 120, 160, 200, 7, 3, 5, 6, 2, 1, 4}, 8))
+	f.Add(slices.Concat(
+		bytes.Repeat([]byte{0, 128, 128, 128, 40, 128}, 5),
+		bytes.Repeat([]byte{1, 100, 128, 128, 60, 128, 128, 128, 128}, 3),
+		[]byte{7, 3, 7, 3}))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) > 256 {
@@ -164,7 +177,11 @@ func FuzzWorldStep(f *testing.F) {
 
 		for i := 0; i < 10; i++ {
 			w1.Step()
+			want := brutePairs(t, wN)
 			wN.Step()
+			if !slices.Equal(wN.pairBuf, want) {
+				t.Fatalf("step %d: 3-thread sweep found %d pairs, brute force %d", i, len(wN.pairBuf), len(want))
+			}
 			if w1.Profile.Digest() != wN.Profile.Digest() {
 				t.Fatalf("1-thread and 3-thread profiles diverged at step %d", i)
 			}
@@ -234,6 +251,25 @@ func FuzzWorldStep(f *testing.F) {
 			}
 		}
 	})
+}
+
+// brutePairs is BruteForce over w's geoms as the pair pass of w's next
+// step will see them: on a clone, the two things Step does to the geoms
+// before that pass — applyGravity's cloth-proxy update and the AABB
+// refresh. (After the step the geoms have moved on, and detonations and
+// fracture may have enabled and disabled some.)
+func brutePairs(t *testing.T, w *World) []broadphase.Pair {
+	c, err := w.Clone()
+	if err != nil {
+		t.Fatalf("Clone: %v", err)
+	}
+	c.applyGravity()
+	for _, g := range c.Geoms {
+		if g.Enabled() {
+			g.UpdateAABB()
+		}
+	}
+	return broadphase.NewBruteForce().PairsPrerefreshed(c.Geoms, nil)
 }
 
 // sameVec and sameQuat compare by IEEE-754 bit pattern, so a shared

@@ -44,8 +44,8 @@ func TestStepTraceCoversPhases(t *testing.T) {
 		for _, want := range []string{
 			"step", "broadphase", "narrowphase", "island-creation",
 			"island-processing", "integrate", "cloth", "island", "solve",
-			"cloth-object", "narrow-chunk", "refresh-chunk", "edge-chunk",
-			"integrate-chunk", "sync-chunk",
+			"cloth-object", "narrow-chunk", "refresh-chunk", "sweep-chunk",
+			"edge-chunk", "integrate-chunk", "sync-chunk",
 		} {
 			if !seen[want] {
 				t.Errorf("threads=%d: trace missing span %q (have %v)", threads, want, seen)

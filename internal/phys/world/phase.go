@@ -17,6 +17,7 @@ const (
 	// Work-item spans, recorded on the lane of whichever worker ran the
 	// item, inline or pooled.
 	spanRefreshChunk
+	spanSweepChunk
 	spanNarrowChunk
 	spanEdgeChunk
 	spanIntegChunk
@@ -44,6 +45,7 @@ var spanTable = [numSpans]struct {
 	spanIntegrate:    {name: "integrate", series: "phase/integrate_ns"},
 	spanCloth:        {name: "cloth", series: "phase/cloth_ns"},
 	spanRefreshChunk: {name: "refresh-chunk"},
+	spanSweepChunk:   {name: "sweep-chunk"},
 	spanNarrowChunk:  {name: "narrow-chunk"},
 	spanEdgeChunk:    {name: "edge-chunk"},
 	spanIntegChunk:   {name: "integrate-chunk"},
@@ -60,6 +62,7 @@ type phase uint8
 
 const (
 	phaseRefresh phase = iota // AABB refresh over a chunk of w.Geoms
+	phaseSweep                // sweep-and-prune runs of a chunk of start positions
 	phaseNarrow               // contact generation over a chunk of w.pairBuf
 	phaseEdge                 // island edges over a chunk of joints+contacts
 	phaseVel                  // velocity integration over a chunk of w.Bodies
@@ -73,6 +76,7 @@ const (
 // phaseSpan is the span recorded around each item of a phase.
 var phaseSpan = [numPhases]span{
 	phaseRefresh: spanRefreshChunk,
+	phaseSweep:   spanSweepChunk,
 	phaseNarrow:  spanNarrowChunk,
 	phaseEdge:    spanEdgeChunk,
 	phaseVel:     spanIntegChunk,
@@ -97,6 +101,8 @@ func (w *World) runItem(worker int, ph phase, item int) {
 	switch ph {
 	case phaseRefresh:
 		w.refreshChunk(sc.chunkRange(item))
+	case phaseSweep:
+		w.sweepChunk(sc.chunkRange(item))
 	case phaseNarrow:
 		w.narrowChunk(sc.chunkRange(item))
 	case phaseEdge:
@@ -147,8 +153,9 @@ func (w *World) run(ph phase, queued, main []int32) {
 // thread) and runs each as one item of phase ph, chunk 0 on the calling
 // goroutine and the rest on the pool. The worker bodies receive the
 // chunk index — not a worker id — so per-chunk result buffers merge
-// deterministically whatever worker ran them.
-func (w *World) runChunks(ph phase, n int) {
+// deterministically whatever worker ran them. It returns the number of
+// chunks, at least one.
+func (w *World) runChunks(ph phase, n int) int {
 	t := w.Threads
 	if t > n {
 		t = n
@@ -160,4 +167,5 @@ func (w *World) runChunks(ph phase, n int) {
 	sc.chunkN = n
 	sc.chunkSize = (n + t - 1) / t
 	w.run(ph, sc.chunkIdx[1:t], sc.chunkIdx[:1])
+	return t
 }

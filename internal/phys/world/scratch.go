@@ -2,6 +2,7 @@ package world
 
 import (
 	"github.com/parallax-arch/parallax/internal/phys/arena"
+	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/island"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
@@ -106,6 +107,13 @@ type frameScratch struct {
 	refresh    [][2]int        // refreshChunk: (geoms seen, AABBs updated)
 	edgeChunks [][]island.Edge // edgeChunk: per-chunk island edge lists
 	integ      []int           // posChunk: bodies integrated per chunk
+
+	// The broad phase when it is a SweepAndPrune, whose ranges sweepChunk
+	// runs, and sweepChunk's per-chunk pair buffers and overlap-test
+	// counts, handed to its Merge in chunk order.
+	sap        *broadphase.SweepAndPrune
+	sweep      [][]broadphase.Pair
+	sweepTests []int
 }
 
 // beginStep resizes the arena for the current scene, reusing all prior
@@ -144,6 +152,10 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 	}
 	sc.integ = arena.Grow(sc.integ, threads)
 	clear(sc.integ)
+	for len(sc.sweep) < threads {
+		sc.sweep = append(sc.sweep, nil)
+	}
+	sc.sweepTests = arena.Grow(sc.sweepTests, threads)
 	for len(sc.chunkIdx) < threads {
 		sc.chunkIdx = append(sc.chunkIdx, int32(len(sc.chunkIdx)))
 	}

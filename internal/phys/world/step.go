@@ -1,6 +1,8 @@
 package world
 
 import (
+	"slices"
+
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/body"
@@ -73,19 +75,31 @@ func (w *World) applyGravity() {
 }
 
 // broadPhase produces the candidate pair list. The AABB refresh runs
-// chunk-parallel ahead of the pair pass, which itself stays serial: the
-// default Broad is SweepAndPrune, a full sort-and-sweep of every enabled
-// geom each step (DESIGN.md "Incremental broad phase" has the measured
-// reason IncrementalSAP is not the default). Per-chunk refresh counters
-// merge in chunk order, so the profile (and its replay digest) is
-// byte-identical to a serial refresh.
+// chunk-parallel ahead of the pair pass. The default Broad is
+// SweepAndPrune, a full sort-and-sweep of every enabled geom each step
+// (DESIGN.md "Incremental broad phase" has the measured reason
+// IncrementalSAP is not the default), and its pass is chunk-parallel
+// too: the order update runs serially (Prepare), the sweep as one chunk
+// of start positions per thread, and Merge sorts the union of the
+// chunks' pairs into the one canonical order, so the list does not
+// depend on the chunking. Any other Broad runs its pass serially.
+// Per-chunk counters merge in chunk order, so the profile (and its
+// replay digest) is byte-identical to a serial pass.
 func (w *World) broadPhase(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanBroad])
 	prof := &w.Profile
+	sc := &w.scratch
 	w.runChunks(phaseRefresh, len(w.Geoms))
-	w.pairBuf = w.Broad.PairsPrerefreshed(w.Geoms, arena.Grow(w.pairBuf, w.prevPairs)[:0])
+	dst := arena.Grow(w.pairBuf, w.prevPairs)[:0]
+	if sap, ok := w.Broad.(*broadphase.SweepAndPrune); ok {
+		sc.sap = sap
+		k := w.runChunks(phaseSweep, sap.Prepare(w.Geoms))
+		w.pairBuf = sap.Merge(sc.sweep[:k], sc.sweepTests[:k], dst)
+	} else {
+		w.pairBuf = w.Broad.PairsPrerefreshed(w.Geoms, dst)
+	}
 	prof.Broad = w.Broad.Stats()
-	for _, r := range w.scratch.refresh {
+	for _, r := range sc.refresh {
 		prof.Broad.Geoms += r[0]
 		prof.Broad.AABBUpdates += r[1]
 	}
@@ -517,6 +531,17 @@ func (w *World) refreshChunk(chunk, lo, hi int) {
 		n++
 	}
 	w.scratch.refresh[chunk] = [2]int{n, n}
+}
+
+// sweepChunk is the broad-phase sweep worker: it sweeps one chunk of the
+// start positions into that chunk's pair buffer. The buffer is pre-sized
+// from the previous step's whole pair count, as pairBuf is — no chunk
+// finds more — so it does not regrow each time its chunk's share of the
+// pairs rises, nor on the first step after a Restore.
+func (w *World) sweepChunk(chunk, lo, hi int) {
+	sc := &w.scratch
+	buf := slices.Grow(sc.sweep[chunk][:0], w.prevPairs)
+	sc.sweep[chunk], sc.sweepTests[chunk] = sc.sap.SweepRange(lo, hi, buf)
 }
 
 // edgeChunk collects island edges for one chunk of the combined
