@@ -36,11 +36,12 @@ import (
 
 	"github.com/parallax-arch/parallax/internal/exp"
 	"github.com/parallax-arch/parallax/internal/obs"
-	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 )
 
 func main() { os.Exit(run()) }
 
+// run exits 2 on a usage error, listing the valid names, before any
+// output starts.
 func run() int {
 	var (
 		id      = flag.String("exp", "all", "experiment id, comma list, or 'all'")
@@ -49,8 +50,6 @@ func run() int {
 			"harness worker threads (1 = fully serial; default GOMAXPROCS)")
 		bench = flag.String("bench", "",
 			"comma list of benchmarks to restrict the suite to (default: all)")
-		broad = flag.String("broad", "",
-			"broad-phase algorithm for every captured world: "+strings.Join(broadphase.Names, "|")+" (default: each benchmark's own)")
 		list     = flag.Bool("list", false, "list experiments and exit")
 		obsFlags = obs.RegisterFlags(flag.CommandLine)
 	)
@@ -63,7 +62,7 @@ func run() int {
 		return 0
 	}
 
-	if *scale <= 0 {
+	if !(*scale > 0) { // NaN too
 		fmt.Fprintf(os.Stderr, "invalid -scale %v: must be > 0 (a zero or negative scale builds degenerate scenes)\n", *scale)
 		return 2
 	}
@@ -72,55 +71,40 @@ func run() int {
 		return 2
 	}
 
+	var err error
+	exps := exp.Registry
+	if *id != "all" {
+		exps, err = exp.Lookup(splitList(*id)...)
+	}
 	s := exp.NewSuite(*scale)
-	if *bench != "" {
-		var names []string
-		for _, n := range strings.Split(*bench, ",") {
-			names = append(names, strings.TrimSpace(n))
-		}
-		var err error
-		s, err = exp.NewSuiteOf(*scale, names...)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+	if err == nil && *bench != "" {
+		s, err = exp.NewSuiteOf(*scale, splitList(*bench)...)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
 	}
 	s.Threads = *threads
-	if *broad != "" {
-		// Validate the name once up front; captures then build a fresh
-		// instance per world (sweep structures carry cross-step state).
-		if _, err := broadphase.NewByName(*broad); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 2
-		}
-		name := *broad
-		s.Broad = func() broadphase.Interface {
-			bp, _ := broadphase.NewByName(name)
-			return bp
-		}
-	}
-
-	ids := exp.IDs()
-	if *id != "all" {
-		ids = nil
-		for _, one := range strings.Split(*id, ",") {
-			ids = append(ids, strings.TrimSpace(one))
-		}
-	}
 
 	// The harness has no single stepping world, so no series rings or
 	// anomaly detector: -serve exposes the suite's registry and tracer
 	// live on /metrics and /trace, and /health always answers 200.
 	return obsFlags.Run(s.Tracer(), s.Metrics(), nil, nil, func() int {
 		t0 := time.Now()
-		if err := s.RunIDs(os.Stdout, ids...); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
+		s.Run(os.Stdout, exps)
 		captured, captureTime := s.CaptureStats()
 		fmt.Printf("# timing: capture benchmarks=%d cpu=%s\n", captured, captureTime.Round(time.Millisecond))
 		fmt.Printf("# timing: total experiments=%d threads=%d wall=%s\n",
-			len(ids), *threads, time.Since(t0).Round(time.Millisecond))
+			len(exps), *threads, time.Since(t0).Round(time.Millisecond))
 		return 0
 	})
+}
+
+// splitList splits a comma list, trimming the spaces around each name.
+func splitList(list string) []string {
+	names := strings.Split(list, ",")
+	for i, n := range names {
+		names[i] = strings.TrimSpace(n)
+	}
+	return names
 }

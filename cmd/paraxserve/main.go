@@ -8,7 +8,7 @@
 //
 // Session API (JSON unless noted):
 //
-//	POST   /sessions                {"scene":"Wall","scale":1.0}, or a
+//	POST   /sessions                {"scene":"Ragdoll","scale":1.0}, or a
 //	                                raw PAXW snapshot with Content-Type
 //	                                application/octet-stream → 201 with
 //	                                the info route's reply, or 429 when
@@ -63,27 +63,12 @@ func run() int {
 		maxSessions = flag.Int("max-sessions", 1024, "fleet-wide resident session cap")
 		queue       = flag.Int("queue", 64, "per-shard control queue depth (admission backpressure bound)")
 		spill       = flag.String("spill", "", "drain spill directory; an existing manifest there is restored at startup")
-		validate    = flag.String("validate", "", "validate a Prometheus exposition file and exit (CI helper)")
 	)
 	flag.Parse()
 	if flag.NArg() != 0 {
 		fmt.Fprintf(os.Stderr, "paraxserve: unexpected arguments %v\n", flag.Args())
 		flag.Usage()
 		return 2
-	}
-
-	if *validate != "" {
-		data, err := os.ReadFile(*validate)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "paraxserve: %v\n", err)
-			return 1
-		}
-		if err := obs.ValidateExposition(data); err != nil {
-			fmt.Fprintf(os.Stderr, "paraxserve: invalid exposition: %v\n", err)
-			return 1
-		}
-		fmt.Println("ok")
-		return 0
 	}
 
 	tr := obs.NewTracer()

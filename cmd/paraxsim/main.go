@@ -2,12 +2,11 @@
 // per-phase workload statistics: pairs, contacts, islands, fine-grain
 // task counts, and the modeled per-frame instruction totals.
 //
-// Observability: -trace exports the run's engine phase/worker spans
-// (and, with -eval, the architecture-model spans) as Chrome trace-event
-// JSON for Perfetto (ui.perfetto.dev); -metrics writes the text
-// snapshot of the run's counters. -cpuprofile, -memprofile and -pprof
-// expose the standard Go profilers. All of these work in every mode and
-// are written on every exit path (obs.Flags).
+// Observability: -trace exports the run's engine phase/worker spans as
+// Chrome trace-event JSON for Perfetto (ui.perfetto.dev); -metrics
+// writes the text snapshot of the run's counters. -cpuprofile,
+// -memprofile and -pprof expose the standard Go profilers. All of these
+// work in every mode and are written on every exit path (obs.Flags).
 //
 // Live telemetry: every run records a per-step series (kinetic energy,
 // solver residual/impulse norms, max penetration, island stats,
@@ -30,8 +29,10 @@
 // first divergent step (-inject N corrupts digest N first, to prove the
 // gate trips).
 //
-// Exit codes: 0 success, 1 I/O error or replay divergence, 2 usage,
-// 3 the anomaly detector tripped.
+// Exit codes: 0 success, 1 I/O error or replay divergence, 2 usage
+// (checked before the run starts), 3 the anomaly detector tripped.
+//
+// The reference system's verdict on one scene: paraxbench -exp ref-system -bench Mix.
 //
 // Usage:
 //
@@ -39,7 +40,7 @@
 //	paraxsim -bench Explosions -trace trace.json -metrics metrics.txt
 //	paraxsim -bench Mix -cpuprofile cpu.pprof -pprof localhost:6060
 //	paraxsim -bench Breakable -frames 10 -save run.paxr
-//	paraxsim -bench Mix -broad incsap -frames 5
+//	paraxsim -load run.paxr -frames 5
 //	paraxsim -replay run.paxr -threads 8
 //	paraxsim -list
 package main
@@ -54,9 +55,7 @@ import (
 	"time"
 
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
-	archpx "github.com/parallax-arch/parallax/internal/arch/parallax"
 	"github.com/parallax-arch/parallax/internal/obs"
-	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/replay"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
 	"github.com/parallax-arch/parallax/internal/phys/world"
@@ -68,8 +67,6 @@ var (
 	scale   = flag.Float64("scale", 1.0, "workload scale (1.0 = paper)")
 	threads = flag.Int("threads", 1, "worker threads for parallel phases")
 	list    = flag.Bool("list", false, "list benchmarks and exit")
-	eval    = flag.Bool("eval", false, "also evaluate the ParallAX reference system on this benchmark")
-	broad   = flag.String("broad", "", "broad-phase algorithm: "+strings.Join(broadphase.Names, "|")+" (default: the world's own; with -load, replaces the restored broad phase and discards its saved sweep state)")
 
 	saveFile   = flag.String("save", "", "after the run, record a replay (snapshot + digests) to `file`")
 	loadFile   = flag.String("load", "", "start from the world snapshot in replay `file` instead of building")
@@ -98,6 +95,15 @@ func run() int {
 		}
 		return 0
 	}
+	b, ok := workload.ByName(*bench)
+	if !ok {
+		fmt.Fprintf(os.Stderr, "unknown benchmark %q (valid: %s)\n", *bench, strings.Join(workload.Names(), ", "))
+		return 2
+	}
+	if !(*scale > 0) { // NaN too
+		fmt.Fprintf(os.Stderr, "invalid -scale %v: must be > 0\n", *scale)
+		return 2
+	}
 
 	// One tracer + registry observe the run. The flight recorder is
 	// always on: the series rings and the detector are allocation-free
@@ -109,7 +115,7 @@ func run() int {
 		if *replayFile != "" {
 			return verify()
 		}
-		return simulate(tr, reg, series, health)
+		return simulate(b, tr, reg, series, health)
 	})
 }
 
@@ -145,14 +151,9 @@ func verify() int {
 }
 
 // simulate builds (or -loads) the world, steps it frame by frame
-// printing the per-frame counters, and then runs the -save and -eval
-// epilogues. A detector trip stops the run with exit code 3.
-func simulate(tr *obs.Tracer, reg *obs.Registry, series *obs.Series, health *obs.Health) int {
-	b, ok := workload.ByName(*bench)
-	if !ok {
-		fmt.Fprintf(os.Stderr, "unknown benchmark %q; use -list\n", *bench)
-		return 1
-	}
+// printing the per-frame counters, and then runs the -save epilogue. A
+// detector trip stops the run with exit code 3.
+func simulate(b workload.Benchmark, tr *obs.Tracer, reg *obs.Registry, series *obs.Series, health *obs.Health) int {
 	var w *world.World
 	if *loadFile != "" {
 		rec, err := replay.Load(*loadFile)
@@ -168,17 +169,6 @@ func simulate(tr *obs.Tracer, reg *obs.Registry, series *obs.Series, health *obs
 	} else {
 		fmt.Printf("building %s at scale %.2f...\n", b.Name, *scale)
 		w = b.Build(*scale)
-	}
-	if *broad != "" {
-		// After a -load Restore this replaces the snapshot's broad phase
-		// (and its saved sweep order / pair set): the run is then a fresh
-		// start for the chosen algorithm, not a bit-exact resume.
-		bp, err := broadphase.NewByName(*broad)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		w.Broad = bp
 	}
 	w.SetThreads(*threads)
 	w.SetObs(tr, reg, "engine/"+b.Name)
@@ -254,19 +244,6 @@ func simulate(tr *obs.Tracer, reg *obs.Registry, series *obs.Series, health *obs
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}
-	}
-
-	if *eval {
-		fmt.Println("\nevaluating the ParallAX reference system (4 CG + 12MB partitioned L2 + 150 shaders on-chip)...")
-		ew := b.Build(*scale)
-		ew.SetObs(tr, reg, "engine/eval/"+b.Name)
-		wl := archpx.Capture(b.Name, ew, 1, 3)
-		wl.SetObs(tr, reg, "arch/"+b.Name)
-		bd := wl.Evaluate(archpx.Reference())
-		fmt.Printf("  serial %.2f ms + CG %.2f ms + FG %.2f ms = %.2f ms (%.1f FPS, %t for 30 FPS)\n",
-			bd.SerialTime*1e3, bd.CGParallelTime*1e3, bd.FGTime*1e3,
-			bd.Total()*1e3, bd.FPS(), bd.MeetsRealTime())
-		fmt.Printf("  estimated area: %.0f mm2 at 90nm\n", bd.AreaMM2)
 	}
 	return 0
 }

@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"github.com/parallax-arch/parallax/internal/phys/workload"
 )
 
 // smallSuite shares one scaled-down capture across the package's tests.
@@ -67,7 +69,7 @@ func TestFig2aEveryBenchmarkListed(t *testing.T) {
 	s := suiteForTest(t)
 	var buf bytes.Buffer
 	s.Fig2a(&buf)
-	for _, n := range Names() {
+	for _, n := range workload.Names() {
 		if !strings.Contains(buf.String(), n) {
 			t.Errorf("fig2a missing benchmark %s", n)
 		}
@@ -149,11 +151,11 @@ func TestLazyCapture(t *testing.T) {
 	if n, _ := s.CaptureStats(); n != 1 {
 		t.Fatalf("repeated byName re-captured: %d captures", n)
 	}
-	if got := len(s.Workloads()); got != len(Names()) {
-		t.Fatalf("Workloads returned %d workloads, want %d", got, len(Names()))
+	if got := len(s.Workloads()); got != len(workload.Names()) {
+		t.Fatalf("Workloads returned %d workloads, want %d", got, len(workload.Names()))
 	}
-	if n, _ := s.CaptureStats(); n != len(Names()) {
-		t.Fatalf("Workloads captured %d benchmarks, want all %d", n, len(Names()))
+	if n, _ := s.CaptureStats(); n != len(workload.Names()) {
+		t.Fatalf("Workloads captured %d benchmarks, want all %d", n, len(workload.Names()))
 	}
 }
 
@@ -234,5 +236,31 @@ func TestRunAll(t *testing.T) {
 		t.Logf("output CRC not compared on %s: the constant was taken on amd64, and other ports may fuse or round floating-point operations differently", runtime.GOARCH)
 	} else if got := crc32.ChecksumIEEE([]byte(StripTimings(buf.String()))); got != wantCRC {
 		t.Errorf("RunAll output CRC-32 = %d, want %d: the experiments print different bytes", got, wantCRC)
+	}
+}
+
+// TestPaperScaleOutput runs every experiment at the paper's scale, one
+// id at a time through RunIDs as bench/'s harness-sweep workload does,
+// and pins the CRC-32 of the concatenated timing-stripped output — the
+// number harness-sweep reports as exp.output_crc32. Like TestRunAll's,
+// it moves only when the experiments print different bytes.
+func TestPaperScaleOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("short mode: the paper-scale sweep takes seconds")
+	}
+	s := NewSuite(1.0)
+	var all bytes.Buffer
+	for _, id := range IDs() {
+		var buf bytes.Buffer
+		if err := s.RunIDs(&buf, id); err != nil {
+			t.Fatal(err)
+		}
+		all.WriteString(StripTimings(buf.String()))
+	}
+	const wantCRC = 750199153
+	if runtime.GOARCH != "amd64" {
+		t.Logf("output CRC not compared on %s: the constant was taken on amd64, and other ports may fuse or round floating-point operations differently", runtime.GOARCH)
+	} else if got := crc32.ChecksumIEEE(all.Bytes()); got != wantCRC {
+		t.Errorf("paper-scale output CRC-32 = %d, want %d: the experiments print different bytes", got, wantCRC)
 	}
 }

@@ -25,7 +25,6 @@ import (
 
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
 	"github.com/parallax-arch/parallax/internal/obs"
-	"github.com/parallax-arch/parallax/internal/phys/broadphase"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
 )
 
@@ -39,12 +38,6 @@ type Suite struct {
 	// concurrently running experiments. <= 0 means GOMAXPROCS.
 	// Threads=1 reproduces the fully serial harness.
 	Threads int
-	// Broad, when non-nil, is called once per captured world to replace
-	// its broad-phase implementation before simulation (paraxbench's
-	// -broad flag). Each capture gets its own instance — the sweep
-	// structures carry cross-step state and must not be shared between
-	// worlds. Nil keeps each benchmark's default.
-	Broad func() broadphase.Interface
 
 	// entries are the suite's benchmarks in paper order; each captures
 	// its workload at most once, on first use.
@@ -75,15 +68,6 @@ type suiteEntry struct {
 	wl    *parallax.Workload
 }
 
-// Names lists the benchmarks in paper order.
-func Names() []string {
-	var out []string
-	for _, b := range workload.All {
-		out = append(out, b.Name)
-	}
-	return out
-}
-
 // NewSuite prepares every benchmark at the given scale. Capture is
 // lazy: a world is built and simulated (one warm frame, three measured;
 // the paper measures frames 5-7 with peak activity arranged to fall in
@@ -106,7 +90,7 @@ func NewSuiteOf(scale float64, names ...string) (*Suite, error) {
 		b, ok := workload.ByName(n)
 		if !ok {
 			return nil, fmt.Errorf("exp: unknown benchmark %q (valid: %s)",
-				n, strings.Join(Names(), ", "))
+				n, strings.Join(workload.Names(), ", "))
 		}
 		s.entries = append(s.entries, &suiteEntry{bench: b})
 	}
@@ -164,9 +148,6 @@ func (s *Suite) capture(e *suiteEntry) *parallax.Workload {
 		tr := s.Tracer()
 		start := tr.Now()
 		w := e.bench.Build(s.Scale)
-		if s.Broad != nil {
-			w.Broad = s.Broad()
-		}
 		w.SetObs(tr, s.Metrics(), "engine/"+e.bench.Name)
 		e.wl = parallax.Capture(e.bench.Name, w, 1, 3)
 		e.wl.SetObs(tr, s.Metrics(), "arch/"+e.bench.Name)
@@ -356,34 +337,44 @@ func StripTimings(out string) string {
 // RunAll executes every experiment, concurrently up to Threads, and
 // merges the sections to w in Registry order.
 func (s *Suite) RunAll(w io.Writer) {
-	s.run(w, Registry)
+	s.Run(w, Registry)
 }
 
 // RunIDs executes the named experiments (concurrently up to Threads),
 // merging output in the order given. Unknown ids are an error listing
-// the valid ids.
+// the valid ids, and then nothing runs.
 func (s *Suite) RunIDs(w io.Writer, ids ...string) error {
+	exps, err := Lookup(ids...)
+	if err != nil {
+		return err
+	}
+	s.Run(w, exps)
+	return nil
+}
+
+// Lookup finds the named experiments, in the order given. Unknown ids
+// are an error listing the valid ids.
+func Lookup(ids ...string) ([]Experiment, error) {
 	exps := make([]Experiment, len(ids))
 	for i, id := range ids {
 		e, ok := ByID(id)
 		if !ok {
-			return fmt.Errorf("exp: unknown experiment %q (valid: %s)",
+			return nil, fmt.Errorf("exp: unknown experiment %q (valid: %s)",
 				id, strings.Join(IDs(), ", "))
 		}
 		exps[i] = e
 	}
-	s.run(w, exps)
-	return nil
+	return exps, nil
 }
 
-// run renders each experiment into its own buffer on the worker pool,
+// Run renders each experiment into its own buffer on the worker pool,
 // then writes the buffers in order with a per-experiment "# timing:"
 // line. The sections' bytes are identical whatever Threads is; only the
 // timing lines vary run to run. Each experiment is one "exp:<id>" span
 // on the harness lane; the span's measured duration is also what the
 // timing line prints, so the trace export and the text output share one
 // source of truth.
-func (s *Suite) run(w io.Writer, exps []Experiment) {
+func (s *Suite) Run(w io.Writer, exps []Experiment) {
 	bufs := make([]bytes.Buffer, len(exps))
 	durs := make([]int64, len(exps))
 	s.pool(len(exps), func(i int) {

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	_ "net/http/pprof" // -pprof serves http.DefaultServeMux
 	"os"
@@ -37,13 +38,14 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 }
 
 // Run brackets mode, which returns the process exit code, with the
-// shared flags: the pprof server, the CPU profile and Handler(tr, reg,
-// s, h) on -serve come up before it; the CPU profile is stopped and the
+// shared flags: the pprof server, Handler(tr, reg, s, h) on -serve and
+// the CPU profile come up before it; the CPU profile is stopped and the
 // -trace, -metrics (from tr and reg) and -memprofile files are written
 // after it, whatever it returned. s and h may be nil (a program with no
-// single stepping world has neither). A failure to start or to write
-// turns exit code 0 into 1. After a successful run a -serve endpoint
-// stays up until the process is killed.
+// single stepping world has neither). A failure to start — a busy
+// -serve or -pprof port included — returns 1 before mode runs; a failure
+// to write turns exit code 0 into 1. After a successful run a -serve
+// endpoint stays up until the process is killed.
 func (f *Flags) Run(tr *Tracer, reg *Registry, s *Series, h *Health, mode func() int) int {
 	if err := f.start(tr, reg, s, h); err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -63,14 +65,24 @@ func (f *Flags) Run(tr *Tracer, reg *Registry, s *Series, h *Health, mode func()
 	return code
 }
 
+// start brings the servers up before the CPU profile, so a busy port
+// fails the run before there is a profile to stop.
 func (f *Flags) start(tr *Tracer, reg *Registry, s *Series, h *Health) error {
 	if f.pprof != "" {
-		go func() {
-			if err := http.ListenAndServe(f.pprof, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "pprof server: %v\n", err)
-			}
-		}()
+		if err := serveOn(f.pprof, nil); err != nil {
+			return fmt.Errorf("-pprof: %w", err)
+		}
 		fmt.Fprintf(os.Stderr, "# pprof: http://%s/debug/pprof/\n", f.pprof)
+	}
+	if f.serve != "" {
+		if err := serveOn(f.serve, Handler(tr, reg, s, h)); err != nil {
+			return fmt.Errorf("-serve: %w", err)
+		}
+		endpoints := "/metrics /health /trace"
+		if s != nil {
+			endpoints += " /series.json"
+		}
+		fmt.Fprintf(os.Stderr, "# telemetry: http://%s%s\n", f.serve, endpoints)
 	}
 	if f.cpuProfile != "" {
 		cf, err := os.Create(f.cpuProfile)
@@ -83,20 +95,20 @@ func (f *Flags) start(tr *Tracer, reg *Registry, s *Series, h *Health) error {
 		}
 		f.cpuFile = cf
 	}
-	if f.serve != "" {
-		handler := Handler(tr, reg, s, h)
-		go func() {
-			if err := http.ListenAndServe(f.serve, handler); err != nil {
-				fmt.Fprintf(os.Stderr, "telemetry server: %v\n", err)
-				os.Exit(1)
-			}
-		}()
-		endpoints := "/metrics /health /trace"
-		if s != nil {
-			endpoints += " /series.json"
-		}
-		fmt.Fprintf(os.Stderr, "# telemetry: http://%s%s\n", f.serve, endpoints)
+	return nil
+}
+
+// serveOn binds addr, so a busy port is the caller's error, then serves
+// handler (nil: http.DefaultServeMux) there for the rest of the process.
+func serveOn(addr string, handler http.Handler) error {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return err
 	}
+	go func() {
+		err := http.Serve(ln, handler) // returns only if the listener fails
+		fmt.Fprintf(os.Stderr, "server on %s: %v\n", addr, err)
+	}()
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
+	"net"
 	"os"
 	"path/filepath"
 	"testing"
@@ -85,6 +86,30 @@ func TestFlagsRunKeepsProfileOnErrorExit(t *testing.T) {
 	}
 	if fi, err := os.Stat(cpu); err != nil || fi.Size() == 0 {
 		t.Fatalf("CPU profile after an early return: %v (empty or missing)", err)
+	}
+}
+
+// TestFlagsRunFailsOnBusyPort: a -serve or -pprof address that cannot be
+// bound fails Run with exit code 1 before the mode runs, and no CPU
+// profile is left running.
+func TestFlagsRunFailsOnBusyPort(t *testing.T) {
+	held, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer held.Close()
+	for _, flagName := range []string{"-serve", "-pprof"} {
+		t.Run(flagName, func(t *testing.T) {
+			cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+			f := parseFlags(t, flagName, held.Addr().String(), "-cpuprofile", cpu)
+			ran := false
+			if code := f.Run(NewTracer(), NewRegistry(), nil, nil, func() int { ran = true; return 0 }); code != 1 || ran {
+				t.Fatalf("Run = %d with the mode run: %t; want 1 and the mode never run", code, ran)
+			}
+			if _, err := os.Stat(cpu); !os.IsNotExist(err) {
+				t.Errorf("CPU profile file after a failed start: %v, want none", err)
+			}
+		})
 	}
 }
 

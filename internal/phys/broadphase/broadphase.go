@@ -1,21 +1,19 @@
 // Package broadphase implements the first stage of collision detection:
 // culling the O(n^2) space of geom pairs down to pairs whose bounding
-// boxes overlap. Two classic algorithms are provided — sweep-and-prune
-// and a uniform spatial hash — both maintaining persistent spatial
-// structures across steps. The paper treats the broad phase as a serial
-// phase; here only SweepAndPrune's order update and merge are, and its
-// sweep runs as independent ranges that the world spreads over its
-// threads, with a result identical to the serial pass's. Every
-// implementation keeps all working storage (membership stamps, cell
-// entry lists, dedup tables, sort buffers) across passes so that
-// steady-state stepping does not allocate.
+// boxes overlap. Four types emit the same pair list: SweepAndPrune, which
+// every world uses; IncrementalSAP and SpatialHash, which abl-broadphase
+// compares with it; and BruteForce, the tests' O(n^2) oracle. The paper
+// treats the broad phase as a serial phase; here only SweepAndPrune's
+// order update and merge are, and its sweep runs as independent ranges
+// that the world spreads over its threads, with a result identical to
+// the serial pass's. Every implementation keeps all working storage
+// (membership stamps, cell entry lists, dedup tables, sort buffers)
+// across passes so that steady-state stepping does not allocate.
 package broadphase
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"strings"
 
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
@@ -75,24 +73,6 @@ type Interface interface {
 	PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair
 	// Stats returns counters for the most recent PairsPrerefreshed call.
 	Stats() Stats
-}
-
-// Names lists the command-line names NewByName accepts.
-var Names = []string{"sap", "incsap", "grid", "hash", "brute"}
-
-// NewByName constructs a broad phase by its command-line name.
-func NewByName(name string) (Interface, error) {
-	switch name {
-	case "sap":
-		return NewSweepAndPrune(), nil
-	case "incsap":
-		return NewIncrementalSAP(), nil
-	case "grid", "hash":
-		return NewSpatialHash(), nil
-	case "brute":
-		return NewBruteForce(), nil
-	}
-	return nil, fmt.Errorf("unknown broad phase %q (want %s)", name, strings.Join(Names, "|"))
 }
 
 // shouldPair applies the engine-level pair filter plus the AABB test.

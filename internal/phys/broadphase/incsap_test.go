@@ -2,7 +2,6 @@ package broadphase
 
 import (
 	"math/rand"
-	"strings"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/geom"
@@ -203,53 +202,6 @@ func TestIncSAPSteadyStateAllocs(t *testing.T) {
 	if allocs > 0 {
 		t.Errorf("incsap steady-state pass allocates %v/op, want 0", allocs)
 	}
-}
-
-// TestNewByName pins the flag-name registry: Names and the constructor
-// accept exactly the same set, and the error for anything else lists it.
-func TestNewByName(t *testing.T) {
-	want := map[string]string{
-		"sap":    "*broadphase.SweepAndPrune",
-		"incsap": "*broadphase.IncrementalSAP",
-		"grid":   "*broadphase.SpatialHash",
-		"hash":   "*broadphase.SpatialHash",
-		"brute":  "*broadphase.BruteForce",
-	}
-	if len(Names) != len(want) {
-		t.Errorf("Names = %v, want the %d names NewByName accepts", Names, len(want))
-	}
-	for _, name := range Names {
-		bp, err := NewByName(name)
-		if err != nil {
-			t.Fatalf("NewByName(%q): %v", name, err)
-		}
-		if got := typeName(bp); got != want[name] {
-			t.Errorf("NewByName(%q) = %s, want %s", name, got, want[name])
-		}
-	}
-	_, err := NewByName("quadtree")
-	if err == nil {
-		t.Fatal("NewByName accepted an unknown name")
-	}
-	for _, name := range Names {
-		if !strings.Contains(err.Error(), name) {
-			t.Errorf("error %q does not offer %q", err, name)
-		}
-	}
-}
-
-func typeName(v any) string {
-	switch v.(type) {
-	case *SweepAndPrune:
-		return "*broadphase.SweepAndPrune"
-	case *IncrementalSAP:
-		return "*broadphase.IncrementalSAP"
-	case *SpatialHash:
-		return "*broadphase.SpatialHash"
-	case *BruteForce:
-		return "*broadphase.BruteForce"
-	}
-	return "?"
 }
 
 func BenchmarkIncSAP500(b *testing.B) {

@@ -61,13 +61,14 @@ func (rec *Recording) World() (*world.World, error) {
 // Verify restores the recording into a fresh world with the given
 // thread count and re-steps it, comparing digests. It returns the
 // zero-based index of the first divergent step, or -1 if the replay
-// matched end to end.
+// matched end to end. The world's worker pool is released on return.
 func Verify(rec *Recording, threads int) (int, error) {
 	w, err := rec.World()
 	if err != nil {
 		return -1, fmt.Errorf("replay: restore: %w", err)
 	}
-	w.Threads = threads
+	w.SetThreads(threads)
+	defer w.SetThreads(1)
 	for i, want := range rec.Digests {
 		w.Step()
 		if got := w.Profile.Digest(); got != want {

@@ -5,7 +5,9 @@ import (
 	"encoding/binary"
 	"hash/crc32"
 	"path/filepath"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/parallax-arch/parallax/internal/phys/workload"
 )
@@ -39,6 +41,27 @@ func TestRecordVerify(t *testing.T) {
 		if step != -1 {
 			t.Fatalf("threads=%d: diverged at step %d", threads, step)
 		}
+	}
+}
+
+// TestVerifyReleasesWorkers: a multi-threaded Verify stops the worker
+// pool it started, so every call leaves the goroutine count where it
+// found it. The workers leave after their wake channel closes, so the
+// count is polled for a while rather than read once.
+func TestVerifyReleasesWorkers(t *testing.T) {
+	rec := record(t, 5)
+	before := runtime.NumGoroutine()
+	for i := 0; i < 3; i++ {
+		if step, err := Verify(rec, 4); err != nil || step != -1 {
+			t.Fatalf("Verify: step=%d err=%v", step, err)
+		}
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+		time.Sleep(10 * time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > before {
+		t.Fatalf("%d goroutines after three Verify calls at 4 threads, %d before", n, before)
 	}
 }
 

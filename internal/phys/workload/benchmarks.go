@@ -47,6 +47,15 @@ func ByName(name string) (Benchmark, bool) {
 	return Benchmark{}, false
 }
 
+// Names lists the benchmarks in paper order.
+func Names() []string {
+	var out []string
+	for _, b := range All {
+		out = append(out, b.Name)
+	}
+	return out
+}
+
 func count(base int, scale float64) int {
 	n := int(math.Round(float64(base) * scale))
 	if n < 1 {

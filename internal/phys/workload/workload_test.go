@@ -312,13 +312,18 @@ func TestStepPairListMatchesBruteForce(t *testing.T) {
 // the order-blind way, as the number of earlier contacts of that pair.
 func TestContactOrderAllBroadPhases(t *testing.T) {
 	for _, b := range All {
-		for _, name := range broadphase.Names {
-			t.Run(b.Name+"/"+name, func(t *testing.T) {
+		for _, bp := range []struct {
+			name string
+			make func() broadphase.Interface
+		}{
+			{"sap", func() broadphase.Interface { return broadphase.NewSweepAndPrune() }},
+			{"incsap", func() broadphase.Interface { return broadphase.NewIncrementalSAP() }},
+			{"hash", func() broadphase.Interface { return broadphase.NewSpatialHash() }},
+			{"brute", func() broadphase.Interface { return broadphase.NewBruteForce() }},
+		} {
+			t.Run(b.Name+"/"+bp.name, func(t *testing.T) {
 				w := b.Build(0.25)
-				var err error
-				if w.Broad, err = broadphase.NewByName(name); err != nil {
-					t.Fatal(err)
-				}
+				w.Broad = bp.make()
 				w.RecordDetail = true
 				w.SetThreads(3)
 				defer w.SetThreads(1) // stops the worker pool

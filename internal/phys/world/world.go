@@ -3,10 +3,12 @@
 //
 //	Broad-phase -> Narrow-phase -> Island Creation -> Island Processing -> Cloth
 //
-// All phases are serialized with respect to each other; Narrow-phase,
-// Island Processing and Cloth exploit parallelism within the phase using
-// a work-queue model with persistent worker goroutines (the paper's
-// pthreads + persistent worker threads). The engine also implements the
+// All phases are serialized with respect to each other. Inside them,
+// everything but the broad phase's sort-order update and merge and
+// Island Creation's union-find runs on a work queue of persistent
+// worker goroutines (the paper's pthreads + persistent worker threads):
+// AABB refresh, sweep, narrow phase, island edges, island solves,
+// integration, pose sync and cloths. The engine also implements the
 // paper's game-physics extensions: explosions (blast-radius spheres),
 // pre-fractured objects that shatter into debris, breakable joints, and
 // cloth contact lists.

@@ -9,6 +9,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -621,6 +622,12 @@ func TestMetricsExposition(t *testing.T) {
 	info := uploadWorld(t, ts.URL, tinyWorld())
 	time.Sleep(50 * time.Millisecond) // let a few ticks land
 	stepSession(t, ts.URL, info.ID, 1)
+	const reads = 20 // shard ops beyond the create and the step
+	for i := 0; i < reads; i++ {
+		if resp, data := doJSON(t, "GET", ts.URL+"/sessions/"+info.ID, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("info: status %d: %s", resp.StatusCode, data)
+		}
+	}
 
 	resp, err := http.Get(ts.URL + "/metrics")
 	if err != nil {
@@ -646,6 +653,22 @@ func TestMetricsExposition(t *testing.T) {
 	} {
 		if !strings.Contains(string(data), family) {
 			t.Fatalf("exposition missing %s:\n%s", family, data)
+		}
+	}
+	// The shard's two op histograms: every op above waited in a control
+	// queue and ran once.
+	for _, hist := range []string{"parallax_serve_queue_wait_us", "parallax_serve_op_us"} {
+		if !strings.Contains(string(data), "# TYPE "+hist+" histogram\n") {
+			t.Fatalf("exposition has no histogram %s:\n%s", hist, data)
+		}
+		var count int
+		for _, line := range strings.Split(string(data), "\n") {
+			if v, ok := strings.CutPrefix(line, hist+"_count "); ok {
+				count, _ = strconv.Atoi(v)
+			}
+		}
+		if count < reads+2 {
+			t.Errorf("%s_count = %d, want >= %d ops", hist, count, reads+2)
 		}
 	}
 }
