@@ -12,7 +12,7 @@
 // solver residual/impulse norms, max penetration, island stats,
 // broad-phase churn, per-phase durations) into preallocated rings and
 // feeds the anomaly detector (NaN state, energy spike, residual
-// blowup, rebuild storm). -serve addr exposes /metrics (Prometheus
+// blowup). -serve addr exposes /metrics (Prometheus
 // text exposition, byte-identical across thread counts), /health
 // (200/503), /trace and /series.json while the run executes — and
 // keeps serving after it completes until the process is killed. When

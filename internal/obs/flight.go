@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"sync"
+	"sync/atomic"
 )
 
 // Cause identifies which health check tripped the anomaly detector.
@@ -21,9 +22,6 @@ const (
 	// CauseResidual: the solver residual blew up versus the trailing
 	// window.
 	CauseResidual
-	// CauseRebuildStorm: the incremental broadphase fell back to full
-	// rebuilds for too many consecutive steps.
-	CauseRebuildStorm
 )
 
 // String names the cause for logs and bundle filenames.
@@ -37,8 +35,6 @@ func (c Cause) String() string {
 		return "energy_spike"
 	case CauseResidual:
 		return "residual_blowup"
-	case CauseRebuildStorm:
-		return "rebuild_storm"
 	}
 	return "unknown"
 }
@@ -59,9 +55,6 @@ const (
 	energyFloor        = 1
 	residualSpikeRatio = 1e4
 	residualFloor      = 1
-	// rebuildStormMax trips when more than this many consecutive steps
-	// each performed a full broadphase rebuild.
-	rebuildStormMax = 48
 )
 
 // Sample is one step's worth of health inputs, passed by value so the
@@ -76,8 +69,6 @@ type Sample struct {
 	// MaxPenetration is the deepest contact penetration this step
 	// (recorded into the bundle's series; no check keys off it yet).
 	MaxPenetration float64
-	// Rebuilds is how many full broadphase rebuilds this step performed.
-	Rebuilds int64
 }
 
 // Health is the deterministic per-step anomaly detector. Update runs
@@ -97,9 +88,9 @@ type Health struct {
 	resSum float64
 	n      int64 // samples folded into the windows
 
-	stormRun int64
-
-	tripped  bool
+	// tripped is stored under mu but loaded without it, so Tripped can
+	// poll the latch from the shard tick loop without taking the lock.
+	tripped  atomic.Bool
 	cause    Cause
 	tripStep int64
 	observed float64 // offending value at trip time
@@ -117,7 +108,7 @@ func (h *Health) Update(step int64, s Sample) bool {
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.tripped {
+	if h.tripped.Load() {
 		return true
 	}
 
@@ -142,17 +133,6 @@ func (h *Health) Update(step int64, s Sample) bool {
 		}
 	}
 
-	// Rebuild storm: consecutive steps that each did >=1 full rebuild.
-	if s.Rebuilds > 0 {
-		h.stormRun++
-	} else {
-		h.stormRun = 0
-	}
-	if h.stormRun > rebuildStormMax {
-		h.trip(CauseRebuildStorm, step, float64(h.stormRun), rebuildStormMax)
-		return true
-	}
-
 	// Fold the (finite) sample into the trailing windows.
 	slot := h.n % healthWindow
 	h.keSum += s.KineticEnergy - h.keWin[slot]
@@ -163,29 +143,26 @@ func (h *Health) Update(step int64, s Sample) bool {
 	return false
 }
 
-// trip latches the detector. Callers hold h.mu.
+// trip latches the detector. Callers hold h.mu. The latch is stored
+// last, so a caller that sees Tripped and then takes Status finds the
+// cause already set.
 func (h *Health) trip(c Cause, step int64, observed, baseline float64) {
-	h.tripped = true
 	h.cause = c
 	h.tripStep = step
 	h.observed = observed
 	h.baseline = baseline
+	h.tripped.Store(true)
 }
 
 // Tripped reports whether the detector has latched. Safe to poll from
 // parallel hot paths (the serve shard tick loop polls every resident
-// session's detector each tick): the latch read is a short uncontended
-// critical section and allocates nothing.
+// session's detector each tick): one atomic load, no lock, no
+// allocation.
 func (h *Health) Tripped() bool {
 	if h == nil {
 		return false
 	}
-	//paraxlint:allow(parsafe) latch poll: short uncontended mutex read from the shard tick loop
-	h.mu.Lock()
-	t := h.tripped
-	//paraxlint:allow(parsafe) latch poll: short uncontended mutex read from the shard tick loop
-	h.mu.Unlock()
-	return t
+	return h.tripped.Load()
 }
 
 // HealthStatus is a point-in-time read of the detector.
@@ -206,7 +183,7 @@ func (h *Health) Status() HealthStatus {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	return HealthStatus{
-		OK:       !h.tripped,
+		OK:       !h.tripped.Load(),
 		Cause:    h.cause,
 		Step:     h.tripStep,
 		Observed: h.observed,

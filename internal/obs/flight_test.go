@@ -5,6 +5,7 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -61,33 +62,26 @@ func TestHealthResidualBlowupTrips(t *testing.T) {
 	}
 }
 
-func TestHealthRebuildStormTrips(t *testing.T) {
+// TestHealthTrippedWhileUpdating polls the lock-free latch while another
+// goroutine feeds the detector until it trips: once Tripped reports the
+// latch, Status must already name the cause. Run it under -race.
+func TestHealthTrippedWhileUpdating(t *testing.T) {
 	h := NewHealth()
-	var step int64
-	tripped := false
-	for i := int64(0); i <= rebuildStormMax+1 && !tripped; i++ {
-		step++
-		tripped = h.Update(step, Sample{KineticEnergy: 100, Finite: true, Rebuilds: 1})
-	}
-	if !tripped {
-		t.Fatal("rebuild storm did not trip")
-	}
-	if st := h.Status(); st.Cause != CauseRebuildStorm {
-		t.Fatalf("cause = %v, want %v", st.Cause, CauseRebuildStorm)
-	}
-	// A broken streak resets the run.
-	h2 := NewHealth()
-	step = 0
-	for i := int64(0); i < rebuildStormMax*3; i++ {
-		step++
-		rb := int64(1)
-		if i%4 == 3 {
-			rb = 0
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		step := int64(0)
+		for !h.Update(step, Sample{KineticEnergy: 100, Finite: step < 4*healthWindow, Residual: 10}) {
+			step++
 		}
-		if h2.Update(step, Sample{KineticEnergy: 100, Finite: true, Rebuilds: rb}) {
-			t.Fatal("interrupted rebuild runs must not trip")
-		}
+	}()
+	for !h.Tripped() {
+		runtime.Gosched()
 	}
+	if st := h.Status(); st.OK || st.Cause != CauseNaN || st.Step != 4*healthWindow {
+		t.Fatalf("status after Tripped = %+v, want a NaN trip at step %d", st, 4*healthWindow)
+	}
+	<-done
 }
 
 func TestHealthSpikeChecksNeedFullWindow(t *testing.T) {

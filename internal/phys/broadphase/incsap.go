@@ -40,7 +40,7 @@ type IncrementalSAP struct {
 	// into a uint64. Maintained across passes by endpoint swaps.
 	set  map[uint64]bool
 	axis int
-	// fullNext forces a rebuild on the next pass (axis change, restore).
+	// fullNext forces a rebuild on the next pass (first pass, axis change).
 	fullNext bool
 	stats    Stats
 

@@ -150,38 +150,6 @@ func TestIncSAPPrerefreshedMatches(t *testing.T) {
 	}
 }
 
-// TestIncSAPStateRoundTrip saves the cross-step state mid-run, keeps
-// stepping both the original and a restored copy, and requires
-// identical pairs and identical Stats — the bit-transparency contract
-// snapshot/Restore relies on.
-func TestIncSAPStateRoundTrip(t *testing.T) {
-	r := rand.New(rand.NewSource(36))
-	gs := randomScene(r, 60, 9)
-	inc := NewIncrementalSAP()
-	for frame := 0; frame < 10; frame++ {
-		for _, g := range gs[1:] {
-			g.Pos = g.Pos.Add(m3.V((r.Float64()-0.5)*0.2, (r.Float64()-0.5)*0.2, 0))
-		}
-		refreshPairs(inc, gs, nil)
-	}
-	st := inc.SaveState()
-	restored := NewIncrementalSAP()
-	restored.RestoreState(st)
-	for frame := 0; frame < 10; frame++ {
-		for _, g := range gs[1:] {
-			g.Pos = g.Pos.Add(m3.V((r.Float64()-0.5)*0.2, 0, (r.Float64()-0.5)*0.2))
-		}
-		a := refreshPairs(inc, gs, nil)
-		b := refreshPairs(restored, gs, nil)
-		if !pairsEqual(a, b) {
-			t.Fatalf("frame %d: restored structure diverged (%d vs %d pairs)", frame, len(a), len(b))
-		}
-		if inc.Stats() != restored.Stats() {
-			t.Fatalf("frame %d: stats diverged: %+v vs %+v", frame, inc.Stats(), restored.Stats())
-		}
-	}
-}
-
 // TestIncSAPSteadyStateAllocs: passes over a coherent scene must not
 // allocate once capacities are warm (the pair-set map reuses buckets
 // across the delete/insert churn of sliding contacts).

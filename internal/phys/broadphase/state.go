@@ -1,15 +1,13 @@
 package broadphase
 
-import "slices"
-
-// Snapshot support. The sweep-based broad phases carry cross-step state
-// that is observable in their outputs: the persistent endpoint order
-// holds temporal coherence, and Stats.SortOps counts the insertion-sort
-// moves needed to fix it up — so a restored world must resume from the
-// same order to reproduce the original run's profiles bit for bit.
-// Membership stamps (mark/gen) and the unbounded list are rebuilt from
-// scratch every pass and need no saving. SpatialHash and BruteForce
-// keep only per-pass scratch, so they have nothing to save at all.
+// Snapshot support. SweepAndPrune carries cross-step state that is
+// observable in its outputs: the persistent sweep order holds temporal
+// coherence, and Stats.SortOps counts the insertion-sort moves needed to
+// fix it up — so a restored world must resume from the same order to
+// reproduce the original run's profiles bit for bit. Membership stamps
+// (mark/gen) and the unbounded list are rebuilt from scratch every pass
+// and need no saving. SpatialHash and BruteForce keep only per-pass
+// scratch, so they have nothing to save at all.
 
 // SaveOrder appends the persistent sweep order (geom indices sorted
 // along the current sweep axis) and returns the extended slice.
@@ -21,73 +19,4 @@ func (s *SweepAndPrune) SaveOrder(dst []int32) []int32 {
 // temporal coherence of the run the order was saved from.
 func (s *SweepAndPrune) RestoreOrder(order []int32) {
 	s.order = append(s.order[:0], order...)
-}
-
-// IncSAPState is the serializable cross-step state of IncrementalSAP:
-// the sweep axis, the endpoint array order (each entry id<<1|side; the
-// cached coordinate values are re-derived from the geom boxes at the
-// start of the next pass and need no saving), the persistent
-// axis-overlap pair keys (sorted for byte stability), and whether the
-// next pass must rebuild.
-type IncSAPState struct {
-	Axis      int32
-	Endpoints []int32
-	Pairs     []uint64
-	Rebuild   bool
-}
-
-// SaveState captures the incremental structure's cross-step state.
-// This is a cold path; it allocates freely.
-func (s *IncrementalSAP) SaveState() IncSAPState {
-	st := IncSAPState{
-		Axis:      int32(s.axis),
-		Endpoints: make([]int32, 0, len(s.eps)),
-		Pairs:     make([]uint64, 0, len(s.set)),
-		Rebuild:   s.fullNext,
-	}
-	for _, ep := range s.eps {
-		st.Endpoints = append(st.Endpoints, ep.id<<1|ep.side)
-	}
-	for k := range s.set {
-		st.Pairs = append(st.Pairs, k)
-	}
-	slices.Sort(st.Pairs)
-	return st
-}
-
-// RestoreState replaces the incremental structure's cross-step state
-// with a previously saved one. Endpoint coordinate values are left
-// zero — the next pass refreshes every value from the geom boxes
-// before sorting, so the restored run is bit-identical to the
-// original. Cold path; allocates freely.
-func (s *IncrementalSAP) RestoreState(st IncSAPState) {
-	s.eps = s.eps[:0]
-	maxID := int32(-1)
-	for _, packed := range st.Endpoints {
-		id, side := packed>>1, packed&1
-		s.eps = append(s.eps, endpoint{id: id, side: side})
-		if id > maxID {
-			maxID = id
-		}
-	}
-	if n := int(maxID) + 1; len(s.has) < n {
-		s.has = make([]bool, n)
-		s.mark = make([]uint32, n)
-		s.gone = make([]uint32, n)
-	}
-	clear(s.has)
-	for _, ep := range s.eps {
-		if ep.side == 0 {
-			s.has[ep.id] = true
-		}
-	}
-	if s.set == nil {
-		s.set = make(map[uint64]bool, len(st.Pairs))
-	}
-	clear(s.set)
-	for _, k := range st.Pairs {
-		s.set[k] = true
-	}
-	s.axis = int(st.Axis)
-	s.fullNext = st.Rebuild
 }

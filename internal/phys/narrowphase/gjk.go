@@ -42,8 +42,7 @@ func makeSupport(g *geom.Geom) supportShape {
 	case *geom.Hull:
 		return supportShape{kind: geom.KindHull, pos: g.Pos, rot: g.Rot, hull: s}
 	}
-	//paraxlint:allow(alloc) panic message on a path that cannot be reached from the dispatch table
-	panic("narrowphase: support function requested for non-convex shape " + g.Shape.Kind().String())
+	panic("narrowphase: support function requested for a non-convex shape")
 }
 
 // at evaluates the support function in world direction d.
@@ -243,8 +242,8 @@ func epaWitness(verts []mkv, f epaFace) (normal m3.Vec, depth float64, point m3.
 // calls; the arithmetic and iteration order are identical to the
 // allocating version this replaced, so results are bit-identical.
 func epa(sa, sb *supportShape, scr *Scratch, simplex [4]mkv, n int) (normal m3.Vec, depth float64, point m3.Vec, ok bool) {
-	//paraxlint:allow(alloc) seeds scr.verts, written back below: grows to the largest polytope seen, then reused
-	verts := append(scr.verts[:0], simplex[:n]...)
+	verts := scr.verts[:0]
+	verts = append(verts, simplex[:n]...)
 	scr.verts = verts
 	// Complete degenerate simplices to a tetrahedron.
 	for di := 0; len(verts) < 4 && di < len(epaDirs); di++ {
@@ -265,8 +264,8 @@ func epa(sa, sb *supportShape, scr *Scratch, simplex [4]mkv, n int) (normal m3.V
 		return m3.Zero, 0, m3.Zero, false
 	}
 
-	//paraxlint:allow(alloc) seeds scr.faces, written back below: grows to the largest polytope seen, then reused
-	faces := append(scr.faces[:0],
+	faces := scr.faces[:0]
+	faces = append(faces,
 		epaFace{a: 0, b: 1, c: 2}, epaFace{a: 0, b: 2, c: 3},
 		epaFace{a: 0, b: 3, c: 1}, epaFace{a: 1, b: 3, c: 2})
 	alt := scr.alt[:0]

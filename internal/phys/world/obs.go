@@ -26,7 +26,6 @@ type stepMetrics struct {
 	clothVertUpdates obs.CounterID
 	aabbUpdates      obs.CounterID
 	broadSortOps     obs.CounterID
-	broadRebuilds    obs.CounterID
 
 	islandDOF obs.HistID
 }
@@ -72,7 +71,6 @@ func (w *World) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 			clothVertUpdates: reg.Counter("engine/cloth_vertex_updates"),
 			aabbUpdates:      reg.Counter("engine/aabb_updates"),
 			broadSortOps:     reg.Counter("engine/broad_sort_ops"),
-			broadRebuilds:    reg.Counter("engine/broad_rebuilds"),
 			islandDOF:        reg.Histogram("engine/island_dof", islandDOFBounds),
 		}
 	}
@@ -128,7 +126,6 @@ func (w *World) recordStepMetrics(prof *StepProfile) {
 	m.Add(w.met.clothVertUpdates, int64(prof.Cloth.VertexUpdates))
 	m.Add(w.met.aabbUpdates, int64(prof.Broad.AABBUpdates))
 	m.Add(w.met.broadSortOps, int64(prof.Broad.SortOps))
-	m.Add(w.met.broadRebuilds, int64(prof.Broad.Rebuilds))
 	for i := range prof.Islands {
 		m.ObserveInt(w.met.islandDOF, int64(prof.Islands[i].DOF))
 	}
@@ -147,7 +144,6 @@ type stepSeries struct {
 	islands        obs.ChannelID
 	islandDOFMax   obs.ChannelID
 	broadSortOps   obs.ChannelID
-	broadRebuilds  obs.ChannelID
 
 	phaseNs [numSpans]obs.ChannelID
 }
@@ -173,7 +169,6 @@ func (w *World) SetSeries(s *obs.Series) {
 		islands:        s.Channel("islands"),
 		islandDOFMax:   s.Channel("island_dof_max"),
 		broadSortOps:   s.Channel("broad_sort_ops"),
-		broadRebuilds:  s.Channel("broad_rebuilds"),
 	}
 	for i := range spanTable {
 		if name := spanTable[i].series; name != "" {
@@ -225,7 +220,6 @@ func (w *World) recordTelemetry(prof *StepProfile) {
 		s.Set(w.ser.islands, float64(len(prof.Islands)))
 		s.Set(w.ser.islandDOFMax, float64(maxDOF))
 		s.Set(w.ser.broadSortOps, float64(prof.Broad.SortOps))
-		s.Set(w.ser.broadRebuilds, float64(prof.Broad.Rebuilds))
 		for i := range spanTable {
 			if spanTable[i].series == "" {
 				continue
@@ -242,6 +236,5 @@ func (w *World) recordTelemetry(prof *StepProfile) {
 		Finite:         finite,
 		Residual:       prof.Solver.Residual,
 		MaxPenetration: prof.Narrow.DeepestDepth,
-		Rebuilds:       int64(prof.Broad.Rebuilds),
 	})
 }

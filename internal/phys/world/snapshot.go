@@ -21,7 +21,8 @@ import (
 // floats are stored as IEEE-754 bit patterns and map contents in sorted
 // key order — so snapshot bytes can be compared directly to test state
 // equality, and Restore(Snapshot(w)) followed by N steps is
-// bit-identical to stepping w uninterrupted, at any thread count.
+// bit-identical to stepping w uninterrupted, at any thread count, for a
+// world on any broad phase the format carries.
 //
 // Captured: solver/world parameters and simulated time; bodies (pose,
 // velocities, mass properties, force/torque accumulators, sleep state);
@@ -29,16 +30,17 @@ import (
 // joints including Breakable fatigue and broken flags; explosive specs,
 // active blasts with their already-hit sets, and fracture tables;
 // cloths (particle positions and Verlet previous positions, pins,
-// constraints); the warm-start impulse list; and the broad phase's
-// cross-step state — the sweep-and-prune order, or the incremental
-// SAP's endpoint order plus persistent overlap-pair set (their
-// temporal coherence is observable in the step profile's SortOps and
-// Rebuilds counters).
+// constraints); the warm-start impulse list; and which broad phase the
+// world runs with its cross-step state — the sweep-and-prune order
+// (its temporal coherence is observable in the step profile's SortOps
+// counter) or the spatial hash's cell size.
 //
 // Intentionally excluded (execution configuration and derived scratch,
 // not simulation state): Threads, RecordDetail, the observability
 // attachments, the last step's Profile, the worker pool, and the
-// per-step scratch arena. See DESIGN.md "State model & snapshot
+// per-step scratch arena; and the state of any other broad phase
+// (IncrementalSAP included), which is written as bpOther and left to
+// the target world on restore. See DESIGN.md "State model & snapshot
 // format".
 
 // snapMagic identifies a world snapshot ("PAXW" little-endian).
@@ -56,12 +58,14 @@ const SnapshotVersion = 1
 // uses.
 const maxSnapshotIterations = 1024
 
-// Broad-phase implementation tags in the snapshot encoding.
+// Broad-phase implementation tags in the snapshot encoding. Tag 3 is
+// retired: files that carry it hold an IncrementalSAP section this
+// format no longer reads, so Restore must keep rejecting it as unknown
+// and no new section may reuse the number.
 const (
 	bpSweep uint8 = iota
 	bpHash
 	bpBrute
-	bpIncSweep
 	bpOther = uint8(255)
 )
 
@@ -89,7 +93,6 @@ type worldState struct {
 	warm                               []warmEntry
 	bpTag                              uint8
 	bpOrder                            []int32
-	bpInc                              broadphase.IncSAPState
 	bpCellSize                         float64
 }
 
@@ -168,8 +171,6 @@ func (w *World) gather() *worldState {
 	switch bp := w.Broad.(type) {
 	case *broadphase.SweepAndPrune:
 		st.bpTag, st.bpOrder = bpSweep, bp.SaveOrder(nil)
-	case *broadphase.IncrementalSAP:
-		st.bpTag, st.bpInc = bpIncSweep, bp.SaveState()
 	case *broadphase.SpatialHash:
 		st.bpTag, st.bpCellSize = bpHash, bp.CellSize
 	case *broadphase.BruteForce:
@@ -188,8 +189,7 @@ func (w *World) gather() *worldState {
 // difference.
 func (st *worldState) size() int {
 	n := 128 + 242*len(st.bodies) + 240*len(st.geoms) + 128*len(st.joints) + 28*len(st.explosives) + 36*len(st.warm) +
-		4*(len(st.bodyGeom)+len(st.geomFree)+len(st.geomFreeStaged)+len(st.bpOrder)+len(st.bpInc.Endpoints)) +
-		8*len(st.bpInc.Pairs)
+		4*(len(st.bodyGeom)+len(st.geomFree)+len(st.geomFreeStaged)+len(st.bpOrder))
 	for _, bl := range st.blasts {
 		n += 28 + 4*(len(bl.hit)+len(bl.hitCloth))
 	}
@@ -329,11 +329,6 @@ func (st *worldState) walk(c *enc.Codec) {
 	switch st.bpTag {
 	case bpSweep:
 		c.Indices(&st.bpOrder, nGeoms, false, "broadphase order entry")
-	case bpIncSweep:
-		c.Index(&st.bpInc.Axis, 3, false, "broadphase sweep axis")
-		c.Indices(&st.bpInc.Endpoints, 2*nGeoms, false, "broadphase endpoint") // geom<<1 | side
-		enc.Slice(c, &st.bpInc.Pairs, 8, "", func(_ int, k *uint64) { c.U64(k) })
-		c.Bool(&st.bpInc.Rebuild)
 	case bpHash:
 		c.F64(&st.bpCellSize)
 	case bpBrute, bpOther:
@@ -399,40 +394,14 @@ func (st *worldState) check() error {
 		}
 	}
 
-	switch st.bpTag {
-	case bpSweep:
-		// The sweep emits a pair per overlapping pair of entries, so a geom
-		// listed twice pairs with itself and doubles its other pairs.
-		seen := make([]bool, nGeoms)
-		for _, gi := range st.bpOrder {
-			if seen[gi] {
-				return fmt.Errorf("broadphase order lists geom %d twice", gi)
-			}
-			seen[gi] = true
+	// The sweep emits a pair per overlapping pair of entries, so a geom
+	// listed twice pairs with itself and doubles its other pairs.
+	seen := make([]bool, nGeoms)
+	for _, gi := range st.bpOrder {
+		if seen[gi] {
+			return fmt.Errorf("broadphase order lists geom %d twice", gi)
 		}
-	case bpIncSweep:
-		// Each geom in the endpoint array must contribute exactly one min
-		// and one max, min first — RestoreState and the next pass's sort
-		// assume a well-formed permutation.
-		seen := make([]int32, nGeoms)
-		done := 0
-		for _, packed := range st.bpInc.Endpoints {
-			id, side := packed>>1, packed&1
-			if seen[id] != side {
-				return fmt.Errorf("broadphase endpoints of geom %d malformed", id)
-			}
-			seen[id] = side + 1
-			done += int(side)
-		}
-		if 2*done != len(st.bpInc.Endpoints) {
-			return fmt.Errorf("broadphase endpoint array incomplete (%d endpoints, %d closed)", len(st.bpInc.Endpoints), done)
-		}
-		for _, k := range st.bpInc.Pairs {
-			a, b := int32(k>>32), int32(k&0xffffffff)
-			if a < 0 || a >= b || int(b) >= nGeoms || seen[a] != 2 || seen[b] != 2 {
-				return fmt.Errorf("broadphase pair key (%d,%d) malformed", a, b)
-			}
-		}
+		seen[gi] = true
 	}
 	return nil
 }
@@ -504,13 +473,6 @@ func (w *World) commit(st *worldState) {
 			w.Broad = sap
 		}
 		sap.RestoreOrder(st.bpOrder)
-	case bpIncSweep:
-		inc, ok := w.Broad.(*broadphase.IncrementalSAP)
-		if !ok {
-			inc = broadphase.NewIncrementalSAP()
-			w.Broad = inc
-		}
-		inc.RestoreState(st.bpInc)
 	case bpHash:
 		h, ok := w.Broad.(*broadphase.SpatialHash)
 		if !ok {
@@ -527,14 +489,9 @@ func (w *World) commit(st *worldState) {
 		// snapshot cannot carry; keep whatever the target world has.
 	}
 
-	// Seed the pair/edge pre-size hints so the first post-restore step
-	// doesn't regrow its scratch buffers incrementally. The incremental
-	// SAP's saved pair set gives a real count; otherwise estimate from
-	// the scene size.
-	w.prevPairs = len(st.bpInc.Pairs)
-	if w.prevPairs == 0 {
-		w.prevPairs = 4 * len(st.geoms)
-	}
+	// Seed the pair/edge pre-size hints from the scene size so the first
+	// post-restore step doesn't regrow its scratch buffers incrementally.
+	w.prevPairs = 4 * len(st.geoms)
 	w.prevEdges = w.prevPairs + len(st.joints)
 
 	// The last step's profile described the pre-restore state.

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"hash/crc32"
 	"math"
+	"os"
 	"runtime"
 	"slices"
 	"strings"
@@ -315,6 +316,30 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 				t.Error("failed Restore mutated the world")
 			}
 		})
+	}
+}
+
+// TestRestoreRejectsIncSAPSection: testdata/incsap-tag3.paxw is a small
+// world stepped 10 times on IncrementalSAP, written when the format still
+// carried that broad phase's endpoint order and pair set under tag 3. The
+// tag is retired, so Restore must fail by name — not panic, not guess at
+// the section's length — and leave the target world alone.
+func TestRestoreRejectsIncSAPSection(t *testing.T) {
+	data, err := os.ReadFile("testdata/incsap-tag3.paxw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	target := snapWorld(1)
+	for i := 0; i < 10; i++ {
+		target.Step()
+	}
+	want := target.Snapshot()
+	err = target.Restore(data)
+	if err == nil || !strings.Contains(err.Error(), "broadphase tag 3") {
+		t.Fatalf("Restore = %v, want an error naming broadphase tag 3", err)
+	}
+	if !bytes.Equal(target.Snapshot(), want) {
+		t.Error("failed Restore mutated the world")
 	}
 }
 

@@ -215,23 +215,30 @@ func (w *World) createIslands(l0 *obs.Lane) {
 		})
 	}
 	if w.RecordDetail {
-		// Detail copies are freshly allocated: they are retained by the
-		// architecture model far beyond this step, so they must not alias
-		// the scratch arena. RecordDetail is a capture-mode flag, never
-		// set on the real-time path, hence the allocation waivers.
-		prof.PairList = append([]broadphase.Pair(nil), w.pairBuf...) //paraxlint:allow(alloc)
-		prof.ContactGeoms = make([][2]int32, len(contacts))          //paraxlint:allow(alloc)
-		for i := range contacts {
-			prof.ContactGeoms[i] = [2]int32{contacts[i].A, contacts[i].B}
-		}
-		prof.IslandBodies = make([][]int32, len(islands)) //paraxlint:allow(alloc)
-		prof.IslandRowsOf = make([][]int32, len(islands)) //paraxlint:allow(alloc)
-		for i, is := range islands {
-			prof.IslandBodies[i] = append([]int32(nil), is.Bodies...) //paraxlint:allow(alloc)
-			prof.IslandRowsOf[i] = append([]int32(nil), is.Joints...) //paraxlint:allow(alloc)
-		}
+		w.recordDetail(prof)
 	}
 	l0.End(w.spans[spanIslandGen])
+}
+
+// recordDetail copies the step's pair list, contact geoms and island
+// membership into the profile. The copies are freshly allocated: they
+// are retained by the architecture model far beyond this step, so they
+// must not alias the scratch arena.
+//
+//paraxlint:coldpath capture mode only (RecordDetail); the copies must outlive the arena
+func (w *World) recordDetail(prof *StepProfile) {
+	contacts, islands := w.scratch.contacts, w.scratch.islands
+	prof.PairList = append([]broadphase.Pair(nil), w.pairBuf...)
+	prof.ContactGeoms = make([][2]int32, len(contacts))
+	for i := range contacts {
+		prof.ContactGeoms[i] = [2]int32{contacts[i].A, contacts[i].B}
+	}
+	prof.IslandBodies = make([][]int32, len(islands))
+	prof.IslandRowsOf = make([][]int32, len(islands))
+	for i, is := range islands {
+		prof.IslandBodies[i] = append([]int32(nil), is.Bodies...)
+		prof.IslandRowsOf[i] = append([]int32(nil), is.Joints...)
+	}
 }
 
 // processIslands forward-simulates each island. Islands are

@@ -765,6 +765,36 @@ func TestHealthEndpointDrainAware(t *testing.T) {
 	}
 }
 
+// TestCreateRejectsIncSAPUpload uploads a snapshot carrying the retired
+// IncrementalSAP section (broadphase tag 3): the server must answer 400
+// and admit no session.
+func TestCreateRejectsIncSAPUpload(t *testing.T) {
+	data, err := os.ReadFile("../phys/world/testdata/incsap-tag3.paxw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, ts := newTestServer(t, Config{Shards: 1, Hz: 0})
+	resp, err := http.Post(ts.URL+"/sessions", "application/octet-stream", bytes.NewReader(data))
+	if err != nil {
+		t.Fatalf("upload: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), "broadphase tag 3") {
+		t.Fatalf("upload: status %d %q, want 400 naming broadphase tag 3", resp.StatusCode, body)
+	}
+	if n := srv.reg.CounterValue(srv.cCreated); n != 0 {
+		t.Errorf("serve/sessions_created = %d after a rejected upload, want 0", n)
+	}
+	resp, listData := doJSON(t, "GET", ts.URL+"/sessions", nil)
+	var list struct {
+		Count int `json:"count"`
+	}
+	if err := json.Unmarshal(listData, &list); err != nil || resp.StatusCode != http.StatusOK || list.Count != 0 {
+		t.Fatalf("GET /sessions = %d %s, want a count of 0", resp.StatusCode, listData)
+	}
+}
+
 func TestCreateUnknownSceneRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Shards: 1, Hz: 0})
 	resp, _ := doJSON(t, "POST", ts.URL+"/sessions", createRequest{Scene: "NoSuchScene"})

@@ -233,7 +233,7 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 type Series = obs.Series
 
 // Health is the deterministic per-step anomaly detector (NaN state,
-// energy spike, residual blowup, rebuild storm): attach with
+// energy spike, residual blowup): attach with
 // World.SetHealth, poll with Health.Tripped/Status.
 type Health = obs.Health
 
