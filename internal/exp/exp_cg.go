@@ -7,7 +7,6 @@ import (
 
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
-	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
@@ -34,22 +33,7 @@ func (s *Suite) Table4(w io.Writer) {
 		"Benchmark", "Obj-Pairs", "Islands", "Cloths", "[vertices]",
 		"Static", "Dynamic", "Prefractured", "StaticJoints")
 	for _, wl := range s.Workloads() {
-		var statics, dynamics, debris int
-		for _, g := range wl.World.Geoms {
-			switch {
-			case g.Flags.Has(geom.FlagCloth) || g.Flags.Has(geom.FlagBlast):
-			case g.Flags.Has(geom.FlagDebris):
-				debris++
-			case g.Flags.Has(geom.FlagStatic):
-				statics++
-			default:
-				dynamics++
-			}
-		}
-		verts := 0
-		for _, c := range wl.World.Cloths {
-			verts += c.NumVertices()
-		}
+		statics, dynamics, debris, cloths, verts, joints := workload.Composition(wl.World)
 		pairs, _, _ := wl.AvailableFGTasks()
 		islands := 0
 		for i := range wl.Frame.Steps {
@@ -58,8 +42,8 @@ func (s *Suite) Table4(w io.Writer) {
 			}
 		}
 		fmt.Fprintf(w, "%-12s %9.0f %8d %7d %10d %8d %9d %13d %13d\n",
-			wl.Name, pairs, islands, len(wl.World.Cloths), verts,
-			statics, dynamics, debris, len(wl.World.Joints))
+			wl.Name, pairs, islands, cloths, verts,
+			statics, dynamics, debris, joints)
 	}
 }
 

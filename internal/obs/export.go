@@ -12,12 +12,10 @@ import (
 // thread_name metadata event. Timestamps are microseconds since the
 // tracer started.
 //
-// Ring buffers wrap: each lane emits only the events still resident,
-// and Begin/End records are emitted only as matched pairs (an End whose
-// Begin was overwritten, or a Begin still open at export time, is
-// skipped), so the JSON always carries balanced, properly nested B/E
-// events with nondecreasing timestamps per track. Complete records
-// (Lane.Complete) are emitted as "X" events with an explicit duration.
+// A lane's ring holds finished spans only, each emitted as one "X"
+// event with its start and duration. Rings wrap, so a lane emits the
+// spans still resident, ordered by start with a parent before its
+// children; a span still open at export time is not there yet.
 func (t *Tracer) WriteTrace(w io.Writer) error {
 	if t == nil {
 		return nil
@@ -49,40 +47,10 @@ func (t *Tracer) WriteTrace(w io.Writer) error {
 	}
 
 	for _, l := range lanes {
-		evs := l.snapshotEvents()
 		emit(`{"ph":"M","name":"thread_name","pid":1,"tid":%d,"args":{"name":%q}}`, l.id, l.name)
-
-		// Match B/E pairs with a stack over the resident events.
-		matched := make([]bool, len(evs))
-		var stack []int
-		for i, e := range evs {
-			switch e.kind {
-			case evBegin:
-				stack = append(stack, i)
-			case evEnd:
-				if n := len(stack); n > 0 && evs[stack[n-1]].id == e.id {
-					matched[stack[n-1]] = true
-					matched[i] = true
-					stack = stack[:n-1]
-				}
-			}
-		}
-		for i, e := range evs {
-			switch e.kind {
-			case evBegin:
-				if matched[i] {
-					emit(`{"ph":"B","name":%q,"cat":"parallax","pid":1,"tid":%d,"ts":%.3f}`,
-						spanName(e.id), l.id, float64(e.ts)/1e3)
-				}
-			case evEnd:
-				if matched[i] {
-					emit(`{"ph":"E","name":%q,"cat":"parallax","pid":1,"tid":%d,"ts":%.3f}`,
-						spanName(e.id), l.id, float64(e.ts)/1e3)
-				}
-			case evComplete:
-				emit(`{"ph":"X","name":%q,"cat":"parallax","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
-					spanName(e.id), l.id, float64(e.ts)/1e3, float64(e.dur)/1e3)
-			}
+		for _, e := range l.snapshotEvents() {
+			emit(`{"ph":"X","name":%q,"cat":"parallax","pid":1,"tid":%d,"ts":%.3f,"dur":%.3f}`,
+				spanName(e.id), l.id, float64(e.start)/1e3, float64(e.dur)/1e3)
 		}
 	}
 	if _, err := bw.WriteString("\n]}\n"); err != nil {

@@ -126,8 +126,8 @@ func (f *Flags) finish(tr *Tracer, reg *Registry) error {
 	if f.metrics != "" {
 		// No Tracer.Publish here: the -metrics file is the deterministic
 		// snapshot, byte-identical across -threads values. Span totals
-		// and drop counters are wall-clock/schedule-dependent; they are
-		// published into flight-bundle metrics.txt instead.
+		// and drop counters are wall-clock/schedule-dependent; a flight
+		// bundle publishes them into its own registry for its metrics.txt.
 		errs = append(errs, writeFile(f.metrics, reg.WriteSnapshot))
 	}
 	if f.memProfile != "" {

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"path/filepath"
@@ -209,14 +210,15 @@ type FlightInfo struct {
 //	cause.txt     trip cause, step, label — one "key value" line each
 //	world.paxw    the PAXW world snapshot (replayable via -load/-replay)
 //	trace.json    Chrome trace-event JSON of the resident tracer rings
-//	metrics.txt   Registry.WriteSnapshot with tracer totals published
+//	metrics.txt   the run's Registry snapshot, then the tracer totals
 //	series.json   the last-K-steps per-step series window
 //
 // Cold path by definition — it runs once, after the sim has already
 // diverged. Nil tracer/registry/series are tolerated; their files are
 // still written (empty trace, empty snapshot) so bundle consumers can
 // rely on the file set. snapshot may be nil if the caller could not
-// capture one (the world.paxw file is then omitted).
+// capture one (the world.paxw file is then omitted). reg is only read:
+// the totals go to a registry of the bundle's own.
 func WriteFlightBundle(dir string, info FlightInfo, snapshot []byte, tr *Tracer, reg *Registry, s *Series) (string, error) {
 	bundle := filepath.Join(dir, "flight-step"+strconv.FormatInt(info.Step, 10)+"-"+info.Cause)
 	if err := os.MkdirAll(bundle, 0o755); err != nil {
@@ -234,8 +236,15 @@ func WriteFlightBundle(dir string, info FlightInfo, snapshot []byte, tr *Tracer,
 	if err := writeFile(filepath.Join(bundle, "trace.json"), tr.WriteTrace); err != nil {
 		return "", err
 	}
-	tr.Publish(reg)
-	if err := writeFile(filepath.Join(bundle, "metrics.txt"), reg.WriteSnapshot); err != nil {
+	totals := NewRegistry()
+	tr.Publish(totals)
+	err := writeFile(filepath.Join(bundle, "metrics.txt"), func(w io.Writer) error {
+		if err := reg.WriteSnapshot(w); err != nil {
+			return err
+		}
+		return totals.WriteSnapshot(w)
+	})
+	if err != nil {
 		return "", err
 	}
 	return bundle, writeFile(filepath.Join(bundle, "series.json"), s.WriteJSON)

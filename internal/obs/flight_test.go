@@ -206,6 +206,34 @@ func TestWriteFlightBundle(t *testing.T) {
 	}
 }
 
+// TestFlightBundleLeavesRegistryUnchanged: the bundle's tracer totals
+// must not leak into the run's registry, whose snapshot the -metrics
+// file writes after a trip.
+func TestFlightBundleLeavesRegistryUnchanged(t *testing.T) {
+	tr := NewTracer()
+	l := tr.Lane("main", 64)
+	id := tr.Span("step")
+	l.Begin(id)
+	l.End(id)
+	reg := NewRegistry()
+	reg.Add(reg.Counter("engine/steps"), 1)
+	before := reg.Snapshot()
+	bundle, err := WriteFlightBundle(t.TempDir(), FlightInfo{Cause: "nan_state", Step: 1}, nil, tr, reg, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if after := reg.Snapshot(); after != before {
+		t.Fatalf("WriteFlightBundle changed the registry:\nbefore:\n%s\nafter:\n%s", before, after)
+	}
+	metrics, err := os.ReadFile(filepath.Join(bundle, "metrics.txt"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.HasPrefix(string(metrics), before) || !strings.Contains(string(metrics), "gauge trace/span/step/count 1\n") {
+		t.Fatalf("metrics.txt is not the run's snapshot followed by the span totals:\n%s", metrics)
+	}
+}
+
 func TestWriteFlightBundleNilComponents(t *testing.T) {
 	dir := t.TempDir()
 	bundle, err := WriteFlightBundle(dir,

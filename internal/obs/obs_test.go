@@ -36,36 +36,19 @@ func exportDoc(t *testing.T, tr *Tracer) traceDoc {
 	return doc
 }
 
-// checkBalanced walks one tid's B/E events with a stack: every E must
-// close the innermost open B of the same name, timestamps must be
-// nondecreasing, and nothing may remain open.
-func checkBalanced(t *testing.T, events []traceEvent) {
+// checkSpans checks one tid's events: every one is a finished span ("X")
+// with a nonnegative duration, in nondecreasing start order.
+func checkSpans(t *testing.T, events []traceEvent) {
 	t.Helper()
-	var stack []string
 	lastTs := -1.0
 	for _, e := range events {
-		if e.Ph != "B" && e.Ph != "E" {
-			continue
+		if e.Ph != "X" || e.Dur < 0 {
+			t.Fatalf("event %+v: want an X event with dur >= 0", e)
 		}
 		if e.Ts < lastTs {
 			t.Fatalf("timestamps not monotonic: %v after %v", e.Ts, lastTs)
 		}
 		lastTs = e.Ts
-		switch e.Ph {
-		case "B":
-			stack = append(stack, e.Name)
-		case "E":
-			if len(stack) == 0 {
-				t.Fatalf("E %q with no open span", e.Name)
-			}
-			if top := stack[len(stack)-1]; top != e.Name {
-				t.Fatalf("E %q closes open span %q (improper nesting)", e.Name, top)
-			}
-			stack = stack[:len(stack)-1]
-		}
-	}
-	if len(stack) != 0 {
-		t.Fatalf("unmatched B events remain open: %v", stack)
 	}
 }
 
@@ -101,14 +84,15 @@ func TestBeginEndDuration(t *testing.T) {
 	if dur < 0 {
 		t.Fatalf("negative duration %d", dur)
 	}
-	doc := exportDoc(t, tr)
-	events := byTid(doc)[0]
-	if len(events) != 2 || events[0].Ph != "B" || events[1].Ph != "E" {
-		t.Fatalf("want one B/E pair, got %+v", events)
+	events := byTid(exportDoc(t, tr))[0]
+	if len(events) != 1 || events[0].Name != "work" {
+		t.Fatalf("want one work span, got %+v", events)
 	}
-	checkBalanced(t, events)
+	checkSpans(t, events)
 }
 
+// TestNestedSpansExportBalanced: each step span is exported before, and
+// encloses, the inner spans it contains.
 func TestNestedSpansExportBalanced(t *testing.T) {
 	tr := NewTracer()
 	lane := tr.Lane("main", 256)
@@ -122,57 +106,126 @@ func TestNestedSpansExportBalanced(t *testing.T) {
 		}
 		lane.End(step)
 	}
-	doc := exportDoc(t, tr)
-	events := byTid(doc)[0]
-	if len(events) != 10*2+10*3*2 {
-		t.Fatalf("got %d events, want %d", len(events), 10*2+10*3*2)
+	events := byTid(exportDoc(t, tr))[0]
+	if len(events) != 10+10*3 {
+		t.Fatalf("got %d events, want %d", len(events), 10+10*3)
 	}
-	checkBalanced(t, events)
+	checkSpans(t, events)
+	var parent traceEvent
+	for i, e := range events {
+		if e.Name == "step" {
+			parent = e
+			continue
+		}
+		if parent.Name == "" || e.Ts < parent.Ts || e.Ts+e.Dur > parent.Ts+parent.Dur+1e-6 {
+			t.Fatalf("event %d %+v is not inside the step before it, %+v", i, e, parent)
+		}
+	}
 }
 
 // TestRingWraparound floods a small ring far past its capacity: the
 // lane must keep accepting records without allocating or corrupting,
-// and the export must still be balanced (pairs split by the wrap are
-// dropped, not emitted dangling).
+// and the export holds the newest spans the ring still has.
 func TestRingWraparound(t *testing.T) {
 	tr := NewTracer()
-	lane := tr.Lane("wrap", 64) // ring of 64 events
+	lane := tr.Lane("wrap", 64) // ring of 64 spans
 	id := tr.Span("s")
 	const spans = 10_000
 	for i := 0; i < spans; i++ {
 		lane.Begin(id)
 		lane.End(id)
 	}
-	if _, over := lane.Dropped(); over != 2*spans-64 {
-		t.Fatalf("ring overwrites = %d, want %d", over, 2*spans-64)
+	if _, over := lane.Dropped(); over != spans-64 {
+		t.Fatalf("ring overwrites = %d, want %d", over, spans-64)
 	}
-	doc := exportDoc(t, tr)
-	events := byTid(doc)[0]
-	if len(events) == 0 || len(events) > 64 {
+	events := byTid(exportDoc(t, tr))[0]
+	if len(events) != 64 {
 		t.Fatalf("exported %d events from a 64-slot ring", len(events))
 	}
-	checkBalanced(t, events)
+	checkSpans(t, events)
 }
 
-// TestRingWraparoundOpenSpan: a Begin overwritten by the wrap must not
-// leave its End dangling in the export.
+// TestLaneRingHoldsFinishedSpans: a ring of N records holds N spans,
+// one record each.
+func TestLaneRingHoldsFinishedSpans(t *testing.T) {
+	tr := NewTracer()
+	lane := tr.Lane("full", 64)
+	id := tr.Span("s")
+	for i := 0; i < 64; i++ {
+		lane.Begin(id)
+		lane.End(id)
+	}
+	if _, over := lane.Dropped(); over != 0 {
+		t.Fatalf("64 spans in a 64-record ring overwrote %d", over)
+	}
+	events := byTid(exportDoc(t, tr))[0]
+	if len(events) != 64 {
+		t.Fatalf("exported %d spans, want 64", len(events))
+	}
+	checkSpans(t, events)
+}
+
+// TestRingWraparoundOpenSpan: an outer span whose children wrapped the
+// ring is absent while open and exported once it closes, starting
+// before every child still resident and ending after them.
 func TestRingWraparoundOpenSpan(t *testing.T) {
 	tr := NewTracer()
 	lane := tr.Lane("wrap", 64)
 	outer := tr.Span("outer")
 	tick := tr.Span("tick")
 	lane.Begin(outer)
-	for i := 0; i < 500; i++ { // push the outer B out of the ring
+	for i := 0; i < 500; i++ { // wrap the ring many times over
 		lane.Begin(tick)
 		lane.End(tick)
 	}
-	lane.End(outer)
-	doc := exportDoc(t, tr)
-	checkBalanced(t, byTid(doc)[0])
-	for _, e := range byTid(doc)[0] {
+	for _, e := range byTid(exportDoc(t, tr))[0] {
 		if e.Name == "outer" {
-			t.Fatal("outer span emitted although its Begin was overwritten")
+			t.Fatal("outer span exported while still open")
 		}
+	}
+	lane.End(outer)
+	events := byTid(exportDoc(t, tr))[0]
+	checkSpans(t, events)
+	if len(events) != 64 || events[0].Name != "outer" {
+		t.Fatalf("want outer first of 64 spans, got %d starting %+v", len(events), events[0])
+	}
+	for _, e := range events[1:] {
+		if e.Ts < events[0].Ts || e.Ts+e.Dur > events[0].Ts+events[0].Dur+1e-6 {
+			t.Fatalf("tick %+v outside outer %+v", e, events[0])
+		}
+	}
+}
+
+// TestExportWhileRecording: the lane's writer runs nested spans while
+// another goroutine exports and reads the drop counters. Run it under
+// -race.
+func TestExportWhileRecording(t *testing.T) {
+	tr := NewTracer()
+	lane := tr.Lane("main", 64)
+	outer, inner := tr.Span("outer"), tr.Span("inner")
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 2000; i++ {
+			lane.Begin(outer)
+			lane.Begin(inner)
+			lane.End(inner)
+			lane.End(outer)
+		}
+	}()
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		checkSpans(t, byTid(exportDoc(t, tr))[0])
+		if drops, _ := lane.Dropped(); drops != 0 {
+			t.Fatalf("stack drops = %d with nesting depth 2", drops)
+		}
+	}
+	if n, _ := tr.SpanTotal(outer); n != 2000 {
+		t.Fatalf("SpanTotal(outer) = %d, want 2000", n)
 	}
 }
 
@@ -230,10 +283,8 @@ func TestConcurrentLanes(t *testing.T) {
 	if got := reg.CounterValue(c); got != workers*500 {
 		t.Fatalf("counter = %d, want %d", got, workers*500)
 	}
-	doc := exportDoc(t, tr)
-	for tid, events := range byTid(doc) {
-		_ = tid
-		checkBalanced(t, events)
+	for _, events := range byTid(exportDoc(t, tr)) {
+		checkSpans(t, events)
 	}
 }
 
@@ -285,7 +336,7 @@ func TestNilSafety(t *testing.T) {
 		t.Fatal("nil tracer not inert")
 	}
 	lane.Begin(0)
-	if lane.End(0) != 0 || lane.Complete(0, 0) != 0 || lane.Name() != "" {
+	if lane.End(0) != 0 || lane.Complete(0, 0) != 0 {
 		t.Fatal("nil lane not inert")
 	}
 	if s, o := lane.Dropped(); s != 0 || o != 0 {

@@ -11,15 +11,15 @@ import (
 // must be visible in CI artifacts.
 func TestPublishRingOverwriteCounter(t *testing.T) {
 	tr := NewTracer()
-	l := tr.Lane("main", 64) // minimum ring: 64 records
+	l := tr.Lane("main", 64) // minimum ring: 64 spans
 	id := tr.Span("step")
-	for i := 0; i < 50; i++ { // 100 records > 64: wraps
+	for i := 0; i < 100; i++ { // 100 spans > 64: wraps
 		l.Begin(id)
 		l.End(id)
 	}
 	_, over := l.Dropped()
 	if over == 0 {
-		t.Fatal("expected ring overwrites after 100 records in a 64-slot ring")
+		t.Fatal("expected ring overwrites after 100 spans in a 64-slot ring")
 	}
 
 	reg := NewRegistry()
@@ -31,8 +31,8 @@ func TestPublishRingOverwriteCounter(t *testing.T) {
 	if !strings.Contains(snap, "gauge trace/stack_drops 0") {
 		t.Fatalf("stack drop counter missing from snapshot:\n%s", snap)
 	}
-	// Span totals: 50 matched step spans.
-	if !strings.Contains(snap, "gauge trace/span/step/count 50") {
+	// Span totals: 100 matched step spans.
+	if !strings.Contains(snap, "gauge trace/span/step/count 100") {
 		t.Fatalf("span totals missing from snapshot:\n%s", snap)
 	}
 	if !strings.Contains(snap, "gauge trace/span/step/ns ") {

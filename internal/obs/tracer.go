@@ -9,11 +9,11 @@
 //
 //   - Recording a span (Lane.Begin / Lane.End / Lane.Complete) or a
 //     metric sample (Registry.Add / Registry.ObserveInt) never touches
-//     the heap: storage is preallocated at registration time and
-//     records are fixed-size writes into a ring buffer or
-//     slice-indexed counters. The repo's own analyzer enforces this:
-//     the record methods are reached from the engine's paraxlint roots
-//     (or, like Lane.Complete, are //paraxlint:noalloc roots themselves).
+//     the heap: storage is preallocated at registration time and a
+//     record is one fixed-size write — a finished span into a ring, a
+//     sample into a slice-indexed counter. The repo's own analyzer
+//     enforces this: the record methods are reached from the engine's
+//     paraxlint roots (or, like Lane.Complete, are noalloc roots).
 //   - Every record method is nil-receiver safe, so instrumented code
 //     needs no "is tracing on?" branches: a disabled tracer is a nil
 //     pointer and the call is a single predicted-taken test.
@@ -28,6 +28,8 @@
 package obs
 
 import (
+	"cmp"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -35,13 +37,6 @@ import (
 
 // SpanID names a registered span type.
 type SpanID int32
-
-// Event kinds stored in a lane's ring buffer.
-const (
-	evBegin uint8 = iota
-	evEnd
-	evComplete
-)
 
 // maxOpenSpans bounds a lane's open-span stack (nesting depth).
 const maxOpenSpans = 32
@@ -62,12 +57,11 @@ type spanTotal struct {
 	ns    atomic.Int64
 }
 
-// event is one fixed-size ring record.
+// event is one fixed-size ring record: a finished span.
 type event struct {
-	id   SpanID
-	kind uint8
-	ts   int64 // nanoseconds since tracer start
-	dur  int64 // evComplete only
+	id    SpanID
+	start int64 // nanoseconds since tracer start
+	dur   int64
 }
 
 type openSpan struct {
@@ -114,10 +108,10 @@ func (t *Tracer) Span(name string) SpanID {
 }
 
 // Lane allocates a new lane (one Perfetto track) with a ring of at
-// least `events` records (rounded up to a power of two, minimum 64).
-// Lanes are single-writer by convention — one per worker goroutine —
-// but a small per-lane mutex makes sharing safe where convenient (the
-// arch models record complete spans from pool workers).
+// least `events` finished spans (rounded up to a power of two, minimum
+// 64). Begin and End belong to the lane's one writer — one lane per
+// worker goroutine — while Complete takes the lane mutex and may come
+// from any goroutine (the arch models record spans from pool workers).
 func (t *Tracer) Lane(name string, events int) *Lane {
 	if t == nil {
 		return nil
@@ -152,9 +146,9 @@ func (t *Tracer) Now() int64 {
 	return time.Since(t.start).Nanoseconds()
 }
 
-// Lane is one track of span records with a private ring buffer.
+// Lane is one track of finished-span records with a private ring buffer.
 type Lane struct {
-	mu   sync.Mutex
+	mu   sync.Mutex // guards buf and head against WriteTrace and Dropped
 	tr   *Tracer
 	id   int32
 	name string
@@ -162,60 +156,38 @@ type Lane struct {
 	mask int64
 	head int64 // total records ever written; buf[head&mask] is next
 
+	// The open-span stack is the writer's alone: only Begin and End
+	// touch it, so it needs no lock.
 	stack [maxOpenSpans]openSpan
 	depth int32
-	// dropped counts Begin records whose stack slot was exhausted.
-	dropped int64
+	// dropped counts Begins whose stack slot was exhausted.
+	dropped atomic.Int64
 }
 
-// Name returns the lane's track name.
-func (l *Lane) Name() string {
-	if l == nil {
-		return ""
-	}
-	return l.name
-}
-
-// Begin records the start of a span on this lane.
+// Begin opens a span on this lane. Nothing is recorded until its End.
 func (l *Lane) Begin(id SpanID) {
 	if l == nil {
 		return
 	}
-	ts := l.tr.Now()
-	//paraxlint:allow(parsafe) per-lane mutex: one worker writes, contended only by Flush between steps
-	l.mu.Lock()
-	if l.depth < maxOpenSpans {
-		l.stack[l.depth] = openSpan{id: id, ts: ts}
-		l.depth++
-	} else {
-		l.dropped++
+	if l.depth == maxOpenSpans {
+		l.dropped.Add(1)
+		return
 	}
-	l.buf[l.head&l.mask] = event{id: id, kind: evBegin, ts: ts}
-	l.head++
-	//paraxlint:allow(parsafe) per-lane mutex: one worker writes, contended only by Flush between steps
-	l.mu.Unlock()
+	l.stack[l.depth] = openSpan{id: id, ts: l.tr.Now()}
+	l.depth++
 }
 
-// End records the end of the innermost open span with this ID and
-// returns its duration in nanoseconds (0 if the matching Begin was
-// lost to stack overflow or ring reuse).
+// End closes and records the innermost open span if it carries this ID,
+// and returns its duration in nanoseconds (0, and nothing recorded, if
+// it does not: the matching Begin was lost to stack overflow).
 func (l *Lane) End(id SpanID) int64 {
-	if l == nil {
+	if l == nil || l.depth == 0 || l.stack[l.depth-1].id != id {
 		return 0
 	}
-	ts := l.tr.Now()
-	var dur int64
-	//paraxlint:allow(parsafe) per-lane mutex: one worker writes, contended only by Flush between steps
-	l.mu.Lock()
-	if l.depth > 0 && l.stack[l.depth-1].id == id {
-		l.depth--
-		dur = ts - l.stack[l.depth].ts
-		l.tr.addTotal(id, dur)
-	}
-	l.buf[l.head&l.mask] = event{id: id, kind: evEnd, ts: ts}
-	l.head++
-	//paraxlint:allow(parsafe) per-lane mutex: one worker writes, contended only by Flush between steps
-	l.mu.Unlock()
+	l.depth--
+	start := l.stack[l.depth].ts
+	dur := l.tr.Now() - start
+	l.record(id, start, dur)
 	return dur
 }
 
@@ -232,12 +204,20 @@ func (l *Lane) Complete(id SpanID, startNanos int64) int64 {
 	if dur < 0 {
 		dur = 0
 	}
+	l.record(id, startNanos, dur)
+	return dur
+}
+
+// record writes one finished span into the ring and the totals. It is
+// the only place recording takes the lane mutex.
+func (l *Lane) record(id SpanID, start, dur int64) {
+	//paraxlint:allow(parsafe) per-lane mutex held for one ring write; an engine lane contends only with WriteTrace and Dropped
 	l.mu.Lock()
-	l.buf[l.head&l.mask] = event{id: id, kind: evComplete, ts: startNanos, dur: dur}
+	l.buf[l.head&l.mask] = event{id: id, start: start, dur: dur}
 	l.head++
+	//paraxlint:allow(parsafe) per-lane mutex held for one ring write; an engine lane contends only with WriteTrace and Dropped
 	l.mu.Unlock()
 	l.tr.addTotal(id, dur)
-	return dur
 }
 
 // addTotal folds one finished span into the cumulative totals table.
@@ -251,11 +231,11 @@ func (t *Tracer) addTotal(id SpanID, dur int64) {
 }
 
 // SpanTotal returns the cumulative count and summed duration (in
-// nanoseconds) of finished spans with this ID across all lanes —
-// End records that matched their Begin, plus Complete records. The
-// totals are wall-clock aggregates for performance reporting (e.g.
-// per-phase time in a benchmark run), not experiment output. Zero for
-// a nil tracer or an unregistered ID.
+// nanoseconds) of finished spans with this ID across all lanes — Ends
+// that matched their Begin, plus Completes. The totals are wall-clock
+// aggregates for performance reporting (e.g. per-phase time in a
+// benchmark run), not experiment output. Zero for a nil tracer or an
+// unregistered ID.
 func (t *Tracer) SpanTotal(id SpanID) (count, nanos int64) {
 	if t == nil || id < 0 || int(id) >= maxSpanTotals {
 		return 0, 0
@@ -264,8 +244,8 @@ func (t *Tracer) SpanTotal(id SpanID) (count, nanos int64) {
 	return tt.count.Load(), tt.ns.Load()
 }
 
-// Dropped reports how many Begin records overflowed the open-span
-// stack, and how many ring records have been overwritten by wraparound.
+// Dropped reports how many Begins overflowed the open-span stack, and
+// how many finished spans the ring has overwritten by wraparound.
 func (l *Lane) Dropped() (stackDrops, ringOverwrites int64) {
 	if l == nil {
 		return 0, 0
@@ -276,15 +256,15 @@ func (l *Lane) Dropped() (stackDrops, ringOverwrites int64) {
 	if over < 0 {
 		over = 0
 	}
-	return l.dropped, over
+	return l.dropped.Load(), over
 }
 
 // Publish folds the tracer's cumulative aggregates into a metrics
 // registry as gauges, so trace loss and per-phase time show up in the
 // same snapshot artifact CI already uploads:
 //
-//	trace/stack_drops          summed Begin records lost to stack overflow
-//	trace/ring_overwrites      summed ring records lost to wraparound
+//	trace/stack_drops          summed Begins lost to stack overflow
+//	trace/ring_overwrites      summed finished spans lost to wraparound
 //	trace/span/<name>/count    finished-span count for each span ID
 //	trace/span/<name>/ns       summed duration for each span ID
 //
@@ -323,17 +303,20 @@ func (t *Tracer) Publish(reg *Registry) {
 	}
 }
 
-// snapshotEvents copies the lane's live ring contents, oldest first.
+// snapshotEvents copies the lane's resident spans in export order: by
+// start, the longer first on ties, so a parent precedes its children.
+// Copying newest first breaks exact ties the same way, since a parent
+// is recorded after its children.
 func (l *Lane) snapshotEvents() []event {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	n := l.head
-	if n > int64(len(l.buf)) {
-		n = int64(len(l.buf))
-	}
+	l.mu.Lock() // copy under the lock, sort after it
+	n := min(l.head, int64(len(l.buf)))
 	out := make([]event, 0, n)
-	for i := l.head - n; i < l.head; i++ {
+	for i := l.head - 1; i >= l.head-n; i-- {
 		out = append(out, l.buf[i&l.mask])
 	}
+	l.mu.Unlock()
+	slices.SortStableFunc(out, func(a, b event) int {
+		return cmp.Or(cmp.Compare(a.start, b.start), cmp.Compare(b.dur, a.dur))
+	})
 	return out
 }

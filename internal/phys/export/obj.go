@@ -14,30 +14,15 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
-// Options controls what gets written.
-type Options struct {
-	// SkipStatic omits immobile geometry (terrain can dominate a dump).
-	SkipStatic bool
-	// SkipDisabled omits disabled geoms (unbroken debris).
-	SkipDisabled bool
-	// SphereSegments controls sphere/capsule tessellation (default 8).
-	SphereSegments int
-}
+// sphereSegments is the latitude and longitude division of every
+// sphere and capsule end.
+const sphereSegments = 8
 
 // OBJ writes the world's current geometry to w as a Wavefront OBJ.
-func OBJ(out io.Writer, w *world.World, opt Options) error {
-	if opt.SphereSegments < 3 {
-		opt.SphereSegments = 8
-	}
-	e := &objWriter{out: out, seg: opt.SphereSegments}
+func OBJ(out io.Writer, w *world.World) error {
+	e := &objWriter{out: out}
 	fmt.Fprintln(out, "# parallax world snapshot")
 	for gi, g := range w.Geoms {
-		if opt.SkipDisabled && !g.Enabled() {
-			continue
-		}
-		if opt.SkipStatic && g.Flags.Has(geom.FlagStatic) {
-			continue
-		}
 		if g.Flags.Has(geom.FlagCloth) || g.Flags.Has(geom.FlagBlast) {
 			continue
 		}
@@ -63,7 +48,6 @@ func OBJ(out io.Writer, w *world.World, opt Options) error {
 type objWriter struct {
 	out io.Writer
 	n   int // vertices written
-	seg int
 	err error
 }
 
@@ -161,7 +145,7 @@ func (e *objWriter) box(g *geom.Geom, half m3.Vec) {
 
 // uvSphere emits a latitude/longitude tessellated sphere.
 func (e *objWriter) uvSphere(center m3.Vec, r float64) {
-	seg := e.seg
+	const seg = sphereSegments
 	base := e.n
 	// Poles plus (seg-1) rings of seg vertices.
 	e.vert(center.Add(m3.V(0, r, 0)))

@@ -58,7 +58,7 @@ func parseOBJ(t *testing.T, s string) (verts, faces int) {
 func TestOBJExportAllShapes(t *testing.T) {
 	w := sceneForExport()
 	var sb strings.Builder
-	if err := OBJ(&sb, w, Options{}); err != nil {
+	if err := OBJ(&sb, w); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()
@@ -73,33 +73,6 @@ func TestOBJExportAllShapes(t *testing.T) {
 	}
 }
 
-func TestOBJSkipOptions(t *testing.T) {
-	w := sceneForExport()
-	var full, noStatic strings.Builder
-	if err := OBJ(&full, w, Options{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := OBJ(&noStatic, w, Options{SkipStatic: true}); err != nil {
-		t.Fatal(err)
-	}
-	if noStatic.Len() >= full.Len() {
-		t.Error("SkipStatic did not shrink the export")
-	}
-	if strings.Contains(noStatic.String(), "plane") {
-		t.Error("SkipStatic left the ground plane in")
-	}
-	// Disabled debris skipped.
-	_, gi := w.AddBody(geom.Box{Half: m3.V(0.1, 0.1, 0.1)}, 1, m3.V(0, 5, 0), m3.QIdent, geom.FlagDebris, 0)
-	w.DisableBodyGeom(gi)
-	var noDisabled strings.Builder
-	if err := OBJ(&noDisabled, w, Options{SkipDisabled: true}); err != nil {
-		t.Fatal(err)
-	}
-	if strings.Contains(noDisabled.String(), fmt.Sprintf("geom_%d_", gi)) {
-		t.Error("SkipDisabled left the disabled geom in")
-	}
-}
-
 func TestOBJAfterSimulation(t *testing.T) {
 	// Export stays valid after the scene has evolved (rotated boxes,
 	// moved cloth).
@@ -108,7 +81,7 @@ func TestOBJAfterSimulation(t *testing.T) {
 		w.Step()
 	}
 	var sb strings.Builder
-	if err := OBJ(&sb, w, Options{}); err != nil {
+	if err := OBJ(&sb, w); err != nil {
 		t.Fatal(err)
 	}
 	parseOBJ(t, sb.String())

@@ -1,79 +1,27 @@
 package workload
 
 import (
-	"fmt"
-	"io"
-
 	"github.com/parallax-arch/parallax/internal/phys/geom"
-	"github.com/parallax-arch/parallax/internal/phys/joint"
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
-// SceneStats is this suite's Table 4 row: the static composition of a
-// benchmark scene.
-type SceneStats struct {
-	Name            string
-	StaticObjs      int
-	DynamicObjs     int
-	PrefracturedObj int
-	ClothObjs       int
-	ClothVerts      int
-	StaticJoints    int
-	// Measured after warm-up (the first step of the measured frame):
-	ObjPairs int
-	Islands  int
-}
-
-// MeasureStats warms the world up by one simulation step (the paper
-// warms each benchmark for one step before measuring) and collects the
-// Table 4 row.
-func MeasureStats(name string, w *world.World) SceneStats {
-	s := SceneStats{Name: name}
+// Composition classifies a scene the way Table 4 reports it: its geoms
+// as static, dynamic or prefractured (cloth proxies and blast volumes
+// are none of these), its cloths and their vertices, and its joints.
+func Composition(w *world.World) (static, dynamic, prefractured, cloths, clothVerts, joints int) {
 	for _, g := range w.Geoms {
 		switch {
-		case g.Flags.Has(geom.FlagCloth):
-			// proxy, not an object
+		case g.Flags.Has(geom.FlagCloth) || g.Flags.Has(geom.FlagBlast):
 		case g.Flags.Has(geom.FlagDebris):
-			s.PrefracturedObj++
+			prefractured++
 		case g.Flags.Has(geom.FlagStatic):
-			s.StaticObjs++
-		case g.Flags.Has(geom.FlagBlast):
-			// transient
+			static++
 		default:
-			s.DynamicObjs++
+			dynamic++
 		}
 	}
 	for _, c := range w.Cloths {
-		s.ClothObjs++
-		s.ClothVerts += c.NumVertices()
+		clothVerts += c.NumVertices()
 	}
-	for _, j := range w.Joints {
-		if _, isBr := j.(*joint.Breakable); isBr {
-			s.StaticJoints++
-			continue
-		}
-		s.StaticJoints++
-	}
-	w.Step() // warm-up
-	s.ObjPairs = w.Profile.Pairs
-	s.Islands = len(w.Profile.Islands)
-	return s
-}
-
-// PrintTable4 writes the suite's Table 4 analog for all benchmarks at
-// the given scale.
-func PrintTable4(wr io.Writer, scale float64) []SceneStats {
-	fmt.Fprintf(wr, "%-12s %9s %8s %6s %14s %11s %12s %13s\n",
-		"Benchmark", "Obj-Pairs", "Islands", "Cloth", "[vertices]",
-		"StaticObjs", "DynamicObjs", "Prefractured")
-	var out []SceneStats
-	for _, b := range All {
-		w := b.Build(scale)
-		st := MeasureStats(b.Name, w)
-		fmt.Fprintf(wr, "%-12s %9d %8d %6d %14d %11d %12d %13d\n",
-			st.Name, st.ObjPairs, st.Islands, st.ClothObjs, st.ClothVerts,
-			st.StaticObjs, st.DynamicObjs, st.PrefracturedObj)
-		out = append(out, st)
-	}
-	return out
+	return static, dynamic, prefractured, len(w.Cloths), clothVerts, len(w.Joints)
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"slices"
 	"testing"
 
@@ -66,34 +65,31 @@ func TestHumanoidSegmentCount(t *testing.T) {
 }
 
 func TestPeriodicComposition(t *testing.T) {
-	w := BuildPeriodic(1.0)
-	st := MeasureStats("Periodic", w)
-	if st.DynamicObjs != 480 {
-		t.Errorf("Periodic dynamic objects = %d, want 480 (30 humanoids x 16)", st.DynamicObjs)
+	_, dynamic, prefractured, cloths, _, joints := Composition(BuildPeriodic(1.0))
+	if dynamic != 480 {
+		t.Errorf("Periodic dynamic objects = %d, want 480 (30 humanoids x 16)", dynamic)
 	}
-	if st.StaticJoints != 450 {
-		t.Errorf("Periodic joints = %d, want 450", st.StaticJoints)
+	if joints != 450 {
+		t.Errorf("Periodic joints = %d, want 450", joints)
 	}
-	if st.ClothObjs != 0 || st.PrefracturedObj != 0 {
-		t.Errorf("Periodic should have no cloth or prefracture: %+v", st)
+	if cloths != 0 || prefractured != 0 {
+		t.Errorf("Periodic should have no cloth or prefracture: %d cloths, %d prefractured", cloths, prefractured)
 	}
 }
 
 func TestDeformableComposition(t *testing.T) {
-	w := BuildDeformable(1.0)
-	st := MeasureStats("Deformable", w)
-	if st.ClothObjs != 32 {
-		t.Errorf("Deformable cloths = %d, want 32 (30 small + 2 large)", st.ClothObjs)
+	_, _, _, cloths, verts, _ := Composition(BuildDeformable(1.0))
+	if cloths != 32 {
+		t.Errorf("Deformable cloths = %d, want 32 (30 small + 2 large)", cloths)
 	}
-	if st.ClothVerts != 30*25+2*625 {
-		t.Errorf("Deformable cloth verts = %d, want %d", st.ClothVerts, 30*25+2*625)
+	if verts != 30*25+2*625 {
+		t.Errorf("Deformable cloth verts = %d, want %d", verts, 30*25+2*625)
 	}
 }
 
 func TestBreakableHasPrefracture(t *testing.T) {
 	w := BuildBreakable(testScale)
-	st := MeasureStats("Breakable", w)
-	if st.PrefracturedObj == 0 {
+	if _, _, prefractured, _, _, _ := Composition(w); prefractured == 0 {
 		t.Error("Breakable has no prefractured debris")
 	}
 	if len(w.Explosives) == 0 {
@@ -131,11 +127,11 @@ func TestHighspeedProjectilesHit(t *testing.T) {
 
 func TestMixHasEverything(t *testing.T) {
 	w := BuildMix(testScale)
-	st := MeasureStats("Mix", w)
-	if st.ClothObjs == 0 {
+	_, _, prefractured, cloths, _, _ := Composition(w)
+	if cloths == 0 {
 		t.Error("Mix has no cloth")
 	}
-	if st.PrefracturedObj == 0 {
+	if prefractured == 0 {
 		t.Error("Mix has no prefracture")
 	}
 	if len(w.Explosives) == 0 {
@@ -180,7 +176,7 @@ func TestWorkerSweepsChunks(t *testing.T) {
 }
 
 // laneSpans steps w at two threads under a tracer for 20 steps and
-// counts the spans of the given name that each trace lane began, by lane
+// counts the spans of the given name that each trace lane recorded, by lane
 // name. The two lanes are mix/worker0 (the calling goroutine) and
 // mix/worker1 (the pool's worker); both must be in the trace.
 func laneSpans(t *testing.T, w *world.World, span string) map[string]int {
@@ -214,7 +210,7 @@ func laneSpans(t *testing.T, w *world.World, span string) map[string]int {
 		switch {
 		case e.Ph == "M" && e.Name == "thread_name":
 			laneOf[e.Tid] = e.Args.Name
-		case e.Ph == "B" && e.Name == span:
+		case e.Ph == "X" && e.Name == span:
 			perTid[e.Tid]++
 		}
 	}
@@ -230,14 +226,17 @@ func laneSpans(t *testing.T, w *world.World, span string) map[string]int {
 	return lanes
 }
 
-func TestPrintTable4SmallScale(t *testing.T) {
-	rows := PrintTable4(io.Discard, 0.06)
-	if len(rows) != 8 {
-		t.Fatalf("rows = %d", len(rows))
-	}
-	for _, r := range rows {
-		if r.ObjPairs == 0 {
-			t.Errorf("%s: no object pairs measured", r.Name)
+// firstStepPairs steps w once (the paper warms each benchmark for one
+// step before measuring) and returns its candidate pair count.
+func firstStepPairs(w *world.World) int {
+	w.Step()
+	return w.Profile.Pairs
+}
+
+func TestEverySceneHasPairsAfterOneStep(t *testing.T) {
+	for _, b := range All {
+		if firstStepPairs(b.Build(0.06)) == 0 {
+			t.Errorf("%s@0.06: no object pairs after one step", b.Name)
 		}
 	}
 }
@@ -247,11 +246,10 @@ func TestComplexityOrdering(t *testing.T) {
 	// (paper: "The distribution of execution times shows good complexity
 	// scaling ranging from Periodic to Mix"). Check the pair counts of
 	// the extremes at a common scale.
-	per := MeasureStats("Periodic", BuildPeriodic(0.1))
-	mix := MeasureStats("Mix", BuildMix(0.1))
-	if mix.ObjPairs <= per.ObjPairs {
-		t.Errorf("Mix (%d pairs) should exceed Periodic (%d pairs)",
-			mix.ObjPairs, per.ObjPairs)
+	per := firstStepPairs(BuildPeriodic(0.1))
+	mix := firstStepPairs(BuildMix(0.1))
+	if mix <= per {
+		t.Errorf("Mix (%d pairs) should exceed Periodic (%d pairs)", mix, per)
 	}
 }
 

@@ -37,7 +37,7 @@ func TestStepTraceCoversPhases(t *testing.T) {
 		}
 		seen := map[string]bool{}
 		for _, e := range doc.TraceEvents {
-			if e.Ph == "B" || e.Ph == "X" {
+			if e.Ph == "X" {
 				seen[e.Name] = true
 			}
 		}

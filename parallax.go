@@ -98,7 +98,7 @@ func BoxHull(half Vec) *geom.Hull { return geom.BoxHull(half) }
 // ExportOBJ writes the world's current geometry to out as a Wavefront
 // OBJ file for inspection in any 3D viewer.
 func ExportOBJ(out io.Writer, w *World) error {
-	return export.OBJ(out, w, export.Options{})
+	return export.OBJ(out, w)
 }
 
 // ---- engine re-exports ----
