@@ -1,10 +1,14 @@
 // Command paraxlint runs the repository's static-invariant analyzers
-// (determinism, floatcmp, chunkown per package, plus the module-spanning
-// parsafe call-graph analysis, which holds everything reachable from a
-// //paraxlint:noalloc root to "no allocation" and everything reachable
-// from a //paraxlint:parroot worker to the concurrency rules as well —
-// see internal/lint) over a set of package patterns and exits non-zero
-// if any finding survives its //paraxlint:allow escape hatches.
+// (determinism, floatcmp, chunkown and parsafe, the call-graph analysis
+// that holds everything reachable from a //paraxlint:noalloc root to "no
+// allocation" and everything reachable from a //paraxlint:parroot worker
+// to the concurrency rules as well — see internal/lint) and exits
+// non-zero if any finding survives its //paraxlint:allow escape hatches.
+//
+// Every run type-checks and analyzes the whole module; the package
+// patterns only choose where findings are reported. A run over some
+// packages therefore prints exactly the lines a run over ./... prints
+// for them. An unknown -only name exits 2 before anything loads.
 //
 // Findings are printed sorted by (file, line, column, analyzer), so the
 // output is byte-stable across runs and diffable as a CI artifact; -o
@@ -34,9 +38,6 @@ func main() {
 		for _, a := range lint.All {
 			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
 		}
-		for _, a := range lint.AllModule {
-			fmt.Fprintf(os.Stderr, "  %-12s %s\n", a.Name, a.Doc)
-		}
 	}
 	flag.Parse()
 	patterns := flag.Args()
@@ -45,32 +46,14 @@ func main() {
 	}
 
 	analyzers := lint.All
-	modAnalyzers := lint.AllModule
 	if *only != "" {
-		want := map[string]bool{}
-		for _, n := range strings.Split(*only, ",") {
-			want[strings.TrimSpace(n)] = true
-		}
-		analyzers = nil
-		for _, a := range lint.All {
-			if want[a.Name] {
-				analyzers = append(analyzers, a)
-			}
-		}
-		modAnalyzers = nil
-		for _, a := range lint.AllModule {
-			if want[a.Name] {
-				modAnalyzers = append(modAnalyzers, a)
-			}
-		}
-		if len(analyzers)+len(modAnalyzers) == 0 {
-			fmt.Fprintf(os.Stderr, "paraxlint: no analyzers match -only=%s\n", *only)
+		var err error
+		if analyzers, err = lint.Lookup(strings.Split(strings.ReplaceAll(*only, " ", ""), ",")...); err != nil {
+			fmt.Fprintf(os.Stderr, "paraxlint: %v\n", err)
 			os.Exit(2)
 		}
 	}
 
-	// LoadModule hands parsafe the full in-module closure even for subset
-	// patterns; per-package analyzers skip the DepOnly extras.
 	pkgs, err := lint.LoadModule(patterns...)
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "paraxlint: %v\n", err)
@@ -78,21 +61,8 @@ func main() {
 	}
 
 	var all []lint.Diagnostic
-	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			continue
-		}
-		for _, a := range analyzers {
-			diags, err := lint.RunAnalyzer(a, pkg)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "paraxlint: %v\n", err)
-				os.Exit(2)
-			}
-			all = append(all, diags...)
-		}
-	}
-	for _, a := range modAnalyzers {
-		diags, err := lint.RunModule(a, pkgs)
+	for _, a := range analyzers {
+		diags, err := lint.Run(a, pkgs)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "paraxlint: %v\n", err)
 			os.Exit(2)

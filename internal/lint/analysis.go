@@ -32,6 +32,7 @@ import (
 	"go/printer"
 	"go/token"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -39,7 +40,9 @@ import (
 // An Analyzer describes one static check. It deliberately mirrors
 // golang.org/x/tools/go/analysis.Analyzer so the checks can migrate to
 // the upstream framework wholesale if the dependency policy ever allows
-// it.
+// it. Every analyzer sees the whole loaded package set at once: a
+// per-package check loops over the passes, and parsafe builds its call
+// graph from all of them.
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and CI output.
 	Name string
@@ -49,8 +52,8 @@ type Analyzer struct {
 	// analyzer owns. An unused allow comment in an owned category is
 	// reported by this analyzer.
 	Categories []string
-	// Run executes the check over one package.
-	Run func(*Pass) error
+	// Run executes the check, given one pass per loaded package.
+	Run func([]*Pass) error
 }
 
 // A Pass provides one analyzer with one type-checked package and a sink
@@ -73,10 +76,8 @@ type Diagnostic struct {
 	Category string // allow-comment category that can suppress it
 	Message  string
 	Analyzer string
-	// Position is Pos resolved against the owning package's FileSet.
-	// Module-spanning analyzers produce diagnostics from several
-	// FileSets, so raw Pos values are not comparable across packages;
-	// Position is, and is what the CLI sorts and prints.
+	// Position is Pos resolved against the owning package's FileSet:
+	// what the CLI sorts and prints.
 	Position token.Position
 }
 
@@ -186,77 +187,57 @@ func (p *Pass) finish() {
 	}
 }
 
-// RunAnalyzer applies one analyzer to one loaded package and returns its
-// surviving diagnostics sorted by position.
-func RunAnalyzer(a *Analyzer, pkg *Package) ([]Diagnostic, error) {
-	pass := &Pass{
-		Analyzer:  a,
-		Fset:      pkg.Fset,
-		Files:     pkg.Files,
-		Pkg:       pkg.Types,
-		TypesInfo: pkg.TypesInfo,
-		src:       pkg.Src,
-	}
-	pass.collectAllows()
-	if err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %v", a.Name, pkg.Path, err)
-	}
-	pass.finish()
-	for i := range pass.diags {
-		pass.diags[i].Position = pkg.Fset.Position(pass.diags[i].Pos)
-	}
-	SortDiagnostics(pass.diags)
-	return pass.diags, nil
-}
-
-// A ModuleAnalyzer is a check that needs the whole module at once — a
-// cross-package call graph, facts flowing from one package's functions
-// to another's call sites — rather than one package at a time.
-type ModuleAnalyzer struct {
-	Name string
-	Doc  string
-	// Categories lists the //paraxlint:allow(...) categories this
-	// analyzer owns, matched per package exactly as for Analyzer.
-	Categories []string
-	Run        func(*ModulePass) error
-}
-
-// A ModulePass holds one type-checked package set and a per-package
-// diagnostic sink. Each package keeps its own FileSet (the loader
-// type-checks them independently), so diagnostics must be reported
-// through the pass belonging to the package that owns the position.
-type ModulePass struct {
-	Analyzer *ModuleAnalyzer
-	Pkgs     []*Package
-
-	passes map[*Package]*Pass
-}
-
-// Pass returns the diagnostic sink for one of the module's packages.
-// Allow-comment matching and unused-waiver reporting work exactly as in
-// single-package passes.
-func (mp *ModulePass) Pass(pkg *Package) *Pass { return mp.passes[pkg] }
-
-// RunModule applies one module analyzer to a loaded package set and
-// returns the surviving diagnostics sorted by (file, line, column,
-// analyzer). Allow comments are collected for every package up front so
-// an unused waiver anywhere in the set is a finding.
-func RunModule(a *ModuleAnalyzer, pkgs []*Package) ([]Diagnostic, error) {
-	mp := newModulePass(a, pkgs)
-	if err := a.Run(mp); err != nil {
+// Run applies one analyzer to a loaded package set and returns the
+// findings located in its matched packages, sorted by (file, line,
+// column, analyzer). The analyzer sees every package, so a root's reach
+// and a waiver's use count across all of them, and the findings of a
+// run over some packages are exactly those a run over the whole module
+// reports in them.
+func Run(a *Analyzer, pkgs []*Package) ([]Diagnostic, error) {
+	passes := newPasses(a, pkgs)
+	if err := a.Run(passes); err != nil {
 		return nil, fmt.Errorf("%s: %v", a.Name, err)
 	}
 	var diags []Diagnostic
-	for _, pkg := range pkgs {
-		pass := mp.passes[pkg]
-		pass.finish()
-		for i := range pass.diags {
-			pass.diags[i].Position = pkg.Fset.Position(pass.diags[i].Pos)
+	for i, pass := range passes {
+		if pkgs[i].Unmatched {
+			continue
 		}
-		diags = append(diags, pass.diags...)
+		pass.finish()
+		for _, d := range pass.diags {
+			d.Position = pass.Fset.Position(d.Pos)
+			diags = append(diags, d)
+		}
 	}
 	SortDiagnostics(diags)
 	return diags, nil
+}
+
+// newPasses builds one pass per package, its allow comments collected.
+func newPasses(a *Analyzer, pkgs []*Package) []*Pass {
+	passes := make([]*Pass, len(pkgs))
+	for i, pkg := range pkgs {
+		passes[i] = &Pass{
+			Analyzer:  a,
+			Fset:      pkg.Fset,
+			Files:     pkg.Files,
+			Pkg:       pkg.Types,
+			TypesInfo: pkg.TypesInfo,
+			src:       pkg.Src,
+		}
+		passes[i].collectAllows()
+	}
+	return passes
+}
+
+// eachPass adapts a one-package check to Analyzer.Run.
+func eachPass(check func(*Pass)) func([]*Pass) error {
+	return func(passes []*Pass) error {
+		for _, pass := range passes {
+			check(pass)
+		}
+		return nil
+	}
 }
 
 // SortDiagnostics orders findings by (file, line, column, analyzer) —
@@ -282,11 +263,25 @@ func SortDiagnostics(ds []Diagnostic) {
 }
 
 // All is the paraxlint suite in the order the multichecker runs it.
-var All = []*Analyzer{Determinism, FloatCmp, ChunkOwn}
+var All = []*Analyzer{Determinism, FloatCmp, ChunkOwn, ParSafe}
 
-// AllModule is the module-spanning suite, run after the per-package
-// analyzers.
-var AllModule = []*ModuleAnalyzer{ParSafe}
+// Lookup finds the named analyzers, in the order given. Unknown names
+// are an error listing the valid names.
+func Lookup(names ...string) ([]*Analyzer, error) {
+	as := make([]*Analyzer, len(names))
+	for i, name := range names {
+		j := slices.IndexFunc(All, func(a *Analyzer) bool { return a.Name == name })
+		if j < 0 {
+			valid := make([]string, len(All))
+			for k, a := range All {
+				valid[k] = a.Name
+			}
+			return nil, fmt.Errorf("lint: unknown analyzer %q (valid: %s)", name, strings.Join(valid, ", "))
+		}
+		as[i] = All[j]
+	}
+	return as, nil
+}
 
 // exprText renders an expression back to source text, for structural
 // matching of destinations (append-in-place, sort-after-range).

@@ -32,10 +32,10 @@ var ChunkOwn = &Analyzer{
 	Name:       "chunkown",
 	Doc:        "chunk workers may index-write shared slices only within [lo,hi) or through their own [chunk] buffer",
 	Categories: []string{"chunkown"},
-	Run:        runChunkOwn,
+	Run:        eachPass(runChunkOwn),
 }
 
-func runChunkOwn(pass *Pass) error {
+func runChunkOwn(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -58,7 +58,6 @@ func runChunkOwn(pass *Pass) error {
 			w.check(fd.Body)
 		}
 	}
-	return nil
 }
 
 // chunkParams returns the objects of a consecutive `chunk, lo, hi int`

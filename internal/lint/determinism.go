@@ -30,7 +30,7 @@ var Determinism = &Analyzer{
 	Name:       "determinism",
 	Doc:        "flags map-iteration order, global math/rand and time.Now leaking into engine results",
 	Categories: []string{"maprange", "rand", "time"},
-	Run:        runDeterminism,
+	Run:        eachPass(runDeterminism),
 }
 
 // globalRandOK lists math/rand (and /v2) functions that do not touch the
@@ -40,9 +40,9 @@ var globalRandOK = map[string]bool{
 	"NewPCG": true, "NewChaCha8": true,
 }
 
-func runDeterminism(pass *Pass) error {
+func runDeterminism(pass *Pass) {
 	if pass.Pkg.Name() == "main" {
-		return nil
+		return
 	}
 	for _, f := range pass.Files {
 		ast.Inspect(f, func(n ast.Node) bool {
@@ -57,7 +57,6 @@ func runDeterminism(pass *Pass) error {
 			return true
 		})
 	}
-	return nil
 }
 
 // calleeFunc resolves a call's target to its types.Func, if any.

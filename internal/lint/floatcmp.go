@@ -18,10 +18,10 @@ var FloatCmp = &Analyzer{
 	Name:       "floatcmp",
 	Doc:        "flags ==/!= between floating-point expressions (except against literal zero)",
 	Categories: []string{"floatcmp"},
-	Run:        runFloatCmp,
+	Run:        eachPass(runFloatCmp),
 }
 
-func runFloatCmp(pass *Pass) error {
+func runFloatCmp(pass *Pass) {
 	for _, f := range pass.Files {
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
@@ -31,7 +31,6 @@ func runFloatCmp(pass *Pass) error {
 			checkFloatCmps(pass, fd.Body)
 		}
 	}
-	return nil
 }
 
 func checkFloatCmps(pass *Pass, body *ast.BlockStmt) {

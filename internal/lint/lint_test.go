@@ -22,7 +22,7 @@ func TestChunkOwn(t *testing.T) {
 	linttest.Run(t, lint.ChunkOwn, filepath.Join("testdata", "chunkown"))
 }
 
-// TestParSafe drives the module-spanning analyzer over a three-package
+// TestParSafe drives the call-graph analyzer over a three-package
 // fixture. The dep subpackage chain (no directive on any frame) is the
 // load-bearing case: the alloc finding three frames below the root
 // exists because of transitive propagation alone — deleting a directive
@@ -30,21 +30,77 @@ func TestChunkOwn(t *testing.T) {
 // allocating-construct cases under //paraxlint:noalloc roots, and pins
 // that such a root is held to the allocation rule only.
 func TestParSafe(t *testing.T) {
-	linttest.RunModule(t, lint.ParSafe, filepath.Join("testdata", "parsafe"))
+	linttest.Run(t, lint.ParSafe, filepath.Join("testdata", "parsafe"))
 }
 
 // TestAllowSemantics pins the escape-hatch contract: an allow comment
 // suppresses findings on exactly one line, and an unused allow is itself
 // a finding (see testdata/allow).
 func TestAllowSemantics(t *testing.T) {
-	linttest.RunModule(t, lint.ParSafe, filepath.Join("testdata", "allow"))
+	linttest.Run(t, lint.ParSafe, filepath.Join("testdata", "allow"))
 }
 
-// loadRepo loads the whole module with in-module dependencies from
-// source, shared by the tree-wide tests below.
-func loadRepo(t *testing.T) []*lint.Package {
+// TestUnmatchedPackageStillReaches: a package outside a run's patterns
+// is still analyzed, only not reported. With the parsafe fixture's root
+// package unmatched, its parroot still reaches the dep chain, so the
+// allocation three frames down is still a finding; nothing in the
+// root's own files is; and the rest equals the full run's findings.
+func TestUnmatchedPackageStillReaches(t *testing.T) {
+	dir := filepath.Join("testdata", "parsafe")
+	pkgs := linttest.Load(t, dir)
+	all, err := lint.Run(lint.ParSafe, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pkgs[len(pkgs)-1].Unmatched = true // Load returns the root last
+	sub, err := lint.Run(lint.ParSafe, pkgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, got []string
+	for _, d := range all {
+		if filepath.Dir(d.Position.Filename) != dir {
+			want = append(want, d.Position.String()+": "+d.Message)
+		}
+	}
+	chain := false
+	for _, d := range sub {
+		got = append(got, d.Position.String()+": "+d.Message)
+		chain = chain || filepath.Base(d.Position.Filename) == "dep.go" && strings.Contains(d.Message, "call to make allocates")
+	}
+	if !chain {
+		t.Error("the dep chain's allocation is not reported once the root package is unmatched")
+	}
+	if strings.Join(got, "\n") != strings.Join(want, "\n") {
+		t.Errorf("findings with the root unmatched:\n%s\nwant the full run's outside the root:\n%s",
+			strings.Join(got, "\n"), strings.Join(want, "\n"))
+	}
+}
+
+// TestLookup pins -only's name resolution: names come back in the order
+// given, and an unknown one is an error listing the valid names.
+func TestLookup(t *testing.T) {
+	as, err := lint.Lookup("parsafe", "determinism")
+	if err != nil || len(as) != 2 || as[0] != lint.ParSafe || as[1] != lint.Determinism {
+		t.Fatalf("Lookup(parsafe, determinism) = %v, %v", as, err)
+	}
+	_, err = lint.Lookup("parsafe", "nosuch")
+	if err == nil || !strings.Contains(err.Error(), `"nosuch"`) ||
+		!strings.Contains(err.Error(), "determinism, floatcmp, chunkown, parsafe") {
+		t.Fatalf("Lookup(parsafe, nosuch) error = %v, want one naming nosuch and listing the four analyzers", err)
+	}
+}
+
+const modPath = "github.com/parallax-arch/parallax"
+
+// loadRepo loads the whole module, every package matched, shared by the
+// tree-wide tests below.
+func loadRepo(t *testing.T, patterns ...string) []*lint.Package {
 	t.Helper()
-	pkgs, err := lint.LoadModule("github.com/parallax-arch/parallax/...")
+	if len(patterns) == 0 {
+		patterns = []string{modPath + "/..."}
+	}
+	pkgs, err := lint.LoadModule(patterns...)
 	if err != nil {
 		t.Fatalf("loading module packages: %v", err)
 	}
@@ -54,38 +110,53 @@ func loadRepo(t *testing.T) []*lint.Package {
 	return pkgs
 }
 
-// TestTreeClean runs the full suite — per-package and module-spanning —
-// over the whole module, making `go test` subsume
-// `go run ./cmd/paraxlint ./...`: a deliberate allocation in a worker's
-// call graph, a package-variable write in a parallel phase, or a fresh
-// unsorted map-range print fails this test.
-func TestTreeClean(t *testing.T) {
-	if testing.Short() {
-		t.Skip("type-checks the whole module")
-	}
-	pkgs := loadRepo(t)
-	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			continue
-		}
-		for _, a := range lint.All {
-			diags, err := lint.RunAnalyzer(a, pkg)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", a.Name, pkg.Path, err)
-			}
-			for _, d := range diags {
-				t.Errorf("%s: %s (%s)", d.Position, d.Message, d.Analyzer)
-			}
-		}
-	}
-	for _, a := range lint.AllModule {
-		diags, err := lint.RunModule(a, pkgs)
+// runAll runs the whole suite and fails the test on every finding.
+func runAll(t *testing.T, pkgs []*lint.Package) {
+	t.Helper()
+	for _, a := range lint.All {
+		diags, err := lint.Run(a, pkgs)
 		if err != nil {
-			t.Fatalf("%s: %v", a.Name, err)
+			t.Fatal(err)
 		}
 		for _, d := range diags {
 			t.Errorf("%s: %s (%s)", d.Position, d.Message, d.Analyzer)
 		}
+	}
+}
+
+// TestTreeClean runs the full suite over the whole module, making
+// `go test` subsume `go run ./cmd/paraxlint ./...`: a deliberate
+// allocation in a worker's call graph, a package-variable write in a
+// parallel phase, or a fresh unsorted map-range print fails this test.
+func TestTreeClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	runAll(t, loadRepo(t))
+}
+
+// TestSubsetRunsAreClean: a run over some packages reports what the
+// whole-module run reports in them, which on a clean tree is nothing.
+// These three subsets once failed on their own — the tracer's waivers
+// read as unused without pool.loop, cloth's and the arena's without the
+// callers that reach them — and every other package must load
+// unmatched.
+func TestSubsetRunsAreClean(t *testing.T) {
+	if testing.Short() {
+		t.Skip("type-checks the whole module")
+	}
+	for _, dir := range []string{"/internal/obs/...", "/internal/phys/cloth/...", "/internal/phys/arena"} {
+		t.Run(dir, func(t *testing.T) {
+			pkgs := loadRepo(t, modPath+dir)
+			root, tree := strings.CutSuffix(modPath+dir, "/...")
+			for _, pkg := range pkgs {
+				in := pkg.Path == root || tree && strings.HasPrefix(pkg.Path, root+"/")
+				if pkg.Unmatched == in {
+					t.Errorf("%s: Unmatched = %v", pkg.Path, pkg.Unmatched)
+				}
+			}
+			runAll(t, pkgs)
+		})
 	}
 }
 
@@ -109,7 +180,7 @@ func TestParsafeReachable(t *testing.T) {
 	for _, n := range names {
 		reach[n] = true
 	}
-	const mod = "github.com/parallax-arch/parallax/internal/"
+	const mod = modPath + "/internal/"
 	for _, want := range []string{
 		"(*" + mod + "phys/solver.Solver).Solve",
 		"(*" + mod + "phys/solver.Workspace).slotFor",
@@ -209,11 +280,6 @@ func TestDirectiveDrift(t *testing.T) {
 	}
 	ownedCats := map[string]bool{}
 	for _, a := range lint.All {
-		for _, c := range a.Categories {
-			ownedCats[c] = true
-		}
-	}
-	for _, a := range lint.AllModule {
 		for _, c := range a.Categories {
 			ownedCats[c] = true
 		}

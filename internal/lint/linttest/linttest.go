@@ -90,30 +90,14 @@ func Load(t *testing.T, dir string) []*lint.Package {
 	return pkgs
 }
 
-// Run type-checks the fixture in dir, applies the analyzer to each of
-// its packages, and matches the diagnostics against the fixture's
-// `// want` comments: each diagnostic must match a want on its line,
-// and every want must be matched by some diagnostic.
+// Run type-checks the fixture in dir, applies the analyzer to its
+// packages, and matches the diagnostics against the fixture's `// want`
+// comments: each diagnostic must match a want on its line, and every
+// want must be matched by some diagnostic.
 func Run(t *testing.T, a *lint.Analyzer, dir string) {
 	t.Helper()
 	pkgs := Load(t, dir)
-	var diags []lint.Diagnostic
-	for _, pkg := range pkgs {
-		ds, err := lint.RunAnalyzer(a, pkg)
-		if err != nil {
-			t.Fatalf("running %s: %v", a.Name, err)
-		}
-		diags = append(diags, ds...)
-	}
-	match(t, pkgs, diags)
-}
-
-// RunModule is Run for a module-spanning analyzer: the whole fixture
-// package set is handed to the analyzer at once.
-func RunModule(t *testing.T, a *lint.ModuleAnalyzer, dir string) {
-	t.Helper()
-	pkgs := Load(t, dir)
-	diags, err := lint.RunModule(a, pkgs)
+	diags, err := lint.Run(a, pkgs)
 	if err != nil {
 		t.Fatalf("running %s: %v", a.Name, err)
 	}

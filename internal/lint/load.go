@@ -14,6 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 )
@@ -30,11 +31,10 @@ type Package struct {
 	Src       map[string][]byte // filename -> source, for line-level allow comments
 	Types     *types.Package
 	TypesInfo *types.Info
-	// DepOnly marks a package LoadModule pulled in only because an
-	// explicitly matched package depends on it. Module analyzers see
-	// its sources (the call graph must not stop at package
-	// boundaries); per-package analyzers skip it.
-	DepOnly bool
+	// Unmatched marks a package LoadModule type-checked although no
+	// pattern names it. Analyzers see it (parsafe's call graph must not
+	// stop at a package boundary); Run reports nothing found in it.
+	Unmatched bool
 }
 
 // listedPackage is the slice of `go list -json` output the loader reads.
@@ -44,6 +44,7 @@ type listedPackage struct {
 	Name       string
 	Export     string
 	GoFiles    []string
+	Match      []string
 	DepOnly    bool
 	Error      *struct{ Err string }
 }
@@ -64,7 +65,7 @@ func (l *exportLookup) lookup(path string) (io.ReadCloser, error) {
 	if !ok {
 		// Not in the original -deps closure (a fixture importing a
 		// stdlib package the repo itself never uses): list it on demand.
-		pkgs, err := goList(path)
+		pkgs, err := goList("-export", "-deps", path)
 		if err != nil {
 			return nil, fmt.Errorf("lookup %s: %w", path, err)
 		}
@@ -94,19 +95,18 @@ func (l *exportLookup) add(pkgs []listedPackage) {
 // most once.
 var sharedLookup = &exportLookup{exports: map[string]string{}}
 
-// goList runs `go list -e -export -deps -json` over the patterns and
+// goList runs `go list -e -json` with the given flags and patterns and
 // decodes the package stream.
-func goList(patterns ...string) ([]listedPackage, error) {
-	args := append([]string{
-		"list", "-e", "-export", "-deps",
-		"-json=ImportPath,Name,Dir,Export,GoFiles,DepOnly,Error",
-	}, patterns...)
+func goList(args ...string) ([]listedPackage, error) {
+	args = append([]string{
+		"list", "-e", "-json=ImportPath,Name,Dir,Export,GoFiles,Match,DepOnly,Error",
+	}, args...)
 	cmd := exec.Command("go", args...)
 	var out, errb bytes.Buffer
 	cmd.Stdout = &out
 	cmd.Stderr = &errb
 	if err := cmd.Run(); err != nil {
-		return nil, fmt.Errorf("go list %v: %v\n%s", patterns, err, errb.String())
+		return nil, fmt.Errorf("go list %v: %v\n%s", args[2:], err, errb.String())
 	}
 	var pkgs []listedPackage
 	dec := json.NewDecoder(&out)
@@ -122,26 +122,33 @@ func goList(patterns ...string) ([]listedPackage, error) {
 	return pkgs, nil
 }
 
-// LoadModule lists, parses and type-checks the packages matching the
-// patterns. Test files are excluded: the invariants paraxlint enforces
-// are production-code contracts, and tests legitimately print, time and
-// randomize. Packages that are inside the module but were pulled in only
-// as dependencies of the matched patterns are parsed and type-checked
-// from source too (flagged DepOnly), instead of being consumed as opaque
-// export data. This way `paraxlint ./internal/phys/...` still hands
-// parsafe the full in-module call-graph closure — the worker hot path
-// reaches into internal/obs, and an allocation there is no less a
-// finding for having been matched indirectly. Out-of-module (standard
-// library) deps remain export data.
+// LoadModule parses and type-checks from source every package of the
+// module, plus any out-of-module package a pattern names, and marks the
+// packages no pattern matches Unmatched. Test files are excluded: the
+// invariants paraxlint enforces are production-code contracts, and tests
+// legitimately print, time and randomize. Every analyzer therefore sees
+// the same module whatever the patterns, and the findings of a run over
+// some packages are the whole module's findings located in them:
+// `paraxlint ./internal/phys/...` still hands parsafe the worker hot
+// path's reach into internal/obs, and a waiver in internal/obs is not
+// unused for want of its caller. Out-of-module dependencies remain
+// export data.
 func LoadModule(patterns ...string) ([]*Package, error) {
 	modPath, err := modulePath()
 	if err != nil {
 		return nil, err
 	}
-	pkgs, err := goList(patterns...)
+	// The module comes first so the package order, and with it every
+	// analyzer's, is the same as for ./... whatever the patterns add.
+	all := modPath + "/..."
+	pkgs, err := goList(append([]string{"-export", "-deps", all}, patterns...)...)
 	if err != nil {
 		return nil, err
 	}
+	// Match lists the patterns a package matched; the module pattern
+	// added above counts only if the caller passed it too.
+	allMatched := slices.Contains(patterns, all)
+	byPattern := func(m string) bool { return allMatched || m != all }
 	sharedLookup.add(pkgs)
 	// All in-module packages share one FileSet and resolve their
 	// in-module imports to each other's source-checked *types.Package
@@ -157,9 +164,8 @@ func LoadModule(patterns ...string) ([]*Package, error) {
 	imp := &chainImporter{deps: deps, next: importer.ForCompiler(fset, "gc", sharedLookup.lookup)}
 	var out []*Package
 	for _, p := range pkgs {
-		inModule := p.ImportPath == modPath || strings.HasPrefix(p.ImportPath, modPath+"/")
-		if p.DepOnly && !inModule {
-			continue
+		if p.DepOnly {
+			continue // an out-of-module dependency
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("%s: %s", p.ImportPath, p.Error.Err)
@@ -172,7 +178,7 @@ func LoadModule(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
-		lp.DepOnly = p.DepOnly
+		lp.Unmatched = !slices.ContainsFunc(p.Match, byPattern)
 		deps[lp.Path] = lp.Types
 		out = append(out, lp)
 	}

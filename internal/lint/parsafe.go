@@ -41,7 +41,7 @@ import (
 // checked: a coldpath directive no reachable caller mentions is a
 // finding, and so is a root directive on a function another root
 // already reaches — so the directive set stays minimal.
-var ParSafe = &ModuleAnalyzer{
+var ParSafe = &Analyzer{
 	Name:       "parsafe",
 	Doc:        "code reachable from //paraxlint:noalloc roots must be allocation-free; from //paraxlint:parroot workers also shared-state-free and statically resolvable",
 	Categories: []string{"alloc", "parsafe"},
@@ -58,8 +58,8 @@ var parsafeExternal = map[string]bool{
 	"sync/atomic": true,
 }
 
-func runParSafe(mp *ModulePass) error {
-	g := buildParsafe(mp)
+func runParSafe(passes []*Pass) error {
+	g := buildParsafe(passes)
 	g.propagate()
 	g.report()
 	return nil
@@ -72,8 +72,7 @@ func runParSafe(mp *ModulePass) error {
 // callees (solver, narrow phase, joint rows) so a refactor that
 // silently disconnects the graph — leaving nothing checked — fails.
 func ParsafeReachable(pkgs []*Package) []string {
-	mp := newModulePass(ParSafe, pkgs)
-	g := buildParsafe(mp)
+	g := buildParsafe(newPasses(ParSafe, pkgs))
 	g.propagate()
 	var names []string
 	for _, f := range g.funcs {
@@ -83,26 +82,6 @@ func ParsafeReachable(pkgs []*Package) []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// newModulePass builds the per-package pass table RunModule and
-// ParsafeReachable share.
-func newModulePass(a *ModuleAnalyzer, pkgs []*Package) *ModulePass {
-	shim := &Analyzer{Name: a.Name, Doc: a.Doc, Categories: a.Categories}
-	mp := &ModulePass{Analyzer: a, Pkgs: pkgs, passes: make(map[*Package]*Pass, len(pkgs))}
-	for _, pkg := range pkgs {
-		pass := &Pass{
-			Analyzer:  shim,
-			Fset:      pkg.Fset,
-			Files:     pkg.Files,
-			Pkg:       pkg.Types,
-			TypesInfo: pkg.TypesInfo,
-			src:       pkg.Src,
-		}
-		pass.collectAllows()
-		mp.passes[pkg] = pass
-	}
-	return mp
 }
 
 // psViol is one deferred violation: recorded while summarizing a
@@ -115,7 +94,6 @@ type psViol struct {
 
 // psFunc is one function body in the analyzed set.
 type psFunc struct {
-	pkg  *Package
 	pass *Pass
 	decl *ast.FuncDecl
 	obj  *types.Func
@@ -146,7 +124,6 @@ func (f *psFunc) allocf(pos token.Pos, format string, args ...interface{}) {
 
 // parsafeGraph is the module-wide call graph.
 type parsafeGraph struct {
-	mp    *ModulePass
 	funcs []*psFunc // deterministic (package, file, decl) order
 	index map[*types.Func]*psFunc
 	// concrete holds every non-interface named type in the analyzed
@@ -155,11 +132,10 @@ type parsafeGraph struct {
 	concrete []types.Type
 }
 
-func buildParsafe(mp *ModulePass) *parsafeGraph {
-	g := &parsafeGraph{mp: mp, index: make(map[*types.Func]*psFunc)}
-	for _, pkg := range mp.Pkgs {
-		pass := mp.Pass(pkg)
-		for _, file := range pkg.Files {
+func buildParsafe(passes []*Pass) *parsafeGraph {
+	g := &parsafeGraph{index: make(map[*types.Func]*psFunc)}
+	for _, pass := range passes {
+		for _, file := range pass.Files {
 			for _, decl := range file.Decls {
 				fd, ok := decl.(*ast.FuncDecl)
 				if !ok || fd.Body == nil {
@@ -167,7 +143,6 @@ func buildParsafe(mp *ModulePass) *parsafeGraph {
 				}
 				obj, _ := pass.TypesInfo.Defs[fd.Name].(*types.Func)
 				f := &psFunc{
-					pkg:      pkg,
 					pass:     pass,
 					decl:     fd,
 					obj:      obj,
@@ -181,7 +156,7 @@ func buildParsafe(mp *ModulePass) *parsafeGraph {
 				}
 			}
 		}
-		scope := pkg.Types.Scope()
+		scope := pass.Pkg.Scope()
 		for _, name := range scope.Names() {
 			tn, ok := scope.Lookup(name).(*types.TypeName)
 			if !ok {

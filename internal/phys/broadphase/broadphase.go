@@ -370,15 +370,12 @@ func appendPair(dst []Pair, a, b int32) []Pair {
 // instead of a map of slices, so the structure is rebuilt each pass
 // without allocating.
 type SpatialHash struct {
-	// CellSize is the grid pitch; if zero it is derived from the average
-	// geom extent on each pass.
-	CellSize float64
-	entries  []cellEntry
-	seen     map[uint64]bool
-	dynamic  []int32
-	unbound  []int32
-	stats    Stats
-	sorter   pairSort
+	entries []cellEntry
+	seen    map[uint64]bool
+	dynamic []int32
+	unbound []int32
+	stats   Stats
+	sorter  pairSort
 }
 
 // cellEntry records one geom overlapping one grid cell.
@@ -427,13 +424,11 @@ func (h *SpatialHash) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	}
 	h.unbound = unbounded
 	h.dynamic = dynamic
-	cell := h.CellSize
-	if cell <= 0 {
-		if cnt == 0 {
-			return dst
-		}
-		cell = 2*sum/float64(cnt) + m3.Eps
+	if cnt == 0 {
+		return dst
 	}
+	// The grid pitch is twice the average geom extent.
+	cell := 2*sum/float64(cnt) + m3.Eps
 
 	for _, id := range dynamic {
 		g := geoms[id]

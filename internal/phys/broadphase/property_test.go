@@ -131,22 +131,6 @@ func TestBroadphaseAgreementUnderMixedChurn(t *testing.T) {
 	}
 }
 
-// TestHashCellSizeOverride checks explicit cell sizing still matches the
-// reference.
-func TestHashCellSizeOverride(t *testing.T) {
-	r := rand.New(rand.NewSource(24))
-	gs := randomScene(r, 60, 8)
-	want := refreshPairs(NewBruteForce(), gs, nil)
-	for _, cell := range []float64{0.5, 1.5, 4.0} {
-		sh := NewSpatialHash()
-		sh.CellSize = cell
-		got := refreshPairs(sh, gs, nil)
-		if !pairsEqual(got, want) {
-			t.Fatalf("cell=%v: hash wrong (%d vs %d pairs)", cell, len(got), len(want))
-		}
-	}
-}
-
 // TestMixedShapesBroadphase exercises the sweep over heterogeneous AABB
 // sizes (tiny debris next to a huge terrain box).
 func TestMixedShapesBroadphase(t *testing.T) {

@@ -30,18 +30,17 @@ import (
 // joints including Breakable fatigue and broken flags; explosive specs,
 // active blasts with their already-hit sets, and fracture tables;
 // cloths (particle positions and Verlet previous positions, pins,
-// constraints); the warm-start impulse list; and which broad phase the
-// world runs with its cross-step state — the sweep-and-prune order
-// (its temporal coherence is observable in the step profile's SortOps
-// counter) or the spatial hash's cell size.
+// constraints); the warm-start impulse list; and, for a world on
+// SweepAndPrune, its sweep order (the order's temporal coherence is
+// observable in the step profile's SortOps counter).
 //
 // Intentionally excluded (execution configuration and derived scratch,
 // not simulation state): Threads, RecordDetail, the observability
 // attachments, the last step's Profile, the worker pool, and the
-// per-step scratch arena; and the state of any other broad phase
-// (IncrementalSAP included), which is written as bpOther and left to
-// the target world on restore. See DESIGN.md "State model & snapshot
-// format".
+// per-step scratch arena; and any other broad phase (IncrementalSAP,
+// SpatialHash and BruteForce included), which is written as bpOther and
+// left to the target world on restore. See DESIGN.md "State model &
+// snapshot format".
 
 // snapMagic identifies a world snapshot ("PAXW" little-endian).
 const snapMagic = uint32('P') | uint32('A')<<8 | uint32('X')<<16 | uint32('W')<<24
@@ -58,15 +57,14 @@ const SnapshotVersion = 1
 // uses.
 const maxSnapshotIterations = 1024
 
-// Broad-phase implementation tags in the snapshot encoding. Tag 3 is
-// retired: files that carry it hold an IncrementalSAP section this
-// format no longer reads, so Restore must keep rejecting it as unknown
-// and no new section may reuse the number.
+// Broad-phase tags in the snapshot encoding. Tags 1 to 3 are retired:
+// files that carry them hold a spatial hash's cell size, brute force's
+// empty section or an IncrementalSAP section, which this format no
+// longer reads, so Restore must keep rejecting them as unknown and no
+// new section may reuse the numbers.
 const (
-	bpSweep uint8 = iota
-	bpHash
-	bpBrute
-	bpOther = uint8(255)
+	bpSweep uint8 = 0
+	bpOther uint8 = 255
 )
 
 // worldState is a snapshot's contents in file order, the one form both
@@ -93,7 +91,6 @@ type worldState struct {
 	warm                               []warmEntry
 	bpTag                              uint8
 	bpOrder                            []int32
-	bpCellSize                         float64
 }
 
 type explosive struct {
@@ -168,15 +165,9 @@ func (w *World) gather() *worldState {
 		bl := &w.Blasts[i]
 		st.blasts = append(st.blasts, blastState{bl.Geom, bl.Remaining, bl.Impulse, sortedKeys(bl.hit), sortedKeys(bl.hitCloth)})
 	}
-	switch bp := w.Broad.(type) {
-	case *broadphase.SweepAndPrune:
-		st.bpTag, st.bpOrder = bpSweep, bp.SaveOrder(nil)
-	case *broadphase.SpatialHash:
-		st.bpTag, st.bpCellSize = bpHash, bp.CellSize
-	case *broadphase.BruteForce:
-		st.bpTag = bpBrute
-	default:
-		// Custom implementation: its state cannot be captured here.
+	if sap, ok := w.Broad.(*broadphase.SweepAndPrune); ok {
+		st.bpTag, st.bpOrder = bpSweep, sap.SaveOrder(nil)
+	} else {
 		// Restore leaves the target world's broad phase untouched.
 		st.bpTag = bpOther
 	}
@@ -329,9 +320,7 @@ func (st *worldState) walk(c *enc.Codec) {
 	switch st.bpTag {
 	case bpSweep:
 		c.Indices(&st.bpOrder, nGeoms, false, "broadphase order entry")
-	case bpHash:
-		c.F64(&st.bpCellSize)
-	case bpBrute, bpOther:
+	case bpOther:
 	default:
 		c.Failf("unknown broadphase tag %d", st.bpTag)
 	}
@@ -465,28 +454,15 @@ func (w *World) commit(st *worldState) {
 	w.clothContacts = make([][]int32, len(st.cloths))
 	w.warm = st.warm
 
-	switch st.bpTag {
-	case bpSweep:
+	// Under bpOther the source world's broad phase carried no state;
+	// keep whatever the target world has.
+	if st.bpTag == bpSweep {
 		sap, ok := w.Broad.(*broadphase.SweepAndPrune)
 		if !ok {
 			sap = broadphase.NewSweepAndPrune()
 			w.Broad = sap
 		}
 		sap.RestoreOrder(st.bpOrder)
-	case bpHash:
-		h, ok := w.Broad.(*broadphase.SpatialHash)
-		if !ok {
-			h = broadphase.NewSpatialHash()
-			w.Broad = h
-		}
-		h.CellSize = st.bpCellSize
-	case bpBrute:
-		if _, ok := w.Broad.(*broadphase.BruteForce); !ok {
-			w.Broad = broadphase.NewBruteForce()
-		}
-	case bpOther:
-		// The source world ran a custom broad phase whose state the
-		// snapshot cannot carry; keep whatever the target world has.
 	}
 
 	// Seed the pair/edge pre-size hints from the scene size so the first

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"hash/crc32"
 	"math"
 	"os"
@@ -319,27 +320,50 @@ func TestRestoreRejectsHostileState(t *testing.T) {
 	}
 }
 
-// TestRestoreRejectsIncSAPSection: testdata/incsap-tag3.paxw is a small
-// world stepped 10 times on IncrementalSAP, written when the format still
-// carried that broad phase's endpoint order and pair set under tag 3. The
-// tag is retired, so Restore must fail by name — not panic, not guess at
+// TestRestoreRejectsRetiredBroadphaseTags: broadphase tags 1, 2 and 3
+// once carried a spatial hash's cell size, brute force's empty section
+// and IncrementalSAP's endpoint order and pair set. All three are
+// retired, so Restore must fail naming the tag — not panic, not guess at
 // the section's length — and leave the target world alone.
-func TestRestoreRejectsIncSAPSection(t *testing.T) {
-	data, err := os.ReadFile("testdata/incsap-tag3.paxw")
+// testdata/incsap-tag3.paxw is a small world stepped 10 times on
+// IncrementalSAP, written when the format still carried tag 3; tags 1
+// and 2 are a bpOther snapshot with its tag byte rewritten and resealed.
+func TestRestoreRejectsRetiredBroadphaseTags(t *testing.T) {
+	tag3, err := os.ReadFile("testdata/incsap-tag3.paxw")
 	if err != nil {
 		t.Fatal(err)
 	}
-	target := snapWorld(1)
-	for i := 0; i < 10; i++ {
-		target.Step()
+	retag := func(tag byte) []byte {
+		src := snapWorld(1)
+		src.Broad = broadphase.NewBruteForce()
+		src.Step()
+		snap := src.Snapshot()
+		end := len(snap) - 4 // the tag is the last byte before the CRC
+		if snap[end-1] != bpOther {
+			t.Fatalf("tag byte = %d, want bpOther", snap[end-1])
+		}
+		snap[end-1] = tag
+		binary.LittleEndian.PutUint32(snap[end:], crc32.ChecksumIEEE(snap[:end]))
+		return snap
 	}
-	want := target.Snapshot()
-	err = target.Restore(data)
-	if err == nil || !strings.Contains(err.Error(), "broadphase tag 3") {
-		t.Fatalf("Restore = %v, want an error naming broadphase tag 3", err)
-	}
-	if !bytes.Equal(target.Snapshot(), want) {
-		t.Error("failed Restore mutated the world")
+	for _, tc := range []struct {
+		tag  int
+		data []byte
+	}{{1, retag(1)}, {2, retag(2)}, {3, tag3}} {
+		t.Run(fmt.Sprintf("tag%d", tc.tag), func(t *testing.T) {
+			target := snapWorld(1)
+			for i := 0; i < 10; i++ {
+				target.Step()
+			}
+			want := target.Snapshot()
+			err := target.Restore(tc.data)
+			if name := fmt.Sprintf("broadphase tag %d", tc.tag); err == nil || !strings.Contains(err.Error(), name) {
+				t.Fatalf("Restore = %v, want an error naming %s", err, name)
+			}
+			if !bytes.Equal(target.Snapshot(), want) {
+				t.Error("failed Restore mutated the world")
+			}
+		})
 	}
 }
 
