@@ -196,7 +196,7 @@ func BenchmarkEngine(b *testing.B) {
 			bench, threads := bench, threads
 			b.Run(fmt.Sprintf("%s/threads=%d", bench.Name, threads), func(b *testing.B) {
 				w := bench.Build(benchScale)
-				w.Threads = threads
+				w.SetThreads(threads)
 				w.StepFrame() // warm
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {

@@ -12,7 +12,7 @@
 // Observability: -trace exports the run's span timeline (engine phases,
 // architecture models, harness captures/experiments) as Chrome
 // trace-event JSON for Perfetto (ui.perfetto.dev); -metrics writes the
-// deterministic text snapshot of the run's counters. -cpuprofile,
+// run's counters as deterministic Prometheus exposition. -cpuprofile,
 // -memprofile and -pprof expose the standard Go profilers. All of them
 // are written on every exit path (obs.Flags).
 //
@@ -22,7 +22,7 @@
 //	paraxbench -exp fig10b
 //	paraxbench -exp all -scale 1.0 -threads 8
 //	paraxbench -exp fig2a,fig2b -scale 0.5 -bench Explosions,Mix
-//	paraxbench -exp all -scale 0.25 -trace trace.json -metrics metrics.txt
+//	paraxbench -exp all -scale 0.25 -trace trace.json -metrics metrics.prom
 //	paraxbench -exp all -cpuprofile cpu.pprof -pprof localhost:6060
 package main
 

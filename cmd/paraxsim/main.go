@@ -4,7 +4,8 @@
 //
 // Observability: -trace exports the run's engine phase/worker spans as
 // Chrome trace-event JSON for Perfetto (ui.perfetto.dev); -metrics
-// writes the text snapshot of the run's counters. -cpuprofile,
+// writes the run's Prometheus exposition, the bytes /metrics serves
+// once the run is over. -cpuprofile,
 // -memprofile and -pprof expose the standard Go profilers. All of these
 // work in every mode and are written on every exit path (obs.Flags).
 //
@@ -37,7 +38,7 @@
 // Usage:
 //
 //	paraxsim -bench Mix -frames 5 -scale 1.0 -threads 4
-//	paraxsim -bench Explosions -trace trace.json -metrics metrics.txt
+//	paraxsim -bench Explosions -trace trace.json -metrics metrics.prom
 //	paraxsim -bench Mix -cpuprofile cpu.pprof -pprof localhost:6060
 //	paraxsim -bench Breakable -frames 10 -save run.paxr
 //	paraxsim -load run.paxr -frames 5

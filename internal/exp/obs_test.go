@@ -6,6 +6,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"github.com/parallax-arch/parallax/internal/obs"
 )
 
 // obsIDs is the experiment subset of the observability tests: fig2a
@@ -94,38 +96,42 @@ func TestSuiteTraceCoversRun(t *testing.T) {
 }
 
 // TestSuiteMetricsThreadCountDeterminism pins satellite (d): the
-// metrics snapshot of a run — engine counters, cache/link/arbiter
+// metrics exposition of a run — engine counters, cache/link/arbiter
 // model counters, memo and harness pool counters — is byte-identical
 // whatever the harness thread count is.
 func TestSuiteMetricsThreadCountDeterminism(t *testing.T) {
 	if testing.Short() {
 		t.Skip("short mode")
 	}
-	snap := func(threads int) string {
-		return obsSuite(t, threads).Metrics().Snapshot()
+	exposition := func(threads int) string {
+		var sb strings.Builder
+		if err := obs.WriteProm(&sb, obsSuite(t, threads).Metrics(), nil); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
 	}
-	serial := snap(1)
-	parallel := snap(8)
+	serial := exposition(1)
+	parallel := exposition(8)
 	if serial != parallel {
-		t.Fatalf("metrics snapshot differs across thread counts:\n--- threads=1 ---\n%s\n--- threads=8 ---\n%s",
+		t.Fatalf("metrics exposition differs across thread counts:\n--- threads=1 ---\n%s\n--- threads=8 ---\n%s",
 			serial, parallel)
 	}
 	for _, name := range []string{
-		"counter engine/steps",
-		"counter arch/cache/l1_hits",
-		"counter arch/link/compute_ns",
-		"counter arch/arbiter/tasks_run",
-		"gauge arch/arbiter/max_queue_depth",
-		"counter harness/pool_tasks",
-		"counter arch/memsim_requests",
-		"counter arch/memsim_computed",
-		"counter arch/l1trace_requests",
-		"counter arch/l1trace_computed",
-		"counter arch/l1trace_bytes",
-		"hist engine/island_dof",
+		"parallax_engine_steps_total",
+		"parallax_arch_cache_l1_hits_total",
+		"parallax_arch_link_compute_ns_total",
+		"parallax_arch_arbiter_tasks_run_total",
+		"parallax_arch_arbiter_max_queue_depth",
+		"parallax_harness_pool_tasks_total",
+		"parallax_arch_memsim_requests_total",
+		"parallax_arch_memsim_computed_total",
+		"parallax_arch_l1trace_requests_total",
+		"parallax_arch_l1trace_computed_total",
+		"parallax_arch_l1trace_bytes_total",
+		"parallax_engine_island_dof_count",
 	} {
-		if !strings.Contains(serial, name) {
-			t.Errorf("snapshot missing %q:\n%s", name, serial)
+		if !strings.Contains(serial, "\n"+name+" ") {
+			t.Errorf("exposition missing %q:\n%s", name, serial)
 		}
 	}
 }

@@ -117,7 +117,7 @@ func (s *Suite) Tracer() *obs.Tracer {
 
 // Metrics returns the suite's metrics registry. Every value in it is a
 // commutative integer aggregate of deterministic per-call values, so
-// Metrics().Snapshot() is byte-identical whatever Threads is.
+// its exposition (obs.WriteProm) is byte-identical whatever Threads is.
 func (s *Suite) Metrics() *obs.Registry {
 	s.obsInit()
 	return s.metrics

@@ -30,7 +30,7 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
 	fs.StringVar(&f.serve, "serve", "", "serve live telemetry on `addr`: /metrics /health /trace /series.json")
 	fs.StringVar(&f.trace, "trace", "", "write Chrome trace-event JSON (Perfetto) to `file`")
-	fs.StringVar(&f.metrics, "metrics", "", "write the metrics snapshot to `file`")
+	fs.StringVar(&f.metrics, "metrics", "", "write the metrics as /metrics serves them (Prometheus text) to `file`")
 	fs.StringVar(&f.cpuProfile, "cpuprofile", "", "write a CPU profile to `file`")
 	fs.StringVar(&f.memProfile, "memprofile", "", "write a heap profile to `file` at exit")
 	fs.StringVar(&f.pprof, "pprof", "", "serve net/http/pprof on `addr` (e.g. localhost:6060)")
@@ -40,8 +40,9 @@ func RegisterFlags(fs *flag.FlagSet) *Flags {
 // Run brackets mode, which returns the process exit code, with the
 // shared flags: the pprof server, Handler(tr, reg, s, h) on -serve and
 // the CPU profile come up before it; the CPU profile is stopped and the
-// -trace, -metrics (from tr and reg) and -memprofile files are written
-// after it, whatever it returned. s and h may be nil (a program with no
+// -trace (from tr), -metrics (WriteProm of reg and s: the bytes /metrics
+// serves once the run is over) and -memprofile files are written after
+// it, whatever it returned. s and h may be nil (a program with no
 // single stepping world has neither). A failure to start — a busy
 // -serve or -pprof port included — returns 1 before mode runs; a failure
 // to write turns exit code 0 into 1. After a successful run a -serve
@@ -52,7 +53,7 @@ func (f *Flags) Run(tr *Tracer, reg *Registry, s *Series, h *Health, mode func()
 		return 1
 	}
 	code := mode()
-	if err := f.finish(tr, reg); err != nil {
+	if err := f.finish(tr, reg, s); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		if code == 0 {
 			code = 1
@@ -113,7 +114,7 @@ func serveOn(addr string, handler http.Handler) error {
 }
 
 // finish attempts every output and joins the errors.
-func (f *Flags) finish(tr *Tracer, reg *Registry) error {
+func (f *Flags) finish(tr *Tracer, reg *Registry, s *Series) error {
 	var errs []error
 	if f.cpuFile != nil {
 		pprof.StopCPUProfile()
@@ -124,11 +125,7 @@ func (f *Flags) finish(tr *Tracer, reg *Registry) error {
 		errs = append(errs, writeFile(f.trace, tr.WriteTrace))
 	}
 	if f.metrics != "" {
-		// No Tracer.Publish here: the -metrics file is the deterministic
-		// snapshot, byte-identical across -threads values. Span totals
-		// and drop counters are wall-clock/schedule-dependent; a flight
-		// bundle publishes them into its own registry for its metrics.txt.
-		errs = append(errs, writeFile(f.metrics, reg.WriteSnapshot))
+		errs = append(errs, writeFile(f.metrics, func(w io.Writer) error { return WriteProm(w, reg, s) }))
 	}
 	if f.memProfile != "" {
 		runtime.GC()

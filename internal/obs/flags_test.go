@@ -1,12 +1,12 @@
 package obs
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"net"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -23,20 +23,22 @@ func parseFlags(t *testing.T, args ...string) *Flags {
 
 // TestFlagsRunWritesOutputs: after the mode returns, -trace holds
 // parseable trace-event JSON with the run's spans, -metrics holds
-// exactly the registry's deterministic snapshot, and -memprofile is
-// written.
+// exactly the exposition /metrics serves — registry and series — and
+// -memprofile is written.
 func TestFlagsRunWritesOutputs(t *testing.T) {
 	dir := t.TempDir()
-	trace, metrics, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.txt"), filepath.Join(dir, "mem.pprof")
+	trace, metrics, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom"), filepath.Join(dir, "mem.pprof")
 	f := parseFlags(t, "-trace", trace, "-metrics", metrics, "-memprofile", mem)
 
-	tr, reg := NewTracer(), NewRegistry()
-	code := f.Run(tr, reg, nil, nil, func() int {
+	tr, reg, s := NewTracer(), NewRegistry(), NewSeries(64)
+	code := f.Run(tr, reg, s, nil, func() int {
 		l := tr.Lane("main", 64)
 		id := tr.Span("step")
 		l.Begin(id)
 		l.End(id)
 		reg.Add(reg.Counter("engine/steps"), 3)
+		s.Set(s.Channel("kinetic_energy"), 42)
+		s.Advance()
 		return 0
 	})
 	if code != 0 {
@@ -63,12 +65,10 @@ func TestFlagsRunWritesOutputs(t *testing.T) {
 		t.Errorf("trace has no \"step\" event:\n%s", data)
 	}
 
-	var want bytes.Buffer
-	if err := reg.WriteSnapshot(&want); err != nil {
-		t.Fatal(err)
-	}
-	if got, err := os.ReadFile(metrics); err != nil || !bytes.Equal(got, want.Bytes()) {
-		t.Errorf("metrics file = %q (%v), want the registry snapshot %q", got, err, want.Bytes())
+	want := promOutput(t, reg, s)
+	if got, err := os.ReadFile(metrics); err != nil || string(got) != want ||
+		!strings.Contains(want, "parallax_series_kinetic_energy 42\n") {
+		t.Errorf("metrics file = %q (%v), want the exposition %q", got, err, want)
 	}
 	if fi, err := os.Stat(mem); err != nil || fi.Size() == 0 {
 		t.Errorf("heap profile: %v (empty or missing)", err)

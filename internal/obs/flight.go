@@ -209,16 +209,17 @@ type FlightInfo struct {
 //
 //	cause.txt     trip cause, step, label — one "key value" line each
 //	world.paxw    the PAXW world snapshot (replayable via -load/-replay)
-//	trace.json    Chrome trace-event JSON of the resident tracer rings
-//	metrics.txt   the run's Registry snapshot, then the tracer totals
+//	trace.json    Chrome trace-event JSON of the resident tracer rings,
+//	              with the tracer's loss counters and span totals
+//	metrics.txt   WriteProm of reg and s: what /metrics served at the trip
 //	series.json   the last-K-steps per-step series window
 //
 // Cold path by definition — it runs once, after the sim has already
 // diverged. Nil tracer/registry/series are tolerated; their files are
-// still written (empty trace, empty snapshot) so bundle consumers can
-// rely on the file set. snapshot may be nil if the caller could not
-// capture one (the world.paxw file is then omitted). reg is only read:
-// the totals go to a registry of the bundle's own.
+// still written (an empty trace, an exposition without their families,
+// an empty series) so bundle consumers can rely on the file set.
+// snapshot may be nil if the caller could not capture one (the
+// world.paxw file is then omitted).
 func WriteFlightBundle(dir string, info FlightInfo, snapshot []byte, tr *Tracer, reg *Registry, s *Series) (string, error) {
 	bundle := filepath.Join(dir, "flight-step"+strconv.FormatInt(info.Step, 10)+"-"+info.Cause)
 	if err := os.MkdirAll(bundle, 0o755); err != nil {
@@ -236,14 +237,7 @@ func WriteFlightBundle(dir string, info FlightInfo, snapshot []byte, tr *Tracer,
 	if err := writeFile(filepath.Join(bundle, "trace.json"), tr.WriteTrace); err != nil {
 		return "", err
 	}
-	totals := NewRegistry()
-	tr.Publish(totals)
-	err := writeFile(filepath.Join(bundle, "metrics.txt"), func(w io.Writer) error {
-		if err := reg.WriteSnapshot(w); err != nil {
-			return err
-		}
-		return totals.WriteSnapshot(w)
-	})
+	err := writeFile(filepath.Join(bundle, "metrics.txt"), func(w io.Writer) error { return WriteProm(w, reg, s) })
 	if err != nil {
 		return "", err
 	}

@@ -190,25 +190,27 @@ func TestWriteFlightBundle(t *testing.T) {
 	if got := read("world.paxw"); got != string(snapshot) {
 		t.Errorf("world.paxw = %q", got)
 	}
-	if !json.Valid([]byte(read("trace.json"))) {
-		t.Error("trace.json is not valid JSON")
+	var trace traceDoc
+	if err := json.Unmarshal([]byte(read("trace.json")), &trace); err != nil {
+		t.Errorf("trace.json is not valid JSON: %v", err)
+	}
+	if trace.OtherData["span/step/count"] != 1 {
+		t.Errorf("trace.json otherData = %v, want span/step/count 1", trace.OtherData)
 	}
 	if !json.Valid([]byte(read("series.json"))) {
 		t.Error("series.json is not valid JSON (NaN leaked as a bare token?)")
 	}
-	metrics := read("metrics.txt")
-	if !strings.Contains(metrics, "counter engine/steps 7") {
-		t.Errorf("metrics.txt missing counter:\n%s", metrics)
-	}
-	// WriteFlightBundle publishes the tracer totals into the snapshot.
-	if !strings.Contains(metrics, "trace/span/step/count") {
-		t.Errorf("metrics.txt missing published span totals:\n%s", metrics)
+	// metrics.txt is byte for byte what /metrics serves.
+	if metrics, want := read("metrics.txt"), promOutput(t, reg, s); metrics != want ||
+		!strings.Contains(metrics, "parallax_engine_steps_total 7\n") {
+		t.Errorf("metrics.txt =\n%s\nwant the exposition\n%s", metrics, want)
 	}
 }
 
-// TestFlightBundleLeavesRegistryUnchanged: the bundle's tracer totals
-// must not leak into the run's registry, whose snapshot the -metrics
-// file writes after a trip.
+// TestFlightBundleLeavesRegistryUnchanged: writing a bundle only reads
+// the run's registry — a -metrics file written after a trip is the same
+// exposition as the bundle's metrics.txt — and the tracer's span totals
+// travel in trace.json, not in the metrics.
 func TestFlightBundleLeavesRegistryUnchanged(t *testing.T) {
 	tr := NewTracer()
 	l := tr.Lane("main", 64)
@@ -217,20 +219,27 @@ func TestFlightBundleLeavesRegistryUnchanged(t *testing.T) {
 	l.End(id)
 	reg := NewRegistry()
 	reg.Add(reg.Counter("engine/steps"), 1)
-	before := reg.Snapshot()
+	before := promOutput(t, reg, nil)
 	bundle, err := WriteFlightBundle(t.TempDir(), FlightInfo{Cause: "nan_state", Step: 1}, nil, tr, reg, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if after := reg.Snapshot(); after != before {
+	if after := promOutput(t, reg, nil); after != before {
 		t.Fatalf("WriteFlightBundle changed the registry:\nbefore:\n%s\nafter:\n%s", before, after)
 	}
 	metrics, err := os.ReadFile(filepath.Join(bundle, "metrics.txt"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.HasPrefix(string(metrics), before) || !strings.Contains(string(metrics), "gauge trace/span/step/count 1\n") {
-		t.Fatalf("metrics.txt is not the run's snapshot followed by the span totals:\n%s", metrics)
+	if string(metrics) != before || strings.Contains(before, "span") {
+		t.Fatalf("metrics.txt is not the run's exposition alone:\n%s\nwant\n%s", metrics, before)
+	}
+	trace, err := os.ReadFile(filepath.Join(bundle, "trace.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(trace), `"span/step/count":1`) {
+		t.Fatalf("trace.json lacks the span totals:\n%s", trace)
 	}
 }
 
@@ -247,8 +256,12 @@ func TestWriteFlightBundleNilComponents(t *testing.T) {
 		t.Error("world.paxw should be omitted without a snapshot")
 	}
 	for _, name := range []string{"cause.txt", "trace.json", "metrics.txt", "series.json"} {
-		if _, err := os.Stat(filepath.Join(bundle, name)); err != nil {
+		data, err := os.ReadFile(filepath.Join(bundle, name))
+		if err != nil {
 			t.Errorf("missing %s: %v", name, err)
+		}
+		if strings.HasSuffix(name, ".json") && !json.Valid(data) {
+			t.Errorf("%s is not valid JSON: %q", name, data)
 		}
 	}
 }

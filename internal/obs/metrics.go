@@ -1,11 +1,7 @@
 package obs
 
 import (
-	"fmt"
-	"io"
 	"math"
-	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -27,9 +23,8 @@ type (
 // exceeding a capacity panics at registration, the cold path.
 const (
 	maxCounters = 256
-	// Gauges get the same headroom as counters: Tracer.Publish mirrors
-	// every registered span as a count + nanos gauge pair, and a
-	// harness run registers a span per captured benchmark.
+	// Gauges get the same headroom as counters: a serve fleet registers
+	// one per shard.
 	maxGauges = 256
 	maxHists  = 64
 )
@@ -43,9 +38,10 @@ const (
 //
 // Counters and histogram buckets are int64s updated atomically:
 // integer addition commutes, so totals are identical whatever order
-// concurrent workers record in, and the snapshot is deterministic
-// across thread counts. Gauges hold float64 bits and are set-last-wins;
-// use them only for configuration values that every writer agrees on.
+// concurrent workers record in, and the exposition (WriteProm) is
+// deterministic across thread counts. Gauges hold float64 bits and are
+// set-last-wins; use them only for configuration values that every
+// writer agrees on.
 type Registry struct {
 	mu sync.Mutex
 
@@ -176,57 +172,4 @@ func (r *Registry) CounterValue(id CounterID) int64 {
 		return 0
 	}
 	return atomic.LoadInt64(&r.counters[id])
-}
-
-// WriteSnapshot writes the deterministic text snapshot: one line per
-// metric, sorted by name across all kinds. Counter and histogram
-// values are integers accumulated commutatively, so two runs that
-// performed the same logical work produce identical bytes whatever
-// their thread counts.
-func (r *Registry) WriteSnapshot(w io.Writer) error {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	lines := make([]string, 0, len(r.counterNames)+len(r.gaugeNames)+len(r.histNames))
-	for i, n := range r.counterNames {
-		lines = append(lines, fmt.Sprintf("counter %s %d", n, atomic.LoadInt64(&r.counters[i])))
-	}
-	for i, n := range r.gaugeNames {
-		lines = append(lines, fmt.Sprintf("gauge %s %g", n, math.Float64frombits(atomic.LoadUint64(&r.gauges[i]))))
-	}
-	for i, n := range r.histNames {
-		h := &r.hists[i]
-		var sb strings.Builder
-		fmt.Fprintf(&sb, "hist %s", n)
-		total := int64(0)
-		for bi := range h.counts {
-			cv := atomic.LoadInt64(&h.counts[bi])
-			total += cv
-			if bi < len(h.bounds) {
-				fmt.Fprintf(&sb, " le%d:%d", h.bounds[bi], cv)
-			} else {
-				fmt.Fprintf(&sb, " inf:%d", cv)
-			}
-		}
-		fmt.Fprintf(&sb, " total:%d", total)
-		lines = append(lines, sb.String())
-	}
-	r.mu.Unlock()
-	// Sorting by line sorts by "<kind> <name>", grouping kinds; the
-	// name-sorted order within a kind is what the golden tests pin.
-	sort.Strings(lines)
-	for _, l := range lines {
-		if _, err := fmt.Fprintln(w, l); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Snapshot returns WriteSnapshot's output as a string.
-func (r *Registry) Snapshot() string {
-	var sb strings.Builder
-	r.WriteSnapshot(&sb)
-	return sb.String()
 }

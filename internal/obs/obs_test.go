@@ -11,7 +11,8 @@ import (
 
 // traceDoc mirrors the exported Chrome trace-event JSON for parsing.
 type traceDoc struct {
-	TraceEvents []traceEvent `json:"traceEvents"`
+	TraceEvents []traceEvent     `json:"traceEvents"`
+	OtherData   map[string]int64 `json:"otherData"`
 }
 
 type traceEvent struct {
@@ -138,11 +139,82 @@ func TestRingWraparound(t *testing.T) {
 	if _, over := lane.Dropped(); over != spans-64 {
 		t.Fatalf("ring overwrites = %d, want %d", over, spans-64)
 	}
-	events := byTid(exportDoc(t, tr))[0]
+	doc := exportDoc(t, tr)
+	events := byTid(doc)[0]
 	if len(events) != 64 {
 		t.Fatalf("exported %d events from a 64-slot ring", len(events))
 	}
 	checkSpans(t, events)
+	// The trace itself reports what it lost and what it once held.
+	for key, want := range map[string]int64{"ring_overwrites": spans - 64, "stack_drops": 0, "span/s/count": spans} {
+		if got, ok := doc.OtherData[key]; !ok || got != want {
+			t.Errorf("otherData[%q] = %d (present: %t), want %d", key, got, ok, want)
+		}
+	}
+	if doc.OtherData["span/s/ns"] <= 0 {
+		t.Errorf("otherData span/s/ns = %d, want positive", doc.OtherData["span/s/ns"])
+	}
+}
+
+// TestTraceReportsStackDropsAndSkipsIdleSpans: Begins past the open-span
+// stack are counted, a span that never finished is not listed, and
+// totals are summed across lanes.
+func TestTraceReportsStackDropsAndSkipsIdleSpans(t *testing.T) {
+	tr := NewTracer()
+	tr.Span("idle")
+	deep := tr.Span("deep")
+	for i := 0; i < 2; i++ {
+		l := tr.Lane("w", 64)
+		for j := 0; j < maxOpenSpans+5; j++ {
+			l.Begin(deep)
+		}
+		l.End(deep)
+	}
+	other := exportDoc(t, tr).OtherData
+	if other["stack_drops"] != 10 || other["span/deep/count"] != 2 {
+		t.Errorf("otherData = %v, want stack_drops 10 and span/deep/count 2", other)
+	}
+	if _, ok := other["span/idle/count"]; ok {
+		t.Errorf("a span that never finished is listed: %v", other)
+	}
+}
+
+// TestTraceSumsLossesAcrossLanes: ring_overwrites and the span totals
+// are summed over lanes, and on every lane the spans still resident plus
+// the overwritten ones account for every span that finished.
+func TestTraceSumsLossesAcrossLanes(t *testing.T) {
+	tr := NewTracer()
+	id := tr.Span("s")
+	finished := []int64{100, 40, 70} // 64-span rings: the first and last wrap
+	var lanes []*Lane
+	for _, n := range finished {
+		l := tr.Lane("w", 64)
+		for i := int64(0); i < n; i++ {
+			l.Begin(id)
+			l.End(id)
+		}
+		lanes = append(lanes, l)
+	}
+	doc := exportDoc(t, tr)
+	events := byTid(doc)
+	var overwrites, total int64
+	for i, l := range lanes {
+		_, over := l.Dropped()
+		if resident := int64(len(events[int(l.id)])); resident+over != finished[i] {
+			t.Errorf("lane %d: %d resident + %d overwritten, want %d finished", i, resident, over, finished[i])
+		}
+		overwrites += over
+		total += finished[i]
+	}
+	if overwrites != 36+6 {
+		t.Errorf("lanes overwrote %d spans, want 42", overwrites)
+	}
+	if got := doc.OtherData["ring_overwrites"]; got != overwrites {
+		t.Errorf("otherData ring_overwrites = %d, want the lanes' sum %d", got, overwrites)
+	}
+	if got := doc.OtherData["span/s/count"]; got != total {
+		t.Errorf("otherData span/s/count = %d, want %d", got, total)
+	}
 }
 
 // TestLaneRingHoldsFinishedSpans: a ring of N records holds N spans,
@@ -288,41 +360,21 @@ func TestConcurrentLanes(t *testing.T) {
 	}
 }
 
-func TestSnapshotSortedAndOrderIndependent(t *testing.T) {
-	build := func(order []string) *Registry {
-		r := NewRegistry()
-		for _, n := range order {
-			r.Counter(n)
-		}
-		r.Add(r.Counter("b/two"), 2)
-		r.Add(r.Counter("a/one"), 1)
-		r.Add(r.Counter("c/three"), 3)
-		return r
-	}
-	s1 := build([]string{"a/one", "b/two", "c/three"}).Snapshot()
-	s2 := build([]string{"c/three", "a/one", "b/two"}).Snapshot()
-	if s1 != s2 {
-		t.Fatalf("snapshot depends on registration order:\n%s\nvs\n%s", s1, s2)
-	}
-	lines := strings.Split(strings.TrimSpace(s1), "\n")
-	want := []string{"counter a/one 1", "counter b/two 2", "counter c/three 3"}
-	for i, w := range want {
-		if lines[i] != w {
-			t.Fatalf("line %d = %q, want %q", i, lines[i], w)
-		}
-	}
-}
-
 func TestHistogramBuckets(t *testing.T) {
 	r := NewRegistry()
 	h := r.Histogram("dof", []int64{8, 32, 128})
 	for _, v := range []int64{1, 8, 9, 32, 33, 128, 129, 100000} {
 		r.ObserveInt(h, v)
 	}
-	got := r.Snapshot()
-	want := "hist dof le8:2 le32:2 le128:2 inf:2 total:8\n"
+	got := promOutput(t, r, nil)
+	want := "# TYPE parallax_dof histogram\n" +
+		`parallax_dof_bucket{le="8"} 2` + "\n" +
+		`parallax_dof_bucket{le="32"} 4` + "\n" +
+		`parallax_dof_bucket{le="128"} 6` + "\n" +
+		`parallax_dof_bucket{le="+Inf"} 8` + "\n" +
+		"parallax_dof_sum 100340\nparallax_dof_count 8\n"
 	if got != want {
-		t.Fatalf("snapshot = %q, want %q", got, want)
+		t.Fatalf("exposition = %q, want %q", got, want)
 	}
 }
 
@@ -345,14 +397,11 @@ func TestNilSafety(t *testing.T) {
 	reg.Add(0, 1)
 	reg.SetGauge(0, 1)
 	reg.ObserveInt(0, 1)
-	if reg.CounterValue(0) != 0 || reg.Snapshot() != "" {
+	if reg.CounterValue(0) != 0 || promOutput(t, reg, nil) != "" {
 		t.Fatal("nil registry not inert")
 	}
-	if err := tr.WriteTrace(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
-	}
-	if err := reg.WriteSnapshot(&bytes.Buffer{}); err != nil {
-		t.Fatal(err)
+	if doc := exportDoc(t, tr); len(doc.TraceEvents) != 0 {
+		t.Fatalf("nil tracer exported %+v", doc)
 	}
 }
 
@@ -417,7 +466,8 @@ func TestConcurrentRegistrationAndRecording(t *testing.T) {
 			t.Errorf("counter c%03d = %d, want 2", i, got)
 		}
 	}
-	if want := fmt.Sprintf("hist hbase le10:%d inf:%d total:%d\n", adds/20*11, adds/20*9, adds); !strings.Contains(reg.Snapshot(), want) {
-		t.Errorf("hbase lost samples: snapshot lacks %q:\n%s", want, reg.Snapshot())
+	want := fmt.Sprintf("parallax_hbase_bucket{le=\"10\"} %d\nparallax_hbase_bucket{le=\"+Inf\"} %d\n", adds/20*11, adds)
+	if got := promOutput(t, reg, nil); !strings.Contains(got, want) {
+		t.Errorf("hbase lost samples: exposition lacks %q:\n%s", want, got)
 	}
 }

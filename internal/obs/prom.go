@@ -50,9 +50,11 @@ type promFamily struct {
 }
 
 // WriteProm renders the registry and the series' deterministic channels
-// as Prometheus text exposition format 0.0.4. The output is sorted by
-// family name and every value is either a commutative integer aggregate
-// or a deterministically-computed simulation quantity, so the bytes are
+// as Prometheus text exposition format 0.0.4. It is the registry's one
+// text format: /metrics, the -metrics file and a flight bundle's
+// metrics.txt all write it. The output is sorted by family name and
+// every value is either a commutative integer aggregate or a
+// deterministically-computed simulation quantity, so the bytes are
 // identical whatever the thread count — the property the CI health
 // gate pins.
 //
@@ -65,10 +67,9 @@ type promFamily struct {
 //	series channel <name>      -> parallax_series_<name> (gauge, last
 //	                              committed value)
 //
-// Wall-clock data is excluded by construction: gauges under the
-// "trace/" prefix (Tracer.Publish output) and series timing channels
-// never appear here — they live in WriteSnapshot, /series.json and
-// flight bundles instead. Nil registry/series contribute nothing.
+// Series timing channels (wall clock) never appear here; they live in
+// /series.json and flight bundles. Nil registry/series contribute
+// nothing.
 func WriteProm(w io.Writer, r *Registry, s *Series) error {
 	var fams []promFamily
 
@@ -84,9 +85,6 @@ func WriteProm(w io.Writer, r *Registry, s *Series) error {
 			})
 		}
 		for i, n := range r.gaugeNames {
-			if strings.HasPrefix(n, "trace/") {
-				continue
-			}
 			v := math.Float64frombits(atomic.LoadUint64(&r.gauges[i]))
 			fams = append(fams, promFamily{
 				name:  promName(n),

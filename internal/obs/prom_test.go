@@ -54,28 +54,9 @@ func TestWritePromFormat(t *testing.T) {
 			t.Errorf("missing %q in exposition:\n%s", want, out)
 		}
 	}
-	// Wall-clock data must never appear: timing channels and the
-	// tracer's published trace/* gauges.
+	// Wall-clock data must never appear: timing channels.
 	if strings.Contains(out, "phase") || strings.Contains(out, "broad_ns") {
 		t.Errorf("timing channel leaked into exposition:\n%s", out)
-	}
-}
-
-func TestWritePromExcludesTraceGauges(t *testing.T) {
-	tr := NewTracer()
-	l := tr.Lane("main", 64)
-	id := tr.Span("step")
-	l.Begin(id)
-	l.End(id)
-	r := NewRegistry()
-	tr.Publish(r)
-	out := promOutput(t, r, nil)
-	if strings.Contains(out, "trace") {
-		t.Fatalf("published trace gauges (wall clock) leaked into exposition:\n%s", out)
-	}
-	// They do appear in the plain snapshot, where wall-clock is allowed.
-	if !strings.Contains(r.Snapshot(), "trace/span/step/count") {
-		t.Fatalf("span totals missing from snapshot:\n%s", r.Snapshot())
 	}
 }
 
@@ -98,6 +79,28 @@ func TestWritePromDeterministicOrder(t *testing.T) {
 	}
 	if a, b := build(), build2(); a != b {
 		t.Fatalf("registration order leaked into exposition:\n%s\nvs\n%s", a, b)
+	}
+}
+
+// TestWritePromSortedByName: families come out sorted by metric name,
+// whatever order they were registered and first written in.
+func TestWritePromSortedByName(t *testing.T) {
+	r := NewRegistry()
+	for _, n := range []string{"c/three", "a/one", "b/two"} {
+		r.Counter(n)
+	}
+	r.Add(r.Counter("b/two"), 2)
+	r.Add(r.Counter("a/one"), 1)
+	r.Add(r.Counter("c/three"), 3)
+	var samples []string
+	for _, line := range strings.Split(strings.TrimSpace(promOutput(t, r, nil)), "\n") {
+		if !strings.HasPrefix(line, "#") {
+			samples = append(samples, line)
+		}
+	}
+	want := []string{"parallax_a_one_total 1", "parallax_b_two_total 2", "parallax_c_three_total 3"}
+	if strings.Join(samples, "\n") != strings.Join(want, "\n") {
+		t.Fatalf("samples = %q, want %q", samples, want)
 	}
 }
 

@@ -11,7 +11,8 @@ import (
 //	/metrics      Prometheus text exposition (WriteProm; deterministic)
 //	/health       200 "ok" while the detector is clean, 503 with the
 //	              trip cause once it latches
-//	/trace        Chrome trace-event JSON of the resident tracer rings
+//	/trace        Chrome trace-event JSON of the resident tracer rings,
+//	              with the tracer's loss counters and span totals
 //	/series.json  the per-step series window (WriteJSON)
 //
 // Every endpoint tolerates nil components — a binary can serve with
@@ -40,10 +41,6 @@ func Handler(tr *Tracer, reg *Registry, s *Series, h *Health) http.Handler {
 	})
 	mux.HandleFunc("/trace", func(w http.ResponseWriter, req *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
-		if tr == nil {
-			fmt.Fprintln(w, `{"displayTimeUnit":"ms","traceEvents":[]}`)
-			return
-		}
 		if err := tr.WriteTrace(w); err != nil {
 			fmt.Fprintf(w, "\n// write error: %v\n", err)
 		}

@@ -81,6 +81,64 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 }
 
+// TestHandlerServesWriterBytes: /metrics and /trace serve exactly what
+// WriteProm and WriteTrace write to a file, so a -metrics or -trace file
+// reads the same as a scrape taken at the same moment — with a nil
+// tracer too, which writes an empty but valid trace.
+func TestHandlerServesWriterBytes(t *testing.T) {
+	tr := NewTracer()
+	l := tr.Lane("main", 64)
+	id := tr.Span("step")
+	for i := 0; i < 3; i++ {
+		l.Begin(id)
+		l.End(id)
+	}
+	reg := NewRegistry()
+	reg.Add(reg.Counter("engine/steps"), 3)
+	reg.ObserveInt(reg.Histogram("engine/island_dof", []int64{8, 64}), 12)
+	s := NewSeries(64)
+	s.Set(s.Channel("kinetic_energy"), 42)
+	s.Advance()
+
+	trace := func(tr *Tracer) string {
+		t.Helper()
+		var sb strings.Builder
+		if err := tr.WriteTrace(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	t.Run("metrics", func(t *testing.T) {
+		srv := httptest.NewServer(Handler(tr, reg, s, nil))
+		defer srv.Close()
+		if _, body, _ := get(t, srv, "/metrics"); body != promOutput(t, reg, s) {
+			t.Fatalf("/metrics =\n%s\nwant WriteProm's\n%s", body, promOutput(t, reg, s))
+		}
+	})
+	t.Run("trace", func(t *testing.T) {
+		srv := httptest.NewServer(Handler(tr, reg, s, nil))
+		defer srv.Close()
+		want := trace(tr)
+		if _, body, _ := get(t, srv, "/trace"); body != want {
+			t.Fatalf("/trace =\n%s\nwant WriteTrace's\n%s", body, want)
+		}
+		if !strings.Contains(want, `"span/step/count":3`) {
+			t.Errorf("trace lacks the span totals:\n%s", want)
+		}
+	})
+	t.Run("nil-trace", func(t *testing.T) {
+		srv := httptest.NewServer(Handler(nil, reg, s, nil))
+		defer srv.Close()
+		const empty = "{\"displayTimeUnit\":\"ms\",\"traceEvents\":[]}\n"
+		if got := trace(nil); got != empty {
+			t.Fatalf("nil WriteTrace = %q, want %q", got, empty)
+		}
+		if _, body, _ := get(t, srv, "/trace"); body != empty {
+			t.Fatalf("/trace with a nil tracer = %q, want %q", body, empty)
+		}
+	})
+}
+
 func TestHandlerNilComponents(t *testing.T) {
 	srv := httptest.NewServer(Handler(nil, nil, nil, nil))
 	defer srv.Close()

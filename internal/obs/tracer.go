@@ -1,9 +1,9 @@
 // Package obs is the engine's zero-allocation observability layer: a
 // span tracer backed by preallocated per-lane ring buffers, a typed
 // metrics registry (counters, gauges, fixed-bucket histograms) indexed
-// by pre-registered IDs, and exporters — Chrome trace-event JSON
-// (loadable in Perfetto) for the spans and a deterministic sorted text
-// snapshot for the metrics.
+// by pre-registered IDs, and one exporter per sink — Chrome trace-event
+// JSON (loadable in Perfetto) for the spans and the tracer's own loss
+// counters and span totals, Prometheus text exposition for the metrics.
 //
 // The hot-path contract (see DESIGN.md "Observability"):
 //
@@ -24,7 +24,7 @@
 // Timestamps are wall-clock and therefore nondeterministic; spans are
 // diagnostics and must never feed experiment output. The metrics
 // registry holds only order-independent integer aggregates, so its
-// snapshot is byte-identical whatever the thread count.
+// exposition is byte-identical whatever the thread count.
 package obs
 
 import (
@@ -257,50 +257,6 @@ func (l *Lane) Dropped() (stackDrops, ringOverwrites int64) {
 		over = 0
 	}
 	return l.dropped.Load(), over
-}
-
-// Publish folds the tracer's cumulative aggregates into a metrics
-// registry as gauges, so trace loss and per-phase time show up in the
-// same snapshot artifact CI already uploads:
-//
-//	trace/stack_drops          summed Begins lost to stack overflow
-//	trace/ring_overwrites      summed finished spans lost to wraparound
-//	trace/span/<name>/count    finished-span count for each span ID
-//	trace/span/<name>/ns       summed duration for each span ID
-//
-// Span gauges are emitted only for spans that have actually finished at
-// least once, so an idle registration adds no lines. The values are
-// wall-clock aggregates — diagnostics, not experiment output — and are
-// therefore NOT thread-count deterministic; Publish is an explicit cold
-// path the binaries call once before writing their -metrics artifact,
-// never something WriteSnapshot does implicitly. Set-last-wins gauges
-// make repeated calls safe.
-func (t *Tracer) Publish(reg *Registry) {
-	if t == nil || reg == nil {
-		return
-	}
-	t.mu.Lock()
-	names := append([]string(nil), t.names...)
-	lanes := append([]*Lane(nil), t.lanes...)
-	t.mu.Unlock()
-
-	var stackDrops, ringOverwrites int64
-	for _, l := range lanes {
-		sd, ro := l.Dropped()
-		stackDrops += sd
-		ringOverwrites += ro
-	}
-	reg.SetGauge(reg.Gauge("trace/stack_drops"), float64(stackDrops))
-	reg.SetGauge(reg.Gauge("trace/ring_overwrites"), float64(ringOverwrites))
-
-	for id, name := range names {
-		count, ns := t.SpanTotal(SpanID(id))
-		if count == 0 {
-			continue
-		}
-		reg.SetGauge(reg.Gauge("trace/span/"+name+"/count"), float64(count))
-		reg.SetGauge(reg.Gauge("trace/span/"+name+"/ns"), float64(ns))
-	}
 }
 
 // snapshotEvents copies the lane's resident spans in export order: by

@@ -19,7 +19,7 @@ func record(t *testing.T, steps int) *Recording {
 		t.Fatal("Breakable benchmark missing")
 	}
 	w := b.Build(0.25)
-	w.Threads = 2
+	w.SetThreads(2)
 	for i := 0; i < 10; i++ {
 		w.Step()
 	}

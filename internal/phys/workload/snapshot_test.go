@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"math"
@@ -30,12 +31,12 @@ func TestSnapshotRoundTripAllBenchmarks(t *testing.T) {
 		for _, threads := range []int{1, 8} {
 			t.Run(fmt.Sprintf("%s/threads=%d", b.Name, threads), func(t *testing.T) {
 				w := b.Build(scale)
-				w.Threads = 4
+				w.SetThreads(4)
 				for i := 0; i < warmSteps; i++ {
 					w.Step()
 				}
 				w2 := world.New()
-				w2.Threads = threads
+				w2.SetThreads(threads)
 				if err := w2.Restore(w.Snapshot()); err != nil {
 					t.Fatalf("Restore: %v", err)
 				}
@@ -64,12 +65,12 @@ func TestSnapshotPreservesMetrics(t *testing.T) {
 		t.Fatal("Mix benchmark missing")
 	}
 	w := b.Build(0.25)
-	w.Threads = 2
+	w.SetThreads(2)
 	for i := 0; i < 15; i++ {
 		w.Step()
 	}
 	w2 := world.New()
-	w2.Threads = 8
+	w2.SetThreads(8)
 	if err := w2.Restore(w.Snapshot()); err != nil {
 		t.Fatalf("Restore: %v", err)
 	}
@@ -80,8 +81,12 @@ func TestSnapshotPreservesMetrics(t *testing.T) {
 		w.Step()
 		w2.Step()
 	}
-	if s1, s2 := r1.Snapshot(), r2.Snapshot(); s1 != s2 {
-		t.Fatalf("metrics diverged after restore:\n--- original ---\n%s\n--- restored ---\n%s", s1, s2)
+	var s1, s2 strings.Builder
+	if err := errors.Join(obs.WriteProm(&s1, r1, nil), obs.WriteProm(&s2, r2, nil)); err != nil {
+		t.Fatal(err)
+	}
+	if s1.String() != s2.String() {
+		t.Fatalf("metrics diverged after restore:\n--- original ---\n%s\n--- restored ---\n%s", s1.String(), s2.String())
 	}
 }
 
@@ -196,7 +201,7 @@ func FuzzRestore(f *testing.F) {
 			}
 			for _, threads := range []int{1, 3} {
 				w := world.New()
-				w.Threads = threads
+				w.SetThreads(threads)
 				if err := w.Restore(in); err != nil {
 					t.Fatalf("second Restore of an accepted input: %v", err)
 				}

@@ -284,7 +284,7 @@ func TestStepPairListMatchesBruteForce(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					ref.Threads = 1
+					ref.SetThreads(1)
 					ref.Broad = broadphase.NewBruteForce()
 					ref.Step()
 					w.Step()

@@ -105,7 +105,7 @@ func TestThreadCountChangeMidRun(t *testing.T) {
 		w.AddBody(geom.Sphere{R: 0.4}, 1, m3.V(float64(i)*0.7, 1, 0), m3.QIdent, 0, 0)
 	}
 	for _, th := range []int{1, 4, 2, 8, 1} {
-		w.Threads = th
+		w.SetThreads(th)
 		for i := 0; i < 5; i++ {
 			w.Step()
 		}

@@ -42,7 +42,7 @@ func (f *fuzzOps) span(lo, hi float64) float64 { return lo + (hi-lo)*f.unit() }
 // default full sweep). The same bytes always build the same scene.
 func buildFuzzWorld(data []byte, threads int, broad broadphase.Interface) *World {
 	w := New()
-	w.Threads = threads
+	w.SetThreads(threads)
 	if broad != nil {
 		w.Broad = broad
 	}

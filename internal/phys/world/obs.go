@@ -41,9 +41,8 @@ var islandDOFBounds = []int64{SmallIslandDOF, 64, 256, 1024, 4096}
 // can share one tracer. Both arguments may be nil (tracing and metrics
 // are independently optional); calling SetObs(nil, nil, "") detaches.
 //
-// Call it after setting Threads: one lane is created per worker. Lanes
-// are grown automatically if Threads is raised later (a cold path —
-// steady-state stepping stays allocation-free).
+// One lane is created per worker; SetThreads grows the lanes if it
+// raises the thread count later.
 func (w *World) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 	w.trace = tr
 	w.metrics = reg
@@ -77,14 +76,8 @@ func (w *World) SetObs(tr *obs.Tracer, reg *obs.Registry, label string) {
 }
 
 // growObsLanes creates the missing per-worker lanes.
-//
-//paraxlint:coldpath runs at SetObs time and again only if Threads is raised; registers lanes
 func (w *World) growObsLanes() {
-	want := w.Threads
-	if want < 1 {
-		want = 1
-	}
-	for i := len(w.obsLanes); i < want; i++ {
+	for i := len(w.obsLanes); i < w.threads; i++ {
 		events := obs.DefaultLaneEvents
 		if i == 0 {
 			// The main-thread lane carries the phase spans on top of its

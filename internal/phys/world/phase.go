@@ -129,9 +129,10 @@ func (w *World) runItem(worker int, ph phase, item int) {
 // the workers, so it is busy for the whole phase. The split orders the
 // work: queued items are started first, and main items are the ones not
 // worth a claim each (islands under SmallIslandDOF) or that should not
-// wait for a wake-up (chunk 0). With Threads <= 1 everything runs inline.
+// wait for a wake-up (chunk 0). At one thread there is no pool and
+// everything runs inline.
 func (w *World) run(ph phase, queued, main []int32) {
-	p := w.ensurePool()
+	p := w.pool
 	if p == nil {
 		for _, a := range queued {
 			w.runItem(0, ph, int(a))
@@ -148,7 +149,7 @@ func (w *World) run(ph phase, queued, main []int32) {
 	}
 }
 
-// runChunks partitions n elements into min(Threads, n) equal contiguous
+// runChunks partitions n elements into min(threads, n) equal contiguous
 // chunks (the paper partitions object-pairs into equal sets per worker
 // thread) and runs each as one item of phase ph, chunk 0 on the calling
 // goroutine and the rest on the pool. The worker bodies receive the
@@ -156,7 +157,7 @@ func (w *World) run(ph phase, queued, main []int32) {
 // deterministically whatever worker ran them. It returns the number of
 // chunks, at least one.
 func (w *World) runChunks(ph phase, n int) int {
-	t := w.Threads
+	t := w.threads
 	if t > n {
 		t = n
 	}

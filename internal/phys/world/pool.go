@@ -27,8 +27,6 @@ type pool struct {
 
 // newPool starts n persistent workers with ids 1..n (0 is the main
 // thread); the id selects per-thread scratch and the trace lane.
-//
-//paraxlint:coldpath runs when Threads changes; starts the worker goroutines
 func newPool(n int) *pool {
 	p := &pool{n: n, wake: make(chan struct{}, n)}
 	for i := 0; i < n; i++ {
@@ -88,22 +86,3 @@ func (p *pool) finish() {
 
 // close stops the workers.
 func (p *pool) close() { close(p.wake) }
-
-// ensurePool (re)creates the world's pool to match the thread count.
-func (w *World) ensurePool() *pool {
-	want := w.Threads - 1 // the main thread is worker 0
-	if want < 1 {
-		if w.pool != nil {
-			w.pool.close()
-			w.pool = nil
-		}
-		return nil
-	}
-	if w.pool == nil || w.pool.n != want {
-		if w.pool != nil {
-			w.pool.close()
-		}
-		w.pool = newPool(want)
-	}
-	return w.pool
-}

@@ -34,7 +34,7 @@ func TestPoolRunsEachItemOnce(t *testing.T) {
 	sc.integ = make([]int, nBodies)
 
 	for _, threads := range []int{3, 2, 5, 1, 2} {
-		w.Threads = threads
+		w.SetThreads(threads)
 		n := max(threads-1, 1)
 		for _, k := range []int{0, 1, n, 50 * n} {
 			clear(sc.integ)

@@ -108,9 +108,9 @@ func TestSimultaneousBlastsOneImpulseEach(t *testing.T) {
 	}
 }
 
-// TestPoolResizeViaThreads changes Threads between steps and checks the
-// pool is rebuilt to match and that the trajectory stays bit-identical
-// to a single-threaded reference world.
+// TestPoolResizeViaThreads changes the thread count between steps and
+// checks the pool is rebuilt to match and that the trajectory stays
+// bit-identical to a single-threaded reference world.
 func TestPoolResizeViaThreads(t *testing.T) {
 	build := func() *World {
 		w := groundWorld()
@@ -122,7 +122,7 @@ func TestPoolResizeViaThreads(t *testing.T) {
 	}
 	ref, w := build(), build()
 	for _, th := range []int{1, 4, 2, 8, 1, 3} {
-		w.Threads = th
+		w.SetThreads(th)
 		for i := 0; i < 10; i++ {
 			ref.Step()
 			w.Step()
@@ -140,6 +140,32 @@ func TestPoolResizeViaThreads(t *testing.T) {
 		if w.Bodies[i].Pos != ref.Bodies[i].Pos || w.Bodies[i].Rot != ref.Bodies[i].Rot {
 			t.Fatalf("body %d diverged from serial reference after pool resizes", i)
 		}
+	}
+}
+
+// TestSetThreadsClampsAndReusesPool: counts below 1 mean serial with no
+// pool, and setting the count the pool already has keeps that pool
+// rather than restarting its workers.
+func TestSetThreadsClampsAndReusesPool(t *testing.T) {
+	w := New()
+	for _, n := range []int{0, -3} {
+		w.SetThreads(n)
+		if w.threads != 1 || w.pool != nil {
+			t.Fatalf("SetThreads(%d): threads %d, pool workers %d; want 1 and no pool", n, w.threads, poolN(w))
+		}
+	}
+	w.SetThreads(3)
+	p := w.pool
+	if p == nil || p.n != 2 {
+		t.Fatalf("SetThreads(3): pool workers %d, want 2", poolN(w))
+	}
+	w.SetThreads(3)
+	if w.pool != p {
+		t.Fatal("SetThreads with an unchanged count rebuilt the pool")
+	}
+	w.SetThreads(0)
+	if w.threads != 1 || w.pool != nil {
+		t.Fatalf("SetThreads(0) after 3: threads %d, pool workers %d; want 1 and no pool", w.threads, poolN(w))
 	}
 }
 
@@ -171,7 +197,7 @@ func TestSolverIterationsReportedWithoutIslands(t *testing.T) {
 // a pinned cloth sheet.
 func detWorld(threads int) *World {
 	w := groundWorld()
-	w.Threads = threads
+	w.SetThreads(threads)
 	for i := 0; i < 14; i++ {
 		w.AddBody(geom.Box{Half: m3.V(0.3, 0.3, 0.3)}, 1,
 			m3.V(float64(i%4)*0.7-1, 0.4+float64(i/4)*0.65, 0), m3.QIdent, 0, 0)

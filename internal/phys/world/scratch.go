@@ -58,7 +58,7 @@ func (e *warmEntry) before(pair uint64, ord int32) bool {
 // model".
 type frameScratch struct {
 	// Narrow phase: one buffer set per chunk. Like edgeChunks, rows and ws
-	// below it is as long as the largest Threads seen; beginStep empties
+	// below it is as long as the largest thread count seen; beginStep empties
 	// every entry, so the ones past this step's chunk count merge as
 	// nothing.
 	narrow []narrowEvents

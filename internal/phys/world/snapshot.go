@@ -35,7 +35,7 @@ import (
 // observable in the step profile's SortOps counter).
 //
 // Intentionally excluded (execution configuration and derived scratch,
-// not simulation state): Threads, RecordDetail, the observability
+// not simulation state): the thread count, RecordDetail, the observability
 // attachments, the last step's Profile, the worker pool, and the
 // per-step scratch arena; and any other broad phase (IncrementalSAP,
 // SpatialHash and BruteForce included), which is written as bpOther and
@@ -119,7 +119,7 @@ func (w *World) Snapshot() []byte {
 }
 
 // Restore replaces the world's dynamic state with a snapshot previously
-// produced by Snapshot. Execution configuration (Threads, RecordDetail,
+// produced by Snapshot. Execution configuration (thread count, RecordDetail,
 // observability attachments) is left untouched. On error the world is
 // unchanged.
 func (w *World) Restore(data []byte) error {
@@ -397,7 +397,7 @@ func (st *worldState) check() error {
 
 // commit swaps the loaded state into the world, rebuilding what the
 // world keeps in another form than the file's. Execution
-// configuration (Threads, RecordDetail, obs attachments, worker pool,
+// configuration (thread count, RecordDetail, obs attachments, worker pool,
 // scratch arena) is preserved.
 func (w *World) commit(st *worldState) {
 	w.Gravity = st.gravity
@@ -476,11 +476,11 @@ func (w *World) commit(st *worldState) {
 
 // Clone returns an independent copy of the world via a snapshot round
 // trip, sharing no mutable state with the original. Execution
-// configuration (Threads, RecordDetail) is copied; observability
-// attachments are not.
+// configuration (the thread count, RecordDetail) is copied;
+// observability attachments are not.
 func (w *World) Clone() (*World, error) {
 	nw := New()
-	nw.Threads = w.Threads
+	nw.SetThreads(w.threads)
 	nw.RecordDetail = w.RecordDetail
 	if err := nw.Restore(w.Snapshot()); err != nil {
 		return nil, err

@@ -107,7 +107,7 @@ func TestSnapshotRestoreContinuesBitIdentical(t *testing.T) {
 			w.Step()
 		}
 		w2 := New()
-		w2.Threads = threads
+		w2.SetThreads(threads)
 		if err := w2.Restore(w.Snapshot()); err != nil {
 			t.Fatalf("threads=%d: Restore: %v", threads, err)
 		}
@@ -380,8 +380,8 @@ func TestCloneIndependent(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Clone: %v", err)
 	}
-	if cl.Threads != w.Threads {
-		t.Errorf("clone Threads = %d, want %d", cl.Threads, w.Threads)
+	if cl.threads != w.threads || (cl.pool == nil) != (w.pool == nil) {
+		t.Errorf("clone threads = %d (pool %t), want %d (pool %t)", cl.threads, cl.pool != nil, w.threads, w.pool != nil)
 	}
 	for i := 0; i < 30; i++ {
 		cl.Step()

@@ -29,10 +29,7 @@ const StepsPerFrame = 3
 //paraxlint:noalloc
 func (w *World) Step() {
 	w.Profile.reset()
-	w.scratch.beginStep(w.Threads, len(w.Joints), w.prevEdges)
-	if w.trace != nil && len(w.obsLanes) < w.Threads {
-		w.growObsLanes() // Threads was raised after SetObs
-	}
+	w.scratch.beginStep(w.threads, len(w.Joints), w.prevEdges)
 	l0 := w.laneFor(0)
 	l0.Begin(w.spans[spanStep])
 

@@ -91,8 +91,10 @@ type World struct {
 	// Solver runs the per-island LCP (20 iterations by default).
 	Solver *solver.Solver
 
-	// Threads is the worker count for the parallel phases (1 = serial).
-	Threads int
+	// threads is the worker count for the parallel phases (1 = serial).
+	// SetThreads is its only setter, so the pool and the trace lanes
+	// always match it.
+	threads int
 
 	// Explosives maps geom index to its blast behaviour.
 	Explosives map[int32]ExplosiveSpec
@@ -183,7 +185,7 @@ func New() *World {
 		CFM:            1e-9,
 		Broad:          broadphase.NewSweepAndPrune(),
 		Solver:         solver.New(),
-		Threads:        1,
+		threads:        1,
 		Explosives:     make(map[int32]ExplosiveSpec),
 		fractureOfGeom: make(map[int32]int32),
 		blastOfGeom:    make(map[int32]int32),
@@ -194,16 +196,20 @@ func New() *World {
 }
 
 // SetThreads sets the worker count for the parallel phases, rebuilding
-// the worker pool immediately and growing the tracer lanes if tracing
-// is attached — work that would otherwise happen lazily inside the
-// next Step. Values below 1 are clamped to 1 (serial).
+// the worker pool (the calling goroutine is worker 0, so n threads
+// start n-1 pool workers) and growing the trace lanes if tracing is
+// attached. Values below 1 are clamped to 1 (serial, no pool). Call
+// SetThreads(1) to stop the pool of a world you are done with.
 func (w *World) SetThreads(n int) {
-	if n < 1 {
-		n = 1
+	w.threads = max(n, 1)
+	if w.pool != nil && w.pool.n != w.threads-1 {
+		w.pool.close()
+		w.pool = nil
 	}
-	w.Threads = n
-	w.ensurePool()
-	if w.trace != nil && len(w.obsLanes) < n {
+	if w.pool == nil && w.threads > 1 {
+		w.pool = newPool(w.threads - 1)
+	}
+	if w.trace != nil {
 		w.growObsLanes()
 	}
 }

@@ -65,7 +65,7 @@ func TestParallelMatchesSerialStructure(t *testing.T) {
 	// thread order, so the simulation is deterministic).
 	build := func(threads int) *World {
 		w := groundWorld()
-		w.Threads = threads
+		w.SetThreads(threads)
 		for i := 0; i < 20; i++ {
 			x := float64(i%5) * 1.2
 			z := float64(i/5) * 1.2
@@ -318,7 +318,7 @@ func TestSolveLeavesSleepingPartnerAlone(t *testing.T) {
 		w := New()
 		w.Gravity = m3.Zero
 		w.EnableSleep = true
-		w.Threads = threads
+		w.SetThreads(threads)
 		var sleepers, partners []int32
 		for k := 0; k < 6; k++ {
 			x := float64(10 * k)
@@ -370,7 +370,7 @@ func TestSmallIslandsRunOnMainThread(t *testing.T) {
 	// rows < SmallIslandDOF+1? contact rows = 3 per contact). Just check
 	// the step works under multiple threads with small islands.
 	w := groundWorld()
-	w.Threads = 4
+	w.SetThreads(4)
 	w.AddBody(geom.Sphere{R: 0.5}, 1, m3.V(0, 0.45, 0), m3.QIdent, 0, 0)
 	for i := 0; i < 20; i++ {
 		w.Step()

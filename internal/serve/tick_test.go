@@ -314,10 +314,13 @@ func TestOpsAreObserved(t *testing.T) {
 	f.tick()
 	f.enqueue(func(*shard) {})
 	f.sh.drain()
-	snap := reg.Snapshot()
-	for _, hist := range []string{"serve/queue_wait_us", "serve/op_us"} {
-		if !lineHas(snap, "hist "+hist+" ", " total:3") {
-			t.Errorf("%s did not count 3 ops:\n%s", hist, snap)
+	var sb strings.Builder
+	if err := obs.WriteProm(&sb, reg, nil); err != nil {
+		t.Fatal(err)
+	}
+	for _, hist := range []string{"parallax_serve_queue_wait_us", "parallax_serve_op_us"} {
+		if !strings.Contains(sb.String(), "\n"+hist+"_count 3\n") {
+			t.Errorf("%s did not count 3 ops:\n%s", hist, sb.String())
 		}
 	}
 	for span, want := range map[string]int64{"shard-op": 3, "shard-tick": 1} {
@@ -325,13 +328,4 @@ func TestOpsAreObserved(t *testing.T) {
 			t.Errorf("%d %s spans, want %d", n, span, want)
 		}
 	}
-}
-
-func lineHas(text, prefix, suffix string) bool {
-	for _, line := range strings.Split(text, "\n") {
-		if strings.HasPrefix(line, prefix) && strings.HasSuffix(line, suffix) {
-			return true
-		}
-	}
-	return false
 }

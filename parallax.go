@@ -216,7 +216,8 @@ func ReferenceSystem() System { return archpx.Reference() }
 type Tracer = obs.Tracer
 
 // Metrics is the typed metrics registry paired with the tracer; its
-// Snapshot output is sorted and deterministic across thread counts.
+// Prometheus exposition (the /metrics body ObsHandler serves) is sorted
+// and deterministic across thread counts.
 type Metrics = obs.Registry
 
 // NewTracer returns an enabled span tracer. A nil *Tracer disables
