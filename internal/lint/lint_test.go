@@ -182,8 +182,10 @@ func TestParsafeReachable(t *testing.T) {
 	}
 	const mod = modPath + "/internal/"
 	for _, want := range []string{
-		"(*" + mod + "phys/solver.Solver).Solve",
+		"(*" + mod + "phys/solver.Solver).SolvePair",
 		"(*" + mod + "phys/solver.Workspace).slotFor",
+		"(*" + mod + "phys/solver.Workspace).interleave",
+		"(*" + mod + "phys/solver.Workspace).closingPass",
 		"(*" + mod + "phys/narrowphase.Scratch).Collide",
 		"(*" + mod + "phys/body.Body).IntegrateVelocity",
 		"(*" + mod + "phys/body.Body).IntegratePosition",

@@ -1,6 +1,7 @@
 package solver_test
 
 import (
+	"slices"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/phys/body"
@@ -15,12 +16,14 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
-// largestIsland settles a paper benchmark for 50 steps (the ladder's
+// largestIslands settles a paper benchmark for 50 steps (the ladder's
 // settle length), then assembles the next step's islands through the
 // layers' public entry points — the calls World.Step makes, in its order
-// — and returns the world's body list with the rows of the island that
-// has the most of them.
-func largestIsland(w *world.World) ([]*body.Body, []joint.Row) {
+// — and returns the world's body list with the rows of the n islands that
+// have the most of them, largest first (fewer if the step has fewer
+// islands). Each island's rows are numbered from its own first row, as
+// the world builds them.
+func largestIslands(w *world.World, n int) ([]*body.Body, [][]joint.Row) {
 	for i := 0; i < 50; i++ {
 		w.Step()
 	}
@@ -60,49 +63,66 @@ func largestIsland(w *world.World) ([]*body.Body, []joint.Row) {
 		}
 		return i
 	}
-	var big island.Island
 	var builder island.Builder
 	islands, _ := builder.Build(len(w.Bodies), edges, active)
-	for _, is := range islands {
-		if is.DOF > big.DOF {
-			big = is
-		}
-	}
+	islands = slices.Clone(islands)
+	slices.SortStableFunc(islands, func(a, b island.Island) int { return b.DOF - a.DOF })
 	p := joint.Params{Dt: w.Dt, ERP: w.ERP, CFM: w.CFM}
-	var rows []joint.Row
-	for _, ji := range big.Joints {
-		base := len(rows)
-		rows = w.Joints[ji].Rows(w.Bodies, p, ji, rows)
-		for ri := base; ri < len(rows); ri++ {
-			rows[ri].BodyA, rows[ri].BodyB = frozen(rows[ri].BodyA), frozen(rows[ri].BodyB)
+	var out [][]joint.Row
+	for _, is := range islands[:min(n, len(islands))] {
+		var rows []joint.Row
+		for _, ji := range is.Joints {
+			base := len(rows)
+			rows = w.Joints[ji].Rows(w.Bodies, p, ji, rows)
+			for ri := base; ri < len(rows); ri++ {
+				rows[ri].BodyA, rows[ri].BodyB = frozen(rows[ri].BodyA), frozen(rows[ri].BodyB)
+			}
 		}
+		for _, ci := range is.Contacts {
+			c := &contacts[ci]
+			rows = joint.ContactRows(w.Bodies, frozen(int32(w.Geoms[c.A].Body)), frozen(int32(w.Geoms[c.B].Body)),
+				c.Pos, c.Normal, c.Depth, joint.DefaultMaterial, p, int32(len(rows)), rows)
+		}
+		out = append(out, rows)
 	}
-	for _, ci := range big.Contacts {
-		c := &contacts[ci]
-		rows = joint.ContactRows(w.Bodies, frozen(int32(w.Geoms[c.A].Body)), frozen(int32(w.Geoms[c.B].Body)),
-			c.Pos, c.Normal, c.Depth, joint.DefaultMaterial, p, int32(len(rows)), rows)
-	}
-	return w.Bodies, rows
+	return w.Bodies, out
 }
 
-// BenchmarkSolve times Solver.Solve alone on two captured islands: the
-// largest of Ragdoll (one jointed humanoid on the ground, the shape
-// step-solver is made of) and of Mix (the ~3 000-row pile that is the
-// serial tail of step-mix). Each iteration restores the island's
-// pre-solve velocities, so every solve does the same work; ns/row-update
-// is the solver layer's unit (the ladder's solver.ns_per_row_update),
-// and allocs/op must be 0 once the workspace has grown.
+// BenchmarkSolve times the solver alone on captured islands: the largest
+// of Ragdoll (one jointed humanoid on the ground, the shape step-solver is
+// made of) and of Mix (one of the three ~3 000-row islands that are the
+// serial tail of step-mix) through Solve, and Ragdoll's two largest
+// through SolvePair, the way the world solves an island pair.
+// Each iteration restores the islands' pre-solve velocities, so every
+// solve does the same work; ns/row-update, over every row solved, is the
+// solver layer's unit (the ladder's solver.ns_per_row_update), and
+// allocs/op must be 0 once the workspace has grown.
 func BenchmarkSolve(b *testing.B) {
-	for _, scene := range []string{"Ragdoll", "Mix"} {
-		b.Run("scene="+scene, func(b *testing.B) {
-			bench, ok := workload.ByName(scene)
+	for _, c := range []struct {
+		scene string
+		pair  bool
+	}{{"Ragdoll", false}, {"Mix", false}, {"Ragdoll", true}} {
+		name := "scene=" + c.scene
+		if c.pair {
+			name += "/pair"
+		}
+		b.Run(name, func(b *testing.B) {
+			bench, ok := workload.ByName(c.scene)
 			if !ok {
-				b.Fatalf("no benchmark named %s", scene)
+				b.Fatalf("no benchmark named %s", c.scene)
 			}
 			w := bench.Build(1.0)
-			bs, rows := largestIsland(w)
-			if len(rows) == 0 {
-				b.Fatal("captured an empty island")
+			n := 1
+			if c.pair {
+				n = 2
+			}
+			bs, islands := largestIslands(w, n)
+			if len(islands) < n || len(islands[n-1]) == 0 {
+				b.Fatalf("captured %d islands, want %d non-empty", len(islands), n)
+			}
+			p, q := islands[0], []joint.Row(nil)
+			if c.pair {
+				q = islands[1]
 			}
 			type vel struct {
 				b        *body.Body
@@ -110,29 +130,36 @@ func BenchmarkSolve(b *testing.B) {
 			}
 			var saved []vel
 			seen := make(map[int32]bool)
-			for _, r := range rows {
-				for _, bi := range [2]int32{r.BodyA, r.BodyB} {
-					if bi >= 0 && !seen[bi] {
-						seen[bi] = true
-						saved = append(saved, vel{bs[bi], bs[bi].LinVel, bs[bi].AngVel})
+			for _, rows := range islands {
+				for _, r := range rows {
+					for _, bi := range [2]int32{r.BodyA, r.BodyB} {
+						if bi >= 0 && !seen[bi] {
+							seen[bi] = true
+							saved = append(saved, vel{bs[bi], bs[bi].LinVel, bs[bi].AngVel})
+						}
 					}
 				}
 			}
 			// As the engine calls it: joint load feedback and stats on.
 			s, load := solver.New(), make([]float64, len(w.Joints))
-			var st solver.Stats
+			var stP, stQ solver.Stats
 			var ws solver.Workspace
-			s.Solve(bs, rows, w.Dt, load, &st, &ws) // grow the workspace
+			s.SolvePair(bs, p, q, w.Dt, load, &stP, &stQ, &ws) // grow the workspace
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, v := range saved {
 					v.b.LinVel, v.b.AngVel = v.lin, v.ang
 				}
-				s.Solve(bs, rows, w.Dt, load, &st, &ws)
+				if c.pair {
+					s.SolvePair(bs, p, q, w.Dt, load, &stP, &stQ, &ws)
+				} else {
+					s.Solve(bs, p, w.Dt, load, &stP, &ws)
+				}
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(rows)*s.Iterations), "ns/row-update")
-			b.ReportMetric(float64(len(rows)), "rows")
+			rows := len(p) + len(q)
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows*s.Iterations), "ns/row-update")
+			b.ReportMetric(float64(rows), "rows")
 		})
 	}
 }

@@ -27,7 +27,8 @@ type Solver struct {
 // New returns a solver with the paper's parameters.
 func New() *Solver { return &Solver{Iterations: 20, SOR: 1.0} }
 
-// Stats reports the work done by one Solve call.
+// Stats reports the work done by one Solve call, or by one island of a
+// SolvePair call.
 type Stats struct {
 	Rows       int
 	Iterations int
@@ -45,11 +46,21 @@ type Stats struct {
 	ImpulseNorm float64
 }
 
-// Workspace holds the island-local state of one Solve call. A caller keeps
-// one per worker thread and passes it back in, so steady-state solving does
-// not allocate: the slices grow to the largest island (slotOf: the longest
-// body list) seen and are reused. The zero value is ready to use. Solve's
-// returned impulses alias lambda, valid until the workspace's next Solve.
+// count records the size of one island's solve; st may be nil.
+func (st *Stats) count(rows, iterations int) {
+	if st != nil {
+		st.Rows += rows
+		st.Iterations = iterations
+		st.RowUpdates += rows * iterations
+	}
+}
+
+// Workspace holds the island-local state of one Solve or SolvePair call. A
+// caller keeps one per worker thread and passes it back in, so steady-state
+// solving does not allocate: the slices grow to the largest island (slotOf:
+// the longest body list) seen and are reused. The zero value is ready to
+// use. The returned impulses alias the workspace, valid until its next
+// solve.
 type Workspace struct {
 	// slotOf maps a world body index to its slot+1 (0 = none). It is all
 	// zero between Solves: the scatter clears exactly what the gather set.
@@ -57,6 +68,10 @@ type Workspace struct {
 	slots  []slot
 	aux    []rowAux
 	lambda []float64
+	// pair holds a SolvePair's two islands' rows interleaved, and split
+	// its impulses handed back in each island's own row order.
+	pair  []joint.Row
+	split []float64
 }
 
 // slot is one body the island touches: the velocities the sweeps read and
@@ -95,14 +110,30 @@ func (ws *Workspace) slotFor(bs []*body.Body, bi int32) int32 {
 // velocities back to bs once at the end. jointLoad, if non-nil, accumulates
 // the constraint force magnitude per joint id (for breakable joints). The
 // returned impulses alias ws (see Workspace); a nil ws solves in a temporary.
+// It is SolvePair with no second island.
 func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 	jointLoad []float64, st *Stats, ws *Workspace) []float64 {
 
-	if st != nil {
-		st.Rows += len(rows)
-		st.Iterations = s.Iterations
-		st.RowUpdates += len(rows) * s.Iterations
-	}
+	lam, _ := s.SolvePair(bs, rows, nil, dt, jointLoad, st, nil, ws)
+	return lam
+}
+
+// SolvePair solves two islands, p and q, in one pass of gather, sweeps and
+// scatter. The islands must share no body. Their rows are interleaved into
+// ws — row i of p at 2i, row i of q at 2i+1 while both have rows, then the
+// longer island's tail — so each sweep carries two independent dependency
+// chains, and one core overlaps a row's velocity update with the other
+// island's next row. Each island still sees exactly its own rows in its own
+// order, so every output is bit-identical to Solve(p) followed by Solve(q):
+// the velocities, the impulses (returned in each island's own row order,
+// aliasing ws), jointLoad, and stP and stQ, whose float sums are taken in
+// each island's row order. Only a pair with rows on both sides pays for the
+// copy; with one side empty the other's rows are swept in place.
+func (s *Solver) SolvePair(bs []*body.Body, p, q []joint.Row, dt float64,
+	jointLoad []float64, stP, stQ *Stats, ws *Workspace) (lamP, lamQ []float64) {
+
+	stP.count(len(p), s.Iterations)
+	stQ.count(len(q), s.Iterations)
 	var local Workspace
 	if ws == nil {
 		ws = &local
@@ -111,6 +142,17 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 		ws.slotOf = append(ws.slotOf, 0)
 	}
 	ws.slots, ws.aux, ws.lambda = ws.slots[:0], ws.aux[:0], ws.lambda[:0]
+
+	// m is the number of rows interleaved from each island (see at).
+	rows, m := p, 0
+	switch {
+	case len(q) == 0:
+	case len(p) == 0:
+		rows = q
+	default:
+		m = min(len(p), len(q))
+		rows = ws.interleave(p, q, m)
+	}
 
 	// Gather, precompute per-row propagation vectors and effective masses,
 	// and warm-start. The static-endpoint branches stay, here and below:
@@ -199,13 +241,81 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 		}
 	}
 
-	// Closing pass: joint load feedback, and the residual the sweeps left
-	// behind. A row clamped at a bound with the error pushing further out of
-	// bounds is satisfied by complementarity, so its error is zeroed.
+	// Each island's impulses in its own row order: for a single island the
+	// swept list itself, for an interleaved pair a split copy.
+	lamP, lamQ = lambda, lambda[len(lambda):]
+	if len(p) == 0 {
+		lamP, lamQ = lambda[:0], lambda
+	}
+	if m > 0 {
+		for len(ws.split) < len(rows) {
+			ws.split = append(ws.split, 0)
+		}
+		lamP, lamQ = ws.split[:len(p)], ws.split[len(p):len(rows)]
+		for i := 0; i < m; i++ {
+			lamP[i], lamQ[i] = lambda[2*i], lambda[2*i+1]
+		}
+		// One of the two has a tail; the other copy is empty.
+		copy(lamP[m:], lambda[2*m:])
+		copy(lamQ[m:], lambda[2*m:])
+	}
+	ws.closingPass(p, lamP, m, 0, dt, jointLoad, stP)
+	ws.closingPass(q, lamQ, m, 1, dt, jointLoad, stQ)
+
+	// Scatter: the islands own exactly the bodies they gathered.
+	for i := range slots {
+		v := &slots[i]
+		bs[v.body].LinVel, bs[v.body].AngVel = v.lin, v.ang
+		ws.slotOf[v.body] = 0
+	}
+	return lamP, lamQ
+}
+
+// at is the position in a SolvePair sweep of row i of island lane (0 = p,
+// 1 = q) when the first m rows of each are interleaved. With m = 0 it is i:
+// a single island is swept in its own order.
+func at(i int32, m int, lane int32) int32 {
+	if int(i) < m {
+		return 2*i + lane
+	}
+	return int32(m) + i
+}
+
+// interleave copies p and q into ws.pair, the first m rows of each
+// alternating and then the longer one's tail, with each friction row's
+// FrictionOf moved to where its normal row now sits.
+func (ws *Workspace) interleave(p, q []joint.Row, m int) []joint.Row {
+	rows := ws.pair[:0]
+	for i := 0; i < m; i++ {
+		rows = append(rows, p[i], q[i])
+	}
+	rows = append(rows, p[m:]...)
+	rows = append(rows, q[m:]...)
+	for lane, src := range [2][]joint.Row{p, q} {
+		for i := range src {
+			if f := src[i].FrictionOf; f >= 0 {
+				rows[at(int32(i), m, int32(lane))].FrictionOf = at(f, m, int32(lane))
+			}
+		}
+	}
+	ws.pair = rows
+	return rows
+}
+
+// closingPass runs over one island's rows after the sweeps, in that
+// island's own order: joint load feedback, and the residual the sweeps
+// left behind. lam holds the island's impulses in its own row order; row
+// i's aux is at at(i, m, lane). A row clamped at a bound with the error
+// pushing further out of bounds is satisfied by complementarity, so its
+// error is zeroed.
+func (ws *Workspace) closingPass(rows []joint.Row, lam []float64, m int, lane int32,
+	dt float64, jointLoad []float64, st *Stats) {
+
+	slots, aux := ws.slots, ws.aux
 	for i := range rows {
-		r, x := &rows[i], &aux[i]
+		r, x := &rows[i], &aux[at(int32(i), m, lane)]
 		if r.Joint >= 0 && int(r.Joint) < len(jointLoad) {
-			jointLoad[r.Joint] += math.Abs(lambda[i]) / dt
+			jointLoad[r.Joint] += math.Abs(lam[i]) / dt
 		}
 		vel := 0.0
 		if x.slotA >= 0 {
@@ -216,29 +326,21 @@ func (s *Solver) Solve(bs []*body.Body, rows []joint.Row, dt float64,
 			b := &slots[x.slotB]
 			vel += r.JLinB.Dot(b.lin) + r.JAngB.Dot(b.ang)
 		}
-		err := r.RHS - vel - r.CFM*lambda[i]
+		err := r.RHS - vel - r.CFM*lam[i]
 		lo, hi := r.Lo, r.Hi
 		if r.FrictionOf >= 0 {
-			limit := r.Mu * math.Abs(lambda[r.FrictionOf])
+			limit := r.Mu * math.Abs(lam[r.FrictionOf])
 			lo, hi = -limit, limit
 		}
-		if lambda[i] <= lo && err < 0 {
+		if lam[i] <= lo && err < 0 {
 			err = 0
 		}
-		if lambda[i] >= hi && err > 0 {
+		if lam[i] >= hi && err > 0 {
 			err = 0
 		}
 		if st != nil {
 			st.Residual += math.Abs(err)
-			st.ImpulseNorm += math.Abs(lambda[i])
+			st.ImpulseNorm += math.Abs(lam[i])
 		}
 	}
-
-	// Scatter: the island owns exactly the bodies it gathered.
-	for i := range slots {
-		v := &slots[i]
-		bs[v.body].LinVel, bs[v.body].AngVel = v.lin, v.ang
-		ws.slotOf[v.body] = 0
-	}
-	return lambda
 }

@@ -66,7 +66,7 @@ const (
 	phaseNarrow               // contact generation over a chunk of w.pairBuf
 	phaseEdge                 // island edges over a chunk of joints+contacts
 	phaseVel                  // velocity integration over a chunk of w.Bodies
-	phaseIsland               // one island's row assembly and solve
+	phaseIsland               // one island's or island pair's row assembly and solve
 	phasePos                  // position integration over a chunk of w.Bodies
 	phaseSync                 // geom pose sync over a chunk of w.Geoms
 	phaseCloth                // one cloth object's forward step

@@ -75,9 +75,12 @@ type frameScratch struct {
 	// jointLoad accumulates constraint force per joint id. Islands touch
 	// disjoint joints, so parallel island solves write disjoint entries.
 	jointLoad []float64
-	// queued and main partition island indices between the work queue
-	// and the main thread.
+	// queued and main partition the work items between the work queue
+	// and the main thread. An item is an island index; partner, per
+	// island, names the island solved with it in the same item (-1 =
+	// none).
 	queued, main []int32
+	partner      []int32
 	// Per-worker storage, indexed by pool worker id (0 = main thread).
 	rows []([]joint.Row)
 	ws   []solver.Workspace
@@ -185,6 +188,10 @@ func (sc *frameScratch) chunkRange(chunk int) (int, int, int) {
 func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
 	sc.solverStats = arena.Grow(sc.solverStats, numIslands)
 	clear(sc.solverStats)
+	sc.partner = arena.Grow(sc.partner, numIslands)
+	for i := range sc.partner {
+		sc.partner[i] = -1
+	}
 	sc.rowBase = arena.Grow(sc.rowBase, numContacts)
 	for i := range sc.rowBase {
 		sc.rowBase[i] = -1

@@ -12,6 +12,7 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/island"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
+	"github.com/parallax-arch/parallax/internal/phys/solver"
 )
 
 // StepsPerFrame is how many simulation steps make one rendered frame:
@@ -240,7 +241,9 @@ func (w *World) recordDetail(prof *StepProfile) {
 
 // processIslands forward-simulates each island. Islands are
 // independent; big ones go on the work queue, small ones run on the
-// main thread, which then works the queue with the pool.
+// main thread, which then works the queue with the pool. Within each of
+// the two lists, consecutive islands small enough are solved as one pair
+// (see pairIslands).
 func (w *World) processIslands(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanIslandProc])
 	prof := &w.Profile
@@ -282,13 +285,17 @@ func (w *World) processIslands(l0 *obs.Lane) {
 	// bit-identical to the per-island ordering.
 	w.runChunks(phaseVel, len(w.Bodies))
 
+	maxDOF := 0
 	for i, is := range islands {
+		maxDOF = max(maxDOF, is.DOF)
 		if is.DOF > SmallIslandDOF {
 			sc.queued = append(sc.queued, int32(i))
 		} else {
 			sc.main = append(sc.main, int32(i))
 		}
 	}
+	sc.queued = w.pairIslands(sc.queued, maxDOF)
+	sc.main = w.pairIslands(sc.main, maxDOF)
 	w.run(phaseIsland, sc.queued, sc.main)
 
 	prof.Solver.Iterations = w.Solver.Iterations
@@ -458,17 +465,80 @@ func (w *World) narrowChunk(chunk, lo, hi int) {
 	}
 }
 
-// solveIsland forward-simulates one island: row assembly into the
-// worker's reusable row buffer and the LCP solve with the worker's
-// workspace. Velocity and position integration are chunk-parallel
-// passes outside the island solves (see processIslands). Islands touch
-// disjoint bodies, joints and contacts, so concurrent island solves
-// never share mutable state.
+// pairMaxDOF caps the rows of one island pair. Pairs of Ragdoll's and
+// Continuous's islands (at most 399 rows) run faster than their two
+// islands alone; two of Mix's big contact islands swept as one run slower
+// than alone from about 1 600 rows up (EXPERIMENTS.md "Two islands per PGS
+// sweep").
+const pairMaxDOF = 1024
+
+// pairIslands turns a list of island indices into work items in place:
+// each island takes the next one of the list as its partner when the two
+// together have at most pairMaxDOF rows and, when there is more than one
+// thread, no more than the step's largest island, so no item grows past
+// the critical path. Every other island is an item alone. Pairing changes
+// no value the step produces (see solver.SolvePair), only how many
+// dependency chains a core sweeps at once.
+func (w *World) pairIslands(list []int32, maxDOF int) []int32 {
+	sc := &w.scratch
+	n := 0
+	for k := 0; k < len(list); k++ {
+		a := list[k]
+		list[n] = a
+		n++
+		if k+1 < len(list) {
+			b := list[k+1]
+			dof := sc.islands[a].DOF + sc.islands[b].DOF
+			if dof <= pairMaxDOF && (w.threads == 1 || dof <= maxDOF) {
+				sc.partner[a] = b
+				k++
+			}
+		}
+	}
+	return list[:n]
+}
+
+// solveIsland forward-simulates one work item: an island and, if it has
+// one, its partner. Both islands' rows are assembled into the worker's
+// reusable row buffer, each numbered from its own first row, and the LCP
+// solve runs with the worker's workspace, both islands in one SolvePair.
+// Velocity and position integration are chunk-parallel passes outside
+// the island solves (see processIslands). Islands touch disjoint bodies,
+// joints and contacts, so concurrent island solves never share mutable
+// state.
 func (w *World) solveIsland(worker, idx int) {
+	sc := &w.scratch
+	rows := w.islandRows(idx, sc.rows[worker][:0])
+	np := len(rows)
+	var stQ *solver.Stats
+	q := int(sc.partner[idx])
+	if q >= 0 {
+		rows = w.islandRows(q, rows)
+		stQ = &sc.solverStats[q]
+	}
+	sc.rows[worker] = rows // keep the grown capacity for the next item
+	lane := w.laneFor(worker)
+	lane.Begin(w.spans[spanSolve])
+	lamP, lamQ := w.Solver.SolvePair(w.Bodies, rows[:np], rows[np:], w.Dt, sc.jointLoad,
+		&sc.solverStats[idx], stQ, &sc.ws[worker])
+	lane.End(w.spans[spanSolve])
+	if w.WarmStart {
+		w.keepWarm(idx, lamP)
+		if q >= 0 {
+			w.keepWarm(q, lamQ)
+		}
+	}
+}
+
+// islandRows appends island idx's constraint rows to rows, numbered from
+// the island's first row: its joints', then its contacts', each contact's
+// row base recorded in rowBase and, when warm starting, its rows seeded
+// with last step's impulses.
+func (w *World) islandRows(idx int, rows []joint.Row) []joint.Row {
 	sc := &w.scratch
 	is := &sc.islands[idx]
 	p := w.params()
-	rows := sc.rows[worker][:0]
+	start := len(rows)
 	for _, ji := range is.Joints {
 		base := len(rows)
 		rows = w.Joints[ji].Rows(w.Bodies, p, ji, rows)
@@ -499,26 +569,25 @@ func (w *World) solveIsland(worker, idx int) {
 		if b >= 0 && !w.bodySolvable(b) {
 			b = -1
 		}
-		base := int32(len(rows))
+		base := int32(len(rows) - start)
 		sc.rowBase[ci] = base
 		rows = joint.ContactRows(w.Bodies, a, b, c.Pos, c.Normal, c.Depth,
 			joint.DefaultMaterial, p, base, rows)
 		if w.WarmStart {
 			for j, lambda := range sc.warmNext[ci].lambda {
-				rows[int(base)+j].Warm = lambda // zero (no warm start) if last step had no such contact
+				rows[start+int(base)+j].Warm = lambda // zero (no warm start) if last step had no such contact
 			}
 		}
 	}
-	sc.rows[worker] = rows // keep the grown capacity for the next island
-	lane := w.laneFor(worker)
-	lane.Begin(w.spans[spanSolve])
-	lam := w.Solver.Solve(w.Bodies, rows, w.Dt, sc.jointLoad,
-		&sc.solverStats[idx], &sc.ws[worker])
-	lane.End(w.spans[spanSolve])
-	if w.WarmStart {
-		for _, ci := range is.Contacts {
-			copy(sc.warmNext[ci].lambda[:], lam[sc.rowBase[ci]:])
-		}
+	return rows
+}
+
+// keepWarm copies island idx's solved contact impulses, lam in the
+// island's own row order, into its contacts' warm-start entries.
+func (w *World) keepWarm(idx int, lam []float64) {
+	sc := &w.scratch
+	for _, ci := range sc.islands[idx].Contacts {
+		copy(sc.warmNext[ci].lambda[:], lam[sc.rowBase[ci]:])
 	}
 }
 
