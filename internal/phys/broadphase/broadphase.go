@@ -15,6 +15,7 @@ import (
 	"math"
 	"slices"
 
+	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
 )
@@ -156,11 +157,9 @@ func (s *SweepAndPrune) Prepare(geoms []*geom.Geom) int {
 	s.stats = Stats{}
 	s.ids = len(geoms)
 	s.gen++
-	for len(s.mark) < len(geoms) {
-		s.mark = append(s.mark, 0)
-	}
+	s.mark = arena.Grow(s.mark, len(geoms))
 	if s.gen == 0 { // wrapped: stale stamps could collide, reset
-		clear(s.mark)
+		clear(s.mark[:cap(s.mark)])
 		s.gen = 1
 	}
 	unbounded := s.unbounded[:0] // planes etc.

@@ -1,6 +1,6 @@
 package broadphase
 
-import "slices"
+import "github.com/parallax-arch/parallax/internal/phys/arena"
 
 // pairSort puts pairs in the canonical order, ascending (A, B), that
 // Interface promises. It is a radix sort whose digits are geom ids: one
@@ -30,18 +30,15 @@ func (ps *pairSort) sort(ids int, lists [][]Pair, dst []Pair) []Pair {
 	}
 	firstSlots(byA)
 	firstSlots(byB)
-	// tmp takes all of dst's spare capacity, so the headroom a caller
-	// sizes dst with (World.prevPairs) covers tmp too.
 	base := len(dst)
-	dst = slices.Grow(dst, n)
-	tmp := slices.Grow(ps.tmp[:0], cap(dst)-base)[:n]
+	tmp := arena.Grow(ps.tmp, n)
 	for _, l := range lists {
 		for _, p := range l {
 			tmp[byB[p.B]] = p
 			byB[p.B]++
 		}
 	}
-	dst = dst[:base+n]
+	dst = arena.Grow(dst, base+n)
 	out := dst[base:]
 	for _, p := range tmp {
 		out[byA[p.A]] = p
@@ -61,7 +58,7 @@ func (ps *pairSort) sortTail(ids int, dst []Pair, base int) []Pair {
 
 // counts returns c re-sliced to ids zeroed entries.
 func counts(c []int32, ids int) []int32 {
-	c = slices.Grow(c[:0], ids)[:ids]
+	c = arena.Grow(c, ids)
 	clear(c)
 	return c
 }

@@ -67,8 +67,8 @@ func (scr *Scratch) Collide(a, b *geom.Geom, dst []Contact, st *Stats) []Contact
 // aliases scr.tris and is valid until the next query on this Scratch.
 func (scr *Scratch) triQuery(tm *geom.TriMesh, query m3.AABB) []int32 {
 	scr.tris = tm.TrianglesIn(query, scr.tris[:0])
-	// A regrown seen is all zero, which no generation equals: stamps only
-	// ever mean something within the query that wrote them.
+	// Stamps only ever mean something within the query that wrote them:
+	// the ones a regrown seen keeps are older than this query's generation.
 	scr.seen = arena.Grow(scr.seen, len(tm.Tris))
 	seen := scr.seen
 	scr.gen++

@@ -149,8 +149,8 @@ func TestSolvePairMatchesSolve(t *testing.T) {
 		{"p longer than q, friction rows in p's tail", s, pile, alone},
 		{"joints against contacts, static endpoints", s, chain, pile},
 		{"warm start", s, chainWarm, warm},
-		{"SOR 1.3", &solver.Solver{Iterations: 9, SOR: 1.3}, warm, chain},
-		{"SOR 0.8", &solver.Solver{Iterations: 3, SOR: 0.8}, alone, chainWarm},
+		{"warm pile against a cold chain, 9 sweeps", &solver.Solver{Iterations: 9}, warm, chain},
+		{"warm chain in q's tail, 3 sweeps", &solver.Solver{Iterations: 3}, alone, chainWarm},
 	} {
 		pairMatchesSolve(t, c.what, c.s, bs, c.p, c.q, 3)
 	}

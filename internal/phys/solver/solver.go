@@ -1,14 +1,14 @@
 // Package solver implements the island-processing constraint solver: a
-// projected Gauss–Seidel (successive over-relaxation) iteration over the
-// mixed linear complementarity problem built from an island's constraint
-// rows, in the style of ODE's quickstep. Each row update is one
-// fine-grain task in the ParallAX model ("degrees of freedom removed in
-// the LCP solver", paper section 7).
+// projected Gauss–Seidel iteration over the mixed linear complementarity
+// problem built from an island's constraint rows, in the style of ODE's
+// quickstep. Each row update is one fine-grain task in the ParallAX model
+// ("degrees of freedom removed in the LCP solver", paper section 7).
 package solver
 
 import (
 	"math"
 
+	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/body"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
@@ -19,13 +19,10 @@ import (
 type Solver struct {
 	// Iterations is the number of relaxation sweeps per solve.
 	Iterations int
-	// SOR is the successive over-relaxation factor (1 = pure
-	// Gauss-Seidel; ODE quickstep uses ~0.9–1.3).
-	SOR float64
 }
 
 // New returns a solver with the paper's parameters.
-func New() *Solver { return &Solver{Iterations: 20, SOR: 1.0} }
+func New() *Solver { return &Solver{Iterations: 20} }
 
 // Stats reports the work done by one Solve call, or by one island of a
 // SolvePair call.
@@ -57,10 +54,9 @@ func (st *Stats) count(rows, iterations int) {
 
 // Workspace holds the island-local state of one Solve or SolvePair call. A
 // caller keeps one per worker thread and passes it back in, so steady-state
-// solving does not allocate: the slices grow to the largest island (slotOf:
-// the longest body list) seen and are reused. The zero value is ready to
-// use. The returned impulses alias the workspace, valid until its next
-// solve.
+// solving does not allocate: Reserve sizes it for the largest solve seen
+// and the solves reuse it. The zero value is ready to use. The returned
+// impulses alias the workspace, valid until its next solve.
 type Workspace struct {
 	// slotOf maps a world body index to its slot+1 (0 = none). It is all
 	// zero between Solves: the scatter clears exactly what the gather set.
@@ -89,6 +85,20 @@ type rowAux struct {
 	slotA, slotB               int32
 	pLinA, pAngA, pLinB, pAngB m3.Vec
 	invDen                     float64
+}
+
+// Reserve sizes ws for a solve of up to rows rows over a world of bodies
+// bodies, so that solve grows nothing. A row touches at most two bodies,
+// so it gathers at most min(2×rows, bodies) of them. SolvePair reserves
+// for itself on entry; a caller that reserves ahead for its largest solve
+// keeps the growth out of the solve.
+func (ws *Workspace) Reserve(rows, bodies int) {
+	ws.slotOf = arena.Grow(ws.slotOf, bodies)
+	ws.slots = arena.Grow(ws.slots, min(2*rows, bodies))[:0]
+	ws.aux = arena.Grow(ws.aux, rows)[:0]
+	ws.lambda = arena.Grow(ws.lambda, rows)[:0]
+	ws.pair = arena.Grow(ws.pair, rows)
+	ws.split = arena.Grow(ws.split, rows)
 }
 
 // slotFor returns the slot of world body bi (-1 for the static world),
@@ -138,10 +148,7 @@ func (s *Solver) SolvePair(bs []*body.Body, p, q []joint.Row, dt float64,
 	if ws == nil {
 		ws = &local
 	}
-	for len(ws.slotOf) < len(bs) {
-		ws.slotOf = append(ws.slotOf, 0)
-	}
-	ws.slots, ws.aux, ws.lambda = ws.slots[:0], ws.aux[:0], ws.lambda[:0]
+	ws.Reserve(len(p)+len(q), len(bs))
 
 	// m is the number of rows interleaved from each island (see at).
 	rows, m := p, 0
@@ -208,7 +215,7 @@ func (s *Solver) SolvePair(bs []*body.Body, p, q []joint.Row, dt float64,
 				b := &slots[x.slotB]
 				vel += r.JLinB.Dot(b.lin) + r.JAngB.Dot(b.ang)
 			}
-			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * x.invDen
+			dl := (r.RHS - vel - r.CFM*lambda[i]) * x.invDen
 
 			lo, hi := r.Lo, r.Hi
 			if r.FrictionOf >= 0 {
@@ -248,9 +255,6 @@ func (s *Solver) SolvePair(bs []*body.Body, p, q []joint.Row, dt float64,
 		lamP, lamQ = lambda[:0], lambda
 	}
 	if m > 0 {
-		for len(ws.split) < len(rows) {
-			ws.split = append(ws.split, 0)
-		}
 		lamP, lamQ = ws.split[:len(p)], ws.split[len(p):len(rows)]
 		for i := 0; i < m; i++ {
 			lamP[i], lamQ[i] = lambda[2*i], lambda[2*i+1]

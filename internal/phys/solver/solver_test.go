@@ -354,7 +354,7 @@ func TestWarmStartIdempotent(t *testing.T) {
 	for i := range rows2 {
 		rows2[i].Warm = lam[i]
 	}
-	one := &Solver{Iterations: 1, SOR: 1}
+	one := &Solver{Iterations: 1}
 	one.Solve(bs2, rows2, testParams.Dt, nil, nil, nil)
 	if math.Abs(b2.LinVel.Y-b.LinVel.Y) > 0.05 {
 		t.Errorf("warm-started single sweep %v differs from converged %v",
@@ -439,7 +439,7 @@ func referenceSolve(s *Solver, bs []*body.Body, rows []joint.Row, dt float64,
 				b := bs[r.BodyB]
 				vel += r.JLinB.Dot(b.LinVel) + r.JAngB.Dot(b.AngVel)
 			}
-			dl := s.SOR * (r.RHS - vel - r.CFM*lambda[i]) * invDen[i]
+			dl := (r.RHS - vel - r.CFM*lambda[i]) * invDen[i]
 
 			lo, hi := r.Lo, r.Hi
 			if r.FrictionOf >= 0 {
@@ -659,7 +659,7 @@ func TestSolveMatchesReference(t *testing.T) {
 	r := rand.New(rand.NewSource(16))
 	ws := &Workspace{}
 	for trial := 0; trial < 200; trial++ {
-		s := &Solver{Iterations: 1 + r.Intn(20), SOR: []float64{1, 1.3, 0.8}[r.Intn(3)]}
+		s := &Solver{Iterations: 1 + r.Intn(20)}
 		joints := r.Intn(2) * (1 + r.Intn(4)) // 0: nil jointLoad
 		bs := randomBodies(r, 2+r.Intn(20))
 		rows := randomRows(r, bs, 1+r.Intn(60), joints)

@@ -154,20 +154,3 @@ func TestSetThreadsGrowsTraceLanesImmediately(t *testing.T) {
 	}
 	w.SetThreads(1)
 }
-
-// TestStepSteadyStateAllocsTraced is the tentpole acceptance check:
-// steady-state Step stays allocation-free with tracing AND metrics
-// enabled — recording is ring-buffer writes and atomic adds only.
-func TestStepSteadyStateAllocsTraced(t *testing.T) {
-	for _, th := range []int{1, 2} {
-		w := detWorld(th)
-		w.SetObs(obs.NewTracer(), obs.NewRegistry(), "alloc")
-		for i := 0; i < 150; i++ {
-			w.Step()
-		}
-		avg := testing.AllocsPerRun(50, func() { w.Step() })
-		if avg != 0 {
-			t.Errorf("threads=%d traced: steady-state Step allocates %.1f objects/op, want 0", th, avg)
-		}
-	}
-}

@@ -51,16 +51,14 @@ func (e *warmEntry) before(pair uint64, ord int32) bool {
 // per-worker row buffers and solver workspaces — lives here as flat
 // slices, no maps, and is re-sliced to length zero (or overwritten in
 // place) each step, so a steady-state Step performs no heap allocation.
-// Buffers rewritten every step are sized by arena.Grow; the per-thread
-// ones, whose elements own buffers that carry over, grow by appending
-// zero values. Event paths that fire rarely (detonations, RecordDetail
-// profile copies) still allocate; see DESIGN.md "Scratch-arena memory
-// model".
+// Every buffer the step sizes grows through arena.Grow, the per-worker
+// ones on the serial path (processIslands), never inside a worker. Event
+// paths that fire rarely (detonations, RecordDetail profile copies) still
+// allocate; see DESIGN.md "Scratch-arena memory model".
 type frameScratch struct {
-	// Narrow phase: one buffer set per chunk. Like edgeChunks, rows and ws
-	// below it is as long as the largest thread count seen; beginStep empties
-	// every entry, so the ones past this step's chunk count merge as
-	// nothing.
+	// Narrow phase: one buffer set per chunk. Like the other per-thread
+	// lists below it is as long as the thread count; beginStep empties every
+	// entry, so the ones past this step's chunk count merge as nothing.
 	narrow []narrowEvents
 	// contacts is the merged, deterministic contact list.
 	contacts []narrowphase.Contact
@@ -81,7 +79,8 @@ type frameScratch struct {
 	// none).
 	queued, main []int32
 	partner      []int32
-	// Per-worker storage, indexed by pool worker id (0 = main thread).
+	// Per-worker storage, indexed by pool worker id (0 = main thread),
+	// sized by processIslands for the step's largest work item.
 	rows []([]joint.Row)
 	ws   []solver.Workspace
 
@@ -120,16 +119,10 @@ type frameScratch struct {
 }
 
 // beginStep resizes the arena for the current scene, reusing all prior
-// capacity. edgeHint pre-sizes the island edge list from the previous
-// step's count so the first steps after a snapshot Restore don't regrow
-// it incrementally.
-func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
-	if threads < 1 {
-		threads = 1
-	}
-	for len(sc.narrow) < threads {
-		sc.narrow = append(sc.narrow, narrowEvents{})
-	}
+// capacity.
+func (sc *frameScratch) beginStep(threads, numJoints int) {
+	threads = max(threads, 1)
+	sc.narrow = arena.Grow(sc.narrow, threads)
 	for i := range sc.narrow {
 		e := &sc.narrow[i]
 		e.contacts = e.contacts[:0]
@@ -140,33 +133,28 @@ func (sc *frameScratch) beginStep(threads, numJoints, edgeHint int) {
 		e.clothHits = e.clothHits[:0]
 	}
 	sc.contacts = sc.contacts[:0]
-	sc.edges = arena.Grow(sc.edges, edgeHint)[:0]
+	sc.edges = sc.edges[:0]
 
 	sc.jointLoad = arena.Grow(sc.jointLoad, numJoints)
 	clear(sc.jointLoad)
 
 	sc.refresh = arena.Grow(sc.refresh, threads)
 	clear(sc.refresh)
-	for len(sc.edgeChunks) < threads {
-		sc.edgeChunks = append(sc.edgeChunks, nil)
-	}
+	sc.edgeChunks = arena.Grow(sc.edgeChunks, threads)
 	for i := range sc.edgeChunks {
 		sc.edgeChunks[i] = sc.edgeChunks[i][:0]
 	}
 	sc.integ = arena.Grow(sc.integ, threads)
 	clear(sc.integ)
-	for len(sc.sweep) < threads {
-		sc.sweep = append(sc.sweep, nil)
-	}
+	sc.sweep = arena.Grow(sc.sweep, threads)
 	sc.sweepTests = arena.Grow(sc.sweepTests, threads)
-	for len(sc.chunkIdx) < threads {
-		sc.chunkIdx = append(sc.chunkIdx, int32(len(sc.chunkIdx)))
+	sc.chunkIdx = arena.Grow(sc.chunkIdx, threads)
+	for i := range sc.chunkIdx {
+		sc.chunkIdx[i] = int32(i)
 	}
 
-	for len(sc.rows) < threads {
-		sc.rows = append(sc.rows, nil)
-		sc.ws = append(sc.ws, solver.Workspace{})
-	}
+	sc.rows = arena.Grow(sc.rows, threads)
+	sc.ws = arena.Grow(sc.ws, threads)
 }
 
 // chunkRange returns chunk's element range [lo, hi) under the partition

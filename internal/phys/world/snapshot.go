@@ -3,6 +3,7 @@ package world
 import (
 	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"github.com/parallax-arch/parallax/internal/phys/body"
@@ -78,7 +79,6 @@ type worldState struct {
 	enableSleep, warmStart             bool
 	time                               float64
 	solverIters                        int
-	solverSOR                          float64
 	bodies                             []*body.Body
 	geoms                              []*geom.Geom
 	bodyGeom, geomFree, geomFreeStaged []int32
@@ -143,8 +143,7 @@ func (w *World) gather() *worldState {
 	st := &worldState{
 		gravity: w.Gravity, dt: w.Dt, erp: w.ERP, cfm: w.CFM,
 		enableSleep: w.EnableSleep, warmStart: w.WarmStart, time: w.Time,
-		solverIters: w.Solver.Iterations, solverSOR: w.Solver.SOR,
-		bodies: w.Bodies, geoms: w.Geoms,
+		solverIters: w.Solver.Iterations, bodies: w.Bodies, geoms: w.Geoms,
 		bodyGeom: w.bodyGeom, geomFree: w.geomFree, geomFreeStaged: w.geomFreeStaged,
 		joints: w.Joints, fractures: w.Fractures,
 		cloths: w.Cloths, clothProxy: w.clothProxy, warm: w.warm,
@@ -208,7 +207,13 @@ func (st *worldState) walk(c *enc.Codec) {
 	c.Bool(&st.warmStart)
 	c.F64(&st.time)
 	c.Int(&st.solverIters, 0, maxSnapshotIterations, "solver iteration count")
-	c.F64(&st.solverSOR)
+	// The solver's over-relaxation factor is fixed at 1 (pure
+	// Gauss-Seidel); the format keeps its eight bytes.
+	sor := 1.0
+	c.F64(&sor)
+	if math.Float64bits(sor) != math.Float64bits(1) {
+		c.Failf("solver over-relaxation factor %v, want 1", sor)
+	}
 
 	enc.Pointers(c, &st.bodies, 242, "body", func(i int, b *body.Body) {
 		c.Vec(&b.Pos)
@@ -411,7 +416,6 @@ func (w *World) commit(st *worldState) {
 		w.Solver = solver.New()
 	}
 	w.Solver.Iterations = st.solverIters
-	w.Solver.SOR = st.solverSOR
 
 	w.Bodies = st.bodies
 	w.Geoms = st.geoms
@@ -464,11 +468,6 @@ func (w *World) commit(st *worldState) {
 		}
 		sap.RestoreOrder(st.bpOrder)
 	}
-
-	// Seed the pair/edge pre-size hints from the scene size so the first
-	// post-restore step doesn't regrow its scratch buffers incrementally.
-	w.prevPairs = 4 * len(st.geoms)
-	w.prevEdges = w.prevPairs + len(st.joints)
 
 	// The last step's profile described the pre-restore state.
 	w.Profile = StepProfile{}

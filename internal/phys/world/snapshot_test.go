@@ -441,7 +441,7 @@ func TestSnapshotCloth(t *testing.T) {
 func TestRestoreBoundsAllocation(t *testing.T) {
 	const padding = 4 << 20
 	empty := New().Snapshot()
-	const params = 8 + 24 + 3*8 + 2 + 8 + 4 + 8 // frame header, then gravity to the solver's SOR
+	const params = 8 + 24 + 3*8 + 2 + 8 + 4 + 8 // frame header, then gravity to the solver's over-relaxation factor
 	in := append([]byte(nil), empty[:params]...)
 	in = binary.LittleEndian.AppendUint32(in, padding)
 	in = append(in, make([]byte, padding)...)
@@ -460,6 +460,25 @@ func TestRestoreBoundsAllocation(t *testing.T) {
 	}
 	if !bytes.Equal(w.Snapshot(), empty) {
 		t.Error("failed Restore mutated the world")
+	}
+}
+
+// TestRestoreRejectsOverRelaxation: the solver's over-relaxation factor
+// is fixed at 1. The format keeps its eight bytes, Snapshot writes 1, and
+// Restore takes that bit pattern alone, failing every other by name.
+func TestRestoreRejectsOverRelaxation(t *testing.T) {
+	const sorAt = 8 + 24 + 3*8 + 2 + 8 + 4 // frame header, then gravity to the iteration count
+	good := New().Snapshot()
+	if got := math.Float64frombits(binary.LittleEndian.Uint64(good[sorAt:])); got != 1 {
+		t.Fatalf("Snapshot writes over-relaxation factor %v, want 1", got)
+	}
+	for _, v := range []float64{1.3, 0.8, 0, math.Copysign(0, -1), math.Nextafter(1, 2), math.Inf(1), math.NaN()} {
+		in := append([]byte(nil), good[:len(good)-4]...)
+		binary.LittleEndian.PutUint64(in[sorAt:], math.Float64bits(v))
+		in = binary.LittleEndian.AppendUint32(in, crc32.ChecksumIEEE(in))
+		if err := New().Restore(in); err == nil || !strings.Contains(err.Error(), "over-relaxation factor") {
+			t.Errorf("factor %v: Restore = %v, want a refusal naming the over-relaxation factor", v, err)
+		}
 	}
 }
 

@@ -1,8 +1,6 @@
 package world
 
 import (
-	"slices"
-
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/body"
@@ -30,7 +28,7 @@ const StepsPerFrame = 3
 //paraxlint:noalloc
 func (w *World) Step() {
 	w.Profile.reset()
-	w.scratch.beginStep(w.threads, len(w.Joints), w.prevEdges)
+	w.scratch.beginStep(w.threads, len(w.Joints))
 	l0 := w.laneFor(0)
 	l0.Begin(w.spans[spanStep])
 
@@ -44,11 +42,7 @@ func (w *World) Step() {
 	w.stepCloths(l0)
 	w.expireBlasts()
 
-	// Advance time. The pair and edge counts seed next step's buffer
-	// pre-sizing.
 	w.Time += w.Dt
-	w.prevPairs = len(w.pairBuf)
-	w.prevEdges = len(w.scratch.edges)
 	w.recordStepMetrics(&w.Profile)
 	w.recordTelemetry(&w.Profile)
 	l0.End(w.spans[spanStep])
@@ -88,7 +82,7 @@ func (w *World) broadPhase(l0 *obs.Lane) {
 	prof := &w.Profile
 	sc := &w.scratch
 	w.runChunks(phaseRefresh, len(w.Geoms))
-	dst := arena.Grow(w.pairBuf, w.prevPairs)[:0]
+	dst := w.pairBuf[:0]
 	if sap, ok := w.Broad.(*broadphase.SweepAndPrune); ok {
 		sc.sap = sap
 		k := w.runChunks(phaseSweep, sap.Prepare(w.Geoms))
@@ -296,6 +290,7 @@ func (w *World) processIslands(l0 *obs.Lane) {
 	}
 	sc.queued = w.pairIslands(sc.queued, maxDOF)
 	sc.main = w.pairIslands(sc.main, maxDOF)
+	w.sizeWorkers()
 	w.run(phaseIsland, sc.queued, sc.main)
 
 	prof.Solver.Iterations = w.Solver.Iterations
@@ -498,10 +493,31 @@ func (w *World) pairIslands(list []int32, maxDOF int) []int32 {
 	return list[:n]
 }
 
+// sizeWorkers sizes every worker's row buffer and solver workspace for the
+// step's largest work item, here on the serial path, so no worker grows its
+// own storage: what the step allocates does not depend on which worker
+// claims which item. Pairing is settled, so an item's rows are its
+// islands' summed DOF.
+func (w *World) sizeWorkers() {
+	sc := &w.scratch
+	rows := 0
+	for i, is := range sc.islands {
+		n := is.DOF
+		if q := sc.partner[i]; q >= 0 {
+			n += sc.islands[q].DOF
+		}
+		rows = max(rows, n)
+	}
+	for k := range sc.rows {
+		sc.rows[k] = arena.Grow(sc.rows[k], rows)
+		sc.ws[k].Reserve(rows, len(w.Bodies))
+	}
+}
+
 // solveIsland forward-simulates one work item: an island and, if it has
 // one, its partner. Both islands' rows are assembled into the worker's
-// reusable row buffer, each numbered from its own first row, and the LCP
-// solve runs with the worker's workspace, both islands in one SolvePair.
+// row buffer, each numbered from its own first row, and the LCP solve
+// runs with the worker's workspace, both islands in one SolvePair.
 // Velocity and position integration are chunk-parallel passes outside
 // the island solves (see processIslands). Islands touch disjoint bodies,
 // joints and contacts, so concurrent island solves never share mutable
@@ -516,7 +532,6 @@ func (w *World) solveIsland(worker, idx int) {
 		rows = w.islandRows(q, rows)
 		stQ = &sc.solverStats[q]
 	}
-	sc.rows[worker] = rows // keep the grown capacity for the next item
 	lane := w.laneFor(worker)
 	lane.Begin(w.spans[spanSolve])
 	lamP, lamQ := w.Solver.SolvePair(w.Bodies, rows[:np], rows[np:], w.Dt, sc.jointLoad,
@@ -607,14 +622,10 @@ func (w *World) refreshChunk(chunk, lo, hi int) {
 }
 
 // sweepChunk is the broad-phase sweep worker: it sweeps one chunk of the
-// start positions into that chunk's pair buffer. The buffer is pre-sized
-// from the previous step's whole pair count, as pairBuf is — no chunk
-// finds more — so it does not regrow each time its chunk's share of the
-// pairs rises, nor on the first step after a Restore.
+// start positions into that chunk's pair buffer.
 func (w *World) sweepChunk(chunk, lo, hi int) {
 	sc := &w.scratch
-	buf := slices.Grow(sc.sweep[chunk][:0], w.prevPairs)
-	sc.sweep[chunk], sc.sweepTests[chunk] = sc.sap.SweepRange(lo, hi, buf)
+	sc.sweep[chunk], sc.sweepTests[chunk] = sc.sap.SweepRange(lo, hi, sc.sweep[chunk][:0])
 }
 
 // edgeChunk collects island edges for one chunk of the combined

@@ -186,20 +186,6 @@ func TestTelemetrySurvivesSnapshotRestore(t *testing.T) {
 	}
 }
 
-// TestStepSteadyStateAllocsRecorded extends the zero-allocation
-// contract to the full flight-recorder stack: series staging/commit
-// plus the detector's windowed checks.
-func TestStepSteadyStateAllocsRecorded(t *testing.T) {
-	w, _, _ := telWorld(2)
-	for i := 0; i < 40; i++ {
-		w.Step()
-	}
-	allocs := testing.AllocsPerRun(30, func() { w.Step() })
-	if allocs != 0 {
-		t.Fatalf("recorded steady-state Step allocates %v per step, want 0", allocs)
-	}
-}
-
 // TestSolverResidualPopulated checks the new solver stats flow into the
 // profile: a converged contact-rich step reports a finite residual and
 // a positive applied-impulse norm, merged in island order.

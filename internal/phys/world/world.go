@@ -167,11 +167,6 @@ type World struct {
 	// value per step would allocate.
 	activeFn func(int32) bool
 	poseFn   func(int32) (m3.Vec, m3.Quat)
-
-	// prevPairs and prevEdges carry the previous step's broad-phase pair
-	// and island-edge counts, pre-sizing this step's buffers so the
-	// steps after a snapshot Restore don't regrow them incrementally.
-	prevPairs, prevEdges int
 }
 
 // New returns an empty world with the paper's default parameters:
