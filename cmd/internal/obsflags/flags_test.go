@@ -1,20 +1,25 @@
-package obs
+package obsflags
 
 import (
 	"encoding/json"
 	"flag"
+	"io"
 	"net"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
+
+	"github.com/parallax-arch/parallax/internal/obs"
 )
 
 // parseFlags registers the shared flags on a private set and parses args.
 func parseFlags(t *testing.T, args ...string) *Flags {
 	t.Helper()
 	fs := flag.NewFlagSet("test", flag.ContinueOnError)
-	f := RegisterFlags(fs)
+	f := Register(fs)
 	if err := fs.Parse(args); err != nil {
 		t.Fatal(err)
 	}
@@ -30,7 +35,7 @@ func TestFlagsRunWritesOutputs(t *testing.T) {
 	trace, metrics, mem := filepath.Join(dir, "t.json"), filepath.Join(dir, "m.prom"), filepath.Join(dir, "mem.pprof")
 	f := parseFlags(t, "-trace", trace, "-metrics", metrics, "-memprofile", mem)
 
-	tr, reg, s := NewTracer(), NewRegistry(), NewSeries(64)
+	tr, reg, s := obs.NewTracer(), obs.NewRegistry(), obs.NewSeries(64)
 	code := f.Run(tr, reg, s, nil, func() int {
 		l := tr.Lane("main", 64)
 		id := tr.Span("step")
@@ -65,7 +70,11 @@ func TestFlagsRunWritesOutputs(t *testing.T) {
 		t.Errorf("trace has no \"step\" event:\n%s", data)
 	}
 
-	want := promOutput(t, reg, s)
+	var sb strings.Builder
+	if err := obs.WriteProm(&sb, reg, s); err != nil {
+		t.Fatal(err)
+	}
+	want := sb.String()
 	if got, err := os.ReadFile(metrics); err != nil || string(got) != want ||
 		!strings.Contains(want, "parallax_series_kinetic_energy 42\n") {
 		t.Errorf("metrics file = %q (%v), want the exposition %q", got, err, want)
@@ -89,27 +98,63 @@ func TestFlagsRunKeepsProfileOnErrorExit(t *testing.T) {
 	}
 }
 
-// TestFlagsRunFailsOnBusyPort: a -serve or -pprof address that cannot be
-// bound fails Run with exit code 1 before the mode runs, and no CPU
-// profile is left running.
+// TestFlagsRunFailsOnBusyPort: a -serve address that cannot be bound
+// fails Run with exit code 1 before the mode runs, and no CPU profile
+// is left running.
 func TestFlagsRunFailsOnBusyPort(t *testing.T) {
 	held, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer held.Close()
-	for _, flagName := range []string{"-serve", "-pprof"} {
-		t.Run(flagName, func(t *testing.T) {
-			cpu := filepath.Join(t.TempDir(), "cpu.pprof")
-			f := parseFlags(t, flagName, held.Addr().String(), "-cpuprofile", cpu)
-			ran := false
-			if code := f.Run(NewTracer(), NewRegistry(), nil, nil, func() int { ran = true; return 0 }); code != 1 || ran {
-				t.Fatalf("Run = %d with the mode run: %t; want 1 and the mode never run", code, ran)
-			}
-			if _, err := os.Stat(cpu); !os.IsNotExist(err) {
-				t.Errorf("CPU profile file after a failed start: %v, want none", err)
-			}
-		})
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	f := parseFlags(t, "-serve", held.Addr().String(), "-cpuprofile", cpu)
+	ran := false
+	if code := f.Run(obs.NewTracer(), obs.NewRegistry(), nil, nil, func() int { ran = true; return 0 }); code != 1 || ran {
+		t.Fatalf("Run = %d with the mode run: %t; want 1 and the mode never run", code, ran)
+	}
+	if _, err := os.Stat(cpu); !os.IsNotExist(err) {
+		t.Errorf("CPU profile file after a failed start: %v, want none", err)
+	}
+}
+
+// TestServeMountsProfilers: the -serve listener answers the Go
+// profilers' index under /debug/pprof/ beside the telemetry endpoints,
+// while the mode runs.
+func TestServeMountsProfilers(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	ln.Close()
+	f := parseFlags(t, "-serve", addr)
+	get := func(path string) (int, string) {
+		t.Helper()
+		client := http.Client{Timeout: 10 * time.Second}
+		resp, err := client.Get("http://" + addr + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, string(body)
+	}
+	// A failing mode returns from Run instead of serving until killed.
+	code := f.Run(obs.NewTracer(), obs.NewRegistry(), nil, nil, func() int {
+		if code, body := get("/debug/pprof/"); code != http.StatusOK || !strings.Contains(body, "heap") {
+			t.Errorf("GET /debug/pprof/ = %d, want 200 listing heap:\n%s", code, body)
+		}
+		if code, body := get("/health"); code != http.StatusOK || body != "ok\n" {
+			t.Errorf("GET /health = %d %q, want 200 \"ok\"", code, body)
+		}
+		return 2
+	})
+	if code != 2 {
+		t.Fatalf("Run = %d, want the mode's 2", code)
 	}
 }
 
@@ -120,7 +165,7 @@ func TestFlagsRunReportsWriteFailure(t *testing.T) {
 	dir := t.TempDir()
 	metrics := filepath.Join(dir, "m.txt")
 	f := parseFlags(t, "-trace", filepath.Join(dir, "missing", "t.json"), "-metrics", metrics)
-	if code := f.Run(NewTracer(), NewRegistry(), nil, nil, func() int { return 0 }); code != 1 {
+	if code := f.Run(obs.NewTracer(), obs.NewRegistry(), nil, nil, func() int { return 0 }); code != 1 {
 		t.Fatalf("Run = %d, want 1", code)
 	}
 	if _, err := os.Stat(metrics); err != nil {

@@ -12,9 +12,11 @@
 // Observability: -trace exports the run's span timeline (engine phases,
 // architecture models, harness captures/experiments) as Chrome
 // trace-event JSON for Perfetto (ui.perfetto.dev); -metrics writes the
-// run's counters as deterministic Prometheus exposition. -cpuprofile,
-// -memprofile and -pprof expose the standard Go profilers. All of them
-// are written on every exit path (obs.Flags).
+// run's counters as deterministic Prometheus exposition. -cpuprofile
+// and -memprofile write the standard Go profiles, and -serve addr
+// serves /metrics, /health, /trace and the live profilers under
+// /debug/pprof/. All of them are written on every exit path
+// (obsflags.Flags).
 //
 // Usage:
 //
@@ -23,7 +25,7 @@
 //	paraxbench -exp all -scale 1.0 -threads 8
 //	paraxbench -exp fig2a,fig2b -scale 0.5 -bench Explosions,Mix
 //	paraxbench -exp all -scale 0.25 -trace trace.json -metrics metrics.prom
-//	paraxbench -exp all -cpuprofile cpu.pprof -pprof localhost:6060
+//	paraxbench -exp all -cpuprofile cpu.pprof -serve localhost:6060
 package main
 
 import (
@@ -34,8 +36,8 @@ import (
 	"strings"
 	"time"
 
+	"github.com/parallax-arch/parallax/cmd/internal/obsflags"
 	"github.com/parallax-arch/parallax/internal/exp"
-	"github.com/parallax-arch/parallax/internal/obs"
 )
 
 func main() { os.Exit(run()) }
@@ -51,7 +53,7 @@ func run() int {
 		bench = flag.String("bench", "",
 			"comma list of benchmarks to restrict the suite to (default: all)")
 		list     = flag.Bool("list", false, "list experiments and exit")
-		obsFlags = obs.RegisterFlags(flag.CommandLine)
+		obsFlags = obsflags.Register(flag.CommandLine)
 	)
 	flag.Parse()
 

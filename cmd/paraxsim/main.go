@@ -5,9 +5,9 @@
 // Observability: -trace exports the run's engine phase/worker spans as
 // Chrome trace-event JSON for Perfetto (ui.perfetto.dev); -metrics
 // writes the run's Prometheus exposition, the bytes /metrics serves
-// once the run is over. -cpuprofile,
-// -memprofile and -pprof expose the standard Go profilers. All of these
-// work in every mode and are written on every exit path (obs.Flags).
+// once the run is over. -cpuprofile and -memprofile write the standard
+// Go profiles. All of these work in every mode and are written on every
+// exit path (obsflags.Flags).
 //
 // Live telemetry: every run records a per-step series (kinetic energy,
 // solver residual/impulse norms, max penetration, island stats,
@@ -15,7 +15,8 @@
 // feeds the anomaly detector (NaN state, energy spike, residual
 // blowup). -serve addr exposes /metrics (Prometheus
 // text exposition, byte-identical across thread counts), /health
-// (200/503), /trace and /series.json while the run executes — and
+// (200/503), /trace, /series.json and the live Go profilers under
+// /debug/pprof/ while the run executes — and
 // keeps serving after it completes until the process is killed. When
 // the detector trips, the run stops, a black-box flight bundle
 // (snapshot + trace + metrics + series + a replayable recording) is
@@ -39,7 +40,7 @@
 //
 //	paraxsim -bench Mix -frames 5 -scale 1.0 -threads 4
 //	paraxsim -bench Explosions -trace trace.json -metrics metrics.prom
-//	paraxsim -bench Mix -cpuprofile cpu.pprof -pprof localhost:6060
+//	paraxsim -bench Mix -cpuprofile cpu.pprof -serve localhost:6060
 //	paraxsim -bench Breakable -frames 10 -save run.paxr
 //	paraxsim -load run.paxr -frames 5
 //	paraxsim -replay run.paxr -threads 8
@@ -55,6 +56,7 @@ import (
 	"text/tabwriter"
 	"time"
 
+	"github.com/parallax-arch/parallax/cmd/internal/obsflags"
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/replay"
@@ -77,7 +79,7 @@ var (
 	flightDir = flag.String("flightdir", "", "write black-box flight bundles under `dir` when the anomaly detector trips (or a replay diverges)")
 	nanStep   = flag.Int("nan", -1, "corrupt one body velocity to NaN before frame `N` (tests the flight recorder)")
 
-	obsFlags = obs.RegisterFlags(flag.CommandLine)
+	obsFlags = obsflags.Register(flag.CommandLine)
 )
 
 // flightSeriesSteps is the resident series window: how many trailing

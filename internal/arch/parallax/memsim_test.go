@@ -311,11 +311,10 @@ func TestL1TraceEntryRange(t *testing.T) {
 // TestReplayDoesNotAllocate: once a class's trace exists, a simulation
 // allocates the L2 (the cache and its lines; when partitioned, the bank
 // lists too) and nothing per segment or per miss. Only the model's own
-// allocations count, in total over the runs: after every collection the
-// runtime's unique-map cleanup goroutine (net/netip registers one at init)
-// allocates two objects, and twenty simulations of a fresh L2 collect six
-// to ten times, which a process-wide count read as a third allocation per
-// simulation. It runs on one P, as testing.AllocsPerRun does: on two, a GC
+// allocations count, in total over the runs: twenty simulations of a
+// fresh L2 collect six to ten times, and a process-wide count also reads
+// what the runtime's own goroutines allocate around a collection. It
+// runs on one P, as testing.AllocsPerRun does: on two, a GC
 // assist that parks inside the model's allocation can find its P's sudog
 // cache and the central one (which every collection empties) both dry.
 func TestReplayDoesNotAllocate(t *testing.T) {

@@ -2,6 +2,7 @@ package lint_test
 
 import (
 	"go/ast"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -157,6 +158,24 @@ func TestSubsetRunsAreClean(t *testing.T) {
 			}
 			runAll(t, pkgs)
 		})
+	}
+}
+
+// TestEngineLinksNoNetwork: the engine, the architecture models and the
+// experiment harness, with their tests, link no network package. The
+// engine runs inside someone else's frame loop; serving its telemetry
+// is obshttp's job, and the profilers belong to the CLIs, so net (and
+// unique, which only net/netip pulls in) stays out of this graph.
+func TestEngineLinksNoNetwork(t *testing.T) {
+	patterns := []string{modPath + "/internal/phys/...", modPath + "/internal/arch/...", modPath + "/internal/exp"}
+	out, err := exec.Command("go", append([]string{"list", "-deps", "-test"}, patterns...)...).Output()
+	if err != nil {
+		t.Fatalf("go list: %v", err)
+	}
+	for _, pkg := range strings.Fields(string(out)) {
+		if pkg == "net" || strings.HasPrefix(pkg, "net/") || pkg == "unique" {
+			t.Errorf("the engine's import graph holds %s", pkg)
+		}
 	}
 }
 

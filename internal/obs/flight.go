@@ -234,12 +234,27 @@ func WriteFlightBundle(dir string, info FlightInfo, snapshot []byte, tr *Tracer,
 			return "", err
 		}
 	}
-	if err := writeFile(filepath.Join(bundle, "trace.json"), tr.WriteTrace); err != nil {
+	if err := WriteFile(filepath.Join(bundle, "trace.json"), tr.WriteTrace); err != nil {
 		return "", err
 	}
-	err := writeFile(filepath.Join(bundle, "metrics.txt"), func(w io.Writer) error { return WriteProm(w, reg, s) })
+	err := WriteFile(filepath.Join(bundle, "metrics.txt"), func(w io.Writer) error { return WriteProm(w, reg, s) })
 	if err != nil {
 		return "", err
 	}
-	return bundle, writeFile(filepath.Join(bundle, "series.json"), s.WriteJSON)
+	return bundle, WriteFile(filepath.Join(bundle, "series.json"), s.WriteJSON)
+}
+
+// WriteFile creates path and streams write into it: the one file
+// writer behind a flight bundle's files and the CLIs' -trace, -metrics
+// and -memprofile outputs.
+func WriteFile(path string, write func(io.Writer) error) error {
+	file, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := write(file); err != nil {
+		file.Close()
+		return err
+	}
+	return file.Close()
 }

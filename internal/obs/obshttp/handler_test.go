@@ -1,4 +1,4 @@
-package obs
+package obshttp
 
 import (
 	"encoding/json"
@@ -7,6 +7,8 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
+
+	"github.com/parallax-arch/parallax/internal/obs"
 )
 
 func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) {
@@ -24,18 +26,18 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, string) 
 }
 
 func TestHandlerEndpoints(t *testing.T) {
-	tr := NewTracer()
+	tr := obs.NewTracer()
 	l := tr.Lane("main", 64)
 	id := tr.Span("step")
 	l.Begin(id)
 	l.End(id)
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	reg.Add(reg.Counter("engine/steps"), 3)
-	s := NewSeries(64)
+	s := obs.NewSeries(64)
 	ke := s.Channel("kinetic_energy")
 	s.Set(ke, 42)
 	s.Advance()
-	h := NewHealth()
+	h := obs.NewHealth()
 
 	srv := httptest.NewServer(Handler(tr, reg, s, h))
 	defer srv.Close()
@@ -47,7 +49,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	if !strings.HasPrefix(ctype, "text/plain") || !strings.Contains(ctype, "0.0.4") {
 		t.Errorf("/metrics content type = %q", ctype)
 	}
-	if err := ValidateExposition([]byte(body)); err != nil {
+	if err := obs.ValidateExposition([]byte(body)); err != nil {
 		t.Errorf("/metrics invalid: %v\n%s", err, body)
 	}
 	if !strings.Contains(body, "parallax_engine_steps_total 3") ||
@@ -71,7 +73,7 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 
 	// Trip the detector: /health flips to 503 with the cause.
-	h.Update(9, Sample{Finite: false})
+	h.Update(9, obs.Sample{Finite: false})
 	code, body, _ = get(t, srv, "/health")
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("tripped /health = %d, want 503", code)
@@ -86,21 +88,21 @@ func TestHandlerEndpoints(t *testing.T) {
 // reads the same as a scrape taken at the same moment — with a nil
 // tracer too, which writes an empty but valid trace.
 func TestHandlerServesWriterBytes(t *testing.T) {
-	tr := NewTracer()
+	tr := obs.NewTracer()
 	l := tr.Lane("main", 64)
 	id := tr.Span("step")
 	for i := 0; i < 3; i++ {
 		l.Begin(id)
 		l.End(id)
 	}
-	reg := NewRegistry()
+	reg := obs.NewRegistry()
 	reg.Add(reg.Counter("engine/steps"), 3)
 	reg.ObserveInt(reg.Histogram("engine/island_dof", []int64{8, 64}), 12)
-	s := NewSeries(64)
+	s := obs.NewSeries(64)
 	s.Set(s.Channel("kinetic_energy"), 42)
 	s.Advance()
 
-	trace := func(tr *Tracer) string {
+	trace := func(tr *obs.Tracer) string {
 		t.Helper()
 		var sb strings.Builder
 		if err := tr.WriteTrace(&sb); err != nil {
@@ -147,7 +149,7 @@ func TestHandlerNilComponents(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("/metrics = %d", code)
 	}
-	if err := ValidateExposition([]byte(body)); err != nil {
+	if err := obs.ValidateExposition([]byte(body)); err != nil {
 		t.Errorf("empty /metrics invalid: %v", err)
 	}
 	if code, _, _ := get(t, srv, "/health"); code != http.StatusOK {
@@ -159,4 +161,13 @@ func TestHandlerNilComponents(t *testing.T) {
 			t.Fatalf("%s = %d, body %q", path, code, body)
 		}
 	}
+}
+
+func promOutput(t *testing.T, r *obs.Registry, s *obs.Series) string {
+	t.Helper()
+	var sb strings.Builder
+	if err := obs.WriteProm(&sb, r, s); err != nil {
+		t.Fatal(err)
+	}
+	return sb.String()
 }

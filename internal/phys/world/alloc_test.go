@@ -21,7 +21,7 @@ import (
 // nothing on average, and only the engine's allocations count: the heap
 // profile at one sample per allocation gives each its stack, and a stack
 // with no frame in the engine's non-test code belongs to the runtime's
-// own goroutines (the scavenger's timers, map cleanup).
+// own goroutines (the scavenger's timers).
 //
 // The gate runs on one P, as testing.AllocsPerRun does. On two, a goroutine
 // that parks on one P and resumes on another moves a sudog between the

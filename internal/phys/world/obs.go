@@ -144,10 +144,9 @@ type stepSeries struct {
 // SetSeries attaches (or, with nil, detaches) the per-step telemetry
 // series. Channels are registered here, on the cold path; every Step
 // then stages one row and commits it allocation-free from the serial
-// post-step path. If a tracer is attached (SetObs), per-phase wall
-// durations are recorded into timing channels by differencing
-// Tracer.SpanTotal between steps; call SetObs first so the span IDs
-// exist.
+// post-step path. If a tracer is attached (SetObs), each step phase's
+// timing channel holds the duration of this world's own phase span
+// (endPhase), so worlds sharing a tracer do not see each other's time.
 func (w *World) SetSeries(s *obs.Series) {
 	w.series = s
 	if s == nil {
@@ -166,9 +165,16 @@ func (w *World) SetSeries(s *obs.Series) {
 	for i := range spanTable {
 		if name := spanTable[i].series; name != "" {
 			w.ser.phaseNs[i] = s.TimingChannel(name)
-			_, w.prevPhaseNs[i] = w.trace.SpanTotal(w.spans[i])
 		}
 	}
+}
+
+// endPhase closes step phase sp's span on the calling goroutine's lane
+// and stages the span's duration in the phase's timing channel, which
+// recordTelemetry's Advance commits with the rest of the step's row. sp
+// must be one of the phases spanTable gives a series name.
+func (w *World) endPhase(l0 *obs.Lane, sp span) {
+	w.series.Set(w.ser.phaseNs[sp], float64(l0.End(w.spans[sp])))
 }
 
 // SetHealth attaches (or, with nil, detaches) the anomaly detector.
@@ -213,14 +219,6 @@ func (w *World) recordTelemetry(prof *StepProfile) {
 		s.Set(w.ser.islands, float64(len(prof.Islands)))
 		s.Set(w.ser.islandDOFMax, float64(maxDOF))
 		s.Set(w.ser.broadSortOps, float64(prof.Broad.SortOps))
-		for i := range spanTable {
-			if spanTable[i].series == "" {
-				continue
-			}
-			_, ns := w.trace.SpanTotal(w.spans[i])
-			s.Set(w.ser.phaseNs[i], float64(ns-w.prevPhaseNs[i]))
-			w.prevPhaseNs[i] = ns
-		}
 		s.Advance()
 	}
 

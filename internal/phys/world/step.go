@@ -96,7 +96,7 @@ func (w *World) broadPhase(l0 *obs.Lane) {
 		prof.Broad.AABBUpdates += r[1]
 	}
 	prof.Pairs = len(w.pairBuf)
-	l0.End(w.spans[spanBroad])
+	w.endPhase(l0, spanBroad)
 }
 
 // narrowPhase generates contacts plus the special-contact events
@@ -176,7 +176,7 @@ func (w *World) narrowPhase(l0 *obs.Lane) {
 			}
 		}
 	}
-	l0.End(w.spans[spanNarrow])
+	w.endPhase(l0, spanNarrow)
 }
 
 // createIslands groups the step's joints and contacts into islands. Edge
@@ -209,7 +209,7 @@ func (w *World) createIslands(l0 *obs.Lane) {
 	if w.RecordDetail {
 		w.recordDetail(prof)
 	}
-	l0.End(w.spans[spanIslandGen])
+	w.endPhase(l0, spanIslandGen)
 }
 
 // recordDetail copies the step's pair list, contact geoms and island
@@ -316,7 +316,7 @@ func (w *World) processIslands(l0 *obs.Lane) {
 		}
 		w.warm, sc.warmNext = next[:n], w.warm
 	}
-	l0.End(w.spans[spanIslandProc])
+	w.endPhase(l0, spanIslandProc)
 }
 
 // breakJoints checks the breakable joints: one whose applied load
@@ -347,7 +347,7 @@ func (w *World) integrate(l0 *obs.Lane) {
 		w.Profile.BodiesIntegrated += n
 	}
 	w.runChunks(phaseSync, len(w.Geoms))
-	l0.End(w.spans[spanIntegrate])
+	w.endPhase(l0, spanIntegrate)
 }
 
 // stepCloths forward-steps every cloth object: one queued item per
@@ -376,7 +376,7 @@ func (w *World) stepCloths(l0 *obs.Lane) {
 			prof.Cloth.RayCasts += st.RayCasts
 		}
 	}
-	l0.End(w.spans[spanCloth])
+	w.endPhase(l0, spanCloth)
 }
 
 // expireBlasts ages the blast volumes. Expired volumes are disabled and

@@ -1,6 +1,7 @@
 package world
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -125,6 +126,41 @@ func TestSeriesThreadCountDeterminism(t *testing.T) {
 			if math.Float64bits(w1[i]) != math.Float64bits(w8[i]) {
 				t.Errorf("%s step %d: %v (1 thread) vs %v (8 threads)", name, i, w1[i], w8[i])
 				break
+			}
+		}
+	}
+}
+
+// TestPhaseTimingPerWorld: two worlds sharing one tracer each record
+// their own phase durations. Stepped in turn, a world's phase/*_ns
+// channel must equal what its own step added to the phase span's
+// total, not the other world's time since its previous step.
+func TestPhaseTimingPerWorld(t *testing.T) {
+	tr := obs.NewTracer()
+	worlds := []*World{detWorld(1), detWorld(2)}
+	series := make([]*obs.Series, len(worlds))
+	for i, w := range worlds {
+		w.SetObs(tr, nil, fmt.Sprintf("w%d", i))
+		series[i] = obs.NewSeries(64)
+		w.SetSeries(series[i])
+	}
+	for step := 0; step < 4; step++ {
+		for i, w := range worlds {
+			var before [numSpans]int64
+			for sp := range spanTable {
+				_, before[sp] = tr.SpanTotal(w.spans[sp])
+			}
+			w.Step()
+			for sp := range spanTable {
+				name := spanTable[sp].series
+				if name == "" {
+					continue
+				}
+				_, after := tr.SpanTotal(w.spans[sp])
+				got, _ := series[i].Last(series[i].TimingChannel(name))
+				if int64(got) != after-before[sp] {
+					t.Errorf("world %d step %d: %s = %v, want its own span time %d ns", i, step, name, got, after-before[sp])
+				}
 			}
 		}
 	}

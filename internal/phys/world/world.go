@@ -149,15 +149,12 @@ type World struct {
 	met      stepMetrics
 
 	// Live telemetry (SetSeries/SetHealth): the per-step series rings,
-	// the anomaly detector, the pre-registered channel IDs, the
-	// telemetry step ordinal, and the previous cumulative span totals of
-	// the step phases, indexed by span (recordTelemetry differences them
-	// into per-step durations). All nil/zero when telemetry is off.
-	series      *obs.Series
-	health      *obs.Health
-	ser         stepSeries
-	telStep     int64
-	prevPhaseNs [numSpans]int64
+	// the anomaly detector, the pre-registered channel IDs and the
+	// telemetry step ordinal. All nil/zero when telemetry is off.
+	series  *obs.Series
+	health  *obs.Health
+	ser     stepSeries
+	telStep int64
 
 	// scratch is the reusable per-step arena; see frameScratch.
 	scratch frameScratch

@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"github.com/parallax-arch/parallax/internal/obs"
+	"github.com/parallax-arch/parallax/internal/obs/obshttp"
 	"github.com/parallax-arch/parallax/internal/phys/m3"
 )
 
@@ -104,7 +105,7 @@ func New(cfg Config, tr *obs.Tracer, reg *obs.Registry) (*Server, error) {
 		cSpilled:   reg.Counter("serve/sessions_spilled"),
 		cRestored:  reg.Counter("serve/sessions_restored"),
 		gActive:    reg.Gauge("serve/active_sessions"),
-		obsHandler: obs.Handler(tr, reg, nil, nil),
+		obsHandler: obshttp.Handler(tr, reg, nil, nil),
 	}
 	s.shards = make([]*shard, cfg.Shards)
 	for i := range s.shards {

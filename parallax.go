@@ -32,6 +32,7 @@ import (
 	archpx "github.com/parallax-arch/parallax/internal/arch/parallax"
 	"github.com/parallax-arch/parallax/internal/exp"
 	"github.com/parallax-arch/parallax/internal/obs"
+	"github.com/parallax-arch/parallax/internal/obs/obshttp"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/export"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
@@ -249,7 +250,7 @@ func NewHealth() *Health { return obs.NewHealth() }
 // (Prometheus text exposition), /health, /trace, /series.json. Any
 // argument may be nil.
 func ObsHandler(tr *Tracer, reg *Metrics, s *Series, h *Health) http.Handler {
-	return obs.Handler(tr, reg, s, h)
+	return obshttp.Handler(tr, reg, s, h)
 }
 
 // ---- experiments ----
