@@ -17,7 +17,7 @@ import (
 //     is noallocWalker's; no directive is needed on callees, so a newly
 //     added allocating function three frames below Step is a finding.
 //   - A `//paraxlint:parroot` function is a worker entry point
-//     (pool.loop): everything reachable from it runs concurrently with
+//     (pool.drain): everything reachable from it runs concurrently with
 //     every other worker and must satisfy the allocation rule plus the
 //     concurrency rules below.
 //
@@ -25,7 +25,8 @@ import (
 //
 //   - write package-level variables (workers share them);
 //   - touch channels, select, or package sync outside sync/atomic
-//     (the pool's own WaitGroup handoff is waived, not allowlisted);
+//     (the pool's own wake-up and WaitGroup handoff sit in pool.loop,
+//     which calls the root and is not itself checked);
 //   - start goroutines;
 //   - call through interface methods that class-hierarchy analysis
 //     cannot resolve to analyzed bodies, or through func values;

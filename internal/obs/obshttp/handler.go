@@ -1,8 +1,7 @@
 // Package obshttp serves the engine's observability sinks over HTTP. It
 // sits beside package obs rather than inside it so the engine, which
 // records into obs, links no network stack: only the programs that
-// serve telemetry (paraxserve, the -serve flag, parallax.ObsHandler)
-// import this package.
+// serve telemetry (paraxserve and the -serve flag) import this package.
 package obshttp
 
 import (

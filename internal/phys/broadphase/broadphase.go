@@ -120,9 +120,8 @@ type SweepAndPrune struct {
 	planes []Pair
 	lists  [][]Pair
 	sorter pairSort
-	// PairsPrerefreshed's one range: its pair buffer and its test count.
-	whole      [1][]Pair
-	wholeTests [1]int
+	// PairsPrerefreshed's one range: its pair buffer.
+	whole [1][]Pair
 }
 
 // sweepRec is the part of a geom the pair filter reads, copied out for
@@ -145,8 +144,9 @@ func (s *SweepAndPrune) Stats() Stats { return s.stats }
 // every start position, Merge.
 func (s *SweepAndPrune) PairsPrerefreshed(geoms []*geom.Geom, dst []Pair) []Pair {
 	n := s.Prepare(geoms)
-	s.whole[0], s.wholeTests[0] = s.SweepRange(0, n, s.whole[0][:0])
-	return s.Merge(s.whole[:], s.wholeTests[:], dst)
+	var tests int
+	s.whole[0], tests = s.SweepRange(0, n, s.whole[0][:0])
+	return s.Merge(s.whole[:], tests, dst)
 }
 
 // Prepare is the serial first part of a pass over pre-refreshed geoms:
@@ -273,11 +273,11 @@ func (s *SweepAndPrune) SweepRange(from, to int, dst []Pair) ([]Pair, int) {
 }
 
 // Merge is the serial last part of a pass: it pairs the planes with
-// every dynamic geom, totals the Stats from the ranges' test counts, and
-// appends to dst the ranges' pairs (chunks, which partitioned the start
-// positions, in any order) and the plane pairs in the canonical (A, B)
-// order. It returns the extended slice.
-func (s *SweepAndPrune) Merge(chunks [][]Pair, tests []int, dst []Pair) []Pair {
+// every dynamic geom, adds tests (the ranges' summed overlap-test
+// counts) to the Stats, and appends to dst the ranges' pairs (chunks,
+// which partitioned the start positions, in any order) and the plane
+// pairs in the canonical (A, B) order. It returns the extended slice.
+func (s *SweepAndPrune) Merge(chunks [][]Pair, tests int, dst []Pair) []Pair {
 	planes := s.planes[:0]
 	for pi := range s.unbounded {
 		p := &s.unbounded[pi]
@@ -289,9 +289,7 @@ func (s *SweepAndPrune) Merge(chunks [][]Pair, tests []int, dst []Pair) []Pair {
 		}
 	}
 	s.planes = planes
-	for _, t := range tests {
-		s.stats.OverlapTests += t
-	}
+	s.stats.OverlapTests += tests
 	lists := s.lists[:0]
 	lists = append(lists, chunks...)
 	lists = append(lists, planes)

@@ -13,7 +13,8 @@ import (
 // TestSweepRangePartitionsMatchWhole runs every frame twice on one
 // history of geoms: once through PairsPrerefreshed, and once as Prepare,
 // SweepRange over a random partition of the start positions run in a
-// random order, and Merge of those ranges in another random order. The
+// random order, and Merge of those ranges, in another random order, with
+// their summed test counts. The
 // pair list and every Stats field must be equal, and so must the
 // persistent order. Both share Merge, so the split pass is also held to
 // referenceSweep, which shares none of it. Partitions have empty and one-wide ranges and cuts
@@ -25,9 +26,11 @@ import (
 // d off by one (`<=` for `<`: a range starting on a dynamic position
 // skips it); end carried across a cut (kept on the struct from the last
 // SweepRange: index out of range once the position count shrinks); the
-// two counting passes in A-then-B order; Merge summing only the first
-// range's tests; the plane pairs appended to the sort's input twice (red
-// against referenceSweep only: the whole pass merges them twice too).
+// two counting passes in A-then-B order; the plane pairs appended to the
+// sort's input twice (red against referenceSweep only: the whole pass
+// merges them twice too). Summing the ranges' tests is the caller's job
+// (World.runChunks); a sum of the first range only is caught by the
+// world's thread-count determinism tests.
 func TestSweepRangePartitionsMatchWhole(t *testing.T) {
 	for _, sc := range []struct {
 		name  string
@@ -59,7 +62,6 @@ func TestSweepRangePartitionsMatchWhole(t *testing.T) {
 			whole, split, ref := NewSweepAndPrune(), NewSweepAndPrune(), &referenceSweep{}
 			var want, got, oracle []Pair
 			var chunks [][]Pair
-			var tests []int
 			seen := map[string]bool{}
 			for frame := 0; frame < 60; frame++ {
 				gs = moveSplitScene(r, gs, sc.grow && frame%8 == 7)
@@ -76,13 +78,14 @@ func TestSweepRangePartitionsMatchWhole(t *testing.T) {
 				ranges := randomPartition(r, split, n)
 				perm := r.Perm(len(ranges))
 				chunks = slices.Grow(chunks[:0], len(ranges))[:len(ranges)]
-				tests = slices.Grow(tests[:0], len(ranges))[:len(ranges)]
+				tests := 0
 				for _, k := range perm { // ranges run in any order
-					chunks[k], tests[k] = split.SweepRange(ranges[k][0], ranges[k][1], chunks[k][:0])
+					var n int
+					chunks[k], n = split.SweepRange(ranges[k][0], ranges[k][1], chunks[k][:0])
+					tests += n
 				}
 				r.Shuffle(len(ranges), func(i, j int) { // and merge in any order
 					chunks[i], chunks[j] = chunks[j], chunks[i]
-					tests[i], tests[j] = tests[j], tests[i]
 				})
 				got = split.Merge(chunks, tests, got[:0])
 				if nan >= 0 {

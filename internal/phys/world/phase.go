@@ -15,12 +15,15 @@ const (
 	spanIntegrate
 	spanCloth
 	// Work-item spans, recorded on the lane of whichever worker ran the
-	// item, inline or pooled.
+	// item, inline or pooled. Each but spanSolve is also the kind of a
+	// dispatch (runItem); the velocity and position integration kinds
+	// share one trace name.
 	spanRefreshChunk
 	spanSweepChunk
 	spanNarrowChunk
 	spanEdgeChunk
-	spanIntegChunk
+	spanVelChunk
+	spanPosChunk
 	spanSyncChunk
 	spanIsland
 	spanSolve // the LCP solve nested inside spanIsland
@@ -48,125 +51,95 @@ var spanTable = [numSpans]struct {
 	spanSweepChunk:   {name: "sweep-chunk"},
 	spanNarrowChunk:  {name: "narrow-chunk"},
 	spanEdgeChunk:    {name: "edge-chunk"},
-	spanIntegChunk:   {name: "integrate-chunk"},
+	spanVelChunk:     {name: "integrate-chunk"},
+	spanPosChunk:     {name: "integrate-chunk"},
 	spanSyncChunk:    {name: "sync-chunk"},
 	spanIsland:       {name: "island"},
 	spanSolve:        {name: "solve"},
 	spanClothObj:     {name: "cloth-object"},
 }
 
-// phase names one kind of pool work item. A dispatch is one phase and a
-// list of items: chunk indices for the chunked phases, island or cloth
-// indices for the other two.
-type phase uint8
-
-const (
-	phaseRefresh phase = iota // AABB refresh over a chunk of w.Geoms
-	phaseSweep                // sweep-and-prune runs of a chunk of start positions
-	phaseNarrow               // contact generation over a chunk of w.pairBuf
-	phaseEdge                 // island edges over a chunk of joints+contacts
-	phaseVel                  // velocity integration over a chunk of w.Bodies
-	phaseIsland               // one island's or island pair's row assembly and solve
-	phasePos                  // position integration over a chunk of w.Bodies
-	phaseSync                 // geom pose sync over a chunk of w.Geoms
-	phaseCloth                // one cloth object's forward step
-	numPhases
-)
-
-// phaseSpan is the span recorded around each item of a phase.
-var phaseSpan = [numPhases]span{
-	phaseRefresh: spanRefreshChunk,
-	phaseSweep:   spanSweepChunk,
-	phaseNarrow:  spanNarrowChunk,
-	phaseEdge:    spanEdgeChunk,
-	phaseVel:     spanIntegChunk,
-	phaseIsland:  spanIsland,
-	phasePos:     spanIntegChunk,
-	phaseSync:    spanSyncChunk,
-	phaseCloth:   spanClothObj,
-}
-
-// runItem executes one work item on the given worker (0 = the calling
-// thread), inside the phase's item span. It is the only way a worker
-// body is ever entered. The switch — rather than a func value stored per
-// dispatch — keeps the worker call graph static, so paraxlint follows it
-// from pool.loop and from Step without per-worker annotations, and
-// avoids the method values that would otherwise have to be bound once
-// and kept in World fields (creating one allocates).
-func (w *World) runItem(worker int, ph phase, item int) {
+// runItem executes item index item of kind sp on the given worker (0 =
+// the calling thread), inside the item span. It is the only way a worker
+// body is ever entered. An index means what its kind says: a chunk for
+// the chunked kinds, a slot of the step's island work list, or a cloth.
+// The switch — rather than a func value stored per dispatch — keeps the
+// worker call graph static, so paraxlint follows it from pool.drain and
+// from Step without per-worker annotations, and avoids the method values
+// that would otherwise have to be bound once and kept in World fields
+// (creating one allocates).
+func (w *World) runItem(worker int, sp span, item int) {
 	lane := w.laneFor(worker)
-	id := w.spans[phaseSpan[ph]]
+	id := w.spans[sp]
 	lane.Begin(id)
 	sc := &w.scratch
-	switch ph {
-	case phaseRefresh:
+	switch sp {
+	case spanRefreshChunk:
 		w.refreshChunk(sc.chunkRange(item))
-	case phaseSweep:
+	case spanSweepChunk:
 		w.sweepChunk(sc.chunkRange(item))
-	case phaseNarrow:
+	case spanNarrowChunk:
 		w.narrowChunk(sc.chunkRange(item))
-	case phaseEdge:
+	case spanEdgeChunk:
 		w.edgeChunk(sc.chunkRange(item))
-	case phaseVel:
+	case spanVelChunk:
 		w.velChunk(sc.chunkRange(item))
-	case phaseIsland:
-		w.solveIsland(worker, item)
-	case phasePos:
+	case spanIsland:
+		w.solveIsland(worker, int(sc.items[item]))
+	case spanPosChunk:
 		w.posChunk(sc.chunkRange(item))
-	case phaseSync:
+	case spanSyncChunk:
 		w.syncChunk(sc.chunkRange(item))
-	case phaseCloth:
+	case spanClothObj:
 		w.stepCloth(item)
 	default:
-		panic("world: work item of an unknown phase")
+		panic("world: work item of an unknown kind")
 	}
 	lane.End(id)
 }
 
-// run executes one item of phase ph per index, returning when all have
-// completed. The queued items go to the pool's shared cursor; the calling
-// goroutine runs the main items and then claims queued ones alongside
-// the workers, so it is busy for the whole phase. The split orders the
-// work: queued items are started first, and main items are the ones not
+// run executes items [0, n) of kind sp, returning when all have
+// completed. Items [0, q) go to the pool's shared cursor; the calling
+// goroutine runs [q, n) and then claims queued ones alongside the
+// workers, so it is busy for the whole phase. The split orders the work:
+// queued items are started first, and the caller's are the ones not
 // worth a claim each (islands under SmallIslandDOF) or that should not
-// wait for a wake-up (chunk 0). At one thread there is no pool and
-// everything runs inline.
-func (w *World) run(ph phase, queued, main []int32) {
+// wait for a wake-up (the last chunk). At one thread there is no pool
+// and every item runs inline in index order.
+func (w *World) run(sp span, q, n int) {
 	p := w.pool
 	if p == nil {
-		for _, a := range queued {
-			w.runItem(0, ph, int(a))
+		for i := 0; i < n; i++ {
+			w.runItem(0, sp, i)
 		}
-	} else {
-		p.start(w, ph, queued)
+		return
 	}
-	for _, a := range main {
-		w.runItem(0, ph, int(a))
+	p.start(w, sp, q)
+	for i := q; i < n; i++ {
+		w.runItem(0, sp, i)
 	}
-	if p != nil {
-		p.drain(0)
-		p.finish()
-	}
+	p.drain(0)
+	p.finish()
 }
 
 // runChunks partitions n elements into min(threads, n) equal contiguous
 // chunks (the paper partitions object-pairs into equal sets per worker
-// thread) and runs each as one item of phase ph, chunk 0 on the calling
-// goroutine and the rest on the pool. The worker bodies receive the
-// chunk index — not a worker id — so per-chunk result buffers merge
-// deterministically whatever worker ran them. It returns the number of
-// chunks, at least one.
-func (w *World) runChunks(ph phase, n int) int {
-	t := w.threads
-	if t > n {
-		t = n
-	}
-	if t < 1 {
-		t = 1
-	}
+// thread) and runs each as one item of kind sp, the last chunk on the
+// calling goroutine and the rest on the pool. The worker bodies receive
+// the chunk index — not a worker id — so per-chunk result buffers merge
+// deterministically whatever worker ran them. A chunk may report one
+// number in its counts slot. runChunks returns the number of chunks, at
+// least one, and the sum of what they reported.
+func (w *World) runChunks(sp span, n int) (int, int) {
+	t := max(min(w.threads, n), 1)
 	sc := &w.scratch
 	sc.chunkN = n
 	sc.chunkSize = (n + t - 1) / t
-	w.run(ph, sc.chunkIdx[1:t], sc.chunkIdx[:1])
-	return t
+	clear(sc.counts)
+	w.run(sp, t-1, t)
+	sum := 0
+	for _, c := range sc.counts {
+		sum += c
+	}
+	return t, sum
 }

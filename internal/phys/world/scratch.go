@@ -73,12 +73,12 @@ type frameScratch struct {
 	// jointLoad accumulates constraint force per joint id. Islands touch
 	// disjoint joints, so parallel island solves write disjoint entries.
 	jointLoad []float64
-	// queued and main partition the work items between the work queue
-	// and the main thread. An item is an island index; partner, per
-	// island, names the island solved with it in the same item (-1 =
-	// none).
-	queued, main []int32
-	partner      []int32
+	// items is the step's island work list: the paired queued islands,
+	// then the paired ones the main thread runs (processIslands). An item
+	// is an island index; partner, per island, names the island solved
+	// with it in the same item (-1 = none).
+	items   []int32
+	partner []int32
 	// Per-worker storage, indexed by pool worker id (0 = main thread),
 	// sized by processIslands for the step's largest work item.
 	rows []([]joint.Row)
@@ -94,28 +94,24 @@ type frameScratch struct {
 
 	// Cloth phase.
 	clothStats []cloth.Stats
-	clothIdx   []int32
 
 	// The partition runChunks set for the chunked phase in flight: chunkN
-	// elements in chunks of chunkSize. chunkIdx is the identity list
-	// 0..threads-1 its chunk items are sliced from.
+	// elements in chunks of chunkSize.
 	chunkSize int
 	chunkN    int
-	chunkIdx  []int32
 
 	// Chunk-parallel phase merge buffers, indexed by chunk (count <=
 	// threads); merged serially in chunk order so results are
-	// deterministic whatever worker ran each chunk.
-	refresh    [][2]int        // refreshChunk: (geoms seen, AABBs updated)
+	// deterministic whatever worker ran each chunk. counts holds the one
+	// number a chunk may report (geoms refreshed, overlap tests, bodies
+	// integrated), which runChunks sums.
+	counts     []int
 	edgeChunks [][]island.Edge // edgeChunk: per-chunk island edge lists
-	integ      []int           // posChunk: bodies integrated per chunk
 
 	// The broad phase when it is a SweepAndPrune, whose ranges sweepChunk
-	// runs, and sweepChunk's per-chunk pair buffers and overlap-test
-	// counts, handed to its Merge in chunk order.
-	sap        *broadphase.SweepAndPrune
-	sweep      [][]broadphase.Pair
-	sweepTests []int
+	// runs, and sweepChunk's per-chunk pair buffers, handed to its Merge.
+	sap   *broadphase.SweepAndPrune
+	sweep [][]broadphase.Pair
 }
 
 // beginStep resizes the arena for the current scene, reusing all prior
@@ -138,20 +134,12 @@ func (sc *frameScratch) beginStep(threads, numJoints int) {
 	sc.jointLoad = arena.Grow(sc.jointLoad, numJoints)
 	clear(sc.jointLoad)
 
-	sc.refresh = arena.Grow(sc.refresh, threads)
-	clear(sc.refresh)
+	sc.counts = arena.Grow(sc.counts, threads)
 	sc.edgeChunks = arena.Grow(sc.edgeChunks, threads)
 	for i := range sc.edgeChunks {
 		sc.edgeChunks[i] = sc.edgeChunks[i][:0]
 	}
-	sc.integ = arena.Grow(sc.integ, threads)
-	clear(sc.integ)
 	sc.sweep = arena.Grow(sc.sweep, threads)
-	sc.sweepTests = arena.Grow(sc.sweepTests, threads)
-	sc.chunkIdx = arena.Grow(sc.chunkIdx, threads)
-	for i := range sc.chunkIdx {
-		sc.chunkIdx[i] = int32(i)
-	}
 
 	sc.rows = arena.Grow(sc.rows, threads)
 	sc.ws = arena.Grow(sc.ws, threads)
@@ -187,6 +175,5 @@ func (sc *frameScratch) beginIslands(numIslands, numContacts int, warm bool) {
 	if warm {
 		sc.warmNext = arena.Grow(sc.warmNext, numContacts)
 	}
-	sc.queued = sc.queued[:0]
-	sc.main = sc.main[:0]
+	sc.items = sc.items[:0]
 }

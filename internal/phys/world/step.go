@@ -5,7 +5,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/arena"
 	"github.com/parallax-arch/parallax/internal/phys/body"
 	"github.com/parallax-arch/parallax/internal/phys/broadphase"
-	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
 	"github.com/parallax-arch/parallax/internal/phys/island"
 	"github.com/parallax-arch/parallax/internal/phys/joint"
@@ -81,20 +80,18 @@ func (w *World) broadPhase(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanBroad])
 	prof := &w.Profile
 	sc := &w.scratch
-	w.runChunks(phaseRefresh, len(w.Geoms))
+	_, refreshed := w.runChunks(spanRefreshChunk, len(w.Geoms))
 	dst := w.pairBuf[:0]
 	if sap, ok := w.Broad.(*broadphase.SweepAndPrune); ok {
 		sc.sap = sap
-		k := w.runChunks(phaseSweep, sap.Prepare(w.Geoms))
-		w.pairBuf = sap.Merge(sc.sweep[:k], sc.sweepTests[:k], dst)
+		k, tests := w.runChunks(spanSweepChunk, sap.Prepare(w.Geoms))
+		w.pairBuf = sap.Merge(sc.sweep[:k], tests, dst)
 	} else {
 		w.pairBuf = w.Broad.PairsPrerefreshed(w.Geoms, dst)
 	}
 	prof.Broad = w.Broad.Stats()
-	for _, r := range sc.refresh {
-		prof.Broad.Geoms += r[0]
-		prof.Broad.AABBUpdates += r[1]
-	}
+	prof.Broad.Geoms += refreshed
+	prof.Broad.AABBUpdates += refreshed
 	prof.Pairs = len(w.pairBuf)
 	w.endPhase(l0, spanBroad)
 }
@@ -108,7 +105,7 @@ func (w *World) narrowPhase(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanNarrow])
 	prof := &w.Profile
 	sc := &w.scratch
-	w.runChunks(phaseNarrow, len(w.pairBuf))
+	w.runChunks(spanNarrowChunk, len(w.pairBuf))
 
 	// Merge per-chunk results in chunk order (deterministic).
 	contacts := sc.contacts
@@ -191,7 +188,7 @@ func (w *World) createIslands(l0 *obs.Lane) {
 	prof := &w.Profile
 	sc := &w.scratch
 	contacts := sc.contacts
-	w.runChunks(phaseEdge, len(w.Joints)+len(contacts))
+	w.runChunks(spanEdgeChunk, len(w.Joints)+len(contacts))
 	edges := sc.edges
 	for i := range sc.edgeChunks {
 		edges = append(edges, sc.edgeChunks[i]...)
@@ -277,21 +274,27 @@ func (w *World) processIslands(l0 *obs.Lane) {
 	// separate end-of-step loop. Row assembly below reads only the
 	// solving island's own (already integrated) bodies, so results are
 	// bit-identical to the per-island ordering.
-	w.runChunks(phaseVel, len(w.Bodies))
+	w.runChunks(spanVelChunk, len(w.Bodies))
 
+	// One work list: the paired queued islands, then the paired main
+	// ones, which the calling goroutine runs itself.
 	maxDOF := 0
 	for i, is := range islands {
 		maxDOF = max(maxDOF, is.DOF)
 		if is.DOF > SmallIslandDOF {
-			sc.queued = append(sc.queued, int32(i))
-		} else {
-			sc.main = append(sc.main, int32(i))
+			sc.items = append(sc.items, int32(i))
 		}
 	}
-	sc.queued = w.pairIslands(sc.queued, maxDOF)
-	sc.main = w.pairIslands(sc.main, maxDOF)
+	sc.items = w.pairIslands(sc.items, maxDOF)
+	q := len(sc.items)
+	for i, is := range islands {
+		if is.DOF <= SmallIslandDOF {
+			sc.items = append(sc.items, int32(i))
+		}
+	}
+	sc.items = sc.items[:q+len(w.pairIslands(sc.items[q:], maxDOF))]
 	w.sizeWorkers()
-	w.run(phaseIsland, sc.queued, sc.main)
+	w.run(spanIsland, q, len(sc.items))
 
 	prof.Solver.Iterations = w.Solver.Iterations
 	for i := range islands {
@@ -342,32 +345,27 @@ func (w *World) breakJoints() {
 // per-island body sum the serial version recorded.
 func (w *World) integrate(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanIntegrate])
-	w.runChunks(phasePos, len(w.Bodies))
-	for _, n := range w.scratch.integ {
-		w.Profile.BodiesIntegrated += n
-	}
-	w.runChunks(phaseSync, len(w.Geoms))
+	_, integrated := w.runChunks(spanPosChunk, len(w.Bodies))
+	w.Profile.BodiesIntegrated += integrated
+	w.runChunks(spanSyncChunk, len(w.Geoms))
 	w.endPhase(l0, spanIntegrate)
 }
 
 // stepCloths forward-steps every cloth object: one queued item per
 // cloth, claimed by the calling goroutine and the pool workers alike
-// (there are no main items — no cloth is too small to be worth a claim);
-// vertices are the fine-grain tasks. The span is recorded even with no
-// cloth in the scene so every trace carries all five phases.
+// (the caller runs none first — no cloth is too small to be worth a
+// claim); vertices are the fine-grain tasks. The span is recorded even
+// with no cloth in the scene so every trace carries all five phases.
 func (w *World) stepCloths(l0 *obs.Lane) {
 	l0.Begin(w.spans[spanCloth])
-	if len(w.Cloths) > 0 {
+	if n := len(w.Cloths); n > 0 {
 		prof := &w.Profile
 		sc := &w.scratch
-		sc.clothStats = sc.clothStats[:0]
-		sc.clothIdx = sc.clothIdx[:0]
-		for ci := range w.Cloths {
-			sc.clothStats = append(sc.clothStats, cloth.Stats{})
-			sc.clothIdx = append(sc.clothIdx, int32(ci))
-			prof.ClothVerts = append(prof.ClothVerts, w.Cloths[ci].NumVertices())
+		sc.clothStats = arena.Grow(sc.clothStats, n)
+		for _, c := range w.Cloths {
+			prof.ClothVerts = append(prof.ClothVerts, c.NumVertices())
 		}
-		w.run(phaseCloth, sc.clothIdx, nil)
+		w.run(spanClothObj, n, n)
 		for i := range sc.clothStats {
 			st := &sc.clothStats[i]
 			prof.Cloth.VertexUpdates += st.VertexUpdates
@@ -607,8 +605,9 @@ func (w *World) keepWarm(idx int, lam []float64) {
 }
 
 // refreshChunk is the broad-phase AABB refresh worker: it recomputes
-// the bounding boxes of one chunk of the geom list, counting into that
-// chunk's merge slot so the profile totals match the serial refresh.
+// the bounding boxes of one chunk of the geom list, counting the enabled
+// geoms into that chunk's count so the profile totals match the serial
+// refresh.
 func (w *World) refreshChunk(chunk, lo, hi int) {
 	n := 0
 	for _, g := range w.Geoms[lo:hi] {
@@ -618,14 +617,15 @@ func (w *World) refreshChunk(chunk, lo, hi int) {
 		g.UpdateAABB()
 		n++
 	}
-	w.scratch.refresh[chunk] = [2]int{n, n}
+	w.scratch.counts[chunk] = n
 }
 
 // sweepChunk is the broad-phase sweep worker: it sweeps one chunk of the
-// start positions into that chunk's pair buffer.
+// start positions into that chunk's pair buffer, counting its overlap
+// tests into the chunk's count.
 func (w *World) sweepChunk(chunk, lo, hi int) {
 	sc := &w.scratch
-	sc.sweep[chunk], sc.sweepTests[chunk] = sc.sap.SweepRange(lo, hi, sc.sweep[chunk][:0])
+	sc.sweep[chunk], sc.counts[chunk] = sc.sap.SweepRange(lo, hi, sc.sweep[chunk][:0])
 }
 
 // edgeChunk collects island edges for one chunk of the combined
@@ -673,7 +673,7 @@ func (w *World) velChunk(chunk, lo, hi int) {
 }
 
 // posChunk integrates positions and advances sleep clocks for active
-// bodies, counting them into the chunk's merge slot. The active set
+// bodies, counting them into the chunk's count. The active set
 // cannot change between island construction and this pass, so the
 // merged count equals the per-island body sum. A body is counted even
 // if UpdateSleep puts it to sleep within this very call — it was
@@ -689,7 +689,7 @@ func (w *World) posChunk(chunk, lo, hi int) {
 			}
 		}
 	}
-	w.scratch.integ[chunk] = n
+	w.scratch.counts[chunk] = n
 }
 
 // syncChunk writes body poses through to the geoms of one chunk of the
@@ -828,7 +828,7 @@ func (w *World) detonate(gidx int32, prof *StepProfile) {
 // gets a radial velocity kick scaled by proximity, with the blast's
 // impulse spread over the cloth's particles. Like rigid bodies, each
 // cloth is hit at most once per blast.
-func (w *World) blastHitCloth(blastGeom, clothIdx int32) {
+func (w *World) blastHitCloth(blastGeom, ci int32) {
 	bg := w.Geoms[blastGeom]
 	if !bg.Enabled() {
 		return
@@ -841,11 +841,11 @@ func (w *World) blastHitCloth(blastGeom, clothIdx int32) {
 	if blast.Impulse == 0 {
 		return
 	}
-	if blast.hitCloth[clothIdx] {
+	if blast.hitCloth[ci] {
 		return
 	}
-	blast.hitCloth[clothIdx] = true
-	c := w.Cloths[clothIdx]
+	blast.hitCloth[ci] = true
+	c := w.Cloths[ci]
 	r := bg.Shape.(geom.Sphere).R
 	c.ApplyBlast(bg.Pos, r, blast.Impulse/float64(c.NumVertices()), w.Dt)
 }

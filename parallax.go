@@ -25,14 +25,12 @@ package parallax
 import (
 	"fmt"
 	"io"
-	"net/http"
 
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 	"github.com/parallax-arch/parallax/internal/arch/link"
 	archpx "github.com/parallax-arch/parallax/internal/arch/parallax"
 	"github.com/parallax-arch/parallax/internal/exp"
 	"github.com/parallax-arch/parallax/internal/obs"
-	"github.com/parallax-arch/parallax/internal/obs/obshttp"
 	"github.com/parallax-arch/parallax/internal/phys/cloth"
 	"github.com/parallax-arch/parallax/internal/phys/export"
 	"github.com/parallax-arch/parallax/internal/phys/geom"
@@ -217,8 +215,8 @@ func ReferenceSystem() System { return archpx.Reference() }
 type Tracer = obs.Tracer
 
 // Metrics is the typed metrics registry paired with the tracer; its
-// Prometheus exposition (the /metrics body ObsHandler serves) is sorted
-// and deterministic across thread counts.
+// Prometheus exposition (the /metrics body paraxserve and the CLIs'
+// -serve flag serve) is sorted and deterministic across thread counts.
 type Metrics = obs.Registry
 
 // NewTracer returns an enabled span tracer. A nil *Tracer disables
@@ -231,7 +229,7 @@ func NewMetrics() *Metrics { return obs.NewRegistry() }
 // Series is the per-step telemetry ring (kinetic energy, solver
 // residual, per-phase durations, ...): attach one to a World with
 // World.SetSeries. Recording is allocation-free; export the resident
-// window with Series.WriteJSON or serve it live via ObsHandler.
+// window with Series.WriteJSON.
 type Series = obs.Series
 
 // Health is the deterministic per-step anomaly detector (NaN state,
@@ -245,13 +243,6 @@ func NewSeries(capacity int) *Series { return obs.NewSeries(capacity) }
 
 // NewHealth returns an anomaly detector with default thresholds.
 func NewHealth() *Health { return obs.NewHealth() }
-
-// ObsHandler returns the live-telemetry HTTP handler: /metrics
-// (Prometheus text exposition), /health, /trace, /series.json. Any
-// argument may be nil.
-func ObsHandler(tr *Tracer, reg *Metrics, s *Series, h *Health) http.Handler {
-	return obshttp.Handler(tr, reg, s, h)
-}
 
 // ---- experiments ----
 
