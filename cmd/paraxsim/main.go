@@ -26,8 +26,9 @@
 //
 // Determinism: -save records the run's end state plus the profile
 // digests of the following -frames worth of steps to a replay file;
-// -load starts the run from a saved world state instead of building the
-// benchmark; -replay re-steps a recording and exits non-zero on the
+// -load starts the run from a recording's world state instead of
+// building the benchmark (both flags read PAXR recordings, not PAXW
+// snapshots); -replay re-steps a recording and exits non-zero on the
 // first divergent step (-inject N corrupts digest N first, to prove the
 // gate trips).
 //

@@ -63,12 +63,12 @@ var DefaultCost = CostModel{
 	PerStepOverhead: 40000,
 }
 
-// PhaseInstr holds the dynamic instruction count of each of the five
-// phases for one simulation step.
-type PhaseInstr [world.NumPhases]float64
+// PerPhase holds one value per phase — instructions or seconds of one
+// step or frame.
+type PerPhase [NumKernels]float64
 
-// Total returns the step's total instruction count.
-func (p PhaseInstr) Total() float64 {
+// Total returns the sum over all five phases.
+func (p PerPhase) Total() float64 {
 	t := 0.0
 	for _, v := range p {
 		t += v
@@ -76,24 +76,24 @@ func (p PhaseInstr) Total() float64 {
 	return t
 }
 
-// Serial returns the serial phases' instructions (Broadphase + Island
+// Serial returns the sum over the serial phases (Broadphase + Island
 // Creation).
-func (p PhaseInstr) Serial() float64 {
-	return p[world.PhaseBroad] + p[world.PhaseIslandGen]
+func (p PerPhase) Serial() float64 {
+	return p[Broad] + p[IslandGen]
 }
 
 // InstrCounts converts one step profile into per-phase instruction
 // counts.
-func (m *CostModel) InstrCounts(prof *world.StepProfile) PhaseInstr {
-	var p PhaseInstr
+func (m *CostModel) InstrCounts(prof *world.StepProfile) PerPhase {
+	var p PerPhase
 	b := prof.Broad
-	p[world.PhaseBroad] = float64(b.Geoms)*m.PerGeom +
+	p[Broad] = float64(b.Geoms)*m.PerGeom +
 		float64(b.AABBUpdates)*m.PerAABBUpdate +
 		float64(b.SortOps)*m.PerSortOp +
 		float64(b.OverlapTests)*m.PerOverlapTest +
 		m.PerStepOverhead
 
-	p[world.PhaseNarrow] = float64(prof.Pairs)*m.PerPair +
+	p[Narrow] = float64(prof.Pairs)*m.PerPair +
 		float64(prof.Narrow.PrimTests)*m.PerPrimTest +
 		float64(prof.Narrow.TriTests)*m.PerTriTest
 
@@ -102,17 +102,17 @@ func (m *CostModel) InstrCounts(prof *world.StepProfile) PhaseInstr {
 	for _, is := range prof.Islands {
 		joints += is.Joints
 	}
-	p[world.PhaseIslandGen] = float64(bodies)*m.PerBody +
+	p[IslandGen] = float64(bodies)*m.PerBody +
 		float64(joints)*m.PerJointGen +
 		float64(prof.FindSteps)*m.PerFindStep +
 		float64(prof.Contacts)*m.PerContact +
 		m.PerStepOverhead/2
 
-	p[world.PhaseIslandProc] = float64(prof.Solver.RowUpdates)*m.PerRowUpdate +
+	p[Island] = float64(prof.Solver.RowUpdates)*m.PerRowUpdate +
 		float64(bodies)*120 // integration cost per body
 
 	c := prof.Cloth
-	p[world.PhaseCloth] = float64(c.VertexUpdates)*m.PerVertexUpdate +
+	p[Cloth] = float64(c.VertexUpdates)*m.PerVertexUpdate +
 		float64(c.ConstraintUpdates)*m.PerConstraintUpdate +
 		float64(c.CollisionTests)*m.PerCollisionTest +
 		float64(c.RayCasts)*m.PerRayCast
@@ -120,8 +120,8 @@ func (m *CostModel) InstrCounts(prof *world.StepProfile) PhaseInstr {
 }
 
 // FrameInstr sums the per-phase instruction counts over a frame.
-func (m *CostModel) FrameInstr(f *world.FrameProfile) PhaseInstr {
-	var total PhaseInstr
+func (m *CostModel) FrameInstr(f *world.FrameProfile) PerPhase {
+	var total PerPhase
 	for i := range f.Steps {
 		p := m.InstrCounts(&f.Steps[i])
 		for ph := range total {
@@ -131,17 +131,17 @@ func (m *CostModel) FrameInstr(f *world.FrameProfile) PhaseInstr {
 	return total
 }
 
-// FGShare returns, per phase, the fraction of the phase's instructions
-// that live in fine-grain kernels (farmable to FG cores). Serial phases
-// farm nothing; the parallel phases are dominated by their kernels with
-// a coarse-grain residue (task setup, data packing, small islands).
-func FGShare(ph world.Phase) float64 {
-	switch ph {
-	case world.PhaseNarrow:
+// FGShare returns the fraction of the phase's instructions that live in
+// its fine-grain kernel (farmable to FG cores). Serial phases farm
+// nothing; the parallel phases are dominated by their kernels with a
+// coarse-grain residue (task setup, data packing, small islands).
+func (k Kernel) FGShare() float64 {
+	switch k {
+	case Narrow:
 		return 0.90
-	case world.PhaseIslandProc:
+	case Island:
 		return 0.85
-	case world.PhaseCloth:
+	case Cloth:
 		return 0.88
 	default:
 		return 0

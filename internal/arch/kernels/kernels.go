@@ -5,7 +5,10 @@
 // measured static size (277 / 177 / 221 unique instructions), the
 // measured instruction mix (Fig 9b), and the dependency structure that
 // produces the observed ILP behaviour (branchy integer code for
-// Narrowphase; bursty floating-point ILP for Island and Cloth).
+// Narrowphase; bursty floating-point ILP for Island and Cloth). Two
+// serial-phase code models complete the set, so a Kernel names each of
+// the five phases the architecture model times, and CostModel turns the
+// engine's per-step work counters into per-phase instruction counts.
 package kernels
 
 import (
@@ -15,38 +18,50 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 )
 
-// Kernel identifies one fine-grain kernel.
+// Kernel identifies one of the five computational phases (paper Fig 1)
+// by the code model that times it: the three FG kernels model the
+// parallel phases, and the sweep-and-prune and union-find loops model
+// the serial ones (they are never farmed to FG cores, but give the
+// phases' instruction mix and CG-core IPC).
 type Kernel int
 
-// The three FG kernels, plus the two serial-phase code models used for
-// instruction-mix and CG-core IPC characterization (they are never
-// farmed to FG cores).
+// The five phases, in pipeline order. Per-phase arrays are indexed by
+// Kernel, so every walk and float sum over phases runs in this order.
 const (
-	Narrow Kernel = iota
+	// Broad models the sweep-and-prune update loop.
+	Broad Kernel = iota
+	Narrow
+	// IslandGen models the union-find island construction loop.
+	IslandGen
 	Island
 	Cloth
-	// NumKernels counts only the FG kernels.
+	// NumKernels sizes every per-phase array.
 	NumKernels
 )
 
-const (
-	// Broad models the sweep-and-prune update loop.
-	Broad Kernel = NumKernels + iota
-	// IslandGen models the union-find island construction loop.
-	IslandGen
-	// NumAllKernels sizes arrays indexed by any kernel, FG or serial.
-	NumAllKernels
-)
+// FG lists the fine-grain kernels, the phases farmable to FG cores, in
+// the order the models sum them.
+var FG = [...]Kernel{Narrow, Island, Cloth}
 
-var kernelNames = map[Kernel]string{
+var kernelNames = [NumKernels]string{
+	Broad:     "Broadphase",
 	Narrow:    "Narrowphase",
+	IslandGen: "Island Creation",
 	Island:    "Island Processing",
 	Cloth:     "Cloth",
-	Broad:     "Broadphase",
-	IslandGen: "Island Creation",
 }
 
 func (k Kernel) String() string { return kernelNames[k] }
+
+// Serial reports whether k is one of the hard-to-parallelize (serial)
+// phases.
+func (k Kernel) Serial() bool { return k == Broad || k == IslandGen }
+
+// traceID is each kernel's trace identity: it seeds the static body,
+// places the PCs and seeds the IPC trace. It is kept apart from the
+// pipeline numbering because changing it moves every trace and every
+// modeled IPC (TestIPCTraceIdentity pins the traces).
+var traceID = [NumKernels]int{Narrow: 0, Island: 1, Cloth: 2, Broad: 3, IslandGen: 4}
 
 // StaticSize returns the number of unique static instructions in the
 // kernel (paper section 8.1.2 for the FG kernels; the serial-phase
@@ -243,8 +258,8 @@ func (k Kernel) body(r *rand.Rand) []site {
 // iteration.
 func (k Kernel) Trace(iters int, seed int64) []cpu.Instr {
 	r := rand.New(rand.NewSource(seed))
-	body := k.body(rand.New(rand.NewSource(int64(k) + 1)))
-	pcBase := uint32(0x1000 + int(k)*0x4000)
+	body := k.body(rand.New(rand.NewSource(int64(traceID[k]) + 1)))
+	pcBase := uint32(0x1000 + traceID[k]*0x4000)
 	out := make([]cpu.Instr, 0, iters*len(body))
 	for it := 0; it < iters; it++ {
 		for si, s := range body {
@@ -261,6 +276,12 @@ func (k Kernel) Trace(iters int, seed int64) []cpu.Instr {
 		}
 	}
 	return out
+}
+
+// IPCTrace is the trace KernelIPC times: 300 iterations at the kernel's
+// own seed.
+func (k Kernel) IPCTrace() []cpu.Instr {
+	return k.Trace(300, int64(traceID[k])+11)
 }
 
 // Mix returns the fraction of each op class in kernel k's trace,

@@ -1,6 +1,9 @@
 package kernels
 
 import (
+	"encoding/binary"
+	"hash/crc32"
+	"slices"
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
@@ -19,7 +22,7 @@ func TestStaticSizes(t *testing.T) {
 }
 
 func TestTraceLengthAndPCs(t *testing.T) {
-	for k := Narrow; k < NumKernels; k++ {
+	for k := range NumKernels {
 		tr := k.Trace(10, 1)
 		if len(tr) != 10*k.StaticSize() {
 			t.Errorf("%v: trace length %d, want %d", k, len(tr), 10*k.StaticSize())
@@ -31,6 +34,36 @@ func TestTraceLengthAndPCs(t *testing.T) {
 		}
 		if len(pcs) != k.StaticSize() {
 			t.Errorf("%v: %d unique PCs, want %d", k, len(pcs), k.StaticSize())
+		}
+	}
+}
+
+// TestIPCTraceIdentity pins each kernel's IPC trace (its body seed, PC
+// base and trace seed), so renumbering the phases cannot move a trace —
+// and with it every modeled IPC — unnoticed.
+func TestIPCTraceIdentity(t *testing.T) {
+	want := [NumKernels]uint32{
+		Broad:     2103456346,
+		Narrow:    3842211094,
+		IslandGen: 3277572031,
+		Island:    4286317771,
+		Cloth:     3376394792,
+	}
+	for k := range NumKernels {
+		var b []byte
+		for _, ins := range k.IPCTrace() {
+			b = append(b, byte(ins.Op))
+			b = binary.LittleEndian.AppendUint32(b, ins.PC)
+			b = binary.LittleEndian.AppendUint16(b, ins.Src1)
+			b = binary.LittleEndian.AppendUint16(b, ins.Src2)
+			taken := byte(0)
+			if ins.Taken {
+				taken = 1
+			}
+			b = append(b, taken)
+		}
+		if got := crc32.ChecksumIEEE(b); got != want[k] {
+			t.Errorf("%v: IPC trace CRC-32 %d, want %d", k, got, want[k])
 		}
 	}
 }
@@ -99,7 +132,7 @@ func TestKernelIPCOrdering(t *testing.T) {
 		t.Errorf("Narrowphase should not scale to the limit core: %v vs %v", nLim, nDesk)
 	}
 	// All shader IPCs are below desktop.
-	for k := Narrow; k < NumKernels; k++ {
+	for _, k := range FG {
 		if s, d := ipc(cpu.Shader, k), ipc(cpu.Desktop, k); s >= d {
 			t.Errorf("%v: shader IPC %v >= desktop %v", k, s, d)
 		}
@@ -138,12 +171,12 @@ func TestInstrCountsFromProfile(t *testing.T) {
 	}
 	w.Step()
 	p := DefaultCost.InstrCounts(&w.Profile)
-	if p[world.PhaseCloth] != 0 {
-		t.Errorf("cloth instructions in cloth-free scene: %v", p[world.PhaseCloth])
+	if p[Cloth] != 0 {
+		t.Errorf("cloth instructions in cloth-free scene: %v", p[Cloth])
 	}
-	for _, ph := range []world.Phase{world.PhaseBroad, world.PhaseNarrow, world.PhaseIslandGen, world.PhaseIslandProc} {
-		if p[ph] <= 0 {
-			t.Errorf("phase %v has no instructions", ph)
+	for _, k := range []Kernel{Broad, Narrow, IslandGen, Island} {
+		if p[k] <= 0 {
+			t.Errorf("phase %v has no instructions", k)
 		}
 	}
 	if p.Total() < p.Serial() {
@@ -152,12 +185,16 @@ func TestInstrCountsFromProfile(t *testing.T) {
 }
 
 func TestFGShare(t *testing.T) {
-	if FGShare(world.PhaseBroad) != 0 || FGShare(world.PhaseIslandGen) != 0 {
-		t.Error("serial phases must farm nothing to FG cores")
-	}
-	for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
-		if s := FGShare(ph); s <= 0.5 || s > 1 {
-			t.Errorf("phase %v FG share = %v", ph, s)
+	for k := range NumKernels {
+		if k.Serial() {
+			if s := k.FGShare(); s != 0 {
+				t.Errorf("serial phase %v farms %v to FG cores", k, s)
+			}
+		} else if s := k.FGShare(); s <= 0.5 || s > 1 {
+			t.Errorf("phase %v FG share = %v", k, s)
 		}
+	}
+	if !slices.Equal(FG[:], []Kernel{Narrow, Island, Cloth}) {
+		t.Errorf("FG = %v, want the three parallel phases in model order", FG)
 	}
 }

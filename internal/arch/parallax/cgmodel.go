@@ -3,7 +3,6 @@ package parallax
 import (
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // ClockHz is the common 2GHz clock (Table 5).
@@ -17,26 +16,18 @@ const FrameBudget = 1.0 / 30.0
 // configuration space of section 6.
 type CGResult struct {
 	// PhaseTime is seconds per frame per phase.
-	PhaseTime [world.NumPhases]float64
+	PhaseTime kernels.PerPhase
 	// Mem is the underlying cache simulation.
 	Mem MemResult
 	// Instr is the frame's per-phase instruction counts.
-	Instr kernels.PhaseInstr
+	Instr kernels.PerPhase
 }
 
 // Total returns the frame time.
-func (r CGResult) Total() float64 {
-	t := 0.0
-	for _, v := range r.PhaseTime {
-		t += v
-	}
-	return t
-}
+func (r CGResult) Total() float64 { return r.PhaseTime.Total() }
 
 // Serial returns the serial phases' time.
-func (r CGResult) Serial() float64 {
-	return r.PhaseTime[world.PhaseBroad] + r.PhaseTime[world.PhaseIslandGen]
-}
+func (r CGResult) Serial() float64 { return r.PhaseTime.Serial() }
 
 // FPS returns the achieved frame rate.
 func (r CGResult) FPS() float64 {
@@ -71,8 +62,8 @@ func (wl *Workload) CGFrameTime(cfg MemConfig) CGResult {
 	largestIsland := float64(wl.LargestIslandDOF())
 	largestCloth := float64(wl.LargestClothVerts())
 
-	for ph := world.Phase(0); ph < world.NumPhases; ph++ {
-		ipc := ipcs[PhaseKernel(ph)]
+	for ph := range kernels.NumKernels {
+		ipc := ipcs[ph]
 		if ipc <= 0 {
 			continue
 		}
@@ -89,19 +80,19 @@ func (wl *Workload) CGFrameTime(cfg MemConfig) CGResult {
 			// better than its largest single task chain allows.
 			share := 1 / t
 			switch ph {
-			case world.PhaseIslandProc:
+			case kernels.Island:
 				if islandDOF > 0 {
 					if s := largestIsland / islandDOF; s > share {
 						share = s
 					}
 				}
-			case world.PhaseCloth:
+			case kernels.Cloth:
 				if clothVerts > 0 {
 					if s := largestCloth / clothVerts; s > share {
 						share = s
 					}
 				}
-			case world.PhaseNarrow:
+			case kernels.Narrow:
 				if pairs > 0 {
 					if s := 1 / pairs; s > share {
 						share = s
@@ -129,11 +120,11 @@ func (wl *Workload) CGOnly(cores, l2MB int, partitioned bool) CGResult {
 
 // DedicatedPhaseTime evaluates one phase with the entire L2 dedicated to
 // it (Figs 3-5: per-phase working-set analysis via saved cache state).
-func (wl *Workload) DedicatedPhaseTime(ph world.Phase, cores, l2MB int) float64 {
+func (wl *Workload) DedicatedPhaseTime(ph kernels.Kernel, cores, l2MB int) float64 {
 	cfg := MemConfig{Cores: cores, L2MB: l2MB, Threads: cores, DedicatedPhase: int(ph)}
 	m := wl.SimulateMemory(cfg)
 	instr := wl.FrameInstr()
-	ipc := wl.KernelIPC(cpu.CGCore)[PhaseKernel(ph)]
+	ipc := wl.KernelIPC(cpu.CGCore)[ph]
 	compute := instr[ph] / ipc
 	stall := m.Phase[ph].StallCycles / MemMLP
 	t := float64(cores)
@@ -153,11 +144,11 @@ func (wl *Workload) IdealCGLimit() (islandProc, clothTime float64) {
 	_, islandDOF, clothVerts := wl.AvailableFGTasks()
 	if islandDOF > 0 {
 		share := float64(wl.LargestIslandDOF()) / islandDOF
-		islandProc = instr[world.PhaseIslandProc] / ipcs[kernels.Island] * share / ClockHz
+		islandProc = instr[kernels.Island] / ipcs[kernels.Island] * share / ClockHz
 	}
 	if clothVerts > 0 {
 		share := float64(wl.LargestClothVerts()) / clothVerts
-		clothTime = instr[world.PhaseCloth] / ipcs[kernels.Cloth] * share / ClockHz
+		clothTime = instr[kernels.Cloth] / ipcs[kernels.Cloth] * share / ClockHz
 	}
 	return islandProc, clothTime
 }

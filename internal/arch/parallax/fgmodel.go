@@ -6,7 +6,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/link"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // FGResult is the fine-grain pool's execution of the parallel kernels.
@@ -17,7 +16,7 @@ type FGResult struct {
 	// the per-phase startup and post-process costs.
 	CommTime float64
 	// PerPhase is the FG time per parallel phase.
-	PerPhase [world.NumPhases]float64
+	PerPhase kernels.PerPhase
 	// BufferTasks is the worst-case per-core buffering requirement.
 	BufferTasks int
 	// BufferBytes is the local-store requirement for that buffering.
@@ -31,10 +30,7 @@ type FGResult struct {
 // Total returns compute + exposed communication.
 func (r FGResult) Total() float64 { return r.ComputeTime + r.CommTime }
 
-// fgPhases lists the phases with farmable FG kernels.
-var fgPhases = []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth}
-
-// taskGrain returns, for a phase's kernel on a core of the given IPC:
+// taskGrain returns, for an FG kernel on a core of the given IPC:
 // the per-task compute time, the total task count per frame, and the
 // concurrently available tasks per scheduling round. A task is "an
 // independent inner iteration of a multiply-nested for loop" (section
@@ -42,7 +38,7 @@ var fgPhases = []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.Pha
 // or one cloth vertex update within one relaxation sweep — so the
 // iterative phases issue DOF (or vertex-count) concurrent tasks per
 // sweep, with iters sweeps per step.
-func (wl *Workload) taskGrain(ph world.Phase, ipc float64) (taskSec, total, avail float64) {
+func (wl *Workload) taskGrain(k kernels.Kernel, ipc float64) (taskSec, total, avail float64) {
 	instr := wl.FrameInstr()
 	pairs, islandDOF, clothVerts := wl.AvailableFGTasks()
 	steps := float64(len(wl.Frame.Steps))
@@ -50,38 +46,30 @@ func (wl *Workload) taskGrain(ph world.Phase, ipc float64) (taskSec, total, avai
 	if iters < 1 {
 		iters = 1
 	}
-	switch ph {
-	case world.PhaseNarrow:
+	switch k {
+	case kernels.Narrow:
 		total, avail = pairs*steps, pairs
-	case world.PhaseIslandProc:
+	case kernels.Island:
 		total, avail = islandDOF*iters*steps, islandDOF
-	case world.PhaseCloth:
+	case kernels.Cloth:
 		total, avail = clothVerts*iters*steps, clothVerts
 	}
 	if total <= 0 {
 		return 0, 0, 0
 	}
-	fgInstr := instr[ph] * kernels.FGShare(ph)
+	fgInstr := instr[k] * k.FGShare()
 	taskSec = fgInstr / total / ipc / ClockHz
 	return taskSec, total, avail
 }
 
-// KernelPhase maps an FG kernel back to its engine phase.
-func KernelPhase(k kernels.Kernel) world.Phase {
-	switch k {
-	case kernels.Island:
-		return world.PhaseIslandProc
-	case kernels.Cloth:
-		return world.PhaseCloth
-	default:
-		return world.PhaseNarrow
-	}
-}
-
 // TaskTime returns one FG task's compute time for kernel k at the given
-// IPC (used by the Table 7 buffering analysis).
+// IPC, zero when the IPC is not positive (used by the Table 7 buffering
+// analysis).
 func (wl *Workload) TaskTime(k kernels.Kernel, ipc float64) float64 {
-	t, _, _ := wl.taskGrain(KernelPhase(k), ipc)
+	if ipc <= 0 {
+		return 0
+	}
+	t, _, _ := wl.taskGrain(k, ipc)
 	return t
 }
 
@@ -125,17 +113,16 @@ func (wl *Workload) FGTimeSharedLocal(fg cpu.Config, nFG int, lk link.Kind, clus
 	instr := wl.FrameInstr()
 	steps := float64(len(wl.Frame.Steps))
 
-	for _, ph := range fgPhases {
-		k := PhaseKernel(ph)
+	for _, k := range kernels.FG {
 		ipc := ipcs[k]
 		if ipc <= 0 {
 			continue
 		}
-		fgInstr := instr[ph] * kernels.FGShare(ph)
+		fgInstr := instr[k] * k.FGShare()
 		if fgInstr <= 0 {
 			continue
 		}
-		taskSec, total, avail := wl.taskGrain(ph, ipc)
+		taskSec, total, avail := wl.taskGrain(k, ipc)
 		if total <= 0 {
 			continue
 		}
@@ -170,7 +157,7 @@ func (wl *Workload) FGTimeSharedLocal(fg cpu.Config, nFG int, lk link.Kind, clus
 		// Startup and post-process cost per phase per step (always paid).
 		comm += steps * lc.RoundTrip(inBytes, k.DataOut())
 
-		res.PerPhase[ph] = compute + comm
+		res.PerPhase[k] = compute + comm
 		res.ComputeTime += compute
 		res.CommTime += comm
 	}
@@ -207,7 +194,7 @@ func (wl *Workload) FilteredFGTime(fg cpu.Config, nFG int, lk link.Kind, minTask
 	res.WorkLost = lost
 	// The filtered work leaves the FG pool: compute shrinks, and the
 	// remaining tasks (all large) hide the latency.
-	res.PerPhase[world.PhaseIslandProc] *= (1 - lost)
+	res.PerPhase[kernels.Island] *= (1 - lost)
 	res.ComputeTime *= (1 - lost*0.5) // island share only; conservative
 	return res, lost
 }
@@ -241,8 +228,8 @@ func (wl *Workload) IdealFGCores(fg cpu.Config, budgetFrac float64) int {
 	instr := wl.FrameInstr()
 	budget := budgetFrac * FrameBudget
 	cycles := 0.0
-	for _, ph := range fgPhases {
-		cycles += instr[ph] * kernels.FGShare(ph) / ipcs[PhaseKernel(ph)]
+	for _, k := range kernels.FG {
+		cycles += instr[k] * k.FGShare() / ipcs[k]
 	}
 	return int(math.Ceil(cycles / ClockHz / budget))
 }

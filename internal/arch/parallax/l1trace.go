@@ -7,6 +7,7 @@ import (
 	"unsafe"
 
 	"github.com/parallax-arch/parallax/internal/arch/cache"
+	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/mem"
 	archos "github.com/parallax-arch/parallax/internal/arch/os"
 	"github.com/parallax-arch/parallax/internal/phys/world"
@@ -50,7 +51,7 @@ type l1Trace struct {
 // l1Segment is one stream emission: its accounting attributes and its
 // L1 misses, entries [lo, hi) of the trace.
 type l1Segment struct {
-	phase world.Phase
+	phase kernels.Kernel
 	// kernel marks OS/kernel references (PhaseMem.KernelL2Misses).
 	kernel bool
 	// warm marks the dedicated-cache experiments' unaccounted warm-up.
@@ -146,18 +147,18 @@ func (wl *Workload) recordL1Trace(cls l1Class) *l1Trace {
 	}
 
 	// stream is the phase's once-per-step reference stream.
-	stream := func(ph world.Phase, prof *world.StepProfile) func(mem.Stream) {
+	stream := func(ph kernels.Kernel, prof *world.StepProfile) func(mem.Stream) {
 		return func(s mem.Stream) {
 			switch ph {
-			case world.PhaseBroad:
+			case kernels.Broad:
 				wl.Layout.BroadphaseTrace(wl.World, prof, s)
-			case world.PhaseNarrow:
+			case kernels.Narrow:
 				wl.Layout.NarrowphaseTrace(wl.World, prof, s)
-			case world.PhaseIslandGen:
+			case kernels.IslandGen:
 				wl.Layout.IslandCreationTrace(wl.World, prof, s)
-			case world.PhaseIslandProc:
+			case kernels.Island:
 				wl.Layout.IslandSweep(wl.World, prof, s)
-			case world.PhaseCloth:
+			case kernels.Cloth:
 				wl.Layout.ClothSweep(wl.World, prof, s)
 			}
 		}
@@ -171,7 +172,7 @@ func (wl *Workload) recordL1Trace(cls l1Class) *l1Trace {
 	// so the measured steps see warm state. Replay the phase's streams
 	// once unaccounted, on core 0, to reproduce that warm start.
 	if cls.DedicatedPhase >= 0 {
-		ph := world.Phase(cls.DedicatedPhase)
+		ph := kernels.Kernel(cls.DedicatedPhase)
 		for si := range wl.Frame.Steps {
 			record(l1Segment{phase: ph, warm: true}, false, stream(ph, &wl.Frame.Steps[si]))
 		}
@@ -179,11 +180,11 @@ func (wl *Workload) recordL1Trace(cls l1Class) *l1Trace {
 
 	for si := range wl.Frame.Steps {
 		prof := &wl.Frame.Steps[si]
-		for ph := world.PhaseBroad; ph < world.NumPhases; ph++ {
-			if cls.DedicatedPhase >= 0 && ph != world.Phase(cls.DedicatedPhase) {
+		for ph := range kernels.NumKernels {
+			if cls.DedicatedPhase >= 0 && ph != kernels.Kernel(cls.DedicatedPhase) {
 				continue
 			}
-			if ph == world.PhaseCloth && len(wl.Layout.ClothBase) == 0 {
+			if ph == kernels.Cloth && len(wl.Layout.ClothBase) == 0 {
 				continue
 			}
 			record(l1Segment{phase: ph}, !ph.Serial(), stream(ph, prof))
@@ -191,14 +192,14 @@ func (wl *Workload) recordL1Trace(cls l1Class) *l1Trace {
 			// scales by (iters-1), and end with the worker threads'
 			// OS/kernel overhead.
 			switch ph {
-			case world.PhaseIslandProc:
+			case kernels.Island:
 				// Row construction streamed once, above; the iterated working
 				// set is the bodies.
 				record(l1Segment{phase: ph, steady: true}, true, func(s mem.Stream) {
 					wl.Layout.IslandSweepSteady(wl.World, prof, s)
 				})
 				record(l1Segment{phase: ph, kernel: true}, true, kernelStream)
-			case world.PhaseCloth:
+			case kernels.Cloth:
 				record(l1Segment{phase: ph, steady: true}, true, stream(ph, prof))
 				record(l1Segment{phase: ph, kernel: true}, true, kernelStream)
 			}

@@ -2,7 +2,7 @@ package parallax
 
 import (
 	"github.com/parallax-arch/parallax/internal/arch/cache"
-	"github.com/parallax-arch/parallax/internal/phys/world"
+	"github.com/parallax-arch/parallax/internal/arch/kernels"
 )
 
 // Partition ids for the application-aware L2 management (section 6.1):
@@ -29,10 +29,10 @@ type MemConfig struct {
 	// Threads is the worker-thread count for the parallel phases; more
 	// than 4 triggers the measured OS per-thread memory inflation.
 	Threads int
-	// DedicatedPhase, when >= 0, simulates only that phase's stream with
-	// the whole L2 dedicated to it (the working-set experiments of Figs
-	// 3-5 save and restore per-phase cache state; dedicating the cache
-	// to one phase is equivalent).
+	// DedicatedPhase, when >= 0, is a kernels.Kernel: only that phase's
+	// stream is simulated, with the whole L2 dedicated to it (the
+	// working-set experiments of Figs 3-5 save and restore per-phase
+	// cache state; dedicating the cache to one phase is equivalent).
 	DedicatedPhase int
 	// PrefetchDepth enables a next-N-line L2 prefetcher (the paper's
 	// future-work direction for reducing L2 size requirements).
@@ -51,7 +51,7 @@ type PhaseMem struct {
 
 // MemResult is the frame's per-phase memory behaviour.
 type MemResult struct {
-	Phase [world.NumPhases]PhaseMem
+	Phase [kernels.NumKernels]PhaseMem
 }
 
 // TotalL2Misses sums L2 misses over phases.
@@ -147,9 +147,9 @@ func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
 		// Dedicated experiments use the whole cache.
 		if cfg.Partitioned && cfg.DedicatedPhase < 0 {
 			switch seg.phase {
-			case world.PhaseBroad:
+			case kernels.Broad:
 				part = PartBroad
-			case world.PhaseIslandGen:
+			case kernels.IslandGen:
 				part = PartIslandGen
 			default:
 				part = PartParallel

@@ -10,11 +10,11 @@ import (
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/arch/cache"
+	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/mem"
 	archos "github.com/parallax-arch/parallax/internal/arch/os"
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // cacheTotals is what one simulation adds to the six arch/cache/*
@@ -68,14 +68,14 @@ func referenceSimulateMemory(wl *Workload, cfg MemConfig) (MemResult, cacheTotal
 
 	// account wraps a stream emission, attributing misses and stalls to
 	// a phase. Parallel-phase accesses round-robin across cores' L1s.
-	account := func(ph world.Phase, parallel bool, kernelRegion bool, emit func(mem.Stream)) {
+	account := func(ph kernels.Kernel, parallel bool, kernelRegion bool, emit func(mem.Stream)) {
 		pm := &res.Phase[ph]
 		part := -1
 		if cfg.Partitioned {
 			switch ph {
-			case world.PhaseBroad:
+			case kernels.Broad:
 				part = PartBroad
-			case world.PhaseIslandGen:
+			case kernels.IslandGen:
 				part = PartIslandGen
 			default:
 				part = PartParallel
@@ -106,8 +106,8 @@ func referenceSimulateMemory(wl *Workload, cfg MemConfig) (MemResult, cacheTotal
 		})
 	}
 
-	want := func(ph world.Phase) bool {
-		return cfg.DedicatedPhase < 0 || world.Phase(cfg.DedicatedPhase) == ph
+	want := func(ph kernels.Kernel) bool {
+		return cfg.DedicatedPhase < 0 || kernels.Kernel(cfg.DedicatedPhase) == ph
 	}
 
 	// The paper's dedicated-cache experiments save the phase's cache
@@ -120,16 +120,16 @@ func referenceSimulateMemory(wl *Workload, cfg MemConfig) (MemResult, cacheTotal
 		}
 		for si := range wl.Frame.Steps {
 			prof := &wl.Frame.Steps[si]
-			switch world.Phase(cfg.DedicatedPhase) {
-			case world.PhaseBroad:
+			switch kernels.Kernel(cfg.DedicatedPhase) {
+			case kernels.Broad:
 				wl.Layout.BroadphaseTrace(wl.World, prof, sink)
-			case world.PhaseNarrow:
+			case kernels.Narrow:
 				wl.Layout.NarrowphaseTrace(wl.World, prof, sink)
-			case world.PhaseIslandGen:
+			case kernels.IslandGen:
 				wl.Layout.IslandCreationTrace(wl.World, prof, sink)
-			case world.PhaseIslandProc:
+			case kernels.Island:
 				wl.Layout.IslandSweep(wl.World, prof, sink)
-			case world.PhaseCloth:
+			case kernels.Cloth:
 				wl.Layout.ClothSweep(wl.World, prof, sink)
 			}
 		}
@@ -137,49 +137,49 @@ func referenceSimulateMemory(wl *Workload, cfg MemConfig) (MemResult, cacheTotal
 
 	for si := range wl.Frame.Steps {
 		prof := &wl.Frame.Steps[si]
-		if want(world.PhaseBroad) {
-			account(world.PhaseBroad, false, false, func(s mem.Stream) {
+		if want(kernels.Broad) {
+			account(kernels.Broad, false, false, func(s mem.Stream) {
 				wl.Layout.BroadphaseTrace(wl.World, prof, s)
 			})
 		}
-		if want(world.PhaseNarrow) {
-			account(world.PhaseNarrow, true, false, func(s mem.Stream) {
+		if want(kernels.Narrow) {
+			account(kernels.Narrow, true, false, func(s mem.Stream) {
 				wl.Layout.NarrowphaseTrace(wl.World, prof, s)
 			})
 		}
-		if want(world.PhaseIslandGen) {
-			account(world.PhaseIslandGen, false, false, func(s mem.Stream) {
+		if want(kernels.IslandGen) {
+			account(kernels.IslandGen, false, false, func(s mem.Stream) {
 				wl.Layout.IslandCreationTrace(wl.World, prof, s)
 			})
 		}
-		if want(world.PhaseIslandProc) {
+		if want(kernels.Island) {
 			// Row construction streams once; the iterated working set is
 			// the bodies, sampled once and scaled by (iters-1).
-			account(world.PhaseIslandProc, true, false, func(s mem.Stream) {
+			account(kernels.Island, true, false, func(s mem.Stream) {
 				wl.Layout.IslandSweep(wl.World, prof, s)
 			})
-			pm := &res.Phase[world.PhaseIslandProc]
+			pm := &res.Phase[kernels.Island]
 			before := *pm
-			account(world.PhaseIslandProc, true, false, func(s mem.Stream) {
+			account(kernels.Island, true, false, func(s mem.Stream) {
 				wl.Layout.IslandSweepSteady(wl.World, prof, s)
 			})
 			scaleSteady(pm, before, iters-1)
 			// OS/kernel overhead of the worker threads.
-			account(world.PhaseIslandProc, true, true, func(s mem.Stream) {
+			account(kernels.Island, true, true, func(s mem.Stream) {
 				archos.KernelStream(cfg.Threads, mem.ThreadBase, s)
 			})
 		}
-		if want(world.PhaseCloth) && len(wl.Layout.ClothBase) > 0 {
-			account(world.PhaseCloth, true, false, func(s mem.Stream) {
+		if want(kernels.Cloth) && len(wl.Layout.ClothBase) > 0 {
+			account(kernels.Cloth, true, false, func(s mem.Stream) {
 				wl.Layout.ClothSweep(wl.World, prof, s)
 			})
-			pm := &res.Phase[world.PhaseCloth]
+			pm := &res.Phase[kernels.Cloth]
 			before := *pm
-			account(world.PhaseCloth, true, false, func(s mem.Stream) {
+			account(kernels.Cloth, true, false, func(s mem.Stream) {
 				wl.Layout.ClothSweep(wl.World, prof, s)
 			})
 			scaleSteady(pm, before, iters-1)
-			account(world.PhaseCloth, true, true, func(s mem.Stream) {
+			account(kernels.Cloth, true, true, func(s mem.Stream) {
 				archos.KernelStream(cfg.Threads, mem.ThreadBase, s)
 			})
 		}
@@ -231,7 +231,7 @@ func checkAgainstReference(t *testing.T, wl *Workload, cfg MemConfig) {
 		g, w := got.Phase[ph], want.Phase[ph]
 		if g.Accesses != w.Accesses || g.L1Misses != w.L1Misses || g.L2Misses != w.L2Misses ||
 			g.KernelL2Misses != w.KernelL2Misses || math.Float64bits(g.StallCycles) != math.Float64bits(w.StallCycles) {
-			t.Errorf("%s %+v: phase %v = %+v, reference %+v", wl.Name, cfg, world.Phase(ph), g, w)
+			t.Errorf("%s %+v: phase %v = %+v, reference %+v", wl.Name, cfg, kernels.Kernel(ph), g, w)
 		}
 	}
 }
@@ -248,7 +248,7 @@ func TestSimulateMemoryMatchesReference(t *testing.T) {
 	}
 	var classes []l1Class
 	for _, threads := range []int{1, 2, 4, 8} {
-		for ded := -1; ded < int(world.NumPhases); ded++ {
+		for ded := -1; ded < int(kernels.NumKernels); ded++ {
 			classes = append(classes, l1Class{Threads: threads, DedicatedPhase: ded})
 		}
 	}
@@ -286,7 +286,7 @@ func TestSimulateMemoryMatchesReference(t *testing.T) {
 func TestL1TraceEntryRange(t *testing.T) {
 	wl := capture(t, "Periodic", 0.15)
 	wl.SetObs(nil, obs.NewRegistry(), "arch/Periodic")
-	wide := MemConfig{Cores: 2, L2MB: 3, Partitioned: true, Threads: 300, DedicatedPhase: int(world.PhaseNarrow)}
+	wide := MemConfig{Cores: 2, L2MB: 3, Partitioned: true, Threads: 300, DedicatedPhase: int(kernels.Narrow)}
 	checkAgainstReference(t, wl, wide)
 	checkAgainstReference(t, wl, MemConfig{Cores: 8, L2MB: 3, Threads: 3, DedicatedPhase: -1})
 	// The narrow phase never writes a block twice, so no L2 counter reads

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"github.com/parallax-arch/parallax/internal/arch/cpu"
+	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/link"
 	"github.com/parallax-arch/parallax/internal/obs"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
@@ -109,8 +110,8 @@ func TestDedicatedCachePlateaus(t *testing.T) {
 	// small-shared-cache configuration.
 	wl := capture(t, "Explosions", 0.25)
 	ded := func(mb int) float64 {
-		return wl.DedicatedPhaseTime(world.PhaseBroad, 1, mb) +
-			wl.DedicatedPhaseTime(world.PhaseIslandGen, 1, mb)
+		return wl.DedicatedPhaseTime(kernels.Broad, 1, mb) +
+			wl.DedicatedPhaseTime(kernels.IslandGen, 1, mb)
 	}
 	d4, d16 := ded(4), ded(16)
 	if d4 > d16*1.10 {
@@ -320,7 +321,7 @@ func TestSimulateMemoryMemo(t *testing.T) {
 	variants[0].PrefetchDepth = 4
 	variants[1].Threads = 1
 	variants[2].Partitioned = true
-	variants[3].DedicatedPhase = int(world.PhaseBroad)
+	variants[3].DedicatedPhase = int(kernels.Broad)
 	for i, v := range variants {
 		before := computed()
 		if got, want := wl.SimulateMemory(v), wl.simulateMemory(v); got != want {

@@ -82,8 +82,8 @@ func (wl *Workload) Evaluate(sys System) Breakdown {
 
 	// CG residue of the parallel phases: the non-farmable fraction runs
 	// on the CG cores exactly as in the CG-only model.
-	for _, ph := range fgPhases {
-		b.CGParallelTime += cg.PhaseTime[ph] * (1 - kernels.FGShare(ph))
+	for _, k := range kernels.FG {
+		b.CGParallelTime += cg.PhaseTime[k] * (1 - k.FGShare())
 	}
 
 	if sys.FGCount > 0 {
@@ -92,8 +92,8 @@ func (wl *Workload) Evaluate(sys System) Breakdown {
 		b.FGTime = fg.Total()
 	} else {
 		// No FG pool: the farmable work also runs on CG cores.
-		for _, ph := range fgPhases {
-			b.CGParallelTime += cg.PhaseTime[ph] * kernels.FGShare(ph)
+		for _, k := range kernels.FG {
+			b.CGParallelTime += cg.PhaseTime[k] * k.FGShare()
 		}
 	}
 

@@ -35,7 +35,7 @@ type Workload struct {
 	// must not collide. memsim memoizes SimulateMemory by the normalized
 	// MemConfig; l1traces holds the L1-filtered miss trace every
 	// simulation of one l1Class replays.
-	ipc      memo[cpu.Config, [kernels.NumAllKernels]float64]
+	ipc      memo[cpu.Config, [kernels.NumKernels]float64]
 	memsim   memo[MemConfig, MemResult]
 	l1traces memo[l1Class, *l1Trace]
 
@@ -137,43 +137,22 @@ func Capture(name string, w *world.World, warmFrames, measureFrames int) *Worklo
 }
 
 // FrameInstr returns the frame's per-phase dynamic instruction counts.
-func (wl *Workload) FrameInstr() kernels.PhaseInstr {
+func (wl *Workload) FrameInstr() kernels.PerPhase {
 	return kernels.DefaultCost.FrameInstr(&wl.Frame)
 }
 
 // KernelIPC returns (and caches) each kernel's IPC on the given core
 // configuration — the three FG kernels plus the two serial-phase code
-// models — measured by running synthetic kernel traces through the cpu
-// timing model. Safe for concurrent use: each configuration's traces
-// run exactly once even when requested from many goroutines.
-func (wl *Workload) KernelIPC(cfg cpu.Config) [kernels.NumAllKernels]float64 {
-	return wl.ipc.get(cfg, func() (v [kernels.NumAllKernels]float64) {
-		for _, k := range []kernels.Kernel{
-			kernels.Narrow, kernels.Island, kernels.Cloth,
-			kernels.Broad, kernels.IslandGen,
-		} {
-			v[k] = cpu.New(cfg).Run(k.Trace(300, int64(k)+11)).IPC()
+// models — measured by running their IPC traces through the cpu timing
+// model. Safe for concurrent use: each configuration's traces run
+// exactly once even when requested from many goroutines.
+func (wl *Workload) KernelIPC(cfg cpu.Config) [kernels.NumKernels]float64 {
+	return wl.ipc.get(cfg, func() (v [kernels.NumKernels]float64) {
+		for k := range kernels.NumKernels {
+			v[k] = cpu.New(cfg).Run(k.IPCTrace()).IPC()
 		}
 		return v
 	})
-}
-
-// PhaseKernel maps an engine phase to the kernel that models its code:
-// the FG kernels for the parallel phases, the sweep/union-find models
-// for the serial ones.
-func PhaseKernel(ph world.Phase) kernels.Kernel {
-	switch ph {
-	case world.PhaseIslandProc:
-		return kernels.Island
-	case world.PhaseCloth:
-		return kernels.Cloth
-	case world.PhaseBroad:
-		return kernels.Broad
-	case world.PhaseIslandGen:
-		return kernels.IslandGen
-	default:
-		return kernels.Narrow
-	}
 }
 
 // AvailableFGTasks returns the frame's average per-step fine-grain task

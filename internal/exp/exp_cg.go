@@ -8,7 +8,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
 	"github.com/parallax-arch/parallax/internal/phys/workload"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // l2Sweep is the shared-L2 sweep of Fig 2b.
@@ -60,7 +59,7 @@ func (s *Suite) Fig2a(w io.Writer) {
 	serialFracSum, worstSerialFrame := 0.0, 0.0
 	for i, wl := range wls {
 		r := rs[i]
-		ms := func(ph world.Phase) float64 { return r.PhaseTime[ph] * 1e3 }
+		ms := func(ph kernels.Kernel) float64 { return r.PhaseTime[ph] * 1e3 }
 		total := r.Total()
 		sf := r.Serial() / total
 		serialFracSum += sf
@@ -68,9 +67,9 @@ func (s *Suite) Fig2a(w io.Writer) {
 			worstSerialFrame = fr
 		}
 		fmt.Fprintf(w, "%-12s %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f %8.1f %8.1f%%\n",
-			wl.Name, ms(world.PhaseBroad), ms(world.PhaseNarrow),
-			ms(world.PhaseIslandGen), ms(world.PhaseIslandProc),
-			ms(world.PhaseCloth), total*1e3, r.FPS(), sf*100)
+			wl.Name, ms(kernels.Broad), ms(kernels.Narrow),
+			ms(kernels.IslandGen), ms(kernels.Island),
+			ms(kernels.Cloth), total*1e3, r.FPS(), sf*100)
 	}
 	fmt.Fprintf(w, "serial phases: avg %.0f%% of execution, worst %.0f%% of one frame's budget\n",
 		serialFracSum/float64(len(wls))*100, worstSerialFrame*100)
@@ -100,7 +99,7 @@ func (s *Suite) Fig2b(w io.Writer) {
 
 // dedicated prints one phase's dedicated-L2 sweep, evaluating the
 // workload x cache-size grid on the worker pool.
-func (s *Suite) dedicated(w io.Writer, ph world.Phase, cores int, only []string) {
+func (s *Suite) dedicated(w io.Writer, ph kernels.Kernel, cores int, only []string) {
 	var wls []*parallax.Workload
 	for _, wl := range s.Workloads() {
 		if only == nil || slices.Contains(only, wl.Name) {
@@ -126,20 +125,20 @@ func (s *Suite) dedicated(w io.Writer, ph world.Phase, cores int, only []string)
 }
 
 // Fig3a: Broadphase with dedicated L2.
-func (s *Suite) Fig3a(w io.Writer) { s.dedicated(w, world.PhaseBroad, 1, nil) }
+func (s *Suite) Fig3a(w io.Writer) { s.dedicated(w, kernels.Broad, 1, nil) }
 
 // Fig3b: Narrowphase with dedicated L2.
-func (s *Suite) Fig3b(w io.Writer) { s.dedicated(w, world.PhaseNarrow, 1, nil) }
+func (s *Suite) Fig3b(w io.Writer) { s.dedicated(w, kernels.Narrow, 1, nil) }
 
 // Fig4a: Island Creation with dedicated L2.
-func (s *Suite) Fig4a(w io.Writer) { s.dedicated(w, world.PhaseIslandGen, 1, nil) }
+func (s *Suite) Fig4a(w io.Writer) { s.dedicated(w, kernels.IslandGen, 1, nil) }
 
 // Fig4b: Island Processing with dedicated L2.
-func (s *Suite) Fig4b(w io.Writer) { s.dedicated(w, world.PhaseIslandProc, 1, nil) }
+func (s *Suite) Fig4b(w io.Writer) { s.dedicated(w, kernels.Island, 1, nil) }
 
 // Fig5a: Cloth with dedicated L2 (only the cloth benchmarks).
 func (s *Suite) Fig5a(w io.Writer) {
-	s.dedicated(w, world.PhaseCloth, 1, []string{"Deformable", "Mix"})
+	s.dedicated(w, kernels.Cloth, 1, []string{"Deformable", "Mix"})
 }
 
 // fig5bCores is the processor-scaling sweep of Fig 5b.
@@ -182,11 +181,11 @@ func (s *Suite) Fig6a(w io.Writer) {
 		"Total", "FPS", "vs 1P+1MB")
 	for i, wl := range wls {
 		r, base := rs[i].r, rs[i].base
-		ms := func(ph world.Phase) float64 { return r.PhaseTime[ph] * 1e3 }
+		ms := func(ph kernels.Kernel) float64 { return r.PhaseTime[ph] * 1e3 }
 		fmt.Fprintf(w, "%-12s %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f %8.1f %8.2fx\n",
-			wl.Name, ms(world.PhaseBroad), ms(world.PhaseNarrow),
-			ms(world.PhaseIslandGen), ms(world.PhaseIslandProc),
-			ms(world.PhaseCloth), r.Total()*1e3, r.FPS(),
+			wl.Name, ms(kernels.Broad), ms(kernels.Narrow),
+			ms(kernels.IslandGen), ms(kernels.Island),
+			ms(kernels.Cloth), r.Total()*1e3, r.FPS(),
 			base.Total()/r.Total())
 	}
 }
@@ -238,11 +237,10 @@ func (s *Suite) Fig7a(w io.Writer) {
 func (s *Suite) Fig7b(w io.Writer) {
 	fmt.Fprintf(w, "%-18s %8s %8s %8s %8s %8s %8s\n",
 		"Phase", "int alu", "branch", "fp add", "fp mult", "rd port", "wr port")
-	for ph := world.Phase(0); ph < world.NumPhases; ph++ {
-		k := parallax.PhaseKernel(ph)
+	for k := range kernels.NumKernels {
 		m := kernels.Summary(k.Mix())
 		fmt.Fprintf(w, "%-18s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%%\n",
-			ph.String(), m.IntALU*100, m.Branch*100, m.FPAdd*100,
+			k.String(), m.IntALU*100, m.Branch*100, m.FPAdd*100,
 			m.FPMul*100, m.Read*100, m.Write*100)
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/link"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 func memCfg(threads int) parallax.MemConfig {
@@ -34,29 +33,38 @@ func (s *Suite) Fig9a(w io.Writer) {
 	}{{1, 9}, {4, 12}} {
 		r := wl.CGOnly(cfg.cores, cfg.l2, true)
 		var cgPart, fgPart float64
-		for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
-			cgPart += r.PhaseTime[ph] * (1 - kernels.FGShare(ph))
-			fgPart += r.PhaseTime[ph] * kernels.FGShare(ph)
+		for _, k := range kernels.FG {
+			cgPart += r.PhaseTime[k] * (1 - k.FGShare())
+			fgPart += r.PhaseTime[k] * k.FGShare()
 		}
 		total := r.Total()
 		fmt.Fprintf(w, "%dP + %2dMB     %10.2f %14.2f %14.2f %9.0f%%\n",
 			cfg.cores, cfg.l2, r.Serial()*1e3, cgPart*1e3, fgPart*1e3,
 			fgPart/total*100)
 	}
-	r4 := wl.CGOnly(4, 12, true)
-	nonFG := r4.Serial()
-	for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
-		nonFG += r4.PhaseTime[ph] * (1 - kernels.FGShare(ph))
-	}
+	nonFG := nonFGTime(wl)
 	fmt.Fprintf(w, "serial + CG components take %.0f%% of one frame's time; %.0f%% remains for FG work\n",
 		nonFG/(1.0/30)*100, (1-nonFG/(1.0/30))*100)
+}
+
+// nonFGTime is the frame time the 4-core 12MB partitioned CG machine
+// spends outside FG kernels: the serial phases plus the CG residue of
+// the parallel ones, added to the serial time one phase at a time (the
+// association the printed figures were computed with).
+func nonFGTime(wl *parallax.Workload) float64 {
+	r := wl.CGOnly(4, 12, true)
+	t := r.Serial()
+	for _, k := range kernels.FG {
+		t += r.PhaseTime[k] * (1 - k.FGShare())
+	}
+	return t
 }
 
 // Fig9b: instruction mix of the three FG kernels.
 func (s *Suite) Fig9b(w io.Writer) {
 	fmt.Fprintf(w, "%-18s %8s %8s %8s %8s %8s %8s %8s\n",
 		"Kernel", "int alu", "branch", "fp add", "fp mult", "rd port", "wr port", "static")
-	for k := kernels.Narrow; k < kernels.NumKernels; k++ {
+	for _, k := range kernels.FG {
 		m := kernels.Summary(k.Mix())
 		fmt.Fprintf(w, "%-18s %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %7.1f%% %8d\n",
 			k.String(), m.IntALU*100, m.Branch*100, m.FPAdd*100,
@@ -75,7 +83,7 @@ func (s *Suite) Fig10a(w io.Writer) {
 			cfg.Name, ipc[kernels.Narrow], ipc[kernels.Island], ipc[kernels.Cloth])
 	}
 	// Ideal branch prediction on Narrowphase (paper: ~30% improvement).
-	tr := kernels.Narrow.Trace(300, 11)
+	tr := kernels.Narrow.IPCTrace()
 	real := cpu.New(cpu.Desktop).Run(tr).IPC()
 	ideal := cpu.New(cpu.Desktop)
 	ideal.PerfectBP = true
@@ -89,12 +97,7 @@ func (s *Suite) Fig10a(w io.Writer) {
 func (s *Suite) Fig10b(w io.Writer) {
 	wl := s.byName("Mix")
 	// The simulated budget: whatever the 4-core CG machine leaves.
-	r4 := wl.CGOnly(4, 12, true)
-	nonFG := r4.Serial()
-	for _, ph := range []world.Phase{world.PhaseNarrow, world.PhaseIslandProc, world.PhaseCloth} {
-		nonFG += r4.PhaseTime[ph] * (1 - kernels.FGShare(ph))
-	}
-	simBudget := 1 - nonFG/(1.0/30)
+	simBudget := 1 - nonFGTime(wl)/(1.0/30)
 	if simBudget < 0.02 {
 		simBudget = 0.02
 	}
@@ -153,24 +156,16 @@ func (s *Suite) Table7(w io.Writer) {
 		fmt.Fprintf(w, "%-10s", t.Name)
 		for _, lk := range []link.Kind{link.OnChip, link.HTX, link.PCIe} {
 			lc := link.For(lk)
-			var counts [kernels.NumKernels]int
-			for k := kernels.Narrow; k < kernels.NumKernels; k++ {
-				taskSec := taskTime(wl, k, ipcs[k])
-				counts[k] = lc.TasksToHide(taskSec, k.DataIn(), k.DataOut()) * n
+			var counts [len(kernels.FG)]int
+			for i, k := range kernels.FG {
+				taskSec := wl.TaskTime(k, ipcs[k])
+				counts[i] = lc.TasksToHide(taskSec, k.DataIn(), k.DataOut()) * n
 			}
 			fmt.Fprintf(w, "  %s(%d, %d, %d)", lk, counts[0], counts[1], counts[2])
 		}
 		fmt.Fprintln(w)
 	}
 	fmt.Fprintln(w, "2KB of local storage buffers the minimum data in all on-chip cases")
-}
-
-// taskTime computes one FG task's compute time for a kernel on a core.
-func taskTime(wl *parallax.Workload, k kernels.Kernel, ipc float64) float64 {
-	if ipc <= 0 {
-		return 0
-	}
-	return wl.TaskTime(k, ipc)
 }
 
 // Fig11: average available fine-grain tasks per benchmark.
@@ -189,7 +184,7 @@ func (s *Suite) Fig11(w io.Writer) {
 func (s *Suite) Sec721(w io.Writer) {
 	wl := s.byName("Mix")
 	ipc := wl.KernelIPC(cpu.Shader)[kernels.Island]
-	taskSec := taskTime(wl, kernels.Island, ipc)
+	taskSec := wl.TaskTime(kernels.Island, ipc)
 	if taskSec <= 0 {
 		taskSec = 50e-9
 	}
@@ -254,7 +249,7 @@ func (s *Suite) Sec822(w io.Writer) {
 		n++
 	}
 	fmt.Fprintf(w, "average work lost: HTX islands %.0f%%, HTX cloth %.0f%%, PCIe islands %.0f%%\n",
-		avgHTX/float64(n)*100, avgCloth/float64(maxI(nc, 1))*100, avgPCIe/float64(n)*100)
+		avgHTX/float64(n)*100, avgCloth/float64(max(nc, 1))*100, avgPCIe/float64(n)*100)
 }
 
 // clothFilterLost returns the fraction of cloth vertices living in
@@ -274,13 +269,6 @@ func clothFilterLost(wl *parallax.Workload, minVerts int) (float64, bool) {
 		return 0, false
 	}
 	return 1 - float64(kept)/float64(total), true
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Sec83: Model 2's per-frame state transfer over PCIe.

@@ -7,7 +7,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/link"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
-	"github.com/parallax-arch/parallax/internal/phys/world"
 )
 
 // These tests pin the paper's qualitative results — the shapes every
@@ -132,7 +131,7 @@ func TestShapeTable7Ordering(t *testing.T) {
 	s := suiteForTest(t)
 	wl := s.byName("Mix")
 	ipcs := wl.KernelIPC(cpu.Desktop)
-	for k := kernels.Narrow; k < kernels.NumKernels; k++ {
+	for _, k := range kernels.FG {
 		taskSec := wl.TaskTime(k, ipcs[k])
 		if taskSec <= 0 {
 			continue
@@ -205,7 +204,7 @@ func TestShapeMemCfgPhasesCovered(t *testing.T) {
 	s := suiteForTest(t)
 	wl := s.byName("Deformable")
 	m := wl.SimulateMemory(memCfg(2))
-	for ph := world.Phase(0); ph < world.NumPhases; ph++ {
+	for ph := range kernels.NumKernels {
 		if m.Phase[ph].Accesses == 0 {
 			t.Errorf("phase %v has no simulated accesses", ph)
 		}

@@ -2,8 +2,12 @@ package lint_test
 
 import (
 	"go/ast"
+	"io/fs"
+	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
+	"slices"
 	"strings"
 	"testing"
 
@@ -181,6 +185,66 @@ func TestEngineLinksNoNetwork(t *testing.T) {
 		for _, pkg := range strings.Fields(string(out)) {
 			if pkg == "net" || strings.HasPrefix(pkg, "net/") || pkg == "unique" {
 				t.Errorf("the import graph of %v holds %s", args, pkg)
+			}
+		}
+	}
+}
+
+// TestCIRunPatternsMatch: go test -run passes when its pattern matches
+// nothing, so a test renamed or deleted under a hand-kept -run list in
+// the CI workflow would silently stop running there. Every alternative
+// of every -run pattern in ci.yml must match the name of some test,
+// fuzz target or example in the repository; '^$' (run none, for
+// -bench and -fuzz steps) is the one pattern meant to match nothing.
+func TestCIRunPatternsMatch(t *testing.T) {
+	root := filepath.Join("..", "..")
+	yml, err := os.ReadFile(filepath.Join(root, ".github", "workflows", "ci.yml"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	funcRE := regexp.MustCompile(`(?m)^func ((?:Test|Fuzz|Example)\w*)\(`)
+	var names []string
+	err = filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".")) && path != root {
+			return filepath.SkipDir
+		}
+		if d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range funcRE.FindAllSubmatch(src, -1) {
+			names = append(names, string(m[1]))
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	runRE := regexp.MustCompile(`-run[ =]+(?:'([^']*)'|"([^"]*)"|([^\s'"]+))`)
+	patterns := runRE.FindAllSubmatch(yml, -1)
+	if len(patterns) == 0 {
+		t.Fatal("ci.yml holds no -run pattern; the parser no longer reads it")
+	}
+	for _, m := range patterns {
+		pattern := string(m[1]) + string(m[2]) + string(m[3])
+		if pattern == "^$" {
+			continue
+		}
+		// -run splits on '/' into one pattern per subtest level; only
+		// the top level names a function.
+		top, _, _ := strings.Cut(pattern, "/")
+		for _, alt := range strings.Split(top, "|") {
+			re, err := regexp.Compile(alt)
+			if err != nil {
+				t.Errorf("-run %q: alternative %q: %v", pattern, alt, err)
+				continue
+			}
+			if !slices.ContainsFunc(names, re.MatchString) {
+				t.Errorf("-run %q: alternative %q matches no test in the repository", pattern, alt)
 			}
 		}
 	}

@@ -67,9 +67,6 @@ type Sample struct {
 	Finite bool
 	// Residual is the solver's summed post-iteration row residual.
 	Residual float64
-	// MaxPenetration is the deepest contact penetration this step
-	// (recorded into the bundle's series; no check keys off it yet).
-	MaxPenetration float64
 }
 
 // Health is the deterministic per-step anomaly detector. Update runs
@@ -208,7 +205,10 @@ type FlightInfo struct {
 // returns that directory's path. The bundle holds:
 //
 //	cause.txt     trip cause, step, label — one "key value" line each
-//	world.paxw    the PAXW world snapshot (replayable via -load/-replay)
+//	world.paxw    the PAXW world snapshot: what World.Restore and an
+//	              octet-stream POST /sessions accept (paraxsim's -load
+//	              and -replay read the PAXR recording replay.paxr its
+//	              caller writes beside it, not this file)
 //	trace.json    Chrome trace-event JSON of the resident tracer rings,
 //	              with the tracer's loss counters and span totals
 //	metrics.txt   WriteProm of reg and s: what /metrics served at the trip

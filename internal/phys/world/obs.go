@@ -223,9 +223,8 @@ func (w *World) recordTelemetry(prof *StepProfile) {
 	}
 
 	w.health.Update(w.telStep, obs.Sample{
-		KineticEnergy:  ke,
-		Finite:         finite,
-		Residual:       prof.Solver.Residual,
-		MaxPenetration: prof.Narrow.DeepestDepth,
+		KineticEnergy: ke,
+		Finite:        finite,
+		Residual:      prof.Solver.Residual,
 	})
 }

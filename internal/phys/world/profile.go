@@ -9,35 +9,6 @@ import (
 	"github.com/parallax-arch/parallax/internal/phys/solver"
 )
 
-// Phase identifies one of the five computational phases (paper Fig 1).
-type Phase int
-
-// The five phases. Broad-phase and Island Creation are the serial
-// phases; the other three exploit parallelism within the phase.
-const (
-	PhaseBroad Phase = iota
-	PhaseNarrow
-	PhaseIslandGen
-	PhaseIslandProc
-	PhaseCloth
-	NumPhases
-)
-
-var phaseNames = [...]string{
-	"Broadphase", "Narrowphase", "Island Creation", "Island Processing", "Cloth",
-}
-
-func (p Phase) String() string {
-	if p < 0 || int(p) >= len(phaseNames) {
-		return "unknown"
-	}
-	return phaseNames[p]
-}
-
-// Serial reports whether the phase is one of the hard-to-parallelize
-// (serial) phases.
-func (p Phase) Serial() bool { return p == PhaseBroad || p == PhaseIslandGen }
-
 // IslandStat summarizes one island for the profile. DOF is the number of
 // constraint rows — the island's fine-grain task count.
 type IslandStat struct {
