@@ -17,10 +17,6 @@ const FrameBudget = 1.0 / 30.0
 type CGResult struct {
 	// PhaseTime is seconds per frame per phase.
 	PhaseTime kernels.PerPhase
-	// Mem is the underlying cache simulation.
-	Mem MemResult
-	// Instr is the frame's per-phase instruction counts.
-	Instr kernels.PerPhase
 }
 
 // Total returns the frame time.
@@ -51,24 +47,19 @@ const MemMLP = 4.0
 func (wl *Workload) CGFrameTime(cfg MemConfig) CGResult {
 	cfg = cfg.normalized()
 	var res CGResult
-	res.Instr = wl.FrameInstr()
-	res.Mem = wl.SimulateMemory(cfg)
+	instr := wl.FrameInstr()
+	mem := wl.SimulateMemory(cfg)
 	ipcs := wl.KernelIPC(cpu.CGCore)
 	steps := float64(len(wl.Frame.Steps))
-
-	// Coarse-grain parallel critical-path bounds (section 6.2: "CG
-	// performance scaling is bounded by the largest island and cloth").
-	pairs, islandDOF, clothVerts := wl.AvailableFGTasks()
-	largestIsland := float64(wl.LargestIslandDOF())
-	largestCloth := float64(wl.LargestClothVerts())
+	critical := wl.criticalShares()
 
 	for ph := range kernels.NumKernels {
 		ipc := ipcs[ph]
 		if ipc <= 0 {
 			continue
 		}
-		compute := res.Instr[ph] / ipc // cycles
-		stall := res.Mem.Phase[ph].StallCycles / MemMLP
+		compute := instr[ph] / ipc // cycles
+		stall := mem.Phase[ph].StallCycles / MemMLP
 		t := float64(cfg.Threads)
 
 		var cycles float64
@@ -78,27 +69,7 @@ func (wl *Workload) CGFrameTime(cfg MemConfig) CGResult {
 		default:
 			// Parallelizable: the phase divides across threads but no
 			// better than its largest single task chain allows.
-			share := 1 / t
-			switch ph {
-			case kernels.Island:
-				if islandDOF > 0 {
-					if s := largestIsland / islandDOF; s > share {
-						share = s
-					}
-				}
-			case kernels.Cloth:
-				if clothVerts > 0 {
-					if s := largestCloth / clothVerts; s > share {
-						share = s
-					}
-				}
-			case kernels.Narrow:
-				if pairs > 0 {
-					if s := 1 / pairs; s > share {
-						share = s
-					}
-				}
-			}
+			share := max(1/t, critical[ph])
 			cycles = compute*share + stall/t
 			if t > 1 {
 				cycles += syncCyclesPerStep * t * steps
@@ -107,6 +78,28 @@ func (wl *Workload) CGFrameTime(cfg MemConfig) CGResult {
 		res.PhaseTime[ph] = cycles / ClockHz
 	}
 	return res
+}
+
+// criticalShares returns, per parallel phase, the coarse-grain
+// critical path as a share of the phase's work: largest task chain ÷
+// tasks per step (section 6.2: "CG performance scaling is bounded by
+// the largest island and cloth"; a narrow-phase chain is one pair). The
+// largest chain is taken over all the frame's steps and the task count
+// is a per-step mean, so the ratio exceeds 1 when task sizes vary
+// between steps; no chain is longer than its whole phase, so the share
+// is clamped at 1. A phase without tasks has share 0.
+func (wl *Workload) criticalShares() (share kernels.PerPhase) {
+	pairs, islandDOF, clothVerts := wl.AvailableFGTasks()
+	chain := func(largest, perStep float64) float64 {
+		if perStep <= 0 {
+			return 0
+		}
+		return min(largest/perStep, 1)
+	}
+	share[kernels.Narrow] = chain(1, pairs)
+	share[kernels.Island] = chain(float64(wl.LargestIslandDOF()), islandDOF)
+	share[kernels.Cloth] = chain(float64(wl.LargestClothVerts()), clothVerts)
+	return share
 }
 
 // CGOnly is the convenience wrapper for section 6's experiments: cores
@@ -118,22 +111,6 @@ func (wl *Workload) CGOnly(cores, l2MB int, partitioned bool) CGResult {
 	})
 }
 
-// DedicatedPhaseTime evaluates one phase with the entire L2 dedicated to
-// it (Figs 3-5: per-phase working-set analysis via saved cache state).
-func (wl *Workload) DedicatedPhaseTime(ph kernels.Kernel, cores, l2MB int) float64 {
-	cfg := MemConfig{Cores: cores, L2MB: l2MB, Threads: cores, DedicatedPhase: int(ph)}
-	m := wl.SimulateMemory(cfg)
-	instr := wl.FrameInstr()
-	ipc := wl.KernelIPC(cpu.CGCore)[ph]
-	compute := instr[ph] / ipc
-	stall := m.Phase[ph].StallCycles / MemMLP
-	t := float64(cores)
-	if ph.Serial() {
-		return (compute + stall) / ClockHz
-	}
-	return (compute/t + stall/t) / ClockHz
-}
-
 // IdealCGLimit returns the phase times under the idealized assumptions
 // of Fig 7a: no OS overhead, no cache contention, unlimited cores and
 // ideal load balancing — only the largest island / cloth chain bounds
@@ -141,14 +118,8 @@ func (wl *Workload) DedicatedPhaseTime(ph kernels.Kernel, cores, l2MB int) float
 func (wl *Workload) IdealCGLimit() (islandProc, clothTime float64) {
 	instr := wl.FrameInstr()
 	ipcs := wl.KernelIPC(cpu.CGCore)
-	_, islandDOF, clothVerts := wl.AvailableFGTasks()
-	if islandDOF > 0 {
-		share := float64(wl.LargestIslandDOF()) / islandDOF
-		islandProc = instr[kernels.Island] / ipcs[kernels.Island] * share / ClockHz
-	}
-	if clothVerts > 0 {
-		share := float64(wl.LargestClothVerts()) / clothVerts
-		clothTime = instr[kernels.Cloth] / ipcs[kernels.Cloth] * share / ClockHz
-	}
+	critical := wl.criticalShares()
+	islandProc = instr[kernels.Island] / ipcs[kernels.Island] * critical[kernels.Island] / ClockHz
+	clothTime = instr[kernels.Cloth] / ipcs[kernels.Cloth] * critical[kernels.Cloth] / ClockHz
 	return islandProc, clothTime
 }

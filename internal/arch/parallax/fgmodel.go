@@ -15,16 +15,10 @@ type FGResult struct {
 	// CommTime is the exposed (non-overlapped) communication, including
 	// the per-phase startup and post-process costs.
 	CommTime float64
-	// PerPhase is the FG time per parallel phase.
-	PerPhase kernels.PerPhase
 	// BufferTasks is the worst-case per-core buffering requirement.
 	BufferTasks int
 	// BufferBytes is the local-store requirement for that buffering.
 	BufferBytes int
-	// WorkLost is the fraction of FG work filtered back to CG cores
-	// because islands/cloths were too small to hide the interconnect
-	// latency (section 8.2.2).
-	WorkLost float64
 }
 
 // Total returns compute + exposed communication.
@@ -157,7 +151,6 @@ func (wl *Workload) FGTimeSharedLocal(fg cpu.Config, nFG int, lk link.Kind, clus
 		// Startup and post-process cost per phase per step (always paid).
 		comm += steps * lc.RoundTrip(inBytes, k.DataOut())
 
-		res.PerPhase[k] = compute + comm
 		res.ComputeTime += compute
 		res.CommTime += comm
 	}
@@ -172,31 +165,35 @@ func (wl *Workload) FGTimeSharedLocal(fg cpu.Config, nFG int, lk link.Kind, clus
 	return res
 }
 
-// FilteredFGTime is the section 8.2.2 variant: islands (and cloths)
-// with fewer than minTasks FG tasks are filtered out — executed on the
-// CG cores instead — so the remaining tasks can hide the interconnect
-// latency. It returns the FG result plus the fraction of island-phase
-// work filtered back.
-func (wl *Workload) FilteredFGTime(fg cpu.Config, nFG int, lk link.Kind, minTasks int) (FGResult, float64) {
-	res := wl.FGTime(fg, nFG, lk)
-	dofs := wl.IslandDOFsSorted()
-	total, kept := 0.0, 0.0
-	for _, d := range dofs {
-		total += float64(d)
-		if d >= minTasks {
-			kept += float64(d)
+// FilteredWork is section 8.2.2's filter: islands and cloths with
+// fewer than minTasks FG tasks (DOF, vertices) run on the CG cores
+// instead, so the remaining tasks can hide the interconnect latency. It
+// returns the fraction of the frame's island and of its cloth work
+// filtered back; hasCloth reports whether the frame has cloth work.
+func (wl *Workload) FilteredWork(minTasks int) (island, cloth float64, hasCloth bool) {
+	var islandAll, islandKept, clothAll, clothKept int
+	for i := range wl.Frame.Steps {
+		s := &wl.Frame.Steps[i]
+		for _, is := range s.Islands {
+			islandAll += is.DOF
+			if is.DOF >= minTasks {
+				islandKept += is.DOF
+			}
+		}
+		for _, v := range s.ClothVerts {
+			clothAll += v
+			if v >= minTasks {
+				clothKept += v
+			}
 		}
 	}
-	lost := 0.0
-	if total > 0 {
-		lost = 1 - kept/total
+	lost := func(all, kept int) float64 {
+		if all == 0 {
+			return 0
+		}
+		return 1 - float64(kept)/float64(all)
 	}
-	res.WorkLost = lost
-	// The filtered work leaves the FG pool: compute shrinks, and the
-	// remaining tasks (all large) hide the latency.
-	res.PerPhase[kernels.Island] *= (1 - lost)
-	res.ComputeTime *= (1 - lost*0.5) // island share only; conservative
-	return res, lost
+	return lost(islandAll, islandKept), lost(clothAll, clothKept), clothAll > 0
 }
 
 // FGCoresFor30FPS returns the minimum number of FG cores of the given

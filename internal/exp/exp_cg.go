@@ -3,7 +3,6 @@ package exp
 import (
 	"fmt"
 	"io"
-	"slices"
 
 	"github.com/parallax-arch/parallax/internal/arch/kernels"
 	"github.com/parallax-arch/parallax/internal/arch/parallax"
@@ -34,14 +33,8 @@ func (s *Suite) Table4(w io.Writer) {
 	for _, wl := range s.Workloads() {
 		statics, dynamics, debris, cloths, verts, joints := workload.Composition(wl.World)
 		pairs, _, _ := wl.AvailableFGTasks()
-		islands := 0
-		for i := range wl.Frame.Steps {
-			if n := len(wl.Frame.Steps[i].Islands); n > islands {
-				islands = n
-			}
-		}
 		fmt.Fprintf(w, "%-12s %9.0f %8d %7d %10d %8d %9d %13d %13d\n",
-			wl.Name, pairs, islands, cloths, verts,
+			wl.Name, pairs, wl.Frame.MaxIslands(), cloths, verts,
 			statics, dynamics, debris, joints)
 	}
 }
@@ -63,7 +56,7 @@ func (s *Suite) Fig2a(w io.Writer) {
 		total := r.Total()
 		sf := r.Serial() / total
 		serialFracSum += sf
-		if fr := r.Serial() / (1.0 / 30); fr > worstSerialFrame {
+		if fr := r.Serial() / parallax.FrameBudget; fr > worstSerialFrame {
 			worstSerialFrame = fr
 		}
 		fmt.Fprintf(w, "%-12s %10.2f %10.2f %10.2f %10.2f %10.2f %10.2f %8.1f %8.1f%%\n",
@@ -97,17 +90,19 @@ func (s *Suite) Fig2b(w io.Writer) {
 	}
 }
 
-// dedicated prints one phase's dedicated-L2 sweep, evaluating the
-// workload x cache-size grid on the worker pool.
-func (s *Suite) dedicated(w io.Writer, ph kernels.Kernel, cores int, only []string) {
+// dedicated prints one phase's sweep on one CG core with the whole L2
+// dedicated to the phase, for the benchmarks whose frame runs the
+// phase, evaluating the workload x cache-size grid on the worker pool.
+func (s *Suite) dedicated(w io.Writer, ph kernels.Kernel) {
 	var wls []*parallax.Workload
 	for _, wl := range s.Workloads() {
-		if only == nil || slices.Contains(only, wl.Name) {
+		if wl.FrameInstr()[ph] > 0 {
 			wls = append(wls, wl)
 		}
 	}
 	cells := grid(s, len(wls), len(dedicatedSweep), func(r, c int) float64 {
-		return wls[r].DedicatedPhaseTime(ph, cores, dedicatedSweep[c])
+		cfg := parallax.MemConfig{Cores: 1, L2MB: dedicatedSweep[c], DedicatedPhase: int(ph)}
+		return wls[r].CGFrameTime(cfg).PhaseTime[ph]
 	})
 
 	fmt.Fprintf(w, "%-12s", "Benchmark")
@@ -125,21 +120,19 @@ func (s *Suite) dedicated(w io.Writer, ph kernels.Kernel, cores int, only []stri
 }
 
 // Fig3a: Broadphase with dedicated L2.
-func (s *Suite) Fig3a(w io.Writer) { s.dedicated(w, kernels.Broad, 1, nil) }
+func (s *Suite) Fig3a(w io.Writer) { s.dedicated(w, kernels.Broad) }
 
 // Fig3b: Narrowphase with dedicated L2.
-func (s *Suite) Fig3b(w io.Writer) { s.dedicated(w, kernels.Narrow, 1, nil) }
+func (s *Suite) Fig3b(w io.Writer) { s.dedicated(w, kernels.Narrow) }
 
 // Fig4a: Island Creation with dedicated L2.
-func (s *Suite) Fig4a(w io.Writer) { s.dedicated(w, kernels.IslandGen, 1, nil) }
+func (s *Suite) Fig4a(w io.Writer) { s.dedicated(w, kernels.IslandGen) }
 
 // Fig4b: Island Processing with dedicated L2.
-func (s *Suite) Fig4b(w io.Writer) { s.dedicated(w, kernels.Island, 1, nil) }
+func (s *Suite) Fig4b(w io.Writer) { s.dedicated(w, kernels.Island) }
 
-// Fig5a: Cloth with dedicated L2 (only the cloth benchmarks).
-func (s *Suite) Fig5a(w io.Writer) {
-	s.dedicated(w, kernels.Cloth, 1, []string{"Deformable", "Mix"})
-}
+// Fig5a: Cloth with dedicated L2 (the benchmarks with cloth).
+func (s *Suite) Fig5a(w io.Writer) { s.dedicated(w, kernels.Cloth) }
 
 // fig5bCores is the processor-scaling sweep of Fig 5b.
 var fig5bCores = []int{1, 2, 4}
@@ -225,11 +218,11 @@ func (s *Suite) Fig7a(w io.Writer) {
 	for _, wl := range s.Workloads() {
 		ip, cl := wl.IdealCGLimit()
 		note := ""
-		if ip+cl > 1.0/30 {
+		if ip+cl > parallax.FrameBudget {
 			note = "  EXCEEDS FRAME"
 		}
 		fmt.Fprintf(w, "%-12s %14.2f %12.2f %11.2f ms%s\n",
-			wl.Name, ip*1e3, cl*1e3, 1000.0/30, note)
+			wl.Name, ip*1e3, cl*1e3, parallax.FrameBudget*1e3, note)
 	}
 }
 

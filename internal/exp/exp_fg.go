@@ -44,7 +44,7 @@ func (s *Suite) Fig9a(w io.Writer) {
 	}
 	nonFG := nonFGTime(wl)
 	fmt.Fprintf(w, "serial + CG components take %.0f%% of one frame's time; %.0f%% remains for FG work\n",
-		nonFG/(1.0/30)*100, (1-nonFG/(1.0/30))*100)
+		nonFG/parallax.FrameBudget*100, (1-nonFG/parallax.FrameBudget)*100)
 }
 
 // nonFGTime is the frame time the 4-core 12MB partitioned CG machine
@@ -75,7 +75,8 @@ func (s *Suite) Fig9b(w io.Writer) {
 // Fig10a: IPC of the four core types on the three kernels, plus the
 // ideal-branch-prediction delta on Narrowphase.
 func (s *Suite) Fig10a(w io.Writer) {
-	wl := s.Workloads()[0]
+	// Kernel IPC depends on the core alone: any one workload serves.
+	wl := s.capture(s.entries[0])
 	fmt.Fprintf(w, "%-10s %14s %14s %14s\n", "Core", "Narrowphase", "Island", "Cloth")
 	for _, cfg := range cpu.FGConfigs {
 		ipc := wl.KernelIPC(cfg)
@@ -83,12 +84,12 @@ func (s *Suite) Fig10a(w io.Writer) {
 			cfg.Name, ipc[kernels.Narrow], ipc[kernels.Island], ipc[kernels.Cloth])
 	}
 	// Ideal branch prediction on Narrowphase (paper: ~30% improvement).
-	tr := kernels.Narrow.IPCTrace()
-	real := cpu.New(cpu.Desktop).Run(tr).IPC()
-	ideal := cpu.New(cpu.Desktop)
-	ideal.PerfectBP = true
+	real := wl.KernelIPC(cpu.Desktop)[kernels.Narrow]
+	core := cpu.New(cpu.Desktop)
+	core.PerfectBP = true
+	ideal := core.Run(kernels.Narrow.IPCTrace()).IPC()
 	fmt.Fprintf(w, "ideal BP on Narrowphase (desktop): %.2f -> %.2f (%.0f%%)\n",
-		real, ideal.Run(tr).IPC(), (ideal.Run(tr).IPC()/real-1)*100)
+		real, ideal, (ideal/real-1)*100)
 }
 
 // Fig10b: FG cores required per type for 30 FPS at fixed frame-budget
@@ -97,7 +98,7 @@ func (s *Suite) Fig10a(w io.Writer) {
 func (s *Suite) Fig10b(w io.Writer) {
 	wl := s.byName("Mix")
 	// The simulated budget: whatever the 4-core CG machine leaves.
-	simBudget := 1 - nonFGTime(wl)/(1.0/30)
+	simBudget := 1 - nonFGTime(wl)/parallax.FrameBudget
 	if simBudget < 0.02 {
 		simBudget = 0.02
 	}
@@ -232,9 +233,8 @@ func (s *Suite) Sec822(w io.Writer) {
 	avgHTX, avgCloth, avgPCIe := 0.0, 0.0, 0.0
 	n, nc := 0, 0
 	for _, wl := range s.Workloads() {
-		_, lost50 := wl.FilteredFGTime(cpu.Shader, 150, link.HTX, 50)
-		_, lost1710 := wl.FilteredFGTime(cpu.Shader, 150, link.PCIe, 1710)
-		clothLost, hasCloth := clothFilterLost(wl, 50)
+		lost50, clothLost, hasCloth := wl.FilteredWork(50)
+		lost1710, _, _ := wl.FilteredWork(1710)
 		if hasCloth {
 			fmt.Fprintf(w, "%-12s %19.0f%% %19.0f%% %21.0f%%\n",
 				wl.Name, lost50*100, clothLost*100, lost1710*100)
@@ -252,31 +252,12 @@ func (s *Suite) Sec822(w io.Writer) {
 		avgHTX/float64(n)*100, avgCloth/float64(max(nc, 1))*100, avgPCIe/float64(n)*100)
 }
 
-// clothFilterLost returns the fraction of cloth vertices living in
-// cloths smaller than minVerts (work that must return to CG cores when
-// small cloths cannot hide the link latency).
-func clothFilterLost(wl *parallax.Workload, minVerts int) (float64, bool) {
-	total, kept := 0, 0
-	for i := range wl.Frame.Steps {
-		for _, v := range wl.Frame.Steps[i].ClothVerts {
-			total += v
-			if v >= minVerts {
-				kept += v
-			}
-		}
-	}
-	if total == 0 {
-		return 0, false
-	}
-	return 1 - float64(kept)/float64(total), true
-}
-
 // Sec83: Model 2's per-frame state transfer over PCIe.
 func (s *Suite) Sec83(w io.Writer) {
 	fmt.Fprintf(w, "paper example (1000 objects, 10000 particles, 5000 verts): %.5f s\n",
 		parallax.PaperModel2Example())
 	for _, wl := range s.Workloads() {
 		fmt.Fprintf(w, "%-12s per-frame transfer %.6f s (%.2f%% of a frame)\n",
-			wl.Name, wl.Model2TransferTime(), wl.Model2TransferTime()/(1.0/30)*100)
+			wl.Name, wl.Model2TransferTime(), wl.Model2TransferTime()/parallax.FrameBudget*100)
 	}
 }

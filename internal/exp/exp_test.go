@@ -228,10 +228,12 @@ func TestRunAll(t *testing.T) {
 		}
 	}
 	// The bytes themselves: every experiment's timing-stripped output on
-	// the scale-0.15 suite, as printed at PR 16 (commit da7e6a8). A change
-	// to the engine's physics or to a model's arithmetic moves this and
-	// must say so; a refactor or a host-time optimisation must not.
-	const wantCRC = 1132142729
+	// the scale-0.15 suite, as printed since the CG critical-path share
+	// was clamped at 1 (Mix's largest island over the frame outgrows its
+	// mean per-step island DOF at this scale). A change to the engine's
+	// physics or to a model's arithmetic moves this and must say so; a
+	// refactor or a host-time optimisation must not.
+	const wantCRC = 3206042798
 	if runtime.GOARCH != "amd64" {
 		t.Logf("output CRC not compared on %s: the constant was taken on amd64, and other ports may fuse or round floating-point operations differently", runtime.GOARCH)
 	} else if got := crc32.ChecksumIEEE([]byte(StripTimings(buf.String()))); got != wantCRC {
